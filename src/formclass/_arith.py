@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 
 def egcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, u, v) with g = gcd(a, b) >= 0 and u*a + v*b = g."""
@@ -49,34 +47,6 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-def squarefree_part(n: int) -> int:
-    """Largest squarefree divisor of n > 0 times the sign, i.e. n / (largest square)."""
-    if n == 0:
-        raise ValueError("squarefree_part(0) undefined")
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            if e % 2 == 1:
-                out *= d
-        d += 1 if d == 2 else 2
-    return sign * out * n
-
-
-def isqrt_exact(n: int) -> int | None:
-    """Integer square root of n if n is a perfect square, else None."""
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
 
 
 def factorize(n: int) -> dict[int, int]:

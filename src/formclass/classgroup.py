@@ -301,19 +301,13 @@ def class_group_table(d: int, n: int) -> ClassGroupTable:
 
 
 def level_map(x, m: int, n: int):
-    """Reinterpret a level-m class at a coarser level n (n | m); rep unchanged.
-
-    Accepts a FormClass or a bare signed form standing for its stricter
-    (full-congruence) class.
-    """
+    """Reinterpret a level-m class at a coarser level n (n | m); rep unchanged."""
     if n < 1 or m % n:
         raise ValueError(f"target level {n} must divide source level {m}")
     if isinstance(x, FormClass):
         if x.level != m:
             raise ValueError(f"class has level {x.level}, not {m}")
         return FormClass(x.rep, x.disc, n)
-    if isinstance(x, SignedForm):
-        return x
     raise TypeError(f"cannot level-map {type(x).__name__}")
 
 
@@ -330,7 +324,7 @@ def class_surjection(
     Defined when n | m and the source subgroup sits inside the target one,
     i.e. the source is full-congruence or the target is the unipotent kind.
     Each source representative is located in the target enumeration;
-    surjectivity is asserted.
+    GroupAxiomError names the target classes that nothing maps onto.
     """
     if n < 1 or m % n:
         raise ValueError(f"target level {n} must divide source level {m}")
@@ -339,7 +333,9 @@ def class_surjection(
     src = class_index(d, m, src_kind, signed)
     dst = class_index(d, n, dst_kind, signed)
     out = tuple(dst.locate(rep) for rep in src.reps)
-    assert set(out) == set(range(len(dst.reps))), "transition map failed to be surjective"
+    missing = sorted(set(range(len(dst.reps))) - set(out))
+    if missing:
+        raise GroupAxiomError(f"transition map misses target classes {missing}")
     return out
 
 

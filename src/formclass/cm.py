@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .congruence import CongKind, cong_equivalent, enumerate_classes
+from .congruence import CongKind, class_index, cong_equivalent
 from .forms import QuadForm, QuadIrrational, SignedForm
 
 CURVES = ("y1", "y")
@@ -124,18 +124,16 @@ class CMClassSet:
     classes: tuple[CMPoint, ...]
 
     def locate(self, p: CMPoint) -> int:
+        """Index of the class of p; ValueError if p is not primitive mod the level."""
         if p.disc != self.disc:
             raise LookupError(f"point has discriminant {p.disc}, set has {self.disc}")
-        for i, q in enumerate(self.classes):
-            if equivalent_points(p, q, self.level, self.curve):
-                return i
-        raise LookupError(f"point {p.to_json()} not in the enumerated classes")
+        idx = class_index(self.disc, self.level, curve_kind(self.curve), signed=True)
+        return idx.locate(class_of_point(p, self.level))
 
 
 def cm_class_set(d: int, n: int, curve: str) -> CMClassSet:
     """Every class of discriminant-d points on the signed level-n curve."""
-    kind = curve_kind(curve)
-    reps = enumerate_classes(d, n, kind, signed=True)
+    reps = class_index(d, n, curve_kind(curve), signed=True).reps
     return CMClassSet(d, n, curve, tuple(CMPoint(f) for f in reps))
 
 

@@ -3,9 +3,10 @@
 Two families are supported: the principal subgroup of level N (matrices
 congruent to the identity mod N) and the upper-unipotent family (diagonal
 congruent to 1, lower-left to 0 mod N, upper-right free).  The module decides
-membership and equivalence with explicit witnesses, enumerates coset
-representatives by lifting SL2(Z/N), and enumerates equivalence classes of
-signed forms exhaustively.
+membership, enumerates coset representatives by lifting SL2(Z/N), and
+enumerates equivalence classes of signed forms exhaustively.  One exact key,
+`class_key`, decides which class a form is in; `cong_equivalent` finds an
+explicit witness of an equivalence.
 """
 
 from __future__ import annotations
@@ -139,17 +140,22 @@ def cong_equivalent(f: SignedForm, g: SignedForm, n: int, kind: CongKind) -> Uni
     return None
 
 
-def _class_invariant(form: QuadForm, n: int, kind: CongKind) -> tuple:
-    """A tuple constant on equivalence classes; used only as a negative filter.
+def class_key(f: SignedForm, n: int, kind: CongKind) -> tuple:
+    """A complete invariant: equal keys exactly when the forms are equivalent.
 
-    The leading coefficient mod n is class-constant for both kinds; for the
-    principal subgroup all three coefficients are.  The reduced representative
-    pins the SL2(Z) class.
+    With (R, w) = reduce_form(f.form), the matrices taking f to R are w*Aut(R),
+    so the class of f is the double coset Gamma*w*Aut(R).  Each right coset
+    Gamma*m is named by m mod n (principal subgroup, which is normal) or by the
+    bottom row of m mod n (upper-unipotent family); the key takes the least
+    such name over Aut(R), next to the reduced form and the sign.
     """
-    reduced, _ = reduce_form(form)
+    reduced, w = reduce_form(f.form)
+    moved = [w * alpha for alpha in automorphs(reduced)]
     if kind is CongKind.FULL_LEVEL:
-        return (form.a % n, form.b % n, form.c % n, reduced.triple())
-    return (form.a % n, reduced.triple())
+        names = [(m.p % n, m.q % n, m.r % n, m.s % n) for m in moved]
+    else:
+        names = [(m.r % n, m.s % n) for m in moved]
+    return (reduced.triple(), f.sign, min(names))
 
 
 @lru_cache(maxsize=None)
@@ -159,8 +165,8 @@ def unsigned_class_reps(d: int, n: int, kind: CongKind) -> tuple[QuadForm, ...]:
     Candidates are the reduced forms pushed through all coset representatives;
     every class is hit because a witness factors as (coset rep) * (subgroup
     element).  Candidates whose leading coefficient shares a factor with n are
-    discarded (that property is class-constant).  Deduplication buckets by the
-    class invariant and decides equality only with cong_equivalent.
+    discarded (that property is class-constant).  The first candidate in
+    triple order is kept for each class key.
     """
     require_discriminant(d)
     candidates = set()
@@ -169,16 +175,10 @@ def unsigned_class_reps(d: int, n: int, kind: CongKind) -> tuple[QuadForm, ...]:
             cand = base.transform(g0)
             if math.gcd(cand.a, n) == 1:
                 candidates.add(cand)
-    buckets: dict[tuple, list[QuadForm]] = {}
-    reps = []
+    reps: dict[tuple, QuadForm] = {}
     for cand in sorted(candidates, key=QuadForm.triple):
-        key = _class_invariant(cand, n, kind)
-        bucket = buckets.setdefault(key, [])
-        signed = SignedForm(cand)
-        if not any(cong_equivalent(SignedForm(kept), signed, n, kind) for kept in bucket):
-            bucket.append(cand)
-            reps.append(cand)
-    return tuple(reps)
+        reps.setdefault(class_key(SignedForm(cand), n, kind), cand)
+    return tuple(reps.values())
 
 
 def enumerate_classes(d: int, n: int, kind: CongKind, signed: bool = False) -> tuple[SignedForm, ...]:
@@ -203,25 +203,20 @@ class ClassIndex:
     kind: CongKind
     signed: bool
     reps: tuple[SignedForm, ...]
-    _buckets: dict[tuple, tuple[int, ...]]
+    _index: dict[tuple, int]
 
     def locate(self, f: SignedForm) -> int:
         """Index of the class of f among reps; LookupError if f is not a member."""
         if not is_member(f, self.disc, self.level):
             raise LookupError(f"{f.to_json()} is not in the discriminant-{self.disc} level-{self.level} family")
-        key = (_class_invariant(f.form, self.level, self.kind), f.sign)
-        for i in self._buckets.get(key, ()):
-            if cong_equivalent(self.reps[i], f, self.level, self.kind) is not None:
-                return i
-        raise LookupError(f"no enumerated class matches {f.to_json()}")
+        i = self._index.get(class_key(f, self.level, self.kind))
+        if i is None:
+            raise LookupError(f"no enumerated class matches {f.to_json()}")
+        return i
 
 
 @lru_cache(maxsize=None)
 def class_index(d: int, n: int, kind: CongKind, signed: bool = False) -> ClassIndex:
     reps = enumerate_classes(d, n, kind, signed)
-    buckets: dict[tuple, list[int]] = {}
-    for i, rep in enumerate(reps):
-        key = (_class_invariant(rep.form, n, kind), rep.sign)
-        buckets.setdefault(key, []).append(i)
-    frozen = {k: tuple(v) for k, v in buckets.items()}
-    return ClassIndex(d, n, kind, signed, reps, frozen)
+    index = {class_key(rep, n, kind): i for i, rep in enumerate(reps)}
+    return ClassIndex(d, n, kind, signed, reps, index)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ._arith import egcd, is_prime
-from .cm import CMPoint, cm_class_set, equivalent_points
-from .congruence import CongKind, _class_invariant, cong_equivalent, lift_matrix
+from .cm import CMPoint, cm_class_set, curve_kind, equivalent_points
+from .congruence import CongKind, class_key, lift_matrix
 from .forms import IDENTITY, UnimodMatrix, require_discriminant
 
 
@@ -255,7 +255,7 @@ def act_padic(point: CMPoint, g: PadicMatrix, n: int, check_lift: bool = False) 
     g must be trivial mod p (that is the domain of the correspondence) and
     carry at least n digits.  The class of the result at level prime**n does
     not depend on the lift; with check_lift a second, different lift is taken
-    and the equivalence of the two images is asserted.
+    and RuntimeError is raised unless the two images are equivalent.
     """
     if not g.is_one_mod_p():
         raise ValueError("matrix is not trivial mod p")
@@ -266,8 +266,10 @@ def act_padic(point: CMPoint, g: PadicMatrix, n: int, check_lift: bool = False) 
     moved = CMPoint(point.carrier.transform(gamma))
     if check_lift:
         alt = gamma * UnimodMatrix(1, m, 0, 1)
-        other = point.carrier.transform(alt)
-        assert cong_equivalent(moved.carrier, other, m, CongKind.FULL_LEVEL) is not None
+        if not equivalent_points(moved, CMPoint(point.carrier.transform(alt)), m, "y"):
+            raise RuntimeError(
+                f"lifts {gamma.to_json()} and {alt.to_json()} move {point.to_json()} to different level-{m} classes"
+            )
     return moved
 
 
@@ -284,20 +286,15 @@ def correspondence_report(p: int, d: int, n: int, check_lift: bool = False) -> d
     level = p**n
     codomain = cm_class_set(d, level, "y")
 
-    # bucket images by a class invariant; only colliding buckets need the predicate
-    buckets: dict[tuple, list[tuple[int, int, CMPoint]]] = {}
+    # images are distinct classes exactly when their class keys are distinct
+    first: dict[tuple, tuple[int, int]] = {}
+    witnesses = []
     for ri, r in enumerate(base.reps):
         for gi, g in enumerate(kernel):
             img = act_padic(r, g, n, check_lift=check_lift)
-            key = (_class_invariant(img.carrier.form, level, CongKind.FULL_LEVEL), img.carrier.sign)
-            buckets.setdefault(key, []).append((ri, gi, img))
-
-    witnesses = []
-    for got in buckets.values():
-        for i in range(len(got)):
-            for j in range(i + 1, len(got)):
-                if equivalent_points(got[i][2], got[j][2], level, "y"):
-                    witnesses.append({"first": [got[i][0], got[i][1]], "second": [got[j][0], got[j][1]]})
+            seen = first.setdefault(class_key(img.carrier, level, CongKind.FULL_LEVEL), (ri, gi))
+            if seen != (ri, gi):
+                witnesses.append({"first": list(seen), "second": [ri, gi]})
     pairs = len(base.reps) * len(kernel)
     injective = not witnesses
     codomain_size = len(codomain.classes)
@@ -363,8 +360,10 @@ def extend_tower(t: TowerElem, m: int) -> TowerElem:
         return t
     if m % top_level:
         raise ValueError(f"{top_level} does not divide {m}")
+    kind = curve_kind(t.curve)
+    want = class_key(top_point.carrier, top_level, kind)
     for q in cm_class_set(t.disc, m, t.curve).classes:
-        if equivalent_points(q, top_point, top_level, t.curve):
+        if class_key(q.carrier, top_level, kind) == want:
             return TowerElem(t.disc, t.curve, t.levels + (m,), t.points + (q,))
     raise RuntimeError(f"no level-{m} class over the top class: projection failed to be onto")
 

@@ -7,6 +7,7 @@ import pytest
 from formclass.classgroup import (
     ClassGroupTable,
     FormClass,
+    GroupAxiomError,
     PMGroup,
     class_group_table,
     class_of_ideal,
@@ -23,7 +24,7 @@ from formclass.classgroup import (
     same_class,
 )
 from formclass.classgroup import PMClass
-from formclass.congruence import CongKind
+from formclass.congruence import ClassIndex, CongKind
 from formclass.forms import QuadForm
 from formclass.ideals import ElemO, form_to_ideal, principal_ideal, ray_class_equal, unit_ideal
 
@@ -210,6 +211,12 @@ def test_class_surjection_rejects_wrong_containment():
         class_surjection(-23, 9, 3, CongKind.UPPER_UNIPOTENT, CongKind.FULL_LEVEL)
     with pytest.raises(ValueError):
         class_surjection(-23, 3, 2, CongKind.FULL_LEVEL, CongKind.FULL_LEVEL)
+
+
+def test_class_surjection_reports_missed_classes(monkeypatch):
+    monkeypatch.setattr(ClassIndex, "locate", lambda self, f: 0)
+    with pytest.raises(GroupAxiomError, match=r"misses target classes \[1, 2"):
+        class_surjection(-23, 9, 3, CongKind.FULL_LEVEL, CongKind.FULL_LEVEL)
 
 
 def test_order_change_maps_are_surjective_homomorphisms():

@@ -1,9 +1,14 @@
 """Exit codes, JSON shapes, and determinism of the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import formclass
 from formclass.cli import Config, main
 
 
@@ -142,3 +147,19 @@ def test_text_format_renders_flat_lines(capsys):
     assert code == 0
     assert "reduced: [1, 1, 5]" in out
     assert "{" not in out.splitlines()[0]
+
+
+def test_checks_survive_optimized_mode():
+    """python -O drops assert statements; the verify suites must not depend on them."""
+    env = {k: v for k, v in os.environ.items() if k != "FORMCLASS_SEED"}
+    src = str(Path(formclass.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    argv = ["-m", "formclass", "verify", "all", "--quick", "--seed", "3"]
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True, timeout=120)
+        for flags in ((), ("-O",))
+    )
+    assert plain.returncode == 0, plain.stderr
+    assert optimized.returncode == 0, optimized.stderr
+    assert json.loads(plain.stdout)["pass"]
+    assert optimized.stdout == plain.stdout

@@ -1,19 +1,21 @@
 """Subgroup membership, coset enumeration, lifting, and class indexing."""
 
 import math
+import random
 
 import pytest
 
 from formclass.congruence import (
     CongKind,
     class_index,
+    class_key,
     cong_equivalent,
     coset_reps,
     enumerate_classes,
     in_gamma,
     lift_matrix,
 )
-from formclass.forms import IDENTITY, QuadForm, SignedForm, UnimodMatrix, translation
+from formclass.forms import IDENTITY, SWAP, QuadForm, SignedForm, UnimodMatrix, reduced_forms, translation
 
 FULL = CongKind.FULL_LEVEL
 UPPER = CongKind.UPPER_UNIPOTENT
@@ -159,3 +161,44 @@ def test_pairwise_distinct_classes():
     for i, f in enumerate(idx.reps):
         for j, g in enumerate(idx.reps):
             assert (cong_equivalent(f, g, 4, UPPER) is not None) == (i == j)
+
+
+def _random_word(rng: random.Random) -> UnimodMatrix:
+    out = IDENTITY
+    for _ in range(rng.randint(0, 8)):
+        out = out * rng.choice((translation(1), translation(-1), SWAP))
+    return out
+
+
+def _random_member(rng: random.Random, f: SignedForm, n: int, in_subgroup: bool = False) -> SignedForm:
+    """f moved by a random word, retried until prime to n.
+
+    With in_subgroup the word w is replaced by w * T^(n k) * w^-1, which lies in
+    the principal subgroup and so in both kinds.
+    """
+    while True:
+        word = _random_word(rng)
+        if in_subgroup:
+            word = word * translation(n * rng.randint(1, 3)) * word.inverse()
+        g = f.transform(word)
+        if math.gcd(g.form.a, n) == 1:
+            return g
+
+
+def test_class_key_agrees_with_witness_search():
+    rng = random.Random(20240517)
+    outcomes = {True: 0, False: 0}
+    for d in (-3, -4, -15, -23, -56):
+        bases = reduced_forms(d)
+        for n in range(1, 10):
+            for kind in (FULL, UPPER):
+                for trial in range(24):
+                    f = _random_member(rng, SignedForm(rng.choice(bases), rng.choice((1, -1))), n)
+                    if trial % 2:
+                        g = _random_member(rng, SignedForm(rng.choice(bases), rng.choice((1, -1))), n)
+                    else:
+                        g = _random_member(rng, f, n, in_subgroup=trial % 4 == 0)
+                    same = cong_equivalent(f, g, n, kind) is not None
+                    assert (class_key(f, n, kind) == class_key(g, n, kind)) == same, (d, n, kind, f, g)
+                    outcomes[same] += 1
+    assert outcomes[True] > 500 and outcomes[False] > 500, outcomes

@@ -172,11 +172,22 @@ def test_act_padic_identity_and_compatibility():
 def test_act_padic_lift_independence_and_gates():
     x = cm_from_tau(1, 1, 6)
     for g in kernel_reps(3, 2)[:6]:
-        act_padic(x, g, 2, check_lift=True)  # internal assertion is the check
+        act_padic(x, g, 2, check_lift=True)  # raises RuntimeError if the two lifts disagree
     with pytest.raises(ValueError):
         act_padic(x, PadicMatrix.from_unimod(translation(1), 3, 2), 2)  # not 1 mod p
     with pytest.raises(ValueError):
         act_padic(x, PadicMatrix.identity(3, 1), 2)  # precision too low
+
+
+def test_act_padic_lift_check_raises(monkeypatch):
+    import formclass.tower
+
+    monkeypatch.setattr(formclass.tower, "equivalent_points", lambda *args: False)
+    x = cm_from_tau(1, 1, 6)
+    g = kernel_reps(3, 2)[1]
+    act_padic(x, g, 2)  # no check requested, no error
+    with pytest.raises(RuntimeError, match="move"):
+        act_padic(x, g, 2, check_lift=True)
 
 
 def test_correspondence_report_at_precision_one():
