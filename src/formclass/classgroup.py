@@ -18,6 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from ._arith import crt, egcd, factorize
 from .congruence import CongKind, class_index, cong_equivalent
@@ -114,7 +115,8 @@ def compose(x: FormClass, y: FormClass, bound: int = 10, rng: random.Random | No
     moved = y.rep.transform(gamma)
     big_b, modulus = crt(x.rep.b, 2 * ax, moved.b, 2 * moved.a)
     m = ax * moved.a
-    assert modulus == 2 * m
+    if modulus != 2 * m:
+        raise RuntimeError(f"CRT modulus {modulus} is not 2*{m}: the moved pair is not concordant")
     if big_b > m:
         big_b -= 2 * m
     return FormClass(QuadForm(m, big_b, (big_b * big_b - d) // (4 * m)), d, n)
@@ -124,8 +126,8 @@ def class_of_ideal(u: OIdeal, d: int, n: int) -> FormClass:
     """The unique enumerated class whose ideal is ray-equal to u at modulus n.
 
     LookupError if no class matches (u must be invertible-prime to n, else
-    ValueError).  Exactly-one is asserted: more than one match would break
-    the class/ideal dictionary itself.
+    ValueError).  GroupAxiomError if more than one class matches: that would
+    break the class/ideal dictionary itself.
     """
     idx = class_index(d, n, CongKind.UPPER_UNIPOTENT, signed=False)
     matches = [
@@ -134,7 +136,8 @@ def class_of_ideal(u: OIdeal, d: int, n: int) -> FormClass:
     ]
     if not matches:
         raise LookupError(f"no class at disc {d}, level {n} matches ideal {u.to_json()}")
-    assert len(matches) == 1, f"ideal {u.to_json()} matched classes {matches}"
+    if len(matches) > 1:
+        raise GroupAxiomError(f"ideal {u.to_json()} matched classes {matches}")
     return FormClass(idx.reps[matches[0]].form, d, n)
 
 
@@ -165,12 +168,13 @@ def _abelian_invariants(order: int, identity: int, power) -> tuple[int, ...]:
                 break
             sizes.append(size)
         torsion_logs = []
-        for s in sizes:
-            v = 0
+        for size in sizes:
+            s, v = size, 0
             while s % p == 0:
                 s //= p
                 v += 1
-            assert s == 1, "torsion subgroup size is not a prime power"
+            if s != 1:
+                raise GroupAxiomError(f"a {p}-power torsion subgroup has {size} elements, not a power of {p}")
             torsion_logs.append(v)
         # mu_k = #{j : lambda_j >= k}; conjugating recovers the exponents
         mu = [torsion_logs[k] - torsion_logs[k - 1] for k in range(1, len(torsion_logs))]
@@ -185,8 +189,52 @@ def _abelian_invariants(order: int, identity: int, power) -> tuple[int, ...]:
                 f *= p ** lam[j]
         factors.append(f)
     factors.reverse()
-    assert math.prod(factors) == order
+    if math.prod(factors) != order:
+        raise GroupAxiomError(f"invariant factors {factors} do not multiply to the order {order}")
     return tuple(factors)
+
+
+def _check_group_table(cayley: tuple[tuple[int, ...], ...], identity: int) -> None:
+    """GroupAxiomError unless cayley is the multiplication table of a group.
+
+    Checks that identity is a two-sided identity and every row and column a
+    permutation, then associativity by Light's test: (x*g)*z = x*(g*z) for
+    all x, z and every g in a generating set.  The g that satisfy this for
+    all x, z are closed under the product, so once the generators pass,
+    every element they reach does.  The generators are picked greedily in
+    index order and closed under right multiplication through the table, so
+    every element is confirmed to be a product of them; at most log2(n) are
+    needed for a group, and the test costs O(n^2) per generator.
+    """
+    t, e, n = tuple(map(tuple, cayley)), identity, len(cayley)
+    for i in range(n):
+        if t[e][i] != i or t[i][e] != i:
+            raise GroupAxiomError(f"index {e} is not an identity")
+    full = set(range(n))
+    for i in range(n):
+        if set(t[i]) != full or {t[j][i] for j in range(n)} != full:
+            raise GroupAxiomError(f"row/column {i} is not a permutation")
+    gens: list[int] = []
+    reached = [False] * n
+    reached[e] = True
+    products = [e]
+    for c in range(n):
+        if reached[c]:
+            continue
+        gens.append(c)
+        todo = [t[x][c] for x in products]
+        while todo:
+            y = todo.pop()
+            if not reached[y]:
+                reached[y] = True
+                products.append(y)
+                todo.extend(t[y][g] for g in gens)
+    for g in gens:
+        times_g_row = itemgetter(*t[g])  # row of x -> the row of x*(g*z) over z
+        for i in range(n):
+            if times_g_row(t[i]) != t[t[i][g]]:
+                k = next(k for k in range(n) if t[t[i][g]][k] != t[i][t[g][k]])
+                raise GroupAxiomError(f"associativity fails at ({i}, {g}, {k})")
 
 
 @dataclass(frozen=True)
@@ -198,9 +246,6 @@ class ClassGroupTable:
     classes: tuple[FormClass, ...]
     cayley: tuple[tuple[int, ...], ...]
     identity_index: int
-
-    # how many triples get the full associativity sweep before sampling kicks in
-    _ASSOC_FULL_LIMIT = 3_000_000
 
     @property
     def order(self) -> int:
@@ -225,28 +270,13 @@ class ClassGroupTable:
         return table
 
     def _validate(self) -> None:
-        n, e, t = self.order, self.identity_index, self.cayley
-        for i in range(n):
-            if t[e][i] != i or t[i][e] != i:
-                raise GroupAxiomError(f"index {e} is not an identity")
-        full = set(range(n))
-        for i in range(n):
-            if set(t[i]) != full or {t[j][i] for j in range(n)} != full:
-                raise GroupAxiomError(f"row/column {i} is not a permutation")
-            if e not in t[i]:
-                raise GroupAxiomError(f"element {i} has no inverse")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if t[i][j] != t[j][i]:
-                    raise GroupAxiomError(f"products {i}*{j} and {j}*{i} differ")
-        if n**3 <= self._ASSOC_FULL_LIMIT:
-            triples = ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
-        else:
-            pick = random.Random(0)
-            triples = ((pick.randrange(n), pick.randrange(n), pick.randrange(n)) for _ in range(200_000))
-        for i, j, k in triples:
-            if t[t[i][j]][k] != t[i][t[j][k]]:
-                raise GroupAxiomError(f"associativity fails at ({i}, {j}, {k})")
+        """GroupAxiomError unless the table is an abelian group (see _check_group_table)."""
+        t = self.cayley
+        _check_group_table(t, self.identity_index)
+        for i, (row, column) in enumerate(zip(t, zip(*t))):
+            if tuple(row) != column:
+                j = next(j for j in range(len(t)) if row[j] != column[j])
+                raise GroupAxiomError(f"products {i}*{j} and {j}*{i} differ")
 
     def mul(self, i: int, j: int) -> int:
         return self.cayley[i][j]
@@ -293,8 +323,8 @@ class ClassGroupTable:
 
 
 @lru_cache(maxsize=None)
-def class_group_table(d: int, n: int) -> ClassGroupTable:
-    return ClassGroupTable.build(d, n)
+def class_group_table(d: int, n: int, bound: int = 10) -> ClassGroupTable:
+    return ClassGroupTable.build(d, n, bound=bound)
 
 
 # -- transition maps ---------------------------------------------------------
@@ -417,31 +447,17 @@ class PMGroup:
         return group
 
     def _validate(self) -> None:
-        n2, e, t = self.order, self.identity_index, self.cayley
-        n = self.base.order
-        for i in range(n2):
-            if t[e][i] != i or t[i][e] != i:
-                raise GroupAxiomError(f"index {e} is not an identity")
-        full = set(range(n2))
-        for i in range(n2):
-            if set(t[i]) != full or {t[j][i] for j in range(n2)} != full:
-                raise GroupAxiomError(f"row/column {i} is not a permutation")
-        for i in range(n):
-            for j in range(n):
-                if t[i][j] != self.base.cayley[i][j]:
-                    raise GroupAxiomError("plus coset does not restrict to the base table")
-        if n2**3 <= ClassGroupTable._ASSOC_FULL_LIMIT:
-            triples = ((i, j, k) for i in range(n2) for j in range(n2) for k in range(n2))
-        else:
-            pick = random.Random(0)
-            triples = ((pick.randrange(n2), pick.randrange(n2), pick.randrange(n2)) for _ in range(200_000))
-        for i, j, k in triples:
-            if t[t[i][j]][k] != t[i][t[j][k]]:
-                raise GroupAxiomError(f"associativity fails at ({i}, {j}, {k})")
+        """GroupAxiomError unless the table is a group (see _check_group_table)
+        whose plus coset is the base table and whose minus identity is an
+        involution acting by the conjugate map."""
+        n, e, t = self.base.order, self.identity_index, self.cayley
+        _check_group_table(t, e)
+        if any(t[i][:n] != self.base.cayley[i] for i in range(n)):
+            raise GroupAxiomError("plus coset does not restrict to the base table")
         flip = n + e
         if t[flip][flip] != e:
             raise GroupAxiomError("the minus-identity is not an involution")
-        for i in range(n2):
+        for i in range(self.order):
             # conjugating by the involution must apply the conjugate map, coset kept
             expected = self.conj_perm[i % n] + (0 if i < n else n)
             if t[flip][t[i][flip]] != expected:

@@ -3,7 +3,8 @@
 Every command prints one JSON document (or a plain-text rendering with
 --format text) built only from exact integers, so identical invocations with
 the same seed are byte-identical.  Exit codes: 0 all checks passed, 1 a
-mathematical verification failed, 2 invalid input.
+mathematical verification failed, 2 invalid input or a composition search
+that ran out of its --bound budget.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 from .classgroup import (
     ClassGroupTable,
+    CompositionBoundError,
     GroupAxiomError,
     PMGroup,
     class_group_table,
@@ -193,12 +195,12 @@ def _suite_grouplaw(args, cfg: Config, rng: random.Random) -> list[dict]:
     d, n = args.disc, args.level
     checks = []
 
-    baseline = class_group_table(d, 1)
+    baseline = class_group_table(d, 1, bound=cfg.bound)
     brute = len(reduced_forms(d))
     checks.append(_check("baseline-order-equals-reduced-count", baseline.order == brute,
                          D=d, order=baseline.order, reduced_forms=brute))
 
-    table = class_group_table(d, n)
+    table = class_group_table(d, n, bound=cfg.bound)
     expected = ray_class_count(d, n)
     checks.append(_check("order-formula", table.order == expected,
                          D=d, N=n, order=table.order, formula=expected))
@@ -267,7 +269,7 @@ def _suite_levelmaps(args, cfg: Config, rng: random.Random) -> list[dict]:
     chains = [(3, 1)] if args.quick else [(2, 1), (3, 1), (4, 2), (9, 3)]
     checks = []
     for m, n in chains:
-        tm, tn = class_group_table(d, m), class_group_table(d, n)
+        tm, tn = class_group_table(d, m, bound=cfg.bound), class_group_table(d, n, bound=cfg.bound)
         proj = [tn.locate_class(level_map(x, m, n)) for x in tm.classes]
         hom = all(
             proj[tm.mul(i, j)] == tn.mul(proj[i], proj[j])
@@ -286,7 +288,7 @@ def _suite_orderchange(args, cfg: Config, rng: random.Random) -> list[dict]:
     instances = [(-60, -15, 1), (-92, -23, 1), (-92, -23, 3)]
     checks = []
     for d_src, d_dst, n in instances:
-        ts, td = class_group_table(d_src, n), class_group_table(d_dst, n)
+        ts, td = class_group_table(d_src, n, bound=cfg.bound), class_group_table(d_dst, n, bound=cfg.bound)
         img = [td.locate_class(order_change_map(x, d_dst)) for x in ts.classes]
         hom = all(
             img[ts.mul(i, j)] == td.mul(img[i], img[j])
@@ -468,6 +470,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except LookupError as err:
         print(f"invalid input: {err}", file=sys.stderr)
+        return 2
+    except CompositionBoundError as err:
+        print(f"search budget exhausted: {err} (raise --bound)", file=sys.stderr)
         return 2
     except (GroupAxiomError, RuntimeError, AssertionError) as err:
         print(f"verification failure: {err}", file=sys.stderr)

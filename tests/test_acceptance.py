@@ -136,7 +136,7 @@ def test_06_point_class_bijection():
 def test_07_signed_extension():
     t0 = time.monotonic()
     base = class_group_table(-23, 3)
-    pm = PMGroup.build(base)  # build() validates associativity on all 12^3 triples
+    pm = PMGroup.build(base)  # build() validates the group axioms exactly, associativity included
     assert pm.order == 2 * base.order == 12
     perm = pm.conj_perm
     for i in range(base.order):

@@ -1,5 +1,7 @@
 """Group law on classes: two independent multiplication routes, tables, maps."""
 
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -9,6 +11,7 @@ from formclass.classgroup import (
     FormClass,
     GroupAxiomError,
     PMGroup,
+    _check_group_table,
     class_group_table,
     class_of_ideal,
     class_surjection,
@@ -149,6 +152,21 @@ def test_class_of_ideal_frozen_values():
     assert same_class(class_of_ideal(unit_ideal(-23), -23, 5), identity_class(-23, 5))
 
 
+def test_class_of_ideal_rejects_several_matches(monkeypatch):
+    monkeypatch.setattr("formclass.classgroup.ray_class_equal", lambda u, v, n: True)
+    with pytest.raises(GroupAxiomError, match=r"matched classes \[0, 1, 2, 3, 4, 5\]"):
+        class_of_ideal(unit_ideal(-23), -23, 3)
+
+
+def test_class_group_table_caches_per_bound():
+    class_group_table.cache_clear()
+    first = class_group_table(-23, 2, bound=10)
+    class_group_table(-23, 2, bound=12)
+    assert class_group_table(-23, 2, bound=10) is first
+    info = class_group_table.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
+
+
 def test_class_of_ideal_inverts_form_to_ideal():
     table = class_group_table(-24, 5)
     for x in table.classes:
@@ -269,3 +287,124 @@ def test_pm_involution_realizes_conjugation():
     for i in range(pm.order):
         conjugated = pm.mul(flip, pm.mul(i, pm.inverse_index(flip)))
         assert conjugated == pm.conj_perm[i % n] + (0 if i < n else n)
+
+
+# -- the group-table validator ------------------------------------------------------
+
+# a non-associative loop of the smallest possible order: a Latin square with identity 0
+LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+
+
+def _relabel(t, perm):
+    """The table of the same operation with element i renamed perm[i]."""
+    out = [[0] * len(t) for _ in t]
+    for i, row in enumerate(t):
+        for j, k in enumerate(row):
+            out[perm[i]][perm[j]] = perm[k]
+    return tuple(map(tuple, out))
+
+
+def _swap_to(n, e):
+    """A relabelling of range(n) that moves 0 to e."""
+    perm = list(range(n))
+    perm[0], perm[e] = e, 0
+    return perm
+
+
+def _cyclic_product(m1, m2):
+    elems = list(itertools.product(range(m1), range(m2)))
+    index = {x: i for i, x in enumerate(elems)}
+    return tuple(tuple(index[(a + c) % m1, (b + d) % m2] for c, d in elems) for a, b in elems)
+
+
+def _swap_intercalate(t, e, rng, tries=50):
+    """Flip one 2x2 Latin subsquare a b / b a off the identity row and column.
+
+    The flipped table is still a Latin square with identity e, and is
+    usually no longer associative.  Returns it with the two rows flipped,
+    or None if no intercalate turned up.
+    """
+    n = len(t)
+    others = [x for x in range(n) if x != e]
+    if len(others) < 2:
+        return None
+    for _ in range(tries):
+        r1, r2 = rng.sample(others, 2)
+        c1 = rng.choice(others)
+        c2 = t[r1].index(t[r2][c1])
+        if c2 not in (e, c1) and t[r2][c2] == t[r1][c1]:
+            rows = [list(row) for row in t]
+            rows[r1][c1], rows[r1][c2] = rows[r1][c2], rows[r1][c1]
+            rows[r2][c1], rows[r2][c2] = rows[r2][c2], rows[r2][c1]
+            return tuple(map(tuple, rows)), (r1, r2)
+    return None
+
+
+def _associative(t, rows=None):
+    n = len(t)
+    return all(
+        t[t[i][j]][k] == t[i][t[j][k]]
+        for i in (range(n) if rows is None else rows)
+        for j in range(n)
+        for k in range(n)
+    )
+
+
+def _passes(t, e):
+    try:
+        _check_group_table(t, e)
+    except GroupAxiomError:
+        return False
+    return True
+
+
+def test_validator_rejects_non_associative_loop():
+    table = class_group_table(-23, 1)
+    loop = _relabel(LOOP5, _swap_to(5, table.identity_index))
+    fake = dataclasses.replace(table, classes=table.classes + table.classes[:2], cayley=loop)
+    with pytest.raises(GroupAxiomError, match="associativity fails"):
+        fake._validate()
+    pm = PMGroup.build(table)
+    loop = _relabel(LOOP5, _swap_to(5, pm.identity_index))
+    with pytest.raises(GroupAxiomError, match="associativity fails"):
+        dataclasses.replace(pm, cayley=loop)._validate()
+
+
+def test_validator_rejects_non_commutative_group():
+    perms = list(itertools.permutations(range(3)))
+    s3 = tuple(tuple(perms.index(tuple(p[q[i]] for i in range(3))) for q in perms) for p in perms)
+    table = class_group_table(-23, 1)
+    fake = dataclasses.replace(table, classes=table.classes * 2, cayley=s3, identity_index=0)
+    _check_group_table(s3, 0)
+    with pytest.raises(GroupAxiomError, match="differ"):
+        fake._validate()
+
+
+def test_validator_agrees_with_brute_force_associativity():
+    rng = random.Random(20261017)
+    verdicts = []
+    for _ in range(1200):
+        m1, m2 = rng.randint(1, 4), rng.randint(1, 6)
+        n = m1 * m2
+        perm = list(range(n))
+        rng.shuffle(perm)
+        t, e = _relabel(_cyclic_product(m1, m2), perm), perm[0]
+        swapped = _swap_intercalate(t, e, rng) if rng.random() < 0.6 else None
+        if swapped is not None:
+            t = swapped[0]
+        verdict = _passes(t, e)
+        assert verdict == _associative(t), (m1, m2, perm, t)
+        verdicts.append(verdict)
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
+
+
+def test_validator_is_exact_above_the_old_sampling_size():
+    rng = random.Random(5)
+    perm = list(range(152))
+    rng.shuffle(perm)
+    t, e = _relabel(_cyclic_product(2, 76), perm), perm[0]
+    _check_group_table(t, e)
+    bad, rows = _swap_intercalate(t, e, rng)
+    assert not _associative(bad, rows)
+    with pytest.raises(GroupAxiomError, match="associativity fails"):
+        _check_group_table(bad, e)

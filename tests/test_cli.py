@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import formclass
+from formclass.classgroup import ClassGroupTable, CompositionBoundError
 from formclass.cli import Config, main
 
 
@@ -72,6 +73,16 @@ def test_classgroup_dump(capsys):
     assert doc["order"] == 6 == doc["order_formula"]
     assert doc["invariant_factors"] == [6]
     assert len(doc["cayley"]) == 6
+
+
+def test_exhausted_composition_bound_is_exit_two(capsys, monkeypatch):
+    def exhausted(d, n, bound=10):
+        raise CompositionBoundError(f"no concordant column within bound {bound}")
+
+    monkeypatch.setattr(ClassGroupTable, "build", staticmethod(exhausted))
+    code, out, err = run(capsys, "classgroup", "-D", "-23", "-N", "5", "--bound", "1")
+    assert code == 2 and out == ""
+    assert "--bound" in err and "verification failure" not in err
 
 
 def test_classgroup_rejects_positive_discriminant(capsys):
@@ -150,16 +161,19 @@ def test_text_format_renders_flat_lines(capsys):
 
 
 def test_checks_survive_optimized_mode():
-    """python -O drops assert statements; the verify suites must not depend on them."""
+    """python -O drops assert statements; the verify suites and table checks must not depend on them."""
     env = {k: v for k, v in os.environ.items() if k != "FORMCLASS_SEED"}
     src = str(Path(formclass.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    argv = ["-m", "formclass", "verify", "all", "--quick", "--seed", "3"]
-    plain, optimized = (
-        subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True, timeout=120)
-        for flags in ((), ("-O",))
-    )
-    assert plain.returncode == 0, plain.stderr
-    assert optimized.returncode == 0, optimized.stderr
-    assert json.loads(plain.stdout)["pass"]
-    assert optimized.stdout == plain.stdout
+    for argv in (
+        ["-m", "formclass", "verify", "all", "--quick", "--seed", "3"],
+        ["-m", "formclass", "classgroup", "-D", "-23", "-N", "5"],
+    ):
+        plain, optimized = (
+            subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True, timeout=120)
+            for flags in ((), ("-O",))
+        )
+        assert plain.returncode == 0, plain.stderr
+        assert optimized.returncode == 0, optimized.stderr
+        assert json.loads(plain.stdout).get("pass", True)
+        assert optimized.stdout == plain.stdout
