@@ -322,9 +322,18 @@ class ClassGroupTable:
         }
 
 
-@lru_cache(maxsize=None)
 def class_group_table(d: int, n: int, bound: int = 10) -> ClassGroupTable:
+    """The cached table; every spelling of the bound shares one cache entry."""
+    return _class_group_table(d, n, bound)
+
+
+@lru_cache(maxsize=None)
+def _class_group_table(d: int, n: int, bound: int) -> ClassGroupTable:
     return ClassGroupTable.build(d, n, bound=bound)
+
+
+class_group_table.cache_info = _class_group_table.cache_info
+class_group_table.cache_clear = _class_group_table.cache_clear
 
 
 # -- transition maps ---------------------------------------------------------

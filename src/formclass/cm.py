@@ -82,7 +82,8 @@ def cm_from_value(t: QuadIrrational) -> CMPoint:
     g = math.gcd(math.gcd(d * d, 2 * m * d), m * m - big_d)
     form = QuadForm(d * d // g, -2 * m * d // g, (m * m - big_d) // g)
     point = CMPoint(SignedForm(form, 1 if t.in_upper_half_plane() else -1))
-    assert point.tau() == t
+    if point.tau() != t:
+        raise RuntimeError(f"the point of form {point.carrier.to_json()} does not sit at the given value")
     return point
 
 

@@ -90,8 +90,8 @@ def lift_matrix(p: int, q: int, r: int, s: int, n: int) -> UnimodMatrix:
     p0, q0 = v, -u
     t = (u * (p - p0) + v * (q - q0)) % n
     lifted = UnimodMatrix(p0 + t * rr, q0 + t * ss, rr, ss)
-    assert (lifted.p - p) % n == 0 and (lifted.q - q) % n == 0
-    assert (lifted.r - r) % n == 0 and (lifted.s - s) % n == 0
+    if any((x - y) % n for x, y in zip(lifted.entries(), (p, q, r, s))):
+        raise RuntimeError(f"lift {lifted.entries()} is not congruent to {(p, q, r, s)} mod {n}")
     return lifted
 
 
@@ -135,7 +135,8 @@ def cong_equivalent(f: SignedForm, g: SignedForm, n: int, kind: CongKind) -> Uni
     for alpha in automorphs(f.form):
         w = alpha * w0
         if in_gamma(w, n, kind):
-            assert f.transform(w) == g
+            if f.transform(w) != g:
+                raise RuntimeError(f"witness {w.entries()} does not take {f.to_json()} to {g.to_json()}")
             return w
     return None
 
@@ -147,14 +148,17 @@ def class_key(f: SignedForm, n: int, kind: CongKind) -> tuple:
     so the class of f is the double coset Gamma*w*Aut(R).  Each right coset
     Gamma*m is named by m mod n (principal subgroup, which is normal) or by the
     bottom row of m mod n (upper-unipotent family); the key takes the least
-    such name over Aut(R), next to the reduced form and the sign.
+    such name over Aut(R), next to the reduced form and the sign.  The names
+    are the residues of the entries of w*alpha, computed on ints.
     """
     reduced, w = reduce_form(f.form)
-    moved = [w * alpha for alpha in automorphs(reduced)]
+    p, q, r, s = w.p, w.q, w.r, w.s
+    auts = [alpha.entries() for alpha in automorphs(reduced)]
     if kind is CongKind.FULL_LEVEL:
-        names = [(m.p % n, m.q % n, m.r % n, m.s % n) for m in moved]
+        names = [((p * x + q * z) % n, (p * y + q * u) % n, (r * x + s * z) % n, (r * y + s * u) % n)
+                 for x, y, z, u in auts]
     else:
-        names = [(m.r % n, m.s % n) for m in moved]
+        names = [((r * x + s * z) % n, (r * y + s * u) % n) for x, y, z, u in auts]
     return (reduced.triple(), f.sign, min(names))
 
 

@@ -4,6 +4,10 @@ Primitive positive definite integer forms a*x^2 + b*x*y + c*y^2, the right
 SL2(Z) action Q^g(v) = Q(g*v), Gauss reduction with a unimodular witness,
 automorph groups, and the quadratic irrational roots of forms.  Everything is
 integer/rational exact; no floating point is used anywhere.
+
+The hot paths work on plain ints: the Gauss loop carries the form and its
+witness as seven integers and builds the validated `QuadForm` and
+`UnimodMatrix` only for its result, whose witness it then checks exactly once.
 """
 
 from __future__ import annotations
@@ -102,10 +106,13 @@ class QuadForm:
         Satisfies Q.transform(g).transform(h) == Q.transform(g*h) and preserves
         the discriminant, primitivity and positive definiteness.
         """
-        a2 = self(g.p, g.r)
-        c2 = self(g.q, g.s)
-        b2 = 2 * self.a * g.p * g.q + self.b * (g.p * g.s + g.q * g.r) + 2 * self.c * g.r * g.s
-        return QuadForm(a2, b2, c2)
+        a, b, c = self.a, self.b, self.c
+        p, q, r, s = g.p, g.q, g.r, g.s
+        return QuadForm(
+            (a * p + b * r) * p + c * r * r,
+            2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s,
+            (a * q + b * s) * q + c * s * s,
+        )
 
     def conjugate(self) -> "QuadForm":
         """(a, b, c) -> (a, -b, c); the form of the complex-conjugate root."""
@@ -241,21 +248,30 @@ def reduce_form(f: QuadForm) -> tuple[QuadForm, UnimodMatrix]:
     """Gauss reduction.  Returns (R, g) with f.transform(g) == R and R reduced.
 
     Each SL2(Z) class contains exactly one reduced form, so R is a canonical
-    class representative and g is an explicit equivalence witness.
+    class representative and g is an explicit equivalence witness.  The loop
+    runs on the ints (a, b, c) and the witness entries (p, q, r, s): a swap
+    (right factor [[0, -1], [1, 0]]) sends them to (c, -b, a) and
+    (q, -p, s, -r), a translation by t to (a, b + 2at, (at + b)t + c) and
+    (p, q + pt, r, s + rt).  The witness is checked once, exactly, at the end;
+    RuntimeError if it fails.
     """
-    g = IDENTITY
+    a, b, c = f.a, f.b, f.c
+    p, q, r, s = 1, 0, 0, 1
     while True:
-        a, b, c = f.triple()
         if a > c or (a == c and b < 0):
-            f, g = f.transform(SWAP), g * SWAP
-            continue
-        if not (-a < b <= a):
+            a, b, c = c, -b, a
+            p, q, r, s = q, -p, s, -r
+        elif not (-a < b <= a):
             # translate b into (-a, a]
-            t = translation((a - b) // (2 * a))
-            f, g = f.transform(t), g * t
-            continue
-        break
-    return f, g
+            t = (a - b) // (2 * a)
+            b, c = b + 2 * a * t, (a * t + b) * t + c
+            q, s = q + p * t, s + r * t
+        else:
+            break
+    reduced, witness = QuadForm(a, b, c), UnimodMatrix(p, q, r, s)
+    if f.transform(witness) != reduced:
+        raise RuntimeError(f"reduction witness {witness.entries()} does not take {f.triple()} to {reduced.triple()}")
+    return reduced, witness
 
 
 @lru_cache(maxsize=None)
@@ -282,7 +298,8 @@ def automorphs(f: QuadForm) -> tuple[UnimodMatrix, ...]:
             if f.transform(g) == f:
                 out.append(g)
     out.sort(key=UnimodMatrix.entries)
-    assert IDENTITY in out and -IDENTITY in out
+    if IDENTITY not in out or -IDENTITY not in out:
+        raise RuntimeError(f"automorphs of {f.triple()} miss +-I: {[g.entries() for g in out]}")
     return tuple(out)
 
 
@@ -299,7 +316,8 @@ def sl2_equivalent(f: QuadForm, g: QuadForm) -> UnimodMatrix | None:
     if rf != rg:
         return None
     w = wf * wg.inverse()
-    assert f.transform(w) == g
+    if f.transform(w) != g:
+        raise RuntimeError(f"witness {w.entries()} does not take {f.triple()} to {g.triple()}")
     return w
 
 

@@ -292,7 +292,8 @@ def unit_group(d: int) -> tuple[ElemO, ...]:
         z = ElemO(2, 1, d)  # 2 + w, a primitive sixth root of unity
         units += [z, -z, ElemO(1, 1, d), -ElemO(1, 1, d)]
     for u in units:
-        assert u.norm() == 1
+        if u.norm() != 1:
+            raise RuntimeError(f"unit {u} of discriminant {d} has norm {u.norm()}")
     return tuple(units)
 
 
@@ -311,14 +312,16 @@ def principal_generator(u: OIdeal) -> tuple[Fraction, ElemO] | None:
 
     The associated form is reduced against the principal form; the witness
     matrix transports the basis, giving lam = a*p - r*(-b + sqrt(D))/2 for
-    witness [[p, q], [r, s]].  Exactness is asserted by re-expanding lam * O.
+    witness [[p, q], [r, s]].  Exactness is checked by re-expanding lam * O;
+    RuntimeError if it fails.
     """
     d = u.disc
     w = sl2_equivalent(u.associated_form(), QuadForm.principal(d))
     if w is None:
         return None
     lam = ElemO(u.a * w.p + w.r * (u.b + d) // 2, -w.r, d)
-    assert principal_ideal(lam) == OIdeal(d, Fraction(1), u.a, u.b)
+    if principal_ideal(lam) != OIdeal(d, Fraction(1), u.a, u.b):
+        raise RuntimeError(f"generator {lam} does not re-expand to the ideal {u}")
     return u.scale, lam
 
 

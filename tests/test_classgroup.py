@@ -167,6 +167,13 @@ def test_class_group_table_caches_per_bound():
     assert (info.misses, info.hits) == (2, 1)
 
 
+def test_class_group_table_default_bound_shares_the_cache_entry():
+    class_group_table.cache_clear()
+    assert class_group_table(-23, 3) is class_group_table(-23, 3, bound=10)
+    info = class_group_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
 def test_class_of_ideal_inverts_form_to_ideal():
     table = class_group_table(-24, 5)
     for x in table.classes:

@@ -168,6 +168,7 @@ def test_checks_survive_optimized_mode():
     for argv in (
         ["-m", "formclass", "verify", "all", "--quick", "--seed", "3"],
         ["-m", "formclass", "classgroup", "-D", "-23", "-N", "5"],
+        ["-m", "formclass", "tower", "-p", "3", "-D", "-23", "-n", "2", "--check-lift"],
     ):
         plain, optimized = (
             subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True, timeout=120)

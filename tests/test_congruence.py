@@ -15,7 +15,17 @@ from formclass.congruence import (
     in_gamma,
     lift_matrix,
 )
-from formclass.forms import IDENTITY, SWAP, QuadForm, SignedForm, UnimodMatrix, reduced_forms, translation
+from formclass.forms import (
+    IDENTITY,
+    SWAP,
+    QuadForm,
+    SignedForm,
+    UnimodMatrix,
+    automorphs,
+    reduce_form,
+    reduced_forms,
+    translation,
+)
 
 FULL = CongKind.FULL_LEVEL
 UPPER = CongKind.UPPER_UNIPOTENT
@@ -202,3 +212,20 @@ def test_class_key_agrees_with_witness_search():
                     assert (class_key(f, n, kind) == class_key(g, n, kind)) == same, (d, n, kind, f, g)
                     outcomes[same] += 1
     assert outcomes[True] > 500 and outcomes[False] > 500, outcomes
+
+
+def test_class_key_names_are_residues_of_matrix_products():
+    rng = random.Random(991)
+    for d in (-3, -4, -15, -23, -56):
+        bases = reduced_forms(d)
+        for n in range(1, 13):
+            for kind in (FULL, UPPER):
+                for _ in range(6):
+                    f = _random_member(rng, SignedForm(rng.choice(bases), rng.choice((1, -1))), n)
+                    reduced, w = reduce_form(f.form)
+                    moved = [w * alpha for alpha in automorphs(reduced)]
+                    if kind is FULL:
+                        names = [(m.p % n, m.q % n, m.r % n, m.s % n) for m in moved]
+                    else:
+                        names = [(m.r % n, m.s % n) for m in moved]
+                    assert class_key(f, n, kind) == (reduced.triple(), f.sign, min(names)), (d, n, kind, f)

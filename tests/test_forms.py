@@ -1,6 +1,7 @@
 """Reduction, the right action, and roots — checked against brute-force oracles."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from formclass.forms import (
     IDENTITY,
+    SWAP,
     QuadForm,
     QuadIrrational,
     SignedForm,
@@ -138,6 +140,45 @@ def test_reduce_idempotent_with_witness(f):
     assert f.transform(w) == red
     again, w2 = reduce_form(red)
     assert again == red and w2 == IDENTITY
+
+
+def _reference_reduce(f: QuadForm) -> tuple[QuadForm, UnimodMatrix]:
+    """Gauss reduction one validated step at a time, through the matrix objects."""
+    g = IDENTITY
+    while True:
+        a, b, c = f.triple()
+        if a > c or (a == c and b < 0):
+            f, g = f.transform(SWAP), g * SWAP
+        elif not (-a < b <= a):
+            t = translation((a - b) // (2 * a))
+            f, g = f.transform(t), g * t
+        else:
+            return f, g
+
+
+def test_reduce_matches_stepwise_reference():
+    rng = random.Random(4104)
+    checked = huge = 0
+    for d in (-3, -4, -15, -23, -56, -1003):
+        bases = reduced_forms(d)
+        for _ in range(900):
+            g = IDENTITY
+            for _ in range(rng.randint(0, 6)):
+                g = g * translation(rng.randint(-10**rng.randint(0, 4), 10**rng.randint(0, 4))) * SWAP
+            f = rng.choice(bases).transform(g)
+            red, w = reduce_form(f)
+            assert (red, w) == _reference_reduce(f), f
+            assert f.transform(w) == red and is_reduced(red)
+            checked += 1
+            huge += max(map(abs, f.triple())) > 10**12
+    assert checked >= 5000 and huge > 500, (checked, huge)
+
+
+def test_reduce_rejects_a_wrong_witness(monkeypatch):
+    f = QuadForm(7, 11, 5)
+    monkeypatch.setattr(QuadForm, "transform", lambda self, g: self)
+    with pytest.raises(RuntimeError, match=r"does not take \(7, 11, 5\) to \(1, 1, 5\)"):
+        reduce_form.__wrapped__(f)
 
 
 # -- the right action -----------------------------------------------------------
