@@ -264,11 +264,14 @@ def _suite_levelsquare(args, cfg: Config, rng: random.Random) -> list[dict]:
     ]
 
 
+def _levelmaps_chains(args) -> list[tuple[int, int]]:
+    return [(3, 1)] if args.quick else [(2, 1), (3, 1), (4, 2), (9, 3)]
+
+
 def _suite_levelmaps(args, cfg: Config, rng: random.Random) -> list[dict]:
     d = args.disc
-    chains = [(3, 1)] if args.quick else [(2, 1), (3, 1), (4, 2), (9, 3)]
     checks = []
-    for m, n in chains:
+    for m, n in _levelmaps_chains(args):
         tm, tn = class_group_table(d, m, bound=cfg.bound), class_group_table(d, n, bound=cfg.bound)
         proj = [tn.locate_class(level_map(x, m, n)) for x in tm.classes]
         hom = all(
@@ -284,10 +287,12 @@ def _suite_levelmaps(args, cfg: Config, rng: random.Random) -> list[dict]:
     return checks
 
 
+_ORDERCHANGE_INSTANCES = ((-60, -15, 1), (-92, -23, 1), (-92, -23, 3))
+
+
 def _suite_orderchange(args, cfg: Config, rng: random.Random) -> list[dict]:
-    instances = [(-60, -15, 1), (-92, -23, 1), (-92, -23, 3)]
     checks = []
-    for d_src, d_dst, n in instances:
+    for d_src, d_dst, n in _ORDERCHANGE_INSTANCES:
         ts, td = class_group_table(d_src, n, bound=cfg.bound), class_group_table(d_dst, n, bound=cfg.bound)
         img = [td.locate_class(order_change_map(x, d_dst)) for x in ts.classes]
         hom = all(
@@ -332,15 +337,15 @@ def _suite_padiclimits(args, cfg: Config, rng: random.Random) -> list[dict]:
     return checks
 
 
-def _suite_padicpoints(args, cfg: Config, rng: random.Random) -> list[dict]:
+def _padicpoints_instances(args) -> list[tuple[int, int, int]]:
     if args.prime is not None:
-        instances = [(args.prime, args.disc, args.precision)]
-    else:
-        instances = [(3, -23, args.precision)]
-        if not args.quick:
-            instances.append((5, -15, 2))
+        return [(args.prime, args.disc, args.precision)]
+    return [(3, -23, args.precision)] + ([] if args.quick else [(5, -15, 2)])
+
+
+def _suite_padicpoints(args, cfg: Config, rng: random.Random) -> list[dict]:
     checks = []
-    for p, d, n in instances:
+    for p, d, n in _padicpoints_instances(args):
         report = correspondence_report(p, d, n, check_lift=True)
         expected_codomain = report["base_size"] * p ** (3 * (n - 1))
         ok = (
@@ -363,8 +368,28 @@ _SUITE_RUNNERS = {
 }
 
 
+def _suite_levels(name: str, args) -> list[int]:
+    """Every level the suite enumerates with these arguments (padiclimits: none)."""
+    if name == "grouplaw":
+        return [args.level]
+    if name == "levelsquare":
+        return [args.level, args.fine]
+    if name == "levelmaps":
+        return [m for m, _ in _levelmaps_chains(args)]
+    if name == "orderchange":
+        return [n for _, _, n in _ORDERCHANGE_INSTANCES]
+    if name == "padicpoints":
+        return [p**n for p, _, n in _padicpoints_instances(args)]
+    return []
+
+
 def _cmd_verify(args, cfg: Config) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    if args.trials < 0:
+        raise ValueError("--trials must be >= 0 (0 means the default)")
+    for name in names:
+        for level in _suite_levels(name, args):
+            _check_level(level, cfg)
     rng = random.Random(cfg.seed)
     suites = []
     for name in names:

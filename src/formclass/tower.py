@@ -113,6 +113,11 @@ def _congruent(g: UnimodMatrix, h: UnimodMatrix, m: int) -> bool:
     return (g.p - h.p) % m == 0 and (g.q - h.q) % m == 0 and (g.r - h.r) % m == 0 and (g.s - h.s) % m == 0
 
 
+def _congruent_to_negative(g: UnimodMatrix, h: UnimodMatrix, m: int) -> bool:
+    """g = -h entrywise mod m, without building -h."""
+    return (g.p + h.p) % m == 0 and (g.q + h.q) % m == 0 and (g.r + h.r) % m == 0 and (g.s + h.s) % m == 0
+
+
 @dataclass(frozen=True)
 class MatrixSeq:
     """gamma_1..gamma_L in SL2(Z), meant to converge: gamma_{n+1} = gamma_n mod p^n
@@ -159,7 +164,7 @@ def seq_conditions_hold(s: MatrixSeq, t: MatrixSeq) -> bool:
     p = s.prime
     for k, (g, h) in enumerate(zip(s.mats, t.mats), start=1):
         m = p**k
-        if not (_congruent(g, h, m) or _congruent(g, -h, m)):
+        if not (_congruent(g, h, m) or _congruent_to_negative(g, h, m)):
             return False
     return True
 
@@ -177,27 +182,49 @@ def limits_agree(s: MatrixSeq, t: MatrixSeq) -> bool:
     return all(_congruent(g, h, p**k) for k, (g, h) in enumerate(zip(s.mats, t.mats), start=1))
 
 
-def _random_elem(modulus: int, rng: random.Random) -> UnimodMatrix:
-    """A random element of the level-`modulus` principal congruence subgroup,
-    as a short product of elementary unipotents (determinant exactly 1)."""
-    out = IDENTITY
-    for j in range(rng.randint(2, 3)):
-        k = rng.randint(-3, 3)
-        if j % 2 == 0:
-            out = out * UnimodMatrix(1, k * modulus, 0, 1)
-        else:
-            out = out * UnimodMatrix(1, 0, k * modulus, 1)
-    return out
+_Entries = tuple[int, int, int, int]
+
+
+def _mul(x: _Entries, y: _Entries) -> _Entries:
+    """Row-major product of two 2x2 integer matrices given by their entries."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _random_elem(modulus: int, rng: random.Random) -> _Entries:
+    """Entries (p, q, r, s) of a random element of the level-`modulus`
+    principal congruence subgroup.
+
+    The element is T(x)L(y) or T(x)L(y)T(z), with T(x) = [[1, x], [0, 1]],
+    L(y) = [[1, 0], [y, 1]] and x, y, z random multiples of the modulus, in
+    closed form: T(x)L(y) = (1 + xy, x, y, 1) and
+    T(x)L(y)T(z) = (1 + xy, (1 + xy)z + x, y, yz + 1).  The draws are
+    randint(2, 3) for the factor count, then one randint(-3, 3) per factor.
+    """
+    factors = rng.randint(2, 3)
+    x = rng.randint(-3, 3) * modulus
+    y = rng.randint(-3, 3) * modulus
+    if factors == 2:
+        return (1 + x * y, x, y, 1)
+    z = rng.randint(-3, 3) * modulus
+    return (1 + x * y, (1 + x * y) * z + x, y, y * z + 1)
 
 
 def random_matrix_seq(p: int, length: int, rng: random.Random) -> MatrixSeq:
     """A random compliant sequence: each term perturbs the previous inside
-    the matching principal congruence subgroup."""
+    the matching principal congruence subgroup.
+
+    The products run on entry tuples; each term becomes one validated
+    UnimodMatrix (determinant checked) and MatrixSeq re-checks compliance.
+    """
     if length < 1:
         raise ValueError("length must be >= 1")
-    mats = [_random_elem(p, rng)]
+    g = _random_elem(p, rng)
+    mats = [UnimodMatrix(*g)]
     for k in range(1, length):
-        mats.append(mats[-1] * _random_elem(p**k, rng))
+        g = _mul(g, _random_elem(p**k, rng))
+        mats.append(UnimodMatrix(*g))
     return MatrixSeq(p, tuple(mats))
 
 
@@ -220,8 +247,8 @@ def random_compliant_pair(p: int, length: int, rng: random.Random) -> tuple[Matr
         signs = [1] * length
     mats = []
     for k, (g, e) in enumerate(zip(s.mats, signs), start=1):
-        h = g * _random_elem(p**k, rng)
-        mats.append(h if e == 1 else -h)
+        h = _mul(g.entries(), _random_elem(p**k, rng))
+        mats.append(UnimodMatrix(*(e * v for v in h)))
     t = MatrixSeq(p, tuple(mats))
     expected = p != 2 or length < 2 or signs[1] == 1
     return s, t, expected

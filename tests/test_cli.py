@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,34 @@ def test_verify_suite_exit_codes(capsys):
     doc = json.loads(out)
     assert code == 0  # the even-prime counterexample is the expected outcome
     assert doc["suites"][0]["checks"][0]["name"] == "even-prime-counterexample"
+
+
+def test_negative_trials_rejected_before_any_suite(capsys):
+    code, out, err = run(capsys, "verify", "padiclimits", "--trials", "-5")
+    assert code == 2 and out == "" and "--trials" in err
+    # 0 still means the default count
+    doc = run_json(capsys, "verify", "padiclimits", "-p", "3", "--trials", "0", "--quick")
+    assert doc["suites"][0]["checks"][0]["trials"] == 200
+
+
+def test_verify_applies_the_level_cap_before_any_suite(capsys):
+    for argv in (
+        ["verify", "grouplaw", "-N", "500"],
+        ["verify", "padicpoints", "-p", "3", "-D", "-23", "-n", "9"],
+        ["verify", "levelsquare", "-M", "81"],
+        ["verify", "all", "--level-cap", "5"],
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2 and out == "" and "exceeds the cap" in err, argv
+
+
+def test_padiclimits_disagreement_count_is_frozen(capsys):
+    # pins the random stream: any change to the order or number of draws moves it
+    doc = run_json(capsys, "verify", "padiclimits", "-p", "2", "--trials", "200", "--seed", "5")
+    check = doc["suites"][0]["checks"][0]
+    assert (check["trials"], check["disagreements"]) == (200, 86)
 
 
 def test_verify_all_quick(capsys):

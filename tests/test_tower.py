@@ -142,6 +142,61 @@ def test_random_sequences_are_compliant():
             assert g.p * g.s - g.q * g.r == 1
 
 
+def _reference_elem(modulus, rng):
+    # the elementary-factor product, one validated matrix per factor
+    out = IDENTITY
+    for j in range(rng.randint(2, 3)):
+        k = rng.randint(-3, 3)
+        if j % 2 == 0:
+            out = out * UnimodMatrix(1, k * modulus, 0, 1)
+        else:
+            out = out * UnimodMatrix(1, 0, k * modulus, 1)
+    return out
+
+
+def _reference_seq(p, length, rng):
+    mats = [_reference_elem(p, rng)]
+    for k in range(1, length):
+        mats.append(mats[-1] * _reference_elem(p**k, rng))
+    return mats
+
+
+def _reference_pair(p, length, rng):
+    s = _reference_seq(p, length, rng)
+    if p == 2:
+        signs = [rng.choice((1, -1))]
+        if length > 1:
+            signs += [rng.choice((1, -1))] * (length - 1)
+    else:
+        signs = [1] * length
+    t = []
+    for k, (g, e) in enumerate(zip(s, signs), start=1):
+        h = g * _reference_elem(p**k, rng)
+        t.append(h if e == 1 else -h)
+    return s, t, p != 2 or length < 2 or signs[1] == 1
+
+
+def test_random_generators_match_the_matrix_product_reference():
+    """The entry-tuple kernel draws the same numbers in the same order and
+    returns the same matrices as chained UnimodMatrix products."""
+    def entries(seq):
+        return [g.entries() for g in seq]
+
+    pairs = 0
+    for p in (2, 3, 5, 7):
+        for length in range(1, 8):
+            for seed in range(40):
+                ours, ref = random.Random(seed), random.Random(seed)
+                s, t, expected = random_compliant_pair(p, length, ours)
+                ref_s, ref_t, ref_expected = _reference_pair(p, length, ref)
+                assert (entries(s.mats), entries(t.mats), expected) == (
+                    entries(ref_s), entries(ref_t), ref_expected)
+                assert entries(random_matrix_seq(p, length, ours).mats) == entries(_reference_seq(p, length, ref))
+                assert ours.getstate() == ref.getstate()
+                pairs += 1
+    assert pairs == 1120
+
+
 # -- base points and the correspondence ------------------------------------------
 
 
