@@ -85,78 +85,3 @@ from .tower import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "IDENTITY",
-    "QuadForm",
-    "QuadIrrational",
-    "SignedForm",
-    "UnimodMatrix",
-    "reduce_form",
-    "reduced_forms",
-    "require_discriminant",
-    "sl2_equivalent",
-    "CongKind",
-    "class_index",
-    "cong_equivalent",
-    "coset_reps",
-    "in_gamma",
-    "lift_matrix",
-    "ElemO",
-    "OIdeal",
-    "QuadOrder",
-    "extend_to_order",
-    "form_to_ideal",
-    "fundamental_part",
-    "principal_generator",
-    "principal_ideal",
-    "ray_class_count",
-    "ray_class_equal",
-    "residue_units",
-    "unit_group",
-    "unit_ideal",
-    "ClassGroupTable",
-    "CompositionBoundError",
-    "FormClass",
-    "GroupAxiomError",
-    "PMClass",
-    "PMGroup",
-    "class_group_table",
-    "class_of_ideal",
-    "class_surjection",
-    "compose",
-    "conj_class",
-    "identity_class",
-    "inverse_class",
-    "level_map",
-    "order_change_map",
-    "pm_compose",
-    "pm_identity",
-    "pm_inverse",
-    "same_class",
-    "CMClassSet",
-    "CMPoint",
-    "class_of_point",
-    "cm_class_set",
-    "cm_from_tau",
-    "cm_from_value",
-    "equivalent_points",
-    "partition_by_disc",
-    "point_of_class",
-    "BasePointSet",
-    "MatrixSeq",
-    "PadicMatrix",
-    "TowerElem",
-    "act_padic",
-    "base_point_set",
-    "correspondence_report",
-    "extend_tower",
-    "kernel_reps",
-    "limits_agree",
-    "random_compliant_pair",
-    "random_matrix_seq",
-    "seq_conditions_hold",
-    "tower_compose",
-    "tower_from_base",
-    "__version__",
-]

@@ -1,4 +1,8 @@
-"""Command-line front end: direct computations plus named verification suites.
+"""Command-line front end: the six subcommands.
+
+`verify` derives each named suite's instances from its arguments, checks
+their levels against --level-cap, runs the suites of `formclass.suites` on one
+seeded RNG and renders the check dicts they return.
 
 Every command prints one JSON document (or a plain-text rendering with
 --format text) built only from exact integers, so identical invocations with
@@ -16,32 +20,13 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .classgroup import (
-    ClassGroupTable,
-    CompositionBoundError,
-    GroupAxiomError,
-    PMGroup,
-    class_group_table,
-    class_surjection,
-    compose,
-    conj_class,
-    identity_class,
-    inverse_class,
-    level_map,
-    order_change_map,
-    same_class,
-)
+from . import suites
+from .classgroup import ClassGroupTable, CompositionBoundError, GroupAxiomError
 from .cm import cm_class_set
-from .congruence import CongKind, class_index, cong_equivalent
-from .forms import IDENTITY, QuadForm, SignedForm, reduce_form, reduced_forms
-from .ideals import form_to_ideal, ray_class_count, ray_class_equal, residue_units
-from .tower import (
-    MatrixSeq,
-    correspondence_report,
-    limits_agree,
-    random_compliant_pair,
-    seq_conditions_hold,
-)
+from .congruence import CongKind, cong_equivalent
+from .forms import QuadForm, SignedForm, reduce_form
+from .ideals import ray_class_count
+from .tower import correspondence_report
 
 SUITES = ("grouplaw", "levelsquare", "levelmaps", "orderchange", "padiclimits", "padicpoints")
 
@@ -70,7 +55,16 @@ def _parse_form(text: str) -> QuadForm:
     return QuadForm(a, b, c)
 
 
-def _check_level(n: int, cfg: Config) -> int:
+def _check_level(base: int, cfg: Config, exponent: int = 1) -> int:
+    """The level base**exponent, if it lies in [1, --level-cap].
+
+    A base with |base| >= 2 at least doubles the level with each step of the
+    exponent, so an exponent past the cap's bit length is refused before the
+    power is taken.
+    """
+    if abs(base) >= 2 and exponent > cfg.level_cap.bit_length():
+        raise ValueError(f"level {base}^{exponent} exceeds the cap {cfg.level_cap} (raise --level-cap)")
+    n = base**exponent
     if n < 1:
         raise ValueError("level must be >= 1")
     if n > cfg.level_cap:
@@ -176,7 +170,7 @@ def _cmd_cm(args, cfg: Config) -> int:
 
 
 def _cmd_tower(args, cfg: Config) -> int:
-    _check_level(args.prime**args.precision, cfg)
+    _check_level(args.prime, cfg, args.precision)
     report = correspondence_report(args.prime, args.disc, args.precision, check_lift=args.check_lift)
     _emit(report, cfg)
     return 0 if report["injective"] and report["surjective"] else 1
@@ -185,217 +179,45 @@ def _cmd_tower(args, cfg: Config) -> int:
 # -- verification suites -------------------------------------------------------
 
 
-def _check(name: str, ok: bool, **detail) -> dict:
-    out = {"name": name, "pass": bool(ok)}
-    out.update(detail)
-    return out
-
-
-def _suite_grouplaw(args, cfg: Config, rng: random.Random) -> list[dict]:
-    d, n = args.disc, args.level
-    checks = []
-
-    baseline = class_group_table(d, 1, bound=cfg.bound)
-    brute = len(reduced_forms(d))
-    checks.append(_check("baseline-order-equals-reduced-count", baseline.order == brute,
-                         D=d, order=baseline.order, reduced_forms=brute))
-
-    table = class_group_table(d, n, bound=cfg.bound)
-    expected = ray_class_count(d, n)
-    checks.append(_check("order-formula", table.order == expected,
-                         D=d, N=n, order=table.order, formula=expected))
-
-    units_order, _ = residue_units(d, n)
-    checks.append(_check("residue-units-enumerated", units_order >= 1, units=units_order))
-
-    ok_dual = True
-    for i, x in enumerate(table.classes):
-        for j, y in enumerate(table.classes):
-            matrix_route = same_class(x, y)
-            ideal_route = ray_class_equal(form_to_ideal(x.rep), form_to_ideal(y.rep), n)
-            if matrix_route != (i == j) or ideal_route != (i == j):
-                ok_dual = False
-    checks.append(_check("dual-oracle-pairs", ok_dual, pairs=table.order**2))
-
-    ok_cells = True
-    for x in table.classes:
-        for y in table.classes:
-            z = compose(x, y, bound=cfg.bound, rng=rng)
-            prod = form_to_ideal(x.rep) * form_to_ideal(y.rep)
-            if not ray_class_equal(form_to_ideal(z.rep), prod, n):
-                ok_cells = False
-    checks.append(_check("compose-matches-ideal-product", ok_cells, cells=table.order**2))
-
-    ok_inv = all(
-        same_class(compose(x, inverse_class(x), bound=cfg.bound), identity_class(d, n))
-        for x in table.classes
-    )
-    checks.append(_check("inverses-via-ideal-route", ok_inv))
-
-    try:
-        pm = PMGroup.build(table)
-        conj_auto = all(
-            table.locate_class(conj_class(compose(x, y, bound=cfg.bound)))
-            == table.mul(table.locate_class(conj_class(x)), table.locate_class(conj_class(y)))
-            for x in table.classes
-            for y in table.classes
-        )
-        checks.append(_check("signed-extension-closes", pm.order == 2 * table.order, order=pm.order))
-        checks.append(_check("conjugation-is-automorphism", conj_auto))
-    except GroupAxiomError as err:
-        checks.append(_check("signed-extension-closes", False, error=str(err)))
-    return checks
-
-
-def _suite_levelsquare(args, cfg: Config, rng: random.Random) -> list[dict]:
-    d, m, n = args.disc, args.fine, args.level
-    down_full = class_surjection(d, m, n, CongKind.FULL_LEVEL, CongKind.FULL_LEVEL)
-    relax_coarse = class_surjection(d, n, n, CongKind.FULL_LEVEL, CongKind.UPPER_UNIPOTENT)
-    relax_fine = class_surjection(d, m, m, CongKind.FULL_LEVEL, CongKind.UPPER_UNIPOTENT)
-    down_unipotent = class_surjection(d, m, n, CongKind.UPPER_UNIPOTENT, CongKind.UPPER_UNIPOTENT)
-    size = len(class_index(d, m, CongKind.FULL_LEVEL).reps)
-    commute = all(
-        relax_coarse[down_full[i]] == down_unipotent[relax_fine[i]]
-        for i in range(size)
-    )
-    return [
-        _check("square-commutes", commute, D=d, fine=m, coarse=n, classes=size),
-        _check("all-edges-surjective", True, note="asserted while building each edge"),
-    ]
-
-
-def _levelmaps_chains(args) -> list[tuple[int, int]]:
-    return [(3, 1)] if args.quick else [(2, 1), (3, 1), (4, 2), (9, 3)]
-
-
-def _suite_levelmaps(args, cfg: Config, rng: random.Random) -> list[dict]:
-    d = args.disc
-    checks = []
-    for m, n in _levelmaps_chains(args):
-        tm, tn = class_group_table(d, m, bound=cfg.bound), class_group_table(d, n, bound=cfg.bound)
-        proj = [tn.locate_class(level_map(x, m, n)) for x in tm.classes]
-        hom = all(
-            proj[tm.mul(i, j)] == tn.mul(proj[i], proj[j])
-            for i in range(tm.order)
-            for j in range(tm.order)
-        )
-        onto = set(proj) == set(range(tn.order))
-        fiber = tm.order // tn.order
-        fibers_even = all(proj.count(k) == fiber for k in range(tn.order))
-        checks.append(_check(f"chain-{m}-to-{n}", hom and onto and fibers_even,
-                             hom=hom, surjective=onto, fiber_size=fiber))
-    return checks
-
-
-_ORDERCHANGE_INSTANCES = ((-60, -15, 1), (-92, -23, 1), (-92, -23, 3))
-
-
-def _suite_orderchange(args, cfg: Config, rng: random.Random) -> list[dict]:
-    checks = []
-    for d_src, d_dst, n in _ORDERCHANGE_INSTANCES:
-        ts, td = class_group_table(d_src, n, bound=cfg.bound), class_group_table(d_dst, n, bound=cfg.bound)
-        img = [td.locate_class(order_change_map(x, d_dst)) for x in ts.classes]
-        hom = all(
-            img[ts.mul(i, j)] == td.mul(img[i], img[j])
-            for i in range(ts.order)
-            for j in range(ts.order)
-        )
-        onto = set(img) == set(range(td.order))
-        checks.append(_check(f"order-{d_src}-to-{d_dst}-at-{n}", hom and onto,
-                             hom=hom, surjective=onto))
-    return checks
-
-
-def _suite_padiclimits(args, cfg: Config, rng: random.Random) -> list[dict]:
-    trials = args.trials if args.trials else (200 if args.quick else 1000)
-    primes = [args.prime] if args.prime else [3, 5, 2]
-    length = 5
-    checks = []
-    for p in primes:
-        agreed = disagreed = mispredicted = 0
-        for _ in range(trials):
-            s, t, expected = random_compliant_pair(p, length, rng)
-            got = limits_agree(s, t)
-            if got != expected:
-                mispredicted += 1
-            if got:
-                agreed += 1
-            else:
-                disagreed += 1
-        if p == 2:
-            neg = MatrixSeq(2, tuple(-IDENTITY for _ in range(length)), check=False)
-            pos = MatrixSeq(2, (IDENTITY,) * length)
-            canonical = seq_conditions_hold(pos, neg) and not limits_agree(pos, neg)
-            ok = mispredicted == 0 and canonical
-            checks.append(_check(
-                "even-prime-counterexample", ok, p=p, trials=trials,
-                disagreements=disagreed, note="EXPECTED: hypotheses hold, limits differ",
-            ))
-        else:
-            ok = disagreed == 0 and mispredicted == 0
-            checks.append(_check("odd-prime-limits-unique", ok, p=p, trials=trials, agreements=agreed))
-    return checks
-
-
-def _padicpoints_instances(args) -> list[tuple[int, int, int]]:
-    if args.prime is not None:
-        return [(args.prime, args.disc, args.precision)]
-    return [(3, -23, args.precision)] + ([] if args.quick else [(5, -15, 2)])
-
-
-def _suite_padicpoints(args, cfg: Config, rng: random.Random) -> list[dict]:
-    checks = []
-    for p, d, n in _padicpoints_instances(args):
-        report = correspondence_report(p, d, n, check_lift=True)
-        expected_codomain = report["base_size"] * p ** (3 * (n - 1))
-        ok = (
-            report["injective"]
-            and report["surjective"]
-            and report["codomain_size"] == expected_codomain
-            and report["pairs"] == expected_codomain
-        )
-        checks.append(_check(f"correspondence-p{p}-D{d}-n{n}", ok, **report))
-    return checks
-
-
-_SUITE_RUNNERS = {
-    "grouplaw": _suite_grouplaw,
-    "levelsquare": _suite_levelsquare,
-    "levelmaps": _suite_levelmaps,
-    "orderchange": _suite_orderchange,
-    "padiclimits": _suite_padiclimits,
-    "padicpoints": _suite_padicpoints,
-}
-
-
-def _suite_levels(name: str, args) -> list[int]:
-    """Every level the suite enumerates with these arguments (padiclimits: none)."""
+def _suite(name: str, args, cfg: Config):
+    """(levels, run) for one suite: every level it enumerates, as (base,
+    exponent) pairs for _check_level, and the call that runs it on an RNG."""
+    d, bound = args.disc, cfg.bound
     if name == "grouplaw":
-        return [args.level]
+        return [(args.level, 1)], lambda rng: suites.grouplaw(d, args.level, bound, rng)
     if name == "levelsquare":
-        return [args.level, args.fine]
+        return [(args.level, 1), (args.fine, 1)], lambda rng: suites.levelsquare(d, args.fine, args.level)
     if name == "levelmaps":
-        return [m for m, _ in _levelmaps_chains(args)]
+        chains = [(3, 1)] if args.quick else [(2, 1), (3, 1), (4, 2), (9, 3)]
+        return [(m, 1) for m, _ in chains], lambda rng: suites.levelmaps(d, chains, bound)
     if name == "orderchange":
-        return [n for _, _, n in _ORDERCHANGE_INSTANCES]
-    if name == "padicpoints":
-        return [p**n for p, _, n in _padicpoints_instances(args)]
-    return []
+        instances = suites.ORDERCHANGE_INSTANCES
+        return [(n, 1) for _, _, n in instances], lambda rng: suites.orderchange(instances, bound)
+    if name == "padiclimits":
+        trials = args.trials or (200 if args.quick else 1000)
+        primes = [args.prime] if args.prime else [3, 5, 2]
+        return [], lambda rng: suites.padiclimits(primes, trials, rng)
+    if args.prime is not None:  # padicpoints
+        instances = [(args.prime, args.disc, args.precision)]
+    else:
+        instances = [(3, -23, args.precision)] + ([] if args.quick else [(5, -15, 2)])
+    return [(p, n) for p, _, n in instances], lambda rng: suites.padicpoints(instances)
 
 
 def _cmd_verify(args, cfg: Config) -> int:
-    names = list(SUITES) if args.suite == "all" else [args.suite]
     if args.trials < 0:
         raise ValueError("--trials must be >= 0 (0 means the default)")
-    for name in names:
-        for level in _suite_levels(name, args):
-            _check_level(level, cfg)
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    plans = [(name, *_suite(name, args, cfg)) for name in names]
+    for _, levels, _ in plans:
+        for base, exponent in levels:
+            _check_level(base, cfg, exponent)
     rng = random.Random(cfg.seed)
-    suites = []
-    for name in names:
-        checks = _SUITE_RUNNERS[name](args, cfg, rng)
-        suites.append({"suite": name, "pass": all(c["pass"] for c in checks), "checks": checks})
-    doc = {"seed": cfg.seed, "pass": all(s["pass"] for s in suites), "suites": suites}
+    results = []
+    for name, _, run in plans:
+        checks = run(rng)
+        results.append({"suite": name, "pass": all(c["pass"] for c in checks), "checks": checks})
+    doc = {"seed": cfg.seed, "pass": all(s["pass"] for s in results), "suites": results}
     _emit(doc, cfg)
     return 0 if doc["pass"] else 1
 
@@ -490,10 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = Config(bound=args.bound, level_cap=getattr(args, "level_cap"), seed=seed, fmt=args.format)
         return _HANDLERS[args.command](args, cfg)
-    except ValueError as err:
-        print(f"invalid input: {err}", file=sys.stderr)
-        return 2
-    except LookupError as err:
+    except (ValueError, LookupError) as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return 2
     except CompositionBoundError as err:

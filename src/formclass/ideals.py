@@ -59,10 +59,6 @@ class QuadOrder:
         d0, ell = fundamental_part(d)
         return QuadOrder(d, d0, ell)
 
-    def norm_of_omega(self) -> int:
-        """w satisfies x^2 - disc*x + (disc^2 - disc)/4 = 0; this is the constant term."""
-        return (self.disc * self.disc - self.disc) // 4
-
 
 def _nrm(d: int) -> int:
     return (d * d - d) // 4

@@ -1,0 +1,212 @@
+"""The six verification suites behind `formclass verify`.
+
+Each suite is a plain function over explicit arguments that returns its list
+of check dicts, `{"name": ..., "pass": bool, **detail}`.  The command line
+renders them; the acceptance tests call them and compare their numbers with
+closed forms.  Randomized suites draw only from the `rng` they are given, so a
+seed fixes their output.
+"""
+
+from __future__ import annotations
+
+import random
+
+from .classgroup import (
+    GroupAxiomError,
+    PMGroup,
+    class_group_table,
+    class_surjection,
+    compose,
+    conj_class,
+    identity_class,
+    inverse_class,
+    level_map,
+    order_change_map,
+    same_class,
+)
+from .congruence import CongKind, class_index
+from .forms import IDENTITY, reduced_forms
+from .ideals import form_to_ideal, ray_class_count, ray_class_equal, residue_units
+from .tower import MatrixSeq, correspondence_report, limits_agree, random_compliant_pair, seq_conditions_hold
+
+# (source discriminant, target discriminant, level) for `orderchange`
+ORDERCHANGE_INSTANCES = ((-60, -15, 1), (-92, -23, 1), (-92, -23, 3))
+
+
+def check(name: str, ok: bool, **detail) -> dict:
+    return {"name": name, "pass": bool(ok), **detail}
+
+
+def grouplaw(d: int, n: int, bound: int, rng: random.Random) -> list[dict]:
+    """Order against the reduced-form count and the formula, both equality
+    oracles on all pairs, every Cayley cell against the module product,
+    inverses, and the ± extension at (d, n)."""
+    checks = []
+
+    baseline = class_group_table(d, 1, bound=bound)
+    brute = len(reduced_forms(d))
+    checks.append(check("baseline-order-equals-reduced-count", baseline.order == brute,
+                        D=d, order=baseline.order, reduced_forms=brute))
+
+    table = class_group_table(d, n, bound=bound)
+    expected = ray_class_count(d, n)
+    checks.append(check("order-formula", table.order == expected,
+                        D=d, N=n, order=table.order, formula=expected))
+
+    units_order, _ = residue_units(d, n)
+    checks.append(check("residue-units-enumerated", units_order >= 1, units=units_order))
+
+    ideals = [form_to_ideal(x.rep) for x in table.classes]
+    ok_dual = True
+    for i, x in enumerate(table.classes):
+        for j, y in enumerate(table.classes):
+            matrix_route = same_class(x, y)
+            ideal_route = ray_class_equal(ideals[i], ideals[j], n)
+            if matrix_route != (i == j) or ideal_route != (i == j):
+                ok_dual = False
+    checks.append(check("dual-oracle-pairs", ok_dual, pairs=table.order**2))
+
+    ok_cells = True
+    for i, x in enumerate(table.classes):
+        for j, y in enumerate(table.classes):
+            z = compose(x, y, bound=bound, rng=rng)
+            prod = ideals[i] * ideals[j]
+            if not ray_class_equal(form_to_ideal(z.rep), prod, n) or table.locate_class(z) != table.mul(i, j):
+                ok_cells = False
+    checks.append(check("compose-matches-ideal-product", ok_cells, cells=table.order**2))
+
+    ok_inv = all(
+        same_class(compose(x, inverse_class(x), bound=bound), identity_class(d, n))
+        for x in table.classes
+    )
+    checks.append(check("inverses-via-ideal-route", ok_inv))
+
+    try:
+        pm = PMGroup.build(table)
+        conj_auto = all(
+            table.locate_class(conj_class(compose(x, y, bound=bound)))
+            == table.mul(table.locate_class(conj_class(x)), table.locate_class(conj_class(y)))
+            for x in table.classes
+            for y in table.classes
+        )
+        checks.append(check("signed-extension-closes", pm.order == 2 * table.order, order=pm.order))
+        checks.append(check("conjugation-is-automorphism", conj_auto))
+    except GroupAxiomError as err:
+        checks.append(check("signed-extension-closes", False, error=str(err)))
+    return checks
+
+
+def levelsquare(d: int, m: int, n: int) -> list[dict]:
+    """The square of class surjections between (full, unipotent) x (m, n) commutes.
+
+    An edge that misses target classes fails `all-edges-surjective`, naming
+    them, and `square-commutes` fails with it: the square is then undefined.
+    """
+    full, upper = CongKind.FULL_LEVEL, CongKind.UPPER_UNIPOTENT
+    edges = {  # name: (source level, target level, source kind, target kind)
+        "down-full": (m, n, full, full),
+        "relax-coarse": (n, n, full, upper),
+        "relax-fine": (m, m, full, upper),
+        "down-unipotent": (m, n, upper, upper),
+    }
+    maps, missed = {}, {}
+    for name, edge in edges.items():
+        try:
+            maps[name] = class_surjection(d, *edge)
+        except GroupAxiomError as err:
+            missed[name] = str(err)
+    size = len(class_index(d, m, full).reps)
+    commute = not missed and all(
+        maps["relax-coarse"][maps["down-full"][i]] == maps["down-unipotent"][maps["relax-fine"][i]]
+        for i in range(size)
+    )
+    if missed:
+        surjective = check("all-edges-surjective", False, missed=missed)
+    else:
+        targets = {name: len(class_index(d, dst, kind).reps) for name, (_, dst, _, kind) in edges.items()}
+        surjective = check("all-edges-surjective", True, targets=targets)
+    return [check("square-commutes", commute, D=d, fine=m, coarse=n, classes=size), surjective]
+
+
+def levelmaps(d: int, chains, bound: int) -> list[dict]:
+    """Each level projection m -> n is a surjective homomorphism with even fibers."""
+    checks = []
+    for m, n in chains:
+        tm, tn = class_group_table(d, m, bound=bound), class_group_table(d, n, bound=bound)
+        proj = [tn.locate_class(level_map(x, m, n)) for x in tm.classes]
+        hom = all(
+            proj[tm.mul(i, j)] == tn.mul(proj[i], proj[j])
+            for i in range(tm.order)
+            for j in range(tm.order)
+        )
+        onto = set(proj) == set(range(tn.order))
+        fiber = tm.order // tn.order
+        fibers_even = all(proj.count(k) == fiber for k in range(tn.order))
+        checks.append(check(f"chain-{m}-to-{n}", hom and onto and fibers_even,
+                            hom=hom, surjective=onto, fiber_size=fiber))
+    return checks
+
+
+def orderchange(instances, bound: int) -> list[dict]:
+    """Pushing classes to a smaller-conductor order is a surjective homomorphism."""
+    checks = []
+    for d_src, d_dst, n in instances:
+        ts, td = class_group_table(d_src, n, bound=bound), class_group_table(d_dst, n, bound=bound)
+        img = [td.locate_class(order_change_map(x, d_dst)) for x in ts.classes]
+        hom = all(
+            img[ts.mul(i, j)] == td.mul(img[i], img[j])
+            for i in range(ts.order)
+            for j in range(ts.order)
+        )
+        onto = set(img) == set(range(td.order))
+        checks.append(check(f"order-{d_src}-to-{d_dst}-at-{n}", hom and onto,
+                            hom=hom, surjective=onto))
+    return checks
+
+
+def padiclimits(primes, trials: int, rng: random.Random) -> list[dict]:
+    """Random convergent pairs agree for odd p; at p = 2 the I/-I pair is the
+    expected counterexample."""
+    length = 5
+    checks = []
+    for p in primes:
+        agreed = disagreed = mispredicted = 0
+        for _ in range(trials):
+            s, t, expected = random_compliant_pair(p, length, rng)
+            got = limits_agree(s, t)
+            if got != expected:
+                mispredicted += 1
+            if got:
+                agreed += 1
+            else:
+                disagreed += 1
+        if p == 2:
+            neg = MatrixSeq(2, tuple(-IDENTITY for _ in range(length)), check=False)
+            pos = MatrixSeq(2, (IDENTITY,) * length)
+            canonical = seq_conditions_hold(pos, neg) and not limits_agree(pos, neg)
+            ok = mispredicted == 0 and canonical
+            checks.append(check(
+                "even-prime-counterexample", ok, p=p, trials=trials,
+                disagreements=disagreed, note="EXPECTED: hypotheses hold, limits differ",
+            ))
+        else:
+            ok = disagreed == 0 and mispredicted == 0
+            checks.append(check("odd-prime-limits-unique", ok, p=p, trials=trials, agreements=agreed))
+    return checks
+
+
+def padicpoints(instances) -> list[dict]:
+    """Base points x reduction kernel hit every level-p^n class exactly once, for
+    each (p, d, n)."""
+    checks = []
+    for p, d, n in instances:
+        report = correspondence_report(p, d, n, check_lift=True)
+        expected_codomain = report["base_size"] * p ** (3 * (n - 1))
+        ok = (
+            report["injective"]
+            and report["surjective"]
+            and report["codomain_size"] == expected_codomain
+            and report["pairs"] == expected_codomain
+        )
+        checks.append(check(f"correspondence-p{p}-D{d}-n{n}", ok, **report))
+    return checks

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import formclass
-from formclass.classgroup import ClassGroupTable, CompositionBoundError
+from formclass import suites
+from formclass.classgroup import ClassGroupTable, CompositionBoundError, identity_class
 from formclass.cli import Config, main
+from formclass.congruence import ClassIndex
 
 
 def run(capsys, *argv):
@@ -136,11 +139,59 @@ def test_verify_applies_the_level_cap_before_any_suite(capsys):
         ["verify", "padicpoints", "-p", "3", "-D", "-23", "-n", "9"],
         ["verify", "levelsquare", "-M", "81"],
         ["verify", "all", "--level-cap", "5"],
+        # p^n is compared with the cap before it is computed
+        ["verify", "padicpoints", "-p", "3", "-n", "100000"],
+        ["tower", "-p", "3", "-D", "-23", "-n", "100000"],
+        ["tower", "-p", "3", "-D", "-23", "-n", "100000000"],
     ):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1.0, argv
         assert code == 2 and out == "" and "exceeds the cap" in err, argv
+
+
+def test_levelsquare_reports_an_edge_that_misses_classes(capsys, monkeypatch):
+    monkeypatch.setattr(ClassIndex, "locate", lambda self, f: 0)
+    code, out, _ = run(capsys, "verify", "levelsquare")
+    checks = {c["name"]: c for c in json.loads(out)["suites"][0]["checks"]}
+    assert code == 1
+    surjective = checks["all-edges-surjective"]
+    assert surjective["pass"] is False
+    assert surjective["missed"]["relax-coarse"] == "transition map misses target classes [1, 2, 3, 4, 5]"
+
+
+def _off_by_one_report(real):
+    def report(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return {**out, "codomain_size": out["codomain_size"] + 1}
+    return report
+
+
+# suite, the name in formclass.suites to corrupt, its replacement given the
+# original, the suite's arguments, and a small `verify` command line for it
+MUTATIONS = [
+    ("grouplaw", "ray_class_equal", lambda real: lambda u, v, n: True,
+     (-23, 2, 10, random.Random(0)), ["-N", "2"]),
+    ("levelsquare", "class_surjection", lambda real: lambda *a: tuple(reversed(real(*a))),
+     (-23, 3, 1), ["-M", "3", "-N", "1"]),
+    ("levelmaps", "level_map", lambda real: lambda x, m, n: identity_class(x.disc, n),
+     (-23, [(3, 1)], 10), ["--quick"]),
+    ("orderchange", "order_change_map", lambda real: lambda x, d: identity_class(d, x.level),
+     (((-60, -15, 1),), 10), []),
+    ("padiclimits", "limits_agree", lambda real: lambda s, t: True,
+     ([2], 20, random.Random(0)), ["-p", "2", "--trials", "20"]),
+    ("padicpoints", "correspondence_report", _off_by_one_report,
+     ([(3, -23, 1)],), ["-p", "3", "-D", "-23", "-n", "1"]),
+]
+
+
+@pytest.mark.parametrize("suite, target, corrupt, suite_args, argv", MUTATIONS, ids=[m[0] for m in MUTATIONS])
+def test_every_suite_can_fail(capsys, monkeypatch, suite, target, corrupt, suite_args, argv):
+    monkeypatch.setattr(suites, target, corrupt(getattr(suites, target)))
+    checks = getattr(suites, suite)(*suite_args)
+    assert any(not c["pass"] for c in checks), checks
+    code, out, _ = run(capsys, "verify", suite, *argv)
+    assert code == 1 and json.loads(out)["pass"] is False
 
 
 def test_padiclimits_disagreement_count_is_frozen(capsys):
