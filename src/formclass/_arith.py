@@ -63,3 +63,15 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def kronecker(d: int, p: int) -> int:
+    """The Kronecker symbol (d/p) at a prime p.
+
+    Euler's criterion d^((p-1)/2) mod p for odd p; for p = 2 it is 0 for even
+    d, +1 for d = +-1 mod 8 and -1 for d = +-3 mod 8.
+    """
+    if p == 2:
+        return 0 if d % 2 == 0 else (1 if d % 8 in (1, 7) else -1)
+    r = pow(d, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r

@@ -72,6 +72,18 @@ def _check_level(base: int, cfg: Config, exponent: int = 1) -> int:
     return n
 
 
+# The reduced-form scan behind every enumeration at a discriminant D takes
+# about |D|/3 steps (a up to sqrt(|D|/3), b in [-a, a]); 10**7 steps take ~2 s.
+SCAN_BUDGET = 10**7
+
+
+def _check_disc(d: int) -> None:
+    """ValueError unless the reduced-form scan at d fits in SCAN_BUDGET steps."""
+    steps = abs(d) // 3
+    if steps > SCAN_BUDGET:
+        raise ValueError(f"discriminant {d} needs ~{steps} reduced-form scan steps, over the budget of {SCAN_BUDGET}")
+
+
 def _emit(doc: dict, cfg: Config) -> None:
     if cfg.fmt == "json":
         print(json.dumps(doc, sort_keys=True))
@@ -146,6 +158,7 @@ def _cmd_equiv(args, cfg: Config) -> int:
 
 def _cmd_classgroup(args, cfg: Config) -> int:
     n = _check_level(args.level, cfg)
+    _check_disc(args.disc)
     table = ClassGroupTable.build(args.disc, n, bound=cfg.bound)
     doc = table.to_json()
     doc["order_formula"] = ray_class_count(args.disc, n)
@@ -155,6 +168,7 @@ def _cmd_classgroup(args, cfg: Config) -> int:
 
 def _cmd_cm(args, cfg: Config) -> int:
     n = _check_level(args.level, cfg)
+    _check_disc(args.disc)
     cs = cm_class_set(args.disc, n, args.curve)
     _emit(
         {
@@ -171,6 +185,7 @@ def _cmd_cm(args, cfg: Config) -> int:
 
 def _cmd_tower(args, cfg: Config) -> int:
     _check_level(args.prime, cfg, args.precision)
+    _check_disc(args.disc)
     report = correspondence_report(args.prime, args.disc, args.precision, check_lift=args.check_lift)
     _emit(report, cfg)
     return 0 if report["injective"] and report["surjective"] else 1
@@ -180,28 +195,30 @@ def _cmd_tower(args, cfg: Config) -> int:
 
 
 def _suite(name: str, args, cfg: Config):
-    """(levels, run) for one suite: every level it enumerates, as (base,
-    exponent) pairs for _check_level, and the call that runs it on an RNG."""
+    """(levels, discs, run) for one suite: every level it enumerates, as (base,
+    exponent) pairs for _check_level, every discriminant it takes from -D, for
+    _check_disc, and the call that runs it on an RNG."""
     d, bound = args.disc, cfg.bound
     if name == "grouplaw":
-        return [(args.level, 1)], lambda rng: suites.grouplaw(d, args.level, bound, rng)
+        return [(args.level, 1)], [d], lambda rng: suites.grouplaw(d, args.level, bound, rng)
     if name == "levelsquare":
-        return [(args.level, 1), (args.fine, 1)], lambda rng: suites.levelsquare(d, args.fine, args.level)
+        return [(args.level, 1), (args.fine, 1)], [d], lambda rng: suites.levelsquare(d, args.fine, args.level)
     if name == "levelmaps":
         chains = [(3, 1)] if args.quick else [(2, 1), (3, 1), (4, 2), (9, 3)]
-        return [(m, 1) for m, _ in chains], lambda rng: suites.levelmaps(d, chains, bound)
+        return [(m, 1) for m, _ in chains], [d], lambda rng: suites.levelmaps(d, chains, bound)
     if name == "orderchange":
         instances = suites.ORDERCHANGE_INSTANCES
-        return [(n, 1) for _, _, n in instances], lambda rng: suites.orderchange(instances, bound)
+        return [(n, 1) for _, _, n in instances], [], lambda rng: suites.orderchange(instances, bound)
     if name == "padiclimits":
         trials = args.trials or (200 if args.quick else 1000)
         primes = [args.prime] if args.prime else [3, 5, 2]
-        return [], lambda rng: suites.padiclimits(primes, trials, rng)
+        return [], [], lambda rng: suites.padiclimits(primes, trials, rng)
     if args.prime is not None:  # padicpoints
         instances = [(args.prime, args.disc, args.precision)]
     else:
         instances = [(3, -23, args.precision)] + ([] if args.quick else [(5, -15, 2)])
-    return [(p, n) for p, _, n in instances], lambda rng: suites.padicpoints(instances)
+    discs = [d] if args.prime is not None else []
+    return [(p, n) for p, _, n in instances], discs, lambda rng: suites.padicpoints(instances)
 
 
 def _cmd_verify(args, cfg: Config) -> int:
@@ -209,12 +226,14 @@ def _cmd_verify(args, cfg: Config) -> int:
         raise ValueError("--trials must be >= 0 (0 means the default)")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     plans = [(name, *_suite(name, args, cfg)) for name in names]
-    for _, levels, _ in plans:
+    for _, levels, discs, _ in plans:
         for base, exponent in levels:
             _check_level(base, cfg, exponent)
+        for disc in discs:
+            _check_disc(disc)
     rng = random.Random(cfg.seed)
     results = []
-    for name, _, run in plans:
+    for name, _, _, run in plans:
         checks = run(rng)
         results.append({"suite": name, "pass": all(c["pass"] for c in checks), "checks": checks})
     doc = {"seed": cfg.seed, "pass": all(s["pass"] for s in results), "suites": results}
@@ -275,7 +294,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tw.add_argument("-p", dest="prime", type=int, required=True)
     p_tw.add_argument("-D", dest="disc", type=int, required=True)
     p_tw.add_argument("-n", dest="precision", type=int, default=1)
-    p_tw.add_argument("--check-lift", action="store_true", help="verify lift-independence on every pair")
+    p_tw.add_argument("--check-lift", action="store_true",
+                      help="check each image's class against the one read off the residues of its matrix, "
+                      "and join one image per base point to its codomain class by a witness")
 
     p_vf = add_parser("verify", help="run a named verification suite")
     p_vf.add_argument("suite", choices=SUITES + ("all",))

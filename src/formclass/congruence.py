@@ -141,48 +141,67 @@ def cong_equivalent(f: SignedForm, g: SignedForm, n: int, kind: CongKind) -> Uni
     return None
 
 
-def class_key(f: SignedForm, n: int, kind: CongKind) -> tuple:
-    """A complete invariant: equal keys exactly when the forms are equivalent.
+def key_from_witness(reduced: QuadForm, sign: int, w: tuple[int, int, int, int], n: int, kind: CongKind) -> tuple:
+    """The class key of any signed form that the matrix w = (p, q, r, s) takes
+    to the reduced form R.
 
-    With (R, w) = reduce_form(f.form), the matrices taking f to R are w*Aut(R),
-    so the class of f is the double coset Gamma*w*Aut(R).  Each right coset
-    Gamma*m is named by m mod n (principal subgroup, which is normal) or by the
-    bottom row of m mod n (upper-unipotent family); the key takes the least
-    such name over Aut(R), next to the reduced form and the sign.  The names
-    are the residues of the entries of w*alpha, computed on ints.
+    The matrices taking that form to R are w*Aut(R), so its class is the double
+    coset Gamma*w*Aut(R).  Each right coset Gamma*m is named by m mod n
+    (principal subgroup, which is normal) or by the bottom row of m mod n
+    (upper-unipotent family); the key takes the least such name over Aut(R),
+    next to R and the sign.  Only w mod n matters, so w may be any integer
+    matrix congruent to a witness.
     """
-    reduced, w = reduce_form(f.form)
-    p, q, r, s = w.p, w.q, w.r, w.s
+    p, q, r, s = w
     auts = [alpha.entries() for alpha in automorphs(reduced)]
     if kind is CongKind.FULL_LEVEL:
         names = [((p * x + q * z) % n, (p * y + q * u) % n, (r * x + s * z) % n, (r * y + s * u) % n)
                  for x, y, z, u in auts]
     else:
         names = [((r * x + s * z) % n, (r * y + s * u) % n) for x, y, z, u in auts]
-    return (reduced.triple(), f.sign, min(names))
+    return (reduced.triple(), sign, min(names))
+
+
+def class_key(f: SignedForm, n: int, kind: CongKind) -> tuple:
+    """A complete invariant: equal keys exactly when the forms are equivalent.
+
+    Reduction supplies R and a witness w with f.transform(w) == R; the key is
+    `key_from_witness` of them.
+    """
+    reduced, w = reduce_form(f.form)
+    return key_from_witness(reduced, f.sign, w.entries(), n, kind)
 
 
 @lru_cache(maxsize=None)
-def unsigned_class_reps(d: int, n: int, kind: CongKind) -> tuple[QuadForm, ...]:
-    """One representative per unsigned class, deterministically ordered.
+def _keyed_classes(d: int, n: int, kind: CongKind) -> tuple[tuple[tuple, QuadForm], ...]:
+    """(key of the sign +1, representative) for every unsigned class, in
+    triple order of the representatives.
 
     Candidates are the reduced forms pushed through all coset representatives;
     every class is hit because a witness factors as (coset rep) * (subgroup
-    element).  Candidates whose leading coefficient shares a factor with n are
-    discarded (that property is class-constant).  The first candidate in
-    triple order is kept for each class key.
+    element).  The candidate R.transform(g0) goes back to R under g0^-1, so its
+    key is read off the residues of g0^-1 with no reduction.  Candidates whose
+    leading coefficient shares a factor with n are discarded (that property
+    is class-constant); the least triple is kept for each key.
     """
     require_discriminant(d)
-    candidates = set()
+    least: dict[tuple, QuadForm] = {}
     for base in reduced_forms(d):
         for g0 in coset_reps(n, kind):
             cand = base.transform(g0)
-            if math.gcd(cand.a, n) == 1:
-                candidates.add(cand)
-    reps: dict[tuple, QuadForm] = {}
-    for cand in sorted(candidates, key=QuadForm.triple):
-        reps.setdefault(class_key(SignedForm(cand), n, kind), cand)
-    return tuple(reps.values())
+            if math.gcd(cand.a, n) != 1:
+                continue
+            key = key_from_witness(base, 1, (g0.s, -g0.q, -g0.r, g0.p), n, kind)
+            kept = least.get(key)
+            if kept is None or cand.triple() < kept.triple():
+                least[key] = cand
+    return tuple(sorted(least.items(), key=lambda item: item[1].triple()))
+
+
+def unsigned_class_reps(d: int, n: int, kind: CongKind) -> tuple[QuadForm, ...]:
+    """One representative per unsigned class, deterministically ordered: the
+    least candidate triple of each class, in triple order (see `_keyed_classes`)."""
+    return tuple(rep for _, rep in _keyed_classes(d, n, kind))
 
 
 def enumerate_classes(d: int, n: int, kind: CongKind, signed: bool = False) -> tuple[SignedForm, ...]:
@@ -221,6 +240,10 @@ class ClassIndex:
 
 @lru_cache(maxsize=None)
 def class_index(d: int, n: int, kind: CongKind, signed: bool = False) -> ClassIndex:
+    """The classes of `enumerate_classes`, indexed by the keys they were
+    enumerated under; the sign -1 reuses the name of the sign +1."""
     reps = enumerate_classes(d, n, kind, signed)
-    index = {class_key(rep, n, kind): i for i, rep in enumerate(reps)}
-    return ClassIndex(d, n, kind, signed, reps, index)
+    keys = [key for key, _ in _keyed_classes(d, n, kind)]
+    if signed:
+        keys += [(triple, -1, name) for triple, _, name in keys]
+    return ClassIndex(d, n, kind, signed, reps, {key: i for i, key in enumerate(keys)})

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+from ._arith import factorize, kronecker
 from .classgroup import (
     GroupAxiomError,
     PMGroup,
@@ -37,10 +38,19 @@ def check(name: str, ok: bool, **detail) -> dict:
     return {"name": name, "pass": bool(ok), **detail}
 
 
+def _unit_count(d: int, n: int) -> int:
+    """|(O/nO)*| in closed form: n^2 * prod over p | n of (1 - 1/p)(1 - (d/p)/p)."""
+    count = n * n
+    for p in factorize(n):
+        count = count // (p * p) * (p - 1) * (p - kronecker(d, p))
+    return count
+
+
 def grouplaw(d: int, n: int, bound: int, rng: random.Random) -> list[dict]:
-    """Order against the reduced-form count and the formula, both equality
-    oracles on all pairs, every Cayley cell against the module product,
-    inverses, and the ± extension at (d, n)."""
+    """Order against the reduced-form count and the formula, the enumerated
+    residue units against their closed form, both equality oracles on all
+    pairs, every Cayley cell against the module product, inverses, and the ±
+    extension at (d, n)."""
     checks = []
 
     baseline = class_group_table(d, 1, bound=bound)
@@ -54,7 +64,9 @@ def grouplaw(d: int, n: int, bound: int, rng: random.Random) -> list[dict]:
                         D=d, N=n, order=table.order, formula=expected))
 
     units_order, _ = residue_units(d, n)
-    checks.append(check("residue-units-enumerated", units_order >= 1, units=units_order))
+    closed_form = _unit_count(d, n)
+    checks.append(check("residue-units-enumerated", units_order == closed_form,
+                        units=units_order, closed_form=closed_form))
 
     ideals = [form_to_ideal(x.rep) for x in table.classes]
     ok_dual = True

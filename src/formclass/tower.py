@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ._arith import egcd, is_prime
-from .cm import CMPoint, cm_class_set, curve_kind, equivalent_points
-from .congruence import CongKind, class_key, lift_matrix
-from .forms import IDENTITY, UnimodMatrix, require_discriminant
+from .cm import CMClassSet, CMPoint, cm_class_set, curve_kind, equivalent_points
+from .congruence import CongKind, class_key, key_from_witness, lift_matrix
+from .forms import IDENTITY, UnimodMatrix, reduce_form, require_discriminant
 
 
 @dataclass(frozen=True)
@@ -276,28 +276,55 @@ def base_point_set(p: int, d: int) -> BasePointSet:
     return BasePointSet(p, d, reps)
 
 
-def act_padic(point: CMPoint, g: PadicMatrix, n: int, check_lift: bool = False) -> CMPoint:
+def act_padic(point: CMPoint, g: PadicMatrix, n: int) -> CMPoint:
     """Move a point by an integral lift of g taken mod prime**n.
 
     g must be trivial mod p (that is the domain of the correspondence) and
     carry at least n digits.  The class of the result at level prime**n does
-    not depend on the lift; with check_lift a second, different lift is taken
-    and RuntimeError is raised unless the two images are equivalent.
+    not depend on the lift (`_check_lift` tests that).
     """
     if not g.is_one_mod_p():
         raise ValueError("matrix is not trivial mod p")
     if g.precision < n:
         raise ValueError(f"matrix precision {g.precision} below requested level exponent {n}")
+    return CMPoint(point.carrier.transform(g.reduce_to(n).lift()))
+
+
+def _check_lift(point: CMPoint, g: PadicMatrix, n: int, key: tuple) -> None:
+    """RuntimeError unless `key` is the level-prime**n class key of point.g.
+
+    With (R, w) = reduce_form of the point's form, any gamma = g mod prime**n
+    takes the image back to R by gamma^-1 * w, and gamma^-1 is congruent to
+    the adjugate of g mod prime**n.  So the image's key is `key_from_witness`
+    of adj(g) * w: no lift, transform or reduction of the image.
+    """
     m = g.prime**n
-    gamma = g.reduce_to(n).lift()
-    moved = CMPoint(point.carrier.transform(gamma))
-    if check_lift:
-        alt = gamma * UnimodMatrix(1, m, 0, 1)
-        if not equivalent_points(moved, CMPoint(point.carrier.transform(alt)), m, "y"):
-            raise RuntimeError(
-                f"lifts {gamma.to_json()} and {alt.to_json()} move {point.to_json()} to different level-{m} classes"
-            )
-    return moved
+    reduced, w = reduce_form(point.carrier.form)
+    want = key_from_witness(reduced, point.carrier.sign, _mul((g.d, -g.b, -g.c, g.a), w.entries()),
+                            m, CongKind.FULL_LEVEL)
+    if key != want:
+        raise RuntimeError(
+            f"{point.to_json()} moved by {[g.a, g.b, g.c, g.d]} mod {m} lands in class {key}, "
+            f"but the residues of its adjugate give {want}"
+        )
+
+
+def _check_located(img: CMPoint, codomain: CMClassSet) -> None:
+    """RuntimeError unless the codomain class that img's key locates holds img.
+
+    The image is keyed through reduction, the codomain through coset residues
+    (`unsigned_class_reps`); `equivalent_points` searches for a witness in the
+    subgroup and uses neither key, so this ties both key routes to the
+    definition of the class.
+    """
+    try:
+        rep = codomain.classes[codomain.locate(img)]
+    except LookupError as err:
+        raise RuntimeError(f"{img.to_json()} is in no enumerated level-{codomain.level} class: {err}") from None
+    if not equivalent_points(img, rep, codomain.level, codomain.curve):
+        raise RuntimeError(
+            f"{img.to_json()} is located at {rep.to_json()}, but no level-{codomain.level} witness joins them"
+        )
 
 
 def correspondence_report(p: int, d: int, n: int, check_lift: bool = False) -> dict:
@@ -306,7 +333,10 @@ def correspondence_report(p: int, d: int, n: int, check_lift: bool = False) -> d
 
     Returns a plain dict (JSON-ready): sizes of all three sets, the pair
     count, injectivity and surjectivity verdicts, and explicit witnesses for
-    any failure instead of an exception.
+    any failure instead of an exception.  With check_lift every image's class
+    is also read off the residues of its matrix (`_check_lift`), and the last
+    image of each base point is matched to its codomain class by an explicit
+    witness (`_check_located`); either raises RuntimeError on a mismatch.
     """
     base = base_point_set(p, d)
     kernel = kernel_reps(p, n)
@@ -318,10 +348,15 @@ def correspondence_report(p: int, d: int, n: int, check_lift: bool = False) -> d
     witnesses = []
     for ri, r in enumerate(base.reps):
         for gi, g in enumerate(kernel):
-            img = act_padic(r, g, n, check_lift=check_lift)
-            seen = first.setdefault(class_key(img.carrier, level, CongKind.FULL_LEVEL), (ri, gi))
+            img = act_padic(r, g, n)
+            key = class_key(img.carrier, level, CongKind.FULL_LEVEL)
+            if check_lift:
+                _check_lift(r, g, n, key)
+            seen = first.setdefault(key, (ri, gi))
             if seen != (ri, gi):
                 witnesses.append({"first": list(seen), "second": [ri, gi]})
+        if check_lift:
+            _check_located(img, codomain)
     pairs = len(base.reps) * len(kernel)
     injective = not witnesses
     codomain_size = len(codomain.classes)

@@ -13,7 +13,7 @@ import pytest
 import formclass
 from formclass import suites
 from formclass.classgroup import ClassGroupTable, CompositionBoundError, identity_class
-from formclass.cli import Config, main
+from formclass.cli import SCAN_BUDGET, Config, _check_disc, main
 from formclass.congruence import ClassIndex
 
 
@@ -150,6 +150,28 @@ def test_verify_applies_the_level_cap_before_any_suite(capsys):
         assert code == 2 and out == "" and "exceeds the cap" in err, argv
 
 
+def test_huge_discriminants_are_refused_before_any_enumeration(capsys):
+    # the reduced-form scan at |D| = 10^11 alone would take hours
+    for argv in (
+        ["classgroup", "-D", "-100000000000"],
+        ["cm", "-D", "-100000000000", "-N", "3"],
+        ["tower", "-p", "3", "-D", "-100000000000", "-n", "1"],
+        ["verify", "grouplaw", "-D", "-100000000000"],
+        ["verify", "padicpoints", "-p", "3", "-D", "-100000000000"],
+        ["verify", "all", "-D", "-100000000000"],
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2 and out == "" and "33333333333 reduced-form scan steps" in err, argv
+    # suites that never enumerate at -D run as usual
+    code, out, _ = run(capsys, "verify", "padiclimits", "-D", "-100000000000", "-p", "3", "--trials", "5")
+    assert code == 0 and json.loads(out)["pass"]
+    _check_disc(-3 * SCAN_BUDGET)  # the budget itself is allowed
+    with pytest.raises(ValueError, match="over the budget"):
+        _check_disc(-3 * SCAN_BUDGET - 4)
+
+
 def test_levelsquare_reports_an_edge_that_misses_classes(capsys, monkeypatch):
     monkeypatch.setattr(ClassIndex, "locate", lambda self, f: 0)
     code, out, _ = run(capsys, "verify", "levelsquare")
@@ -182,10 +204,13 @@ MUTATIONS = [
      ([2], 20, random.Random(0)), ["-p", "2", "--trials", "20"]),
     ("padicpoints", "correspondence_report", _off_by_one_report,
      ([(3, -23, 1)],), ["-p", "3", "-D", "-23", "-n", "1"]),
+    pytest.param("grouplaw", "residue_units", lambda real: lambda d, n: (n * n, real(d, n)[1]),
+                 (-23, 3, 10, random.Random(0)), [], id="grouplaw-residue-units"),
 ]
 
 
-@pytest.mark.parametrize("suite, target, corrupt, suite_args, argv", MUTATIONS, ids=[m[0] for m in MUTATIONS])
+@pytest.mark.parametrize("suite, target, corrupt, suite_args, argv", MUTATIONS,
+                         ids=[getattr(m, "id", None) or m[0] for m in MUTATIONS])
 def test_every_suite_can_fail(capsys, monkeypatch, suite, target, corrupt, suite_args, argv):
     monkeypatch.setattr(suites, target, corrupt(getattr(suites, target)))
     checks = getattr(suites, suite)(*suite_args)

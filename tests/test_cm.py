@@ -14,7 +14,7 @@ from formclass.cm import (
     point_of_class,
 )
 from formclass.congruence import CongKind, class_index, cong_equivalent, lift_matrix
-from formclass.forms import QuadForm, QuadIrrational, SignedForm, translation
+from formclass.forms import QuadForm, QuadIrrational, SignedForm, UnimodMatrix
 
 
 def test_curve_kind_names():
@@ -99,7 +99,7 @@ def test_locate_is_inverse_of_enumeration():
     for i, p in enumerate(cs.classes):
         assert cs.locate(p) == i
     # a transported point lands in the same class
-    mover = translation(1)
+    mover = UnimodMatrix(1, 1, 0, 1)
     for i, p in enumerate(cs.classes):
         moved = CMPoint(p.carrier.transform(mover))
         assert cs.locate(moved) == i

@@ -13,23 +13,24 @@ from formclass.congruence import (
     coset_reps,
     enumerate_classes,
     in_gamma,
+    key_from_witness,
     lift_matrix,
+    unsigned_class_reps,
 )
 from formclass.forms import (
     IDENTITY,
-    SWAP,
     QuadForm,
     SignedForm,
     UnimodMatrix,
     automorphs,
     reduce_form,
     reduced_forms,
-    translation,
 )
+
+from _helpers import SWAP, translation
 
 FULL = CongKind.FULL_LEVEL
 UPPER = CongKind.UPPER_UNIPOTENT
-
 
 def sl2_order_mod(n: int) -> int:
     """|SL2(Z/n)| = n^3 * prod over p|n of (1 - 1/p^2)."""
@@ -229,3 +230,48 @@ def test_class_key_names_are_residues_of_matrix_products():
                     else:
                         names = [(m.r % n, m.s % n) for m in moved]
                     assert class_key(f, n, kind) == (reduced.triple(), f.sign, min(names)), (d, n, kind, f)
+
+
+def test_residue_keys_match_reduced_keys():
+    """Every enumeration candidate R.transform(g0) is named from g0^-1's
+    residues exactly as reduction names it, including the extra automorphs of
+    -3 and -4 and composite levels."""
+    rng = random.Random(7)
+    checked = 0
+    for d in (-3, -4, -15, -20, -23, -56):
+        for n in sorted(rng.sample((1, 2, 4, 6, 9, 12), 4)):
+            for kind in (FULL, UPPER):
+                for base in reduced_forms(d):
+                    for g0 in coset_reps(n, kind):
+                        cand = base.transform(g0)
+                        if math.gcd(cand.a, n) != 1:
+                            continue
+                        got = key_from_witness(base, 1, g0.inverse().entries(), n, kind)
+                        assert got == class_key(SignedForm(cand), n, kind), (d, n, kind, cand, g0)
+                        checked += 1
+    assert checked > 5000, checked
+
+
+@pytest.mark.parametrize("d,n,kind", [(-3, 4, FULL), (-4, 6, UPPER), (-23, 6, FULL), (-56, 9, UPPER)])
+def test_enumeration_keeps_least_triple_per_class(d, n, kind):
+    """The representatives are the triple-least candidates, one per class, in
+    triple order."""
+    reps = unsigned_class_reps(d, n, kind)
+    assert [f.triple() for f in reps] == sorted(f.triple() for f in reps)
+    least = {}
+    for base in reduced_forms(d):
+        for g0 in coset_reps(n, kind):
+            cand = base.transform(g0)
+            if math.gcd(cand.a, n) == 1:
+                key = class_key(SignedForm(cand), n, kind)
+                least[key] = min(least.get(key, cand.triple()), cand.triple())
+    assert [f.triple() for f in reps] == sorted(least.values())
+
+
+@pytest.mark.parametrize("d,n,kind", [(-3, 6, FULL), (-4, 4, UPPER), (-15, 4, FULL), (-23, 6, UPPER)])
+def test_signed_class_index_maps_both_signs(d, n, kind):
+    idx = class_index(d, n, kind, signed=True)
+    half = len(idx.reps) // 2
+    for i, rep in enumerate(idx.reps):
+        assert idx.locate(rep) == i
+        assert idx.locate(rep.negate()) == (i + half) % len(idx.reps)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from formclass.forms import (
     IDENTITY,
-    SWAP,
     QuadForm,
     QuadIrrational,
     SignedForm,
@@ -21,8 +20,9 @@ from formclass.forms import (
     reduced_forms,
     require_discriminant,
     sl2_equivalent,
-    translation,
 )
+
+from _helpers import SWAP, translation
 
 SAMPLE_DISCS = (-3, -4, -15, -20, -23, -24, -47, -71, -92)
 
@@ -106,7 +106,6 @@ def test_matrix_group_ops():
     assert g * g.inverse() == IDENTITY
     assert g.inverse() * g == IDENTITY
     assert (-g).entries() == (-2, -1, -1, -1)
-    assert translation(3) == UnimodMatrix(1, 3, 0, 1)
     assert g.to_json() == [2, 1, 1, 1]
 
 

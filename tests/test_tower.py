@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from formclass.cm import CMPoint, cm_from_tau, equivalent_points
-from formclass.forms import IDENTITY, QuadForm, SignedForm, UnimodMatrix, translation
+import formclass.tower
+from formclass.cm import CMClassSet, CMPoint, cm_from_tau, equivalent_points
+from formclass.congruence import CongKind, class_key
+from formclass.forms import IDENTITY, QuadForm, SignedForm, UnimodMatrix
 from formclass.tower import (
     MatrixSeq,
     PadicMatrix,
@@ -22,6 +24,8 @@ from formclass.tower import (
     tower_compose,
     tower_from_base,
 )
+
+from _helpers import translation
 
 
 # -- finite-precision matrices ---------------------------------------------------
@@ -224,10 +228,16 @@ def test_act_padic_identity_and_compatibility():
             assert equivalent_points(one_step, two_step, 9, "y")
 
 
+def lift_check(x, g):
+    """The report's lift check for one pair at level 9: RuntimeError on a mismatch."""
+    key = class_key(act_padic(x, g, 2).carrier, 9, CongKind.FULL_LEVEL)
+    formclass.tower._check_lift(x, g, 2, key)
+
+
 def test_act_padic_lift_independence_and_gates():
     x = cm_from_tau(1, 1, 6)
     for g in kernel_reps(3, 2)[:6]:
-        act_padic(x, g, 2, check_lift=True)  # raises RuntimeError if the two lifts disagree
+        lift_check(x, g)  # raises RuntimeError if the image and the adjugate's residues disagree
     with pytest.raises(ValueError):
         act_padic(x, PadicMatrix.from_unimod(translation(1), 3, 2), 2)  # not 1 mod p
     with pytest.raises(ValueError):
@@ -235,14 +245,60 @@ def test_act_padic_lift_independence_and_gates():
 
 
 def test_act_padic_lift_check_raises(monkeypatch):
-    import formclass.tower
-
-    monkeypatch.setattr(formclass.tower, "equivalent_points", lambda *args: False)
+    """A wrong lift (gamma * T(1)) or a wrong adjugate sends the two routes to
+    different classes: the check fires on every kernel class, and only when
+    asked for."""
     x = cm_from_tau(1, 1, 6)
-    g = kernel_reps(3, 2)[1]
-    act_padic(x, g, 2)  # no check requested, no error
-    with pytest.raises(RuntimeError, match="move"):
-        act_padic(x, g, 2, check_lift=True)
+    lift = PadicMatrix.lift
+    monkeypatch.setattr(PadicMatrix, "lift", lambda self: lift(self) * translation(1))
+    for g in kernel_reps(3, 2):
+        with pytest.raises(RuntimeError, match="adjugate"):
+            lift_check(x, g)
+    correspondence_report(3, -23, 2)  # no check requested, no error
+    with pytest.raises(RuntimeError, match="adjugate"):
+        correspondence_report(3, -23, 2, check_lift=True)
+    monkeypatch.setattr(PadicMatrix, "lift", lift)
+    mul = formclass.tower._mul
+    monkeypatch.setattr(formclass.tower, "_mul", lambda u, v: mul(mul(u, (1, 1, 0, 1)), v))
+    for g in kernel_reps(3, 2):
+        with pytest.raises(RuntimeError, match="adjugate"):
+            lift_check(x, g)
+
+
+def test_located_check_raises(monkeypatch):
+    """A class lookup that lands one class off is caught by the witness search,
+    and only when the check is asked for."""
+    locate = CMClassSet.locate
+    monkeypatch.setattr(CMClassSet, "locate", lambda self, p: (locate(self, p) + 1) % len(self.classes))
+    correspondence_report(3, -23, 2)
+    with pytest.raises(RuntimeError, match="no level-9 witness joins them"):
+        correspondence_report(3, -23, 2, check_lift=True)
+
+
+def test_lift_check_searches_one_witness_per_base_point(monkeypatch):
+    calls = []
+    real = formclass.tower.equivalent_points
+    monkeypatch.setattr(formclass.tower, "equivalent_points", lambda *a: calls.append(a) or real(*a))
+    report = correspondence_report(3, -23, 2, check_lift=True)
+    assert len(calls) == report["base_size"] == 36
+
+
+def test_lift_check_holds_for_any_lift(monkeypatch):
+    """Another lift gamma * delta, delta in the level-p^n principal subgroup,
+    passes the check and gives the same report."""
+    before = correspondence_report(3, -23, 2)
+    rng = random.Random(12)
+    lift = PadicMatrix.lift
+    moved = []
+
+    def other_lift(self):
+        delta = UnimodMatrix(*formclass.tower._random_elem(self.modulus(), rng))
+        moved.append(delta != IDENTITY)
+        return lift(self) * delta
+
+    monkeypatch.setattr(PadicMatrix, "lift", other_lift)
+    assert correspondence_report(3, -23, 2, check_lift=True) == before
+    assert sum(moved) > len(moved) // 2, (sum(moved), len(moved))
 
 
 def test_correspondence_report_at_precision_one():
