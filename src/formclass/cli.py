@@ -84,6 +84,22 @@ def _check_disc(d: int) -> None:
         raise ValueError(f"discriminant {d} needs ~{steps} reduced-form scan steps, over the budget of {SCAN_BUDGET}")
 
 
+# A Cayley table of order h takes h**2 `compose` and `locate` cells at ~55 us
+# each; 10**6 cells take about a minute.
+CELL_BUDGET = 10**6
+
+
+def _check_table(d: int, n: int) -> None:
+    """ValueError unless the class group table at (d, n) fits in CELL_BUDGET cells.
+
+    Call it after _check_disc(d): the order's count scans the reduced forms at d.
+    """
+    order = ray_class_count(d, n)
+    if order**2 > CELL_BUDGET:
+        raise ValueError(f"the class group at (D, N) = ({d}, {n}) has order {order}, "
+                         f"so its table needs {order**2} cells, over the budget of {CELL_BUDGET}")
+
+
 def _emit(doc: dict, cfg: Config) -> None:
     if cfg.fmt == "json":
         print(json.dumps(doc, sort_keys=True))
@@ -159,6 +175,7 @@ def _cmd_equiv(args, cfg: Config) -> int:
 def _cmd_classgroup(args, cfg: Config) -> int:
     n = _check_level(args.level, cfg)
     _check_disc(args.disc)
+    _check_table(args.disc, n)
     table = ClassGroupTable.build(args.disc, n, bound=cfg.bound)
     doc = table.to_json()
     doc["order_formula"] = ray_class_count(args.disc, n)
@@ -195,30 +212,33 @@ def _cmd_tower(args, cfg: Config) -> int:
 
 
 def _suite(name: str, args, cfg: Config):
-    """(levels, discs, run) for one suite: every level it enumerates, as (base,
-    exponent) pairs for _check_level, every discriminant it takes from -D, for
-    _check_disc, and the call that runs it on an RNG."""
+    """(levels, discs, tables, run) for one suite: every level it enumerates, as
+    (base, exponent) pairs for _check_level, every discriminant it takes from -D,
+    for _check_disc, every (D, N) it builds a class group table at from -D, for
+    _check_table, and the call that runs it on an RNG."""
     d, bound = args.disc, cfg.bound
     if name == "grouplaw":
-        return [(args.level, 1)], [d], lambda rng: suites.grouplaw(d, args.level, bound, rng)
+        return ([(args.level, 1)], [d], [(d, 1), (d, args.level)],
+                lambda rng: suites.grouplaw(d, args.level, bound, rng))
     if name == "levelsquare":
-        return [(args.level, 1), (args.fine, 1)], [d], lambda rng: suites.levelsquare(d, args.fine, args.level)
+        return [(args.level, 1), (args.fine, 1)], [d], [], lambda rng: suites.levelsquare(d, args.fine, args.level)
     if name == "levelmaps":
         chains = [(3, 1)] if args.quick else [(2, 1), (3, 1), (4, 2), (9, 3)]
-        return [(m, 1) for m, _ in chains], [d], lambda rng: suites.levelmaps(d, chains, bound)
+        return ([(m, 1) for m, _ in chains], [d], [(d, k) for chain in chains for k in chain],
+                lambda rng: suites.levelmaps(d, chains, bound))
     if name == "orderchange":
         instances = suites.ORDERCHANGE_INSTANCES
-        return [(n, 1) for _, _, n in instances], [], lambda rng: suites.orderchange(instances, bound)
+        return [(n, 1) for _, _, n in instances], [], [], lambda rng: suites.orderchange(instances, bound)
     if name == "padiclimits":
         trials = args.trials or (200 if args.quick else 1000)
         primes = [args.prime] if args.prime else [3, 5, 2]
-        return [], [], lambda rng: suites.padiclimits(primes, trials, rng)
+        return [], [], [], lambda rng: suites.padiclimits(primes, trials, rng)
     if args.prime is not None:  # padicpoints
         instances = [(args.prime, args.disc, args.precision)]
     else:
         instances = [(3, -23, args.precision)] + ([] if args.quick else [(5, -15, 2)])
     discs = [d] if args.prime is not None else []
-    return [(p, n) for p, _, n in instances], discs, lambda rng: suites.padicpoints(instances)
+    return [(p, n) for p, _, n in instances], discs, [], lambda rng: suites.padicpoints(instances)
 
 
 def _cmd_verify(args, cfg: Config) -> int:
@@ -226,14 +246,17 @@ def _cmd_verify(args, cfg: Config) -> int:
         raise ValueError("--trials must be >= 0 (0 means the default)")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     plans = [(name, *_suite(name, args, cfg)) for name in names]
-    for _, levels, discs, _ in plans:
+    for _, levels, discs, _, _ in plans:
         for base, exponent in levels:
             _check_level(base, cfg, exponent)
         for disc in discs:
             _check_disc(disc)
+    for _, _, _, tables, _ in plans:
+        for disc, level in tables:
+            _check_table(disc, level)
     rng = random.Random(cfg.seed)
     results = []
-    for name, _, _, run in plans:
+    for name, _, _, _, run in plans:
         checks = run(rng)
         results.append({"suite": name, "pass": all(c["pass"] for c in checks), "checks": checks})
     doc = {"seed": cfg.seed, "pass": all(s["pass"] for s in results), "suites": results}

@@ -2,12 +2,13 @@
 
 An order of discriminant D is Z[w] with w = (D + sqrt(D))/2.  Proper
 fractional ideals are stored as a positive rational scale times an integral
-pair basis (Z*a + Z*(-b + sqrt(D))/2); multiplication runs through a
-two-column Hermite normal form of the pairwise generator products.  The
-module also decides ray-class equality: two ideals are identified when their
-quotient is principal with a generator congruent to 1 modulo N (up to units),
-and a bounded brute-force search provides an independent oracle for that
-criterion.
+pair basis (Z*a + Z*(-b + sqrt(D))/2).  A product, a principal ideal or an
+extension to a larger order is read off integer generator rows written from
+the basis entries (w^2 = D*w - (D^2 - D)/4), and their two-column Hermite
+normal form comes from one Bezout pass over the rows.  The module also decides
+ray-class equality: two ideals are identified when their quotient is principal
+with a generator congruent to 1 modulo N (up to units), and a bounded
+brute-force search provides an independent oracle for that criterion.
 """
 
 from __future__ import annotations
@@ -120,40 +121,23 @@ def _hnf_pair(rows: list[tuple[int, int]]) -> tuple[int, int, int]:
     """Hermite form of the module spanned by rows (u, v) meaning u + v*w.
 
     Returns (e, g, h) with the module equal to Z*e + Z*(g + h*w), e, h > 0 and
-    0 <= g < e.
+    0 <= g < e.  One pass folds the v column with egcd: h = gcd of the v's and
+    (g, h) is the Bezout combination of the rows.  Subtracting (v/h)*(g, h)
+    leaves each row as (u - (v/h)*g, 0), so e is the gcd of those.  The form is
+    unique, so any basis of the same module gives the same (e, g, h).
     """
-    rows = [r for r in rows if r != (0, 0)]
-    if not rows:
-        raise ValueError("zero module")
-    # column 2 first: reduce to a single row with minimal positive v
-    work = list(rows)
-    while True:
-        nz = [r for r in work if r[1] != 0]
-        if len(nz) <= 1:
-            break
-        nz.sort(key=lambda r: abs(r[1]))
-        u0, v0 = nz[0]
-        reduced = [nz[0]]
-        for u, v in nz[1:]:
-            k = v // v0
-            nu, nv = u - k * u0, v - k * v0
-            if (nu, nv) != (0, 0):
-                reduced.append((nu, nv))
-        work = [r for r in work if r[1] == 0] + reduced
-    second = next((r for r in work if r[1] != 0), None)
-    if second is None:
-        raise ValueError("module has rank < 2")
-    g, h = second
-    if h < 0:
-        g, h = -g, -h
+    g = h = 0
+    for u, v in rows:
+        h, s, t = egcd(h, v)
+        g = s * g + t * u
+    if h == 0:
+        raise ValueError("module has rank < 2" if any(u for u, _ in rows) else "zero module")
     e = 0
-    for u, v in work:
-        if v == 0:
-            e = math.gcd(e, u)
+    for u, v in rows:
+        e = math.gcd(e, u - v // h * g)
     if e == 0:
         raise ValueError("module has rank < 2")
-    g %= e
-    return e, g, h
+    return e, g % e, h
 
 
 @dataclass(frozen=True)
@@ -206,9 +190,10 @@ class OIdeal:
         if self.disc != other.disc:
             raise ValueError("ideals of different orders")
         d = self.disc
-        gens1 = [ElemO(x, y, d) for x, y in self.basis_rows()]
-        gens2 = [ElemO(x, y, d) for x, y in other.basis_rows()]
-        rows = [(p.x, p.y) for u in gens1 for v in gens2 for p in (u * v,)]
+        a1, a2 = self.a, other.a
+        x1, x2 = (-self.b - d) // 2, (-other.b - d) // 2
+        # products of the bases (a, 0), (x, 1), using w^2 = d*w - nrm
+        rows = [(a1 * a2, 0), (a1 * x2, a1), (a2 * x1, a2), (x1 * x2 - _nrm(d), x1 + x2 + d)]
         return OIdeal._from_rows(rows, self.scale * other.scale, d)
 
     def conjugate(self) -> "OIdeal":
@@ -250,8 +235,9 @@ def principal_ideal(lam: ElemO, scale: Fraction = Fraction(1)) -> OIdeal:
     """The ideal (scale * lam) * O."""
     if lam.is_zero():
         raise ValueError("zero is not a generator")
-    lw = lam * ElemO.omega(lam.disc)
-    return OIdeal._from_rows([(lam.x, lam.y), (lw.x, lw.y)], scale, lam.disc)
+    x, y, d = lam.x, lam.y, lam.disc
+    # lam and lam*w = -y*nrm + (x + y*d)*w
+    return OIdeal._from_rows([(x, y), (-y * _nrm(d), x + y * d)], scale, d)
 
 
 # -- residues and units -----------------------------------------------------
@@ -291,6 +277,12 @@ def unit_group(d: int) -> tuple[ElemO, ...]:
         if u.norm() != 1:
             raise RuntimeError(f"unit {u} of discriminant {d} has norm {u.norm()}")
     return tuple(units)
+
+
+@lru_cache(maxsize=None)
+def _unit_entries(d: int) -> tuple[tuple[int, int], ...]:
+    """The units of the order as integer pairs (x, y) = x + y*w."""
+    return tuple((u.x, u.y) for u in unit_group(d))
 
 
 @lru_cache(maxsize=None)
@@ -349,14 +341,14 @@ def ray_class_equal(u: OIdeal, v: OIdeal, n: int) -> bool:
     if n == 1:
         return True
     scale, lam = found
-    alpha = ElemO(scale.numerator * lam.x, scale.numerator * lam.y, w.disc)
-    den_inv = _residue_inverse(scale.denominator, n)
-    base = ElemO(alpha.x * den_inv % n, alpha.y * den_inv % n, w.disc)
-    for unit in unit_group(w.disc):
-        prod = unit * base
-        if prod.x % n == 1 and prod.y % n == 0:
-            return True
-    return False
+    d = w.disc
+    k = scale.numerator * _residue_inverse(scale.denominator, n)
+    bx, by = lam.x * k % n, lam.y * k % n
+    nrm = _nrm(d)
+    return any(
+        (ux * bx - uy * by * nrm) % n == 1 and (ux * by + uy * bx + uy * by * d) % n == 0
+        for ux, uy in _unit_entries(d)
+    )
 
 
 def ray_class_equal_bruteforce(u: OIdeal, v: OIdeal, n: int, bound: int = 6) -> bool:
@@ -408,7 +400,6 @@ def extend_to_order(u: OIdeal, target_disc: int) -> "OIdeal":
         raise ValueError(f"no inclusion of the order of disc {d1} into disc {d2}")
     m = ell1 // ell2
     x = (-u.b - m * d2) // 2
-    beta = ElemO(x, m, d2)
-    beta_w = beta * ElemO.omega(d2)
-    rows = [(u.a, 0), (0, u.a), (beta.x, beta.y), (beta_w.x, beta_w.y)]
+    # beta = x + m*w2 and beta*w2 = -m*nrm + (x + m*d2)*w2
+    rows = [(u.a, 0), (0, u.a), (x, m), (-m * _nrm(d2), x + m * d2)]
     return OIdeal._from_rows(rows, u.scale, d2)

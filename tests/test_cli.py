@@ -13,7 +13,7 @@ import pytest
 import formclass
 from formclass import suites
 from formclass.classgroup import ClassGroupTable, CompositionBoundError, identity_class
-from formclass.cli import SCAN_BUDGET, Config, _check_disc, main
+from formclass.cli import CELL_BUDGET, SCAN_BUDGET, Config, _check_disc, _check_table, main
 from formclass.congruence import ClassIndex
 
 
@@ -170,6 +170,26 @@ def test_huge_discriminants_are_refused_before_any_enumeration(capsys):
     _check_disc(-3 * SCAN_BUDGET)  # the budget itself is allowed
     with pytest.raises(ValueError, match="over the budget"):
         _check_disc(-3 * SCAN_BUDGET - 4)
+
+
+def test_oversized_tables_are_refused_before_any_build(capsys):
+    # order 2560 at (-47, 64): 6,553,600 cells, each a compose and a locate
+    for argv in (
+        ["classgroup", "-D", "-47", "-N", "64"],
+        ["verify", "grouplaw", "-D", "-47", "-N", "64"],
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 5.0, argv
+        assert code == 2 and out == "", argv
+        assert "order 2560" in err and "6553600 cells" in err, argv
+    # levelmaps builds its tables at its chain levels: order 1232 at (-3000011, 3)
+    code, out, err = run(capsys, "verify", "levelmaps", "-D", "-3000011", "--quick")
+    assert code == 2 and out == "" and "order 1232" in err
+    _check_table(-23, 25)  # order 900 is allowed
+    over = f"order 1350, so its table needs 1822500 cells, over the budget of {CELL_BUDGET}"
+    with pytest.raises(ValueError, match=over):
+        _check_table(-23, 31)
 
 
 def test_levelsquare_reports_an_edge_that_misses_classes(capsys, monkeypatch):

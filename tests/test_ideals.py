@@ -5,15 +5,21 @@ a hit proves equality, a miss proves nothing, so it is only asserted positively
 and with a generous coordinate bound.
 """
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import formclass.ideals as ideals_module
+from _helpers import hnf_pair_reference, ray_class_equal_reference
+from formclass.congruence import CongKind, class_index
 from formclass.forms import QuadForm, reduced_forms
 from formclass.ideals import (
     ElemO,
+    _hnf_pair,
     OIdeal,
     QuadOrder,
     extend_to_order,
@@ -177,6 +183,86 @@ def test_inverse_is_exact():
 def test_prime_to():
     u = form_to_ideal(QuadForm(2, 1, 3))
     assert u.prime_to(3) and u.prime_to(5) and not u.prime_to(2)
+
+
+# -- integer kernels against their references ------------------------------------
+
+
+def _hnf_outcome(hnf, rows):
+    try:
+        return hnf(rows)
+    except ValueError as err:
+        return str(err)
+
+
+def test_hnf_pair_edge_cases_match_reference():
+    for rows in ([], [(0, 0)], [(0, 0), (0, 0)], [(3, 0), (-6, 0)], [(2, 4), (-1, -2)],
+                 [(0, 5)], [(0, 0), (7, 0), (0, -3)], [(10**13, 3), (5, 10**14)]):
+        assert _hnf_outcome(_hnf_pair, rows) == _hnf_outcome(hnf_pair_reference, rows), rows
+    assert _hnf_outcome(_hnf_pair, [(0, 0)]) == "zero module"
+    assert _hnf_outcome(_hnf_pair, [(2, 4), (-1, -2)]) == "module has rank < 2"
+
+
+def test_hnf_pair_matches_reference_on_seeded_rows():
+    rng = random.Random(8)
+    for _ in range(4000):
+        size = rng.choice((3, 50, 10**6, 10**15))
+        rows = [(rng.randint(-size, size), rng.randint(-size, size)) for _ in range(rng.randint(1, 5))]
+        shape = rng.randrange(4)
+        if shape == 1:  # rank 1: multiples of one row
+            rows = [(c * rows[0][0], c * rows[0][1]) for c in (rng.randint(-9, 9) for _ in rows)]
+        elif shape == 2:  # zero rows mixed in
+            rows += [(0, 0)] * rng.randint(1, 2)
+            rng.shuffle(rows)
+        assert _hnf_outcome(_hnf_pair, rows) == _hnf_outcome(hnf_pair_reference, rows), rows
+
+
+PRODUCT_DISCS = (-3, -4, -15, -23, -56, -92)
+
+
+def _elemo_rows(gens1, gens2):
+    return [(p.x, p.y) for u in gens1 for v in gens2 for p in (u * v,)]
+
+
+def _basis(u):
+    return [ElemO(x, y, u.disc) for x, y in u.basis_rows()]
+
+
+def test_products_equal_elemo_products(monkeypatch):
+    # (kernel result, generating rows through ElemO.__mul__, scale, disc)
+    cases = []
+    for d in PRODUCT_DISCS:
+        forms = [form_to_ideal(f) for f in reduced_forms(d)]
+        ideals = forms + [u.conjugate() for u in forms] + [u.inverse() for u in forms]
+        for u in ideals:
+            for v in ideals:
+                cases.append((u * v, _elemo_rows(_basis(u), _basis(v)), u.scale * v.scale, d))
+            for target in {d, fundamental_part(d)[0]}:
+                m = math.isqrt(d // target)
+                beta = ElemO((-u.b - m * target) // 2, m, target)
+                rows = [(u.a, 0), (0, u.a)] + _elemo_rows([beta], [ElemO.one(target), ElemO.omega(target)])
+                cases.append((extend_to_order(u, target), rows, u.scale, target))
+        for x in range(-3, 4):
+            for y in range(-3, 4):
+                lam = ElemO(x, y, d)
+                if not lam.is_zero():
+                    rows = _elemo_rows([lam], [ElemO.one(d), ElemO.omega(d)])
+                    cases.append((principal_ideal(lam, Fraction(2, 3)), rows, Fraction(2, 3), d))
+    monkeypatch.setattr(ideals_module, "_hnf_pair", hnf_pair_reference)
+    for got, rows, scale, d in cases:
+        assert got == OIdeal._from_rows(rows, scale, d), (got, rows)
+
+
+@pytest.mark.parametrize("d", (-3, -4))
+def test_ray_class_equal_matches_the_unit_loop(d):
+    # -3 and -4 are the only orders with units besides +-1
+    for n in range(2, 13):
+        reps = class_index(d, n, CongKind.UPPER_UNIPOTENT, signed=False).reps
+        forms = [form_to_ideal(rep.form) for rep in reps]
+        ideals = forms + [u.conjugate() for u in forms]
+        for u in ideals:
+            for v in ideals:
+                assert ray_class_equal(u, v, n) == ray_class_equal_reference(u, v, n), (u, v, n)
 
 
 # -- principality -------------------------------------------------------------------
