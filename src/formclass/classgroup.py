@@ -22,7 +22,7 @@ from operator import itemgetter
 
 from ._arith import crt, egcd, factorize
 from .congruence import CongKind, class_index, cong_equivalent
-from .forms import QuadForm, SignedForm, UnimodMatrix, require_discriminant
+from .forms import QuadForm, SignedForm, require_discriminant
 from .ideals import OIdeal, extend_to_order, form_to_ideal, ray_class_count, ray_class_equal
 
 
@@ -71,13 +71,59 @@ def conj_class(x: FormClass) -> FormClass:
     return FormClass(x.rep.conjugate(), x.disc, x.level)
 
 
-def _column_shells(n: int, bound: int):
-    """Candidate first columns (p, r) with p = 1, r = 0 mod n, nearest first."""
+@lru_cache(maxsize=None)
+def _coprime_shell(n: int, shell: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(p, r, u, v) with u*p + v*r = 1 for each coprime candidate column (p, r) =
+    (1 + kp*n, kr*n) with max(|kp|, |kr|) = shell, in (kp, kr) order.  Cached,
+    so each shell's columns and their Bezout coefficients are found once per
+    level; shells are reached one at a time, so a large bound costs nothing
+    until a search needs it."""
+    out = []
+    for kp in range(-shell, shell + 1):
+        for kr in range(-shell, shell + 1):
+            if max(abs(kp), abs(kr)) == shell:
+                p, r = 1 + kp * n, kr * n
+                g, u, v = egcd(p, r)
+                if g == 1:
+                    out.append((p, r, u, v))
+    return tuple(out)
+
+
+def _compose_triple(
+    d: int,
+    n: int,
+    x: tuple[int, int, int],
+    y: tuple[int, int, int],
+    bound: int,
+    rng: random.Random | None,
+) -> QuadForm:
+    """The product form of the level-n classes of the triples x and y (see `compose`)."""
+    ax, bx, _ = x
+    ay, by, cy = y
+    wanted = 1 if rng is None else 4
+    hits = []
     for shell in range(bound + 1):
-        for kp in range(-shell, shell + 1):
-            for kr in range(-shell, shell + 1):
-                if max(abs(kp), abs(kr)) == shell:
-                    yield 1 + kp * n, kr * n
+        for col in _coprime_shell(n, shell):
+            p, r = col[0], col[1]
+            if math.gcd(ax, (ay * p + by * r) * p + cy * r * r) == 1:
+                hits.append(col)
+                if len(hits) == wanted:
+                    break
+        if len(hits) == wanted:
+            break
+    if not hits:
+        raise CompositionBoundError(f"no concordant column for {x} * {y} at level {n} within bound {bound}")
+    p, r, u, v = hits[0] if rng is None else rng.choice(hits)
+    # y moved by gamma = [[p, -v], [r, u]]: leading and middle coefficients
+    a2 = (ay * p + by * r) * p + cy * r * r
+    b2 = -2 * ay * p * v + by * (p * u - v * r) + 2 * cy * r * u
+    big_b, modulus = crt(bx, 2 * ax, b2, 2 * a2)
+    m = ax * a2
+    if modulus != 2 * m:
+        raise RuntimeError(f"CRT modulus {modulus} is not 2*{m}: the moved pair is not concordant")
+    if big_b > m:
+        big_b -= 2 * m
+    return QuadForm(m, big_b, (big_b * big_b - d) // (4 * m))
 
 
 def compose(x: FormClass, y: FormClass, bound: int = 10, rng: random.Random | None = None) -> FormClass:
@@ -85,41 +131,15 @@ def compose(x: FormClass, y: FormClass, bound: int = 10, rng: random.Random | No
 
     Moves y by gamma = [[p, -v], [r, u]] (unipotent upper triangular mod N,
     built from any coprime column p = 1, r = 0 mod N with gcd(a_x, Q_y(p, r))
-    = 1), then glues the middle coefficients by CRT.  The result class does
-    not depend on the chosen column; passing rng picks among the first few
+    = 1), then glues the middle coefficients by CRT.  The candidate columns
+    and their Bezout coefficients are computed once per level, and the product
+    is worked out on the integer coefficients.  The result class does not
+    depend on the chosen column; passing rng picks among the first few
     admissible columns at random, which is how the independence is tested.
     """
     if (x.disc, x.level) != (y.disc, y.level):
         raise ValueError("classes live at different discriminant/level")
-    d, n = x.disc, x.level
-    ax = x.rep.a
-
-    hits: list[tuple[int, int]] = []
-    for p, r in _column_shells(n, bound):
-        g, u, v = egcd(p, r)
-        if g != 1:
-            continue
-        if math.gcd(ax, y.rep(p, r)) != 1:
-            continue
-        hits.append((p, r))
-        if rng is None or len(hits) >= 4:
-            break
-    if not hits:
-        raise CompositionBoundError(
-            f"no concordant column for {x.rep.triple()} * {y.rep.triple()} at level {n} within bound {bound}"
-        )
-    p, r = hits[0] if rng is None else rng.choice(hits)
-
-    g, u, v = egcd(p, r)
-    gamma = UnimodMatrix(p, -v, r, u)
-    moved = y.rep.transform(gamma)
-    big_b, modulus = crt(x.rep.b, 2 * ax, moved.b, 2 * moved.a)
-    m = ax * moved.a
-    if modulus != 2 * m:
-        raise RuntimeError(f"CRT modulus {modulus} is not 2*{m}: the moved pair is not concordant")
-    if big_b > m:
-        big_b -= 2 * m
-    return FormClass(QuadForm(m, big_b, (big_b * big_b - d) // (4 * m)), d, n)
+    return FormClass(_compose_triple(x.disc, x.level, x.rep.triple(), y.rep.triple(), bound, rng), x.disc, x.level)
 
 
 def class_of_ideal(u: OIdeal, d: int, n: int) -> FormClass:
@@ -442,16 +462,14 @@ class PMGroup:
     def build(base: ClassGroupTable) -> "PMGroup":
         n = base.order
         conj = tuple(base.locate_class(conj_class(x)) for x in base.classes)
-        rows = []
-        for a in range(2 * n):
-            ia, plus_a = a % n, a < n
-            row = []
-            for b in range(2 * n):
-                ib, plus_b = b % n, b < n
-                k = base.mul(ia, ib) if plus_a else base.mul(ia, conj[ib])
-                row.append(k if plus_a == plus_b else k + n)
-            rows.append(tuple(row))
-        group = PMGroup(base, conj, tuple(rows))
+        # a plus factor keeps the coset of the right factor; a minus factor
+        # conjugates the right factor and flips its coset
+        plus = [row + tuple(k + n for k in row) for row in base.cayley]
+        minus = []
+        for row in base.cayley:
+            twisted = tuple(row[c] for c in conj)
+            minus.append(tuple(k + n for k in twisted) + twisted)
+        group = PMGroup(base, conj, tuple(plus + minus))
         group._validate()
         return group
 

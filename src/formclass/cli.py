@@ -24,8 +24,8 @@ from . import suites
 from .classgroup import ClassGroupTable, CompositionBoundError, GroupAxiomError
 from .cm import cm_class_set
 from .congruence import CongKind, cong_equivalent
-from .forms import QuadForm, SignedForm, reduce_form
-from .ideals import ray_class_count
+from .forms import QuadForm, SignedForm, reduce_form, reduced_forms
+from .ideals import ray_class_count, unit_count, unit_image_size
 from .tower import correspondence_report
 
 SUITES = ("grouplaw", "levelsquare", "levelmaps", "orderchange", "padiclimits", "padicpoints")
@@ -84,17 +84,19 @@ def _check_disc(d: int) -> None:
         raise ValueError(f"discriminant {d} needs ~{steps} reduced-form scan steps, over the budget of {SCAN_BUDGET}")
 
 
-# A Cayley table of order h takes h**2 `compose` and `locate` cells at ~55 us
-# each; 10**6 cells take about a minute.
+# A Cayley table of order h takes h**2 `compose` and `locate` cells at ~45 us
+# each at order 900 (~25 us at order 48); 10**6 cells take about 45 s.
 CELL_BUDGET = 10**6
 
 
 def _check_table(d: int, n: int) -> None:
     """ValueError unless the class group table at (d, n) fits in CELL_BUDGET cells.
 
-    Call it after _check_disc(d): the order's count scans the reduced forms at d.
+    Call it after _check_disc(d): the order h(d) * |(O/nO)*| / |image of units|
+    scans the reduced forms at d, but takes |(O/nO)*| in closed form, so it
+    does not enumerate the n^2 residues that `ray_class_count` does.
     """
-    order = ray_class_count(d, n)
+    order = len(reduced_forms(d)) * unit_count(d, n) // unit_image_size(d, n)
     if order**2 > CELL_BUDGET:
         raise ValueError(f"the class group at (D, N) = ({d}, {n}) has order {order}, "
                          f"so its table needs {order**2} cells, over the budget of {CELL_BUDGET}")

@@ -141,6 +141,13 @@ def cong_equivalent(f: SignedForm, g: SignedForm, n: int, kind: CongKind) -> Uni
     return None
 
 
+@lru_cache(maxsize=None)
+def _automorph_entries(triple: tuple[int, int, int]) -> tuple[tuple[int, int, int, int], ...]:
+    """The entries (p, q, r, s) of every element of Aut(R), for the reduced
+    form R with this triple."""
+    return tuple(alpha.entries() for alpha in automorphs(QuadForm(*triple)))
+
+
 def key_from_witness(reduced: QuadForm, sign: int, w: tuple[int, int, int, int], n: int, kind: CongKind) -> tuple:
     """The class key of any signed form that the matrix w = (p, q, r, s) takes
     to the reduced form R.
@@ -153,13 +160,14 @@ def key_from_witness(reduced: QuadForm, sign: int, w: tuple[int, int, int, int],
     matrix congruent to a witness.
     """
     p, q, r, s = w
-    auts = [alpha.entries() for alpha in automorphs(reduced)]
+    triple = reduced.triple()
+    auts = _automorph_entries(triple)
     if kind is CongKind.FULL_LEVEL:
         names = [((p * x + q * z) % n, (p * y + q * u) % n, (r * x + s * z) % n, (r * y + s * u) % n)
                  for x, y, z, u in auts]
     else:
         names = [((r * x + s * z) % n, (r * y + s * u) % n) for x, y, z, u in auts]
-    return (reduced.triple(), sign, min(names))
+    return (triple, sign, min(names))
 
 
 def class_key(f: SignedForm, n: int, kind: CongKind) -> tuple:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ._arith import egcd
+from ._arith import egcd, factorize, kronecker
 from .forms import QuadForm, require_discriminant, sl2_equivalent
 
 
@@ -260,6 +260,17 @@ def residue_units(d: int, n: int) -> tuple[int, tuple[ElemO, ...]]:
         if math.gcd(ElemO(x, y, d).norm(), n) == 1
     )
     return len(elems), elems
+
+
+def unit_count(d: int, n: int) -> int:
+    """|(O/nO)*| in closed form: n^2 * prod over p | n of (1 - 1/p)(1 - (d/p)/p).
+
+    The same number as `residue_units(d, n)[0]` without its n^2 loop.
+    """
+    count = n * n
+    for p in factorize(n):
+        count = count // (p * p) * (p - 1) * (p - kronecker(d, p))
+    return count
 
 
 def unit_group(d: int) -> tuple[ElemO, ...]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 
-from ._arith import factorize, kronecker
 from .classgroup import (
     GroupAxiomError,
     PMGroup,
@@ -27,7 +26,7 @@ from .classgroup import (
 )
 from .congruence import CongKind, class_index
 from .forms import IDENTITY, reduced_forms
-from .ideals import form_to_ideal, ray_class_count, ray_class_equal, residue_units
+from .ideals import form_to_ideal, ray_class_count, ray_class_equal, residue_units, unit_count
 from .tower import MatrixSeq, correspondence_report, limits_agree, random_compliant_pair, seq_conditions_hold
 
 # (source discriminant, target discriminant, level) for `orderchange`
@@ -36,14 +35,6 @@ ORDERCHANGE_INSTANCES = ((-60, -15, 1), (-92, -23, 1), (-92, -23, 3))
 
 def check(name: str, ok: bool, **detail) -> dict:
     return {"name": name, "pass": bool(ok), **detail}
-
-
-def _unit_count(d: int, n: int) -> int:
-    """|(O/nO)*| in closed form: n^2 * prod over p | n of (1 - 1/p)(1 - (d/p)/p)."""
-    count = n * n
-    for p in factorize(n):
-        count = count // (p * p) * (p - 1) * (p - kronecker(d, p))
-    return count
 
 
 def grouplaw(d: int, n: int, bound: int, rng: random.Random) -> list[dict]:
@@ -64,7 +55,7 @@ def grouplaw(d: int, n: int, bound: int, rng: random.Random) -> list[dict]:
                         D=d, N=n, order=table.order, formula=expected))
 
     units_order, _ = residue_units(d, n)
-    closed_form = _unit_count(d, n)
+    closed_form = unit_count(d, n)
     checks.append(check("residue-units-enumerated", units_order == closed_form,
                         units=units_order, closed_form=closed_form))
 

@@ -1,9 +1,11 @@
 """Matrices the tests build words and reference reductions from, and the
-reference versions of the ideal kernels."""
+reference versions of the composition and ideal kernels."""
 
 import math
 
-from formclass.forms import UnimodMatrix
+from formclass._arith import crt, egcd
+from formclass.classgroup import CompositionBoundError, FormClass
+from formclass.forms import QuadForm, UnimodMatrix
 from formclass.ideals import ElemO, principal_generator, unit_group
 
 SWAP = UnimodMatrix(0, -1, 1, 0)
@@ -70,3 +72,48 @@ def ray_class_equal_reference(u, v, n: int) -> bool:
         if prod.x % n == 1 and prod.y % n == 0:
             return True
     return False
+
+
+def column_shells_reference(n: int, bound: int):
+    """Candidate first columns (p, r) with p = 1, r = 0 mod n, nearest first."""
+    for shell in range(bound + 1):
+        for kp in range(-shell, shell + 1):
+            for kr in range(-shell, shell + 1):
+                if max(abs(kp), abs(kr)) == shell:
+                    yield 1 + kp * n, kr * n
+
+
+def compose_reference(x: FormClass, y: FormClass, bound: int = 10, rng=None) -> FormClass:
+    """`classgroup.compose` as it was before its integer kernel: one egcd per
+    candidate column and cell, y moved by a validated `UnimodMatrix`."""
+    if (x.disc, x.level) != (y.disc, y.level):
+        raise ValueError("classes live at different discriminant/level")
+    d, n = x.disc, x.level
+    ax = x.rep.a
+
+    hits: list[tuple[int, int]] = []
+    for p, r in column_shells_reference(n, bound):
+        g, u, v = egcd(p, r)
+        if g != 1:
+            continue
+        if math.gcd(ax, y.rep(p, r)) != 1:
+            continue
+        hits.append((p, r))
+        if rng is None or len(hits) >= 4:
+            break
+    if not hits:
+        raise CompositionBoundError(
+            f"no concordant column for {x.rep.triple()} * {y.rep.triple()} at level {n} within bound {bound}"
+        )
+    p, r = hits[0] if rng is None else rng.choice(hits)
+
+    g, u, v = egcd(p, r)
+    gamma = UnimodMatrix(p, -v, r, u)
+    moved = y.rep.transform(gamma)
+    big_b, modulus = crt(x.rep.b, 2 * ax, moved.b, 2 * moved.a)
+    m = ax * moved.a
+    if modulus != 2 * m:
+        raise RuntimeError(f"CRT modulus {modulus} is not 2*{m}: the moved pair is not concordant")
+    if big_b > m:
+        big_b -= 2 * m
+    return FormClass(QuadForm(m, big_b, (big_b * big_b - d) // (4 * m)), d, n)

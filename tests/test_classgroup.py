@@ -1,17 +1,23 @@
 """Group law on classes: two independent multiplication routes, tables, maps."""
 
 import dataclasses
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
+from _helpers import column_shells_reference, compose_reference
+from formclass._arith import egcd
 from formclass.classgroup import (
     ClassGroupTable,
+    CompositionBoundError,
     FormClass,
     GroupAxiomError,
     PMGroup,
     _check_group_table,
+    _coprime_shell,
     class_group_table,
     class_of_ideal,
     class_surjection,
@@ -26,8 +32,8 @@ from formclass.classgroup import (
     same_class,
 )
 from formclass.classgroup import PMClass
-from formclass.congruence import ClassIndex, CongKind
-from formclass.forms import QuadForm
+from formclass.congruence import ClassIndex, CongKind, class_index
+from formclass.forms import QuadForm, UnimodMatrix
 from formclass.ideals import ElemO, form_to_ideal, principal_ideal, ray_class_equal, unit_ideal
 
 FROZEN_TABLES = {
@@ -94,6 +100,71 @@ def test_compose_well_defined_under_random_concordance_choice():
         rng = random.Random(seed)
         for x, y in pairs:
             assert same_class(compose(x, y, rng=rng), compose(x, y))
+
+
+def _random_members(d, n, rng, count):
+    """count class representatives at (d, n), each moved by a random element
+    [[1, k], [0, 1]] or [[1, 0], [n*j, 1]] of the unipotent subgroup."""
+    reps = [rep.form for rep in class_index(d, n, CongKind.UPPER_UNIPOTENT).reps]
+    out = []
+    for _ in range(count):
+        f = rng.choice(reps)
+        k = rng.randint(-3, 3)
+        g = UnimodMatrix(1, k, 0, 1) if rng.random() < 0.5 else UnimodMatrix(1, 0, n * k, 1)
+        out.append(FormClass(f.transform(g), d, n))
+    return out
+
+
+@pytest.mark.parametrize("d", [-3, -4, -15, -23, -56, -1003])
+def test_compose_kernel_matches_reference_triples(d):
+    # the same column, the same product triple and the same draws as the
+    # UnimodMatrix route the integer kernel replaced
+    for n in range(1, 13):
+        rng = random.Random(1000 * n - d)
+        members = _random_members(d, n, rng, 24)
+        for x, y in zip(members[::2], members[1::2]):
+            assert compose(x, y).rep.triple() == compose_reference(x, y).rep.triple(), (d, n, x, y)
+            seed = rng.randrange(2**32)
+            ours, theirs = random.Random(seed), random.Random(seed)
+            z, w = compose(x, y, rng=ours), compose_reference(x, y, rng=theirs)
+            assert z.rep.triple() == w.rep.triple(), (d, n, x, y, seed)
+            assert ours.getstate() == theirs.getstate()
+
+
+def test_coprime_shells_match_the_candidate_columns():
+    for n in range(1, 13):
+        for bound in range(4):
+            cached = [col for shell in range(bound + 1) for col in _coprime_shell(n, shell)]
+            expected = [(p, r, *egcd(p, r)[1:]) for p, r in column_shells_reference(n, bound) if egcd(p, r)[0] == 1]
+            assert cached == expected, (n, bound)
+            assert all(u * p + v * r == 1 for p, r, u, v in cached)
+
+
+def test_composition_bound_error_names_both_triples():
+    # leading coefficients 2 and 2: the only column within bound 0 is (1, 0)
+    x, y = FormClass.of(QuadForm(2, 1, 3), 1), FormClass.of(QuadForm(2, -1, 3), 1)
+    message = "no concordant column for (2, 1, 3) * (2, -1, 3) at level 1 within bound 0"
+    for route in (compose, compose_reference):
+        with pytest.raises(CompositionBoundError) as err:
+            route(x, y, bound=0)
+        assert str(err.value) == message
+    assert compose(x, y, bound=1).rep.triple() == compose_reference(x, y, bound=1).rep.triple()
+
+
+# sha256 of json.dumps(ClassGroupTable.build(d, n).to_json(), sort_keys=True),
+# recorded before composition moved onto integer triples
+FROZEN_TABLE_DIGESTS = {
+    (-23, 5): "e18d6c405a1ed050e3b4e2ba620a8031e5953880ac6814927d9dbf6cb2fd6ea2",
+    (-15, 7): "095dadf6346bbd110c065d9916bd410ac996d857f4efa396c1fdbe054887dd62",
+    (-20, 9): "6e162aa3a9bfdb57c47d28d05c87a8d1bb5276181727e0f88d2a583fb7127096",
+}
+
+
+@pytest.mark.parametrize("key", sorted(FROZEN_TABLE_DIGESTS))
+def test_table_json_digest_frozen(key):
+    doc = ClassGroupTable.build(*key).to_json()
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == FROZEN_TABLE_DIGESTS[key]
 
 
 def test_compose_matches_ideal_multiplication():

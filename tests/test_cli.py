@@ -192,6 +192,18 @@ def test_oversized_tables_are_refused_before_any_build(capsys):
         _check_table(-23, 31)
 
 
+def test_table_check_takes_the_unit_count_in_closed_form(monkeypatch):
+    # order 1,440,000 at (-23, 2000): refused without enumerating its 4,000,000 residues
+    def no_enumeration(d, n):
+        raise AssertionError("residue_units was called")
+
+    monkeypatch.setattr(formclass.ideals, "residue_units", no_enumeration)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="order 1440000, so its table needs 2073600000000 cells"):
+        _check_table(-23, 2000)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_levelsquare_reports_an_edge_that_misses_classes(capsys, monkeypatch):
     monkeypatch.setattr(ClassIndex, "locate", lambda self, f: 0)
     code, out, _ = run(capsys, "verify", "levelsquare")
