@@ -27,7 +27,7 @@ from .ideals import OIdeal, extend_to_order, form_to_ideal, ray_class_count, ray
 
 
 class CompositionBoundError(RuntimeError):
-    """The bounded search for a concordant representative pair came up empty."""
+    """The search for a concordant representative pair exhausted its shells."""
 
 
 class GroupAxiomError(RuntimeError):
@@ -71,13 +71,23 @@ def conj_class(x: FormClass) -> FormClass:
     return FormClass(x.rep.conjugate(), x.disc, x.level)
 
 
+# Shells 0.._SHELLS of candidate columns bound the concordance search.  A
+# column always exists, since a primitive form represents integers prime to
+# any given M (Cox, Primes of the form x^2 + ny^2, Lemma 2.25).  Over D = -3
+# .. -399 and N = 1..40 with at most 160 classes, every representative x
+# against every representative and conjugate y (27,411,132 pairs), the first
+# hit lies within shell 3 and the fourth (the most an rng draw collects)
+# within shell 6; the worst pair for four hits is (966, 751, 146) *
+# (49, 47, 12) at (D, N) = (-143, 5).
+_SHELLS = 10
+
+
 @lru_cache(maxsize=None)
 def _coprime_shell(n: int, shell: int) -> tuple[tuple[int, int, int, int], ...]:
     """(p, r, u, v) with u*p + v*r = 1 for each coprime candidate column (p, r) =
     (1 + kp*n, kr*n) with max(|kp|, |kr|) = shell, in (kp, kr) order.  Cached,
     so each shell's columns and their Bezout coefficients are found once per
-    level; shells are reached one at a time, so a large bound costs nothing
-    until a search needs it."""
+    level; shells are reached one at a time, as the search needs them."""
     out = []
     for kp in range(-shell, shell + 1):
         for kr in range(-shell, shell + 1):
@@ -94,7 +104,6 @@ def _compose_triple(
     n: int,
     x: tuple[int, int, int],
     y: tuple[int, int, int],
-    bound: int,
     rng: random.Random | None,
 ) -> QuadForm:
     """The product form of the level-n classes of the triples x and y (see `compose`)."""
@@ -102,7 +111,7 @@ def _compose_triple(
     ay, by, cy = y
     wanted = 1 if rng is None else 4
     hits = []
-    for shell in range(bound + 1):
+    for shell in range(_SHELLS + 1):
         for col in _coprime_shell(n, shell):
             p, r = col[0], col[1]
             if math.gcd(ax, (ay * p + by * r) * p + cy * r * r) == 1:
@@ -112,7 +121,7 @@ def _compose_triple(
         if len(hits) == wanted:
             break
     if not hits:
-        raise CompositionBoundError(f"no concordant column for {x} * {y} at level {n} within bound {bound}")
+        raise CompositionBoundError(f"no concordant column for {x} * {y} at level {n} within bound {_SHELLS}")
     p, r, u, v = hits[0] if rng is None else rng.choice(hits)
     # y moved by gamma = [[p, -v], [r, u]]: leading and middle coefficients
     a2 = (ay * p + by * r) * p + cy * r * r
@@ -126,20 +135,21 @@ def _compose_triple(
     return QuadForm(m, big_b, (big_b * big_b - d) // (4 * m))
 
 
-def compose(x: FormClass, y: FormClass, bound: int = 10, rng: random.Random | None = None) -> FormClass:
+def compose(x: FormClass, y: FormClass, rng: random.Random | None = None) -> FormClass:
     """The class product, via a concordant pair of representatives.
 
     Moves y by gamma = [[p, -v], [r, u]] (unipotent upper triangular mod N,
     built from any coprime column p = 1, r = 0 mod N with gcd(a_x, Q_y(p, r))
     = 1), then glues the middle coefficients by CRT.  The candidate columns
-    and their Bezout coefficients are computed once per level, and the product
-    is worked out on the integer coefficients.  The result class does not
+    and their Bezout coefficients are computed once per level and shell, and
+    the product is worked out on the integer coefficients; CompositionBoundError
+    if no column within _SHELLS shells qualifies.  The result class does not
     depend on the chosen column; passing rng picks among the first few
     admissible columns at random, which is how the independence is tested.
     """
     if (x.disc, x.level) != (y.disc, y.level):
         raise ValueError("classes live at different discriminant/level")
-    return FormClass(_compose_triple(x.disc, x.level, x.rep.triple(), y.rep.triple(), bound, rng), x.disc, x.level)
+    return FormClass(_compose_triple(x.disc, x.level, x.rep.triple(), y.rep.triple(), rng), x.disc, x.level)
 
 
 def class_of_ideal(u: OIdeal, d: int, n: int) -> FormClass:
@@ -272,7 +282,7 @@ class ClassGroupTable:
         return len(self.classes)
 
     @staticmethod
-    def build(d: int, n: int, bound: int = 10) -> "ClassGroupTable":
+    def build(d: int, n: int) -> "ClassGroupTable":
         idx = class_index(d, n, CongKind.UPPER_UNIPOTENT, signed=False)
         classes = tuple(FormClass(rep.form, d, n) for rep in idx.reps)
         size = len(classes)
@@ -281,7 +291,7 @@ class ClassGroupTable:
             raise GroupAxiomError(f"enumerated {size} classes at ({d}, {n}); order formula says {expected}")
         rows = []
         for x in classes:
-            row = [idx.locate(SignedForm(compose(x, y, bound=bound).rep)) for y in classes]
+            row = [idx.locate(SignedForm(compose(x, y).rep)) for y in classes]
             rows.append(tuple(row))
         cayley = tuple(rows)
         identity = idx.locate(SignedForm(QuadForm.principal(d)))
@@ -342,18 +352,10 @@ class ClassGroupTable:
         }
 
 
-def class_group_table(d: int, n: int, bound: int = 10) -> ClassGroupTable:
-    """The cached table; every spelling of the bound shares one cache entry."""
-    return _class_group_table(d, n, bound)
-
-
 @lru_cache(maxsize=None)
-def _class_group_table(d: int, n: int, bound: int) -> ClassGroupTable:
-    return ClassGroupTable.build(d, n, bound=bound)
-
-
-class_group_table.cache_info = _class_group_table.cache_info
-class_group_table.cache_clear = _class_group_table.cache_clear
+def class_group_table(d: int, n: int) -> ClassGroupTable:
+    """The table at (d, n), built once per process."""
+    return ClassGroupTable.build(d, n)
 
 
 # -- transition maps ---------------------------------------------------------
@@ -428,11 +430,11 @@ def pm_identity(d: int, n: int) -> PMClass:
     return PMClass(identity_class(d, n), 1)
 
 
-def pm_compose(x: PMClass, y: PMClass, bound: int = 10) -> PMClass:
+def pm_compose(x: PMClass, y: PMClass) -> PMClass:
     """Semidirect rule: a minus on the left conjugates the right factor."""
     if x.sign == 1:
-        return PMClass(compose(x.base, y.base, bound=bound), y.sign)
-    return PMClass(compose(x.base, conj_class(y.base), bound=bound), -y.sign)
+        return PMClass(compose(x.base, y.base), y.sign)
+    return PMClass(compose(x.base, conj_class(y.base)), -y.sign)
 
 
 def pm_inverse(x: PMClass) -> PMClass:
@@ -495,10 +497,3 @@ class PMGroup:
 
     def inverse_index(self, a: int) -> int:
         return self.cayley[a].index(self.identity_index)
-
-    def element_order(self, a: int) -> int:
-        k, acc = 1, a
-        while acc != self.identity_index:
-            acc = self.mul(acc, a)
-            k += 1
-        return k

@@ -7,21 +7,20 @@ seeded RNG and renders the check dicts they return.
 Every command prints one JSON document (or a plain-text rendering with
 --format text) built only from exact integers, so identical invocations with
 the same seed are byte-identical.  Exit codes: 0 all checks passed, 1 a
-mathematical verification failed, 2 invalid input or a composition search
-that ran out of its --bound budget.
+mathematical verification failed (or a composition search found no
+concordant pair), 2 invalid input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from dataclasses import dataclass
 
 from . import suites
-from .classgroup import ClassGroupTable, CompositionBoundError, GroupAxiomError
+from .classgroup import ClassGroupTable, GroupAxiomError
 from .cm import cm_class_set
 from .congruence import CongKind, cong_equivalent
 from .forms import QuadForm, SignedForm, reduce_form, reduced_forms
@@ -33,14 +32,11 @@ SUITES = ("grouplaw", "levelsquare", "levelmaps", "orderchange", "padiclimits", 
 
 @dataclass(frozen=True)
 class Config:
-    bound: int = 10
     level_cap: int = 64
     seed: int = 0
     fmt: str = "json"
 
     def __post_init__(self) -> None:
-        if self.bound < 1:
-            raise ValueError("search bound must be >= 1")
         if self.level_cap < 1:
             raise ValueError("level cap must be >= 1")
         if self.fmt not in ("json", "text"):
@@ -178,7 +174,7 @@ def _cmd_classgroup(args, cfg: Config) -> int:
     n = _check_level(args.level, cfg)
     _check_disc(args.disc)
     _check_table(args.disc, n)
-    table = ClassGroupTable.build(args.disc, n, bound=cfg.bound)
+    table = ClassGroupTable.build(args.disc, n)
     doc = table.to_json()
     doc["order_formula"] = ray_class_count(args.disc, n)
     _emit(doc, cfg)
@@ -218,19 +214,19 @@ def _suite(name: str, args, cfg: Config):
     (base, exponent) pairs for _check_level, every discriminant it takes from -D,
     for _check_disc, every (D, N) it builds a class group table at from -D, for
     _check_table, and the call that runs it on an RNG."""
-    d, bound = args.disc, cfg.bound
+    d = args.disc
     if name == "grouplaw":
         return ([(args.level, 1)], [d], [(d, 1), (d, args.level)],
-                lambda rng: suites.grouplaw(d, args.level, bound, rng))
+                lambda rng: suites.grouplaw(d, args.level, rng))
     if name == "levelsquare":
         return [(args.level, 1), (args.fine, 1)], [d], [], lambda rng: suites.levelsquare(d, args.fine, args.level)
     if name == "levelmaps":
         chains = [(3, 1)] if args.quick else [(2, 1), (3, 1), (4, 2), (9, 3)]
         return ([(m, 1) for m, _ in chains], [d], [(d, k) for chain in chains for k in chain],
-                lambda rng: suites.levelmaps(d, chains, bound))
+                lambda rng: suites.levelmaps(d, chains))
     if name == "orderchange":
         instances = suites.ORDERCHANGE_INSTANCES
-        return [(n, 1) for _, _, n in instances], [], [], lambda rng: suites.orderchange(instances, bound)
+        return [(n, 1) for _, _, n in instances], [], [], lambda rng: suites.orderchange(instances)
     if name == "padiclimits":
         trials = args.trials or (200 if args.quick else 1000)
         primes = [args.prime] if args.prime else [3, 5, 2]
@@ -277,8 +273,7 @@ def _add_global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
         return {"default": argparse.SUPPRESS if suppress else default}
 
     p.add_argument("--format", choices=("json", "text"), help="output format", **kw("json"))
-    p.add_argument("--seed", type=int, help="seed for randomized searches (env FORMCLASS_SEED wins)", **kw(0))
-    p.add_argument("--bound", type=int, help="search bound for composition representatives", **kw(10))
+    p.add_argument("--seed", type=int, help="seed for randomized searches", **kw(0))
     p.add_argument("--level-cap", dest="level_cap", type=int,
                    help="largest level an enumeration may touch", **kw(64))
 
@@ -347,22 +342,11 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    seed = args.seed
-    env_seed = os.environ.get("FORMCLASS_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            print(f"FORMCLASS_SEED is not an integer: {env_seed!r}", file=sys.stderr)
-            return 2
     try:
-        cfg = Config(bound=args.bound, level_cap=getattr(args, "level_cap"), seed=seed, fmt=args.format)
+        cfg = Config(level_cap=args.level_cap, seed=args.seed, fmt=args.format)
         return _HANDLERS[args.command](args, cfg)
     except (ValueError, LookupError) as err:
         print(f"invalid input: {err}", file=sys.stderr)
-        return 2
-    except CompositionBoundError as err:
-        print(f"search budget exhausted: {err} (raise --bound)", file=sys.stderr)
         return 2
     except (GroupAxiomError, RuntimeError, AssertionError) as err:
         print(f"verification failure: {err}", file=sys.stderr)

@@ -138,9 +138,6 @@ class SignedForm:
     def negate(self) -> "SignedForm":
         return SignedForm(self.form, -self.sign)
 
-    def conjugate(self) -> "SignedForm":
-        return SignedForm(self.form.conjugate(), self.sign)
-
     def transform(self, g: UnimodMatrix) -> "SignedForm":
         return SignedForm(self.form.transform(g), self.sign)
 

@@ -37,19 +37,19 @@ def check(name: str, ok: bool, **detail) -> dict:
     return {"name": name, "pass": bool(ok), **detail}
 
 
-def grouplaw(d: int, n: int, bound: int, rng: random.Random) -> list[dict]:
+def grouplaw(d: int, n: int, rng: random.Random) -> list[dict]:
     """Order against the reduced-form count and the formula, the enumerated
     residue units against their closed form, both equality oracles on all
     pairs, every Cayley cell against the module product, inverses, and the ±
     extension at (d, n)."""
     checks = []
 
-    baseline = class_group_table(d, 1, bound=bound)
+    baseline = class_group_table(d, 1)
     brute = len(reduced_forms(d))
     checks.append(check("baseline-order-equals-reduced-count", baseline.order == brute,
                         D=d, order=baseline.order, reduced_forms=brute))
 
-    table = class_group_table(d, n, bound=bound)
+    table = class_group_table(d, n)
     expected = ray_class_count(d, n)
     checks.append(check("order-formula", table.order == expected,
                         D=d, N=n, order=table.order, formula=expected))
@@ -72,14 +72,14 @@ def grouplaw(d: int, n: int, bound: int, rng: random.Random) -> list[dict]:
     ok_cells = True
     for i, x in enumerate(table.classes):
         for j, y in enumerate(table.classes):
-            z = compose(x, y, bound=bound, rng=rng)
+            z = compose(x, y, rng=rng)
             prod = ideals[i] * ideals[j]
             if not ray_class_equal(form_to_ideal(z.rep), prod, n) or table.locate_class(z) != table.mul(i, j):
                 ok_cells = False
     checks.append(check("compose-matches-ideal-product", ok_cells, cells=table.order**2))
 
     ok_inv = all(
-        same_class(compose(x, inverse_class(x), bound=bound), identity_class(d, n))
+        same_class(compose(x, inverse_class(x)), identity_class(d, n))
         for x in table.classes
     )
     checks.append(check("inverses-via-ideal-route", ok_inv))
@@ -87,7 +87,7 @@ def grouplaw(d: int, n: int, bound: int, rng: random.Random) -> list[dict]:
     try:
         pm = PMGroup.build(table)
         conj_auto = all(
-            table.locate_class(conj_class(compose(x, y, bound=bound)))
+            table.locate_class(conj_class(compose(x, y)))
             == table.mul(table.locate_class(conj_class(x)), table.locate_class(conj_class(y)))
             for x in table.classes
             for y in table.classes
@@ -131,11 +131,11 @@ def levelsquare(d: int, m: int, n: int) -> list[dict]:
     return [check("square-commutes", commute, D=d, fine=m, coarse=n, classes=size), surjective]
 
 
-def levelmaps(d: int, chains, bound: int) -> list[dict]:
+def levelmaps(d: int, chains) -> list[dict]:
     """Each level projection m -> n is a surjective homomorphism with even fibers."""
     checks = []
     for m, n in chains:
-        tm, tn = class_group_table(d, m, bound=bound), class_group_table(d, n, bound=bound)
+        tm, tn = class_group_table(d, m), class_group_table(d, n)
         proj = [tn.locate_class(level_map(x, m, n)) for x in tm.classes]
         hom = all(
             proj[tm.mul(i, j)] == tn.mul(proj[i], proj[j])
@@ -150,11 +150,11 @@ def levelmaps(d: int, chains, bound: int) -> list[dict]:
     return checks
 
 
-def orderchange(instances, bound: int) -> list[dict]:
+def orderchange(instances) -> list[dict]:
     """Pushing classes to a smaller-conductor order is a surjective homomorphism."""
     checks = []
     for d_src, d_dst, n in instances:
-        ts, td = class_group_table(d_src, n, bound=bound), class_group_table(d_dst, n, bound=bound)
+        ts, td = class_group_table(d_src, n), class_group_table(d_dst, n)
         img = [td.locate_class(order_change_map(x, d_dst)) for x in ts.classes]
         hom = all(
             img[ts.mul(i, j)] == td.mul(img[i], img[j])

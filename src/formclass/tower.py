@@ -440,7 +440,7 @@ def tower_from_base(base: CMPoint, levels: tuple[int, ...], curve: str) -> Tower
     return t
 
 
-def tower_compose(s: TowerElem, t: TowerElem, bound: int = 10) -> TowerElem:
+def tower_compose(s: TowerElem, t: TowerElem) -> TowerElem:
     """Levelwise signed-class product of two sequences on the same y1 chain.
 
     The constructor of the result re-verifies compatibility, so each call
@@ -458,6 +458,6 @@ def tower_compose(s: TowerElem, t: TowerElem, bound: int = 10) -> TowerElem:
     for lvl, a, b in zip(s.levels, s.points, t.points):
         xa = PMClass(FormClass.of(a.carrier.form, lvl), a.carrier.sign)
         xb = PMClass(FormClass.of(b.carrier.form, lvl), b.carrier.sign)
-        out = pm_compose(xa, xb, bound=bound)
+        out = pm_compose(xa, xb)
         pts.append(CMPoint(SignedForm(out.base.rep, out.sign)))
     return TowerElem(s.disc, "y1", s.levels, tuple(pts))

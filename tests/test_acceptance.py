@@ -21,7 +21,6 @@ from formclass.congruence import CongKind, class_index, cong_equivalent, enumera
 
 UPPER = CongKind.UPPER_UNIPOTENT
 FULL = CongKind.FULL_LEVEL
-BOUND = 10
 
 # the shared instance list for criteria 2 and 6
 INSTANCES = ((-23, 2), (-23, 3), (-23, 4), (-15, 2), (-20, 3), (-24, 5))
@@ -99,7 +98,7 @@ def test_01_classical_baseline():
     rng = random.Random(0)
     for d in (-15, -20, -23, -24, -47, -71):
         # grouplaw at level 1: every Cayley cell against the product of its modules
-        checks = _passing(suites.grouplaw(d, 1, BOUND, rng))
+        checks = _passing(suites.grouplaw(d, 1, rng))
         h = _class_number(d)
         assert checks["baseline-order-equals-reduced-count"]["order"] == h
         assert checks["order-formula"]["order"] == h
@@ -113,7 +112,7 @@ def test_02_order_formula():
     rng = random.Random(0)
     pm_orders = {}
     for d, n in INSTANCES:
-        checks = _passing(suites.grouplaw(d, n, BOUND, rng))
+        checks = _passing(suites.grouplaw(d, n, rng))
         order = _ray_order(d, n)
         assert checks["baseline-order-equals-reduced-count"]["order"] == _class_number(d)
         assert checks["order-formula"]["order"] == checks["order-formula"]["formula"] == order
@@ -139,7 +138,7 @@ def test_04_level_scaling():
 def test_05_level_transition_maps():
     t0 = time.monotonic()
     d, chains = -23, ((2, 1), (3, 1), (4, 2), (9, 3))
-    checks = _passing(suites.levelmaps(d, chains, BOUND))
+    checks = _passing(suites.levelmaps(d, chains))
     for m, n in chains:
         assert checks[f"chain-{m}-to-{n}"]["fiber_size"] == _ray_order(d, m) // _ray_order(d, n)
     # the square of transition maps at (M, N) = (9, 3), exhaustively; a
@@ -202,7 +201,7 @@ def test_09_padic_correspondence():
 
 def test_10_order_change():
     t0 = time.monotonic()
-    checks = _passing(suites.orderchange(suites.ORDERCHANGE_INSTANCES, BOUND))
+    checks = _passing(suites.orderchange(suites.ORDERCHANGE_INSTANCES))
     assert list(checks) == ["order--60-to--15-at-1", "order--92-to--23-at-1", "order--92-to--23-at-3"]
     assert all(c["hom"] and c["surjective"] for c in checks.values())
     _stamp(10, "order-change", t0, 10.0)

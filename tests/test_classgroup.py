@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from formclass.classgroup import (
     FormClass,
     GroupAxiomError,
     PMGroup,
+    _SHELLS,
     _check_group_table,
     _coprime_shell,
     class_group_table,
@@ -140,15 +142,43 @@ def test_coprime_shells_match_the_candidate_columns():
             assert all(u * p + v * r == 1 for p, r, u, v in cached)
 
 
-def test_composition_bound_error_names_both_triples():
-    # leading coefficients 2 and 2: the only column within bound 0 is (1, 0)
+def test_composition_bound_error_names_both_triples(monkeypatch):
+    # leading coefficients 2 and 2: the only column within shell 0 is (1, 0)
     x, y = FormClass.of(QuadForm(2, 1, 3), 1), FormClass.of(QuadForm(2, -1, 3), 1)
     message = "no concordant column for (2, 1, 3) * (2, -1, 3) at level 1 within bound 0"
-    for route in (compose, compose_reference):
+    monkeypatch.setattr("formclass.classgroup._SHELLS", 0)
+    for route in (compose, lambda x, y: compose_reference(x, y, bound=0)):
         with pytest.raises(CompositionBoundError) as err:
-            route(x, y, bound=0)
+            route(x, y)
         assert str(err.value) == message
-    assert compose(x, y, bound=1).rep.triple() == compose_reference(x, y, bound=1).rep.triple()
+    monkeypatch.setattr("formclass.classgroup._SHELLS", 1)
+    assert compose(x, y).rep.triple() == compose_reference(x, y, bound=1).rep.triple()
+
+
+def _hit_shells(ax, y, n, wanted):
+    """The shell of each of the first `wanted` concordant columns for a_x * y."""
+    ay, by, cy = y
+    shells = []
+    for shell in range(_SHELLS + 1):
+        for p, r, _, _ in _coprime_shell(n, shell):
+            if math.gcd(ax, (ay * p + by * r) * p + cy * r * r) == 1:
+                shells.append(shell)
+                if len(shells) == wanted:
+                    return shells
+    return shells
+
+
+def test_shell_limit_has_its_measured_margin():
+    # the first hit (rng=None) lies within shell 3 and the four hits an rng
+    # draw collects within shell 6, far inside _SHELLS
+    assert _SHELLS >= 6
+    for d, n in ((-31, 5), (-59, 5), (-20, 9), (-51, 7)):
+        reps = [rep.form.triple() for rep in class_index(d, n, CongKind.UPPER_UNIPOTENT).reps]
+        ys = reps + [(a, -b, c) for a, b, c in reps]
+        for (ax, _, _), y in itertools.product(reps, ys):
+            shells = _hit_shells(ax, y, n, 4)
+            assert len(shells) == 4 and shells[0] <= 3 and shells[3] <= 6, (d, n, ax, y, shells)
+    assert _hit_shells(966, (49, 47, 12), 5, 4)[3] == 6  # the worst pair, at D = -143
 
 
 # sha256 of json.dumps(ClassGroupTable.build(d, n).to_json(), sort_keys=True),
@@ -228,20 +258,13 @@ def test_class_of_ideal_rejects_several_matches(monkeypatch):
         class_of_ideal(unit_ideal(-23), -23, 3)
 
 
-def test_class_group_table_caches_per_bound():
+def test_class_group_table_caches_one_entry_per_level():
     class_group_table.cache_clear()
-    first = class_group_table(-23, 2, bound=10)
-    class_group_table(-23, 2, bound=12)
-    assert class_group_table(-23, 2, bound=10) is first
+    first = class_group_table(-23, 3)
+    assert class_group_table(-23, 3) is first
+    assert class_group_table(-23, 2) is not first
     info = class_group_table.cache_info()
-    assert (info.misses, info.hits) == (2, 1)
-
-
-def test_class_group_table_default_bound_shares_the_cache_entry():
-    class_group_table.cache_clear()
-    assert class_group_table(-23, 3) is class_group_table(-23, 3, bound=10)
-    info = class_group_table.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
 
 
 def test_class_of_ideal_inverts_form_to_ideal():

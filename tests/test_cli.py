@@ -12,7 +12,7 @@ import pytest
 
 import formclass
 from formclass import suites
-from formclass.classgroup import ClassGroupTable, CompositionBoundError, identity_class
+from formclass.classgroup import identity_class
 from formclass.cli import CELL_BUDGET, SCAN_BUDGET, Config, _check_disc, _check_table, main
 from formclass.congruence import ClassIndex
 
@@ -30,8 +30,6 @@ def run_json(capsys, *argv):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        Config(bound=0)
     with pytest.raises(ValueError):
         Config(fmt="yaml")
     with pytest.raises(ValueError):
@@ -79,14 +77,19 @@ def test_classgroup_dump(capsys):
     assert len(doc["cayley"]) == 6
 
 
-def test_exhausted_composition_bound_is_exit_two(capsys, monkeypatch):
-    def exhausted(d, n, bound=10):
-        raise CompositionBoundError(f"no concordant column within bound {bound}")
+def test_exhausted_composition_search_is_exit_one(capsys, monkeypatch):
+    # with shell 0 alone, two classes with even leading coefficients have no
+    # concordant column: the search failed, the input was fine
+    monkeypatch.setattr("formclass.classgroup._SHELLS", 0)
+    code, out, err = run(capsys, "classgroup", "-D", "-23", "-N", "5")
+    assert code == 1 and out == ""
+    assert "verification failure: no concordant column for" in err
 
-    monkeypatch.setattr(ClassGroupTable, "build", staticmethod(exhausted))
-    code, out, err = run(capsys, "classgroup", "-D", "-23", "-N", "5", "--bound", "1")
-    assert code == 2 and out == ""
-    assert "--bound" in err and "verification failure" not in err
+
+def test_retired_bound_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--bound", "5", "reduce", "1,1,1"])
+    assert exc.value.code == 2
 
 
 def test_classgroup_rejects_positive_discriminant(capsys):
@@ -225,19 +228,19 @@ def _off_by_one_report(real):
 # original, the suite's arguments, and a small `verify` command line for it
 MUTATIONS = [
     ("grouplaw", "ray_class_equal", lambda real: lambda u, v, n: True,
-     (-23, 2, 10, random.Random(0)), ["-N", "2"]),
+     (-23, 2, random.Random(0)), ["-N", "2"]),
     ("levelsquare", "class_surjection", lambda real: lambda *a: tuple(reversed(real(*a))),
      (-23, 3, 1), ["-M", "3", "-N", "1"]),
     ("levelmaps", "level_map", lambda real: lambda x, m, n: identity_class(x.disc, n),
-     (-23, [(3, 1)], 10), ["--quick"]),
+     (-23, [(3, 1)]), ["--quick"]),
     ("orderchange", "order_change_map", lambda real: lambda x, d: identity_class(d, x.level),
-     (((-60, -15, 1),), 10), []),
+     (((-60, -15, 1),),), []),
     ("padiclimits", "limits_agree", lambda real: lambda s, t: True,
      ([2], 20, random.Random(0)), ["-p", "2", "--trials", "20"]),
     ("padicpoints", "correspondence_report", _off_by_one_report,
      ([(3, -23, 1)],), ["-p", "3", "-D", "-23", "-n", "1"]),
     pytest.param("grouplaw", "residue_units", lambda real: lambda d, n: (n * n, real(d, n)[1]),
-                 (-23, 3, 10, random.Random(0)), [], id="grouplaw-residue-units"),
+                 (-23, 3, random.Random(0)), [], id="grouplaw-residue-units"),
 ]
 
 
@@ -281,15 +284,6 @@ def test_output_is_byte_identical_for_fixed_seed(capsys):
     assert global_pos == first
 
 
-def test_env_seed_overrides_flag(capsys, monkeypatch):
-    monkeypatch.setenv("FORMCLASS_SEED", "99")
-    _, out, _ = run(capsys, "verify", "grouplaw", "--seed", "3")
-    assert json.loads(out)["seed"] == 99
-    monkeypatch.setenv("FORMCLASS_SEED", "not-a-number")
-    code, _, err = run(capsys, "verify", "grouplaw")
-    assert code == 2 and "FORMCLASS_SEED" in err
-
-
 def test_text_format_renders_flat_lines(capsys):
     code, out, _ = run(capsys, "--format", "text", "reduce", "7,11,5")
     assert code == 0
@@ -297,9 +291,35 @@ def test_text_format_renders_flat_lines(capsys):
     assert "{" not in out.splitlines()[0]
 
 
+def _scalar_leaves(doc):
+    """(key, value) for every scalar value of a dict, at any depth."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, val in items:
+        if isinstance(val, (dict, list)):
+            yield from _scalar_leaves(val)
+        elif isinstance(key, str):
+            yield key, val
+
+
+def test_text_format_renders_nested_documents(capsys):
+    argv = ("verify", "levelmaps", "--quick", "--seed", "2")
+    code, text, _ = run(capsys, "--format", "text", *argv)
+    doc = run_json(capsys, *argv)
+    assert code == 0
+    lines = text.splitlines()
+    assert "suites:" in lines
+    assert "  -" in lines
+    assert "    checks:" in lines
+    stripped = {line.strip() for line in lines}
+    leaves = list(_scalar_leaves(doc))
+    assert ("name", "chain-3-to-1") in leaves
+    for key, val in leaves:
+        assert f"{key}: {json.dumps(val)}" in stripped, (key, val)
+
+
 def test_checks_survive_optimized_mode():
     """python -O drops assert statements; the verify suites and table checks must not depend on them."""
-    env = {k: v for k, v in os.environ.items() if k != "FORMCLASS_SEED"}
+    env = dict(os.environ)
     src = str(Path(formclass.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     for argv in (
