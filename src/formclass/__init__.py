@@ -22,7 +22,6 @@ from .congruence import CongKind, class_index, cong_equivalent, coset_reps, in_g
 from .ideals import (
     ElemO,
     OIdeal,
-    QuadOrder,
     extend_to_order,
     form_to_ideal,
     fundamental_part,
@@ -32,7 +31,6 @@ from .ideals import (
     ray_class_equal,
     residue_units,
     unit_group,
-    unit_ideal,
 )
 from .classgroup import (
     ClassGroupTable,
@@ -51,23 +49,10 @@ from .classgroup import (
     level_map,
     order_change_map,
     pm_compose,
-    pm_identity,
-    pm_inverse,
     same_class,
 )
-from .cm import (
-    CMClassSet,
-    CMPoint,
-    class_of_point,
-    cm_class_set,
-    cm_from_tau,
-    cm_from_value,
-    equivalent_points,
-    partition_by_disc,
-    point_of_class,
-)
+from .cm import CMClassSet, CMPoint, class_of_point, cm_class_set, equivalent_points
 from .tower import (
-    BasePointSet,
     MatrixSeq,
     PadicMatrix,
     TowerElem,

@@ -311,12 +311,10 @@ class ClassGroupTable:
     def mul(self, i: int, j: int) -> int:
         return self.cayley[i][j]
 
-    def inverse_index(self, i: int) -> int:
-        return self.cayley[i].index(self.identity_index)
-
     def power(self, i: int, k: int) -> int:
+        """i**k for k >= 0, by repeated squaring; ValueError for k < 0."""
         if k < 0:
-            return self.power(self.inverse_index(i), -k)
+            raise ValueError(f"exponent {k} is negative")
         acc, base = self.identity_index, i
         while k:
             if k & 1:
@@ -324,13 +322,6 @@ class ClassGroupTable:
             base = self.mul(base, base)
             k >>= 1
         return acc
-
-    def element_order(self, i: int) -> int:
-        k, acc = 1, i
-        while acc != self.identity_index:
-            acc = self.mul(acc, i)
-            k += 1
-        return k
 
     def locate_class(self, x: FormClass) -> int:
         if (x.disc, x.level) != (self.disc, self.level):
@@ -361,15 +352,13 @@ def class_group_table(d: int, n: int) -> ClassGroupTable:
 # -- transition maps ---------------------------------------------------------
 
 
-def level_map(x, m: int, n: int):
+def level_map(x: FormClass, m: int, n: int) -> FormClass:
     """Reinterpret a level-m class at a coarser level n (n | m); rep unchanged."""
     if n < 1 or m % n:
         raise ValueError(f"target level {n} must divide source level {m}")
-    if isinstance(x, FormClass):
-        if x.level != m:
-            raise ValueError(f"class has level {x.level}, not {m}")
-        return FormClass(x.rep, x.disc, n)
-    raise TypeError(f"cannot level-map {type(x).__name__}")
+    if x.level != m:
+        raise ValueError(f"class has level {x.level}, not {m}")
+    return FormClass(x.rep, x.disc, n)
 
 
 def class_surjection(
@@ -426,21 +415,12 @@ class PMClass:
             raise ValueError("sign must be +1 or -1")
 
 
-def pm_identity(d: int, n: int) -> PMClass:
-    return PMClass(identity_class(d, n), 1)
-
-
 def pm_compose(x: PMClass, y: PMClass) -> PMClass:
     """Semidirect rule: a minus on the left conjugates the right factor."""
     if x.sign == 1:
         return PMClass(compose(x.base, y.base), y.sign)
     return PMClass(compose(x.base, conj_class(y.base)), -y.sign)
 
-
-def pm_inverse(x: PMClass) -> PMClass:
-    if x.sign == 1:
-        return PMClass(inverse_class(x.base), 1)
-    return PMClass(conj_class(inverse_class(x.base)), -1)
 
 
 @dataclass(frozen=True)
@@ -491,9 +471,3 @@ class PMGroup:
             expected = self.conj_perm[i % n] + (0 if i < n else n)
             if t[flip][t[i][flip]] != expected:
                 raise GroupAxiomError(f"conjugation by the involution fails at {i}")
-
-    def mul(self, a: int, b: int) -> int:
-        return self.cayley[a][b]
-
-    def inverse_index(self, a: int) -> int:
-        return self.cayley[a].index(self.identity_index)

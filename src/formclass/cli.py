@@ -23,8 +23,8 @@ from . import suites
 from .classgroup import ClassGroupTable, GroupAxiomError
 from .cm import cm_class_set
 from .congruence import CongKind, cong_equivalent
-from .forms import QuadForm, SignedForm, reduce_form, reduced_forms
-from .ideals import ray_class_count, unit_count, unit_image_size
+from .forms import QuadForm, SignedForm, reduce_form
+from .ideals import ray_class_count
 from .tower import correspondence_report
 
 SUITES = ("grouplaw", "levelsquare", "levelmaps", "orderchange", "padiclimits", "padicpoints")
@@ -88,11 +88,9 @@ CELL_BUDGET = 10**6
 def _check_table(d: int, n: int) -> None:
     """ValueError unless the class group table at (d, n) fits in CELL_BUDGET cells.
 
-    Call it after _check_disc(d): the order h(d) * |(O/nO)*| / |image of units|
-    scans the reduced forms at d, but takes |(O/nO)*| in closed form, so it
-    does not enumerate the n^2 residues that `ray_class_count` does.
+    Call it after _check_disc(d): `ray_class_count` scans the reduced forms at d.
     """
-    order = len(reduced_forms(d)) * unit_count(d, n) // unit_image_size(d, n)
+    order = ray_class_count(d, n)
     if order**2 > CELL_BUDGET:
         raise ValueError(f"the class group at (D, N) = ({d}, {n}) has order {order}, "
                          f"so its table needs {order**2} cells, over the budget of {CELL_BUDGET}")
@@ -265,6 +263,9 @@ def _cmd_verify(args, cfg: Config) -> int:
 # -- argument plumbing ---------------------------------------------------------
 
 
+GLOBAL_FLAGS = ("--format", "--seed", "--level-cap")
+
+
 def _add_global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
     # The same flags live on the top-level parser (with real defaults) and on
     # every subparser (defaulting to SUPPRESS so a subcommand-position flag
@@ -340,8 +341,28 @@ _HANDLERS = {
 }
 
 
+def _check_leading_flags(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+    """Usage error naming the first unknown option before the subcommand.
+
+    argparse would take that option's value for the subcommand and report an
+    invalid choice instead.  Every global flag takes one value; a prefix of one
+    is left to argparse, which accepts unique abbreviations, and so is help.
+    """
+    i = 0
+    while i < len(argv) and argv[i].startswith("-") and argv[i] != "-h":
+        flag = argv[i].split("=", 1)[0]
+        if "--help".startswith(flag):
+            return
+        if not any(known.startswith(flag) for known in GLOBAL_FLAGS):
+            parser.error(f"unrecognized arguments: {argv[i]}")
+        i += 1 if "=" in argv[i] else 2
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser()
+    _check_leading_flags(parser, argv)
+    args = parser.parse_args(argv)
     try:
         cfg = Config(level_cap=args.level_cap, seed=args.seed, fmt=args.format)
         return _HANDLERS[args.command](args, cfg)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .congruence import CongKind, class_index, cong_equivalent
-from .forms import QuadForm, QuadIrrational, SignedForm
+from .forms import QuadIrrational, SignedForm
 
 CURVES = ("y1", "y")
 
@@ -44,10 +44,6 @@ class CMPoint:
     def primitive_mod(self, n: int) -> bool:
         return math.gcd(self.carrier.form.a, n) == 1
 
-    def conjugate_point(self) -> "CMPoint":
-        """Complex conjugation: same form, other half-plane."""
-        return CMPoint(self.carrier.negate())
-
     def to_json(self) -> dict:
         t = self.tau()
         return {
@@ -61,44 +57,9 @@ class CMPoint:
         }
 
 
-def cm_from_tau(a: int, b: int, c: int, sign: int = 1) -> CMPoint:
-    """The CM point whose coordinate is a root of a*x^2 + b*x + c.
-
-    sign +1 takes the upper-half-plane root, -1 the lower.  The coefficient
-    checks (primitive, positive definite) are the constructor's.
-    """
-    return CMPoint(SignedForm(QuadForm(a, b, c), sign))
-
-
-def cm_from_value(t: QuadIrrational) -> CMPoint:
-    """The CM point sitting at an explicitly given quadratic irrational.
-
-    Recovers the primitive integral polynomial with t as a root: for
-    t = (m + e*sqrt(D))/d it is (d^2, -2*m*d, m^2 - D) divided by its content,
-    which also computes the canonical discriminant of the point regardless of
-    how t was presented.
-    """
-    m, d, big_d = t.num, t.den, t.disc
-    g = math.gcd(math.gcd(d * d, 2 * m * d), m * m - big_d)
-    form = QuadForm(d * d // g, -2 * m * d // g, (m * m - big_d) // g)
-    point = CMPoint(SignedForm(form, 1 if t.in_upper_half_plane() else -1))
-    if point.tau() != t:
-        raise RuntimeError(f"the point of form {point.carrier.to_json()} does not sit at the given value")
-    return point
-
-
-def point_of_class(f: SignedForm) -> CMPoint:
-    """The point class of a signed form class, at representative level.
-
-    Well-definedness is the content of the root-transport law
-    root(f^g) = g^{-1}(root f); the class-level bijection is this map read on
-    representatives.
-    """
-    return CMPoint(f)
-
-
 def class_of_point(p: CMPoint, n: int) -> SignedForm:
-    """The signed form class of a point on a level-n curve.
+    """The signed form class of a point on a level-n curve; `CMPoint(f)` is the
+    point of the class of f, read on representatives.
 
     ValueError if the point is not primitive mod n (it lies on no level-n
     curve in this family).
@@ -136,11 +97,3 @@ def cm_class_set(d: int, n: int, curve: str) -> CMClassSet:
     """Every class of discriminant-d points on the signed level-n curve."""
     reps = class_index(d, n, curve_kind(curve), signed=True).reps
     return CMClassSet(d, n, curve, tuple(CMPoint(f) for f in reps))
-
-
-def partition_by_disc(points) -> dict[int, tuple[CMPoint, ...]]:
-    """Group points by their own discriminant; every point lands in exactly one cell."""
-    cells: dict[int, list[CMPoint]] = {}
-    for p in points:
-        cells.setdefault(p.disc, []).append(p)
-    return {d: tuple(ps) for d, ps in cells.items()}

@@ -85,9 +85,6 @@ class QuadForm:
         if self.a <= 0 or self.b * self.b - 4 * self.a * self.c >= 0:
             raise ValueError(f"form {self.triple()} is not positive definite")
 
-    def __call__(self, x: int, y: int) -> int:
-        return self.a * x * x + self.b * x * y + self.c * y * y
-
     def triple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
 
@@ -134,9 +131,6 @@ class SignedForm:
     def __post_init__(self) -> None:
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +-1, got {self.sign}")
-
-    def negate(self) -> "SignedForm":
-        return SignedForm(self.form, -self.sign)
 
     def transform(self, g: UnimodMatrix) -> "SignedForm":
         return SignedForm(self.form.transform(g), self.sign)
@@ -205,33 +199,6 @@ class QuadIrrational:
 
     def in_upper_half_plane(self) -> bool:
         return self.rad_coeff == 1
-
-    def conjugate(self) -> "QuadIrrational":
-        return QuadIrrational(self.num, -self.rad_coeff, self.disc, self.den)
-
-    def mobius(self, g: UnimodMatrix) -> "QuadIrrational":
-        """The fractional linear image (p*t + q)/(r*t + s), exactly.
-
-        With t = (m + e*sqrt(D))/d, A = p*m + q*d and C = r*m + s*d:
-            g(t) = ((A*C - p*r*D)/d + e*sqrt(D)) / ((C^2 - r^2*D)/d),
-        and both divisions are exact because d | m^2 - D.
-        """
-        m, e, big_d, d = self.num, self.rad_coeff, self.disc, self.den
-        a_top = g.p * m + g.q * d
-        c_bot = g.r * m + g.s * d
-        new_den = (c_bot * c_bot - g.r * g.r * big_d) // d
-        new_num = (a_top * c_bot - g.p * g.r * big_d) // d
-        return QuadIrrational(new_num, e, big_d, new_den)
-
-
-def is_reduced(f: QuadForm) -> bool:
-    """|b| <= a <= c, with b >= 0 when |b| = a or a = c."""
-    a, b, c = f.triple()
-    if not (abs(b) <= a <= c):
-        return False
-    if (abs(b) == a or a == c) and b < 0:
-        return False
-    return True
 
 
 @lru_cache(maxsize=None)

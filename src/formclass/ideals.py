@@ -7,8 +7,7 @@ extension to a larger order is read off integer generator rows written from
 the basis entries (w^2 = D*w - (D^2 - D)/4), and their two-column Hermite
 normal form comes from one Bezout pass over the rows.  The module also decides
 ray-class equality: two ideals are identified when their quotient is principal
-with a generator congruent to 1 modulo N (up to units), and a bounded
-brute-force search provides an independent oracle for that criterion.
+with a generator congruent to 1 modulo N (up to units).
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._arith import egcd, factorize, kronecker
-from .forms import QuadForm, require_discriminant, sl2_equivalent
+from .forms import QuadForm, reduced_forms, require_discriminant, sl2_equivalent
 
 
 @lru_cache(maxsize=None)
@@ -47,20 +46,6 @@ def fundamental_part(d: int) -> tuple[int, int]:
     raise AssertionError(f"no fundamental part found for {d}")  # unreachable for valid d
 
 
-@dataclass(frozen=True)
-class QuadOrder:
-    """The order of discriminant disc, generated by w = (disc + sqrt(disc))/2."""
-
-    disc: int
-    field_disc: int
-    conductor: int
-
-    @staticmethod
-    def from_disc(d: int) -> "QuadOrder":
-        d0, ell = fundamental_part(d)
-        return QuadOrder(d, d0, ell)
-
-
 def _nrm(d: int) -> int:
     return (d * d - d) // 4
 
@@ -80,37 +65,11 @@ class ElemO:
     def one(d: int) -> "ElemO":
         return ElemO(1, 0, d)
 
-    @staticmethod
-    def omega(d: int) -> "ElemO":
-        return ElemO(0, 1, d)
-
-    def _check(self, other: "ElemO") -> None:
-        if self.disc != other.disc:
-            raise ValueError("elements of different orders")
-
-    def __add__(self, other: "ElemO") -> "ElemO":
-        self._check(other)
-        return ElemO(self.x + other.x, self.y + other.y, self.disc)
-
     def __neg__(self) -> "ElemO":
         return ElemO(-self.x, -self.y, self.disc)
 
-    def __mul__(self, other: "ElemO") -> "ElemO":
-        # w^2 = disc*w - (disc^2 - disc)/4
-        self._check(other)
-        d = self.disc
-        return ElemO(
-            self.x * other.x - self.y * other.y * _nrm(d),
-            self.x * other.y + self.y * other.x + self.y * other.y * d,
-            d,
-        )
-
-    def conj(self) -> "ElemO":
-        """The image under sqrt(disc) -> -sqrt(disc); conj(w) = disc - w."""
-        return ElemO(self.x + self.y * self.disc, -self.y, self.disc)
-
     def norm(self) -> int:
-        """self * conj(self); positive unless self = 0."""
+        """self times its conjugate under sqrt(disc) -> -sqrt(disc); positive unless self = 0."""
         return self.x * self.x + self.x * self.y * self.disc + self.y * self.y * _nrm(self.disc)
 
     def is_zero(self) -> bool:
@@ -179,11 +138,6 @@ class OIdeal:
         b = (-(2 * (g // h) + d)) % (2 * a)
         return OIdeal(d, scale * h, a, b)
 
-    def basis_rows(self) -> list[tuple[int, int]]:
-        """Integral basis of the unscaled part in (1, w) coordinates."""
-        # (-b + sqrt(d))/2 = (-b - d)/2 + w
-        return [(self.a, 0), ((-self.b - self.disc) // 2, 1)]
-
     # -- arithmetic --------------------------------------------------------
 
     def __mul__(self, other: "OIdeal") -> "OIdeal":
@@ -196,15 +150,9 @@ class OIdeal:
         rows = [(a1 * a2, 0), (a1 * x2, a1), (a2 * x1, a2), (x1 * x2 - _nrm(d), x1 + x2 + d)]
         return OIdeal._from_rows(rows, self.scale * other.scale, d)
 
-    def conjugate(self) -> "OIdeal":
-        return OIdeal(self.disc, self.scale, self.a, (-self.b) % (2 * self.a))
-
     def inverse(self) -> "OIdeal":
         """u * u.inverse() == unit_ideal exactly, via u * conj(u) = norm(u) * O."""
         return OIdeal(self.disc, 1 / (self.scale * self.a), self.a, (-self.b) % (2 * self.a))
-
-    def norm(self) -> Fraction:
-        return self.scale * self.scale * self.a
 
     def prime_to(self, n: int) -> bool:
         q = self.scale
@@ -218,12 +166,6 @@ class OIdeal:
     def to_json(self) -> list[int]:
         """[scale numerator, scale denominator, a, b]."""
         return [self.scale.numerator, self.scale.denominator, self.a, self.b]
-
-
-def unit_ideal(d: int) -> OIdeal:
-    """The order itself: Z + Z*w = Z*1 + Z*(-b0 + sqrt(d))/2 with b0 = d mod 2."""
-    b0 = d % 2
-    return OIdeal(d, Fraction(1), 1, b0)
 
 
 def form_to_ideal(f: QuadForm) -> OIdeal:
@@ -265,7 +207,7 @@ def residue_units(d: int, n: int) -> tuple[int, tuple[ElemO, ...]]:
 def unit_count(d: int, n: int) -> int:
     """|(O/nO)*| in closed form: n^2 * prod over p | n of (1 - 1/p)(1 - (d/p)/p).
 
-    The same number as `residue_units(d, n)[0]` without its n^2 loop.
+    `residue_units(d, n)[0]` enumerates the same number, as grouplaw's second route.
     """
     count = n * n
     for p in factorize(n):
@@ -362,39 +304,10 @@ def ray_class_equal(u: OIdeal, v: OIdeal, n: int) -> bool:
     )
 
 
-def ray_class_equal_bruteforce(u: OIdeal, v: OIdeal, n: int, bound: int = 6) -> bool:
-    """Independent oracle: search nu, mu = 1 (mod nO) with nu*u == mu*v.
-
-    Exhausts nu = 1 + n*(x + y*w) for |x|, |y| <= bound on both sides and
-    intersects the two sets of products.  A hit proves equality; no hit within
-    the bound proves nothing (the main predicate is the decision procedure).
-    """
-    if not u.prime_to(n) or not v.prime_to(n):
-        raise ValueError(f"ideals must be prime to {n}")
-    d = u.disc
-
-    def scaled_products(w: OIdeal) -> set[tuple]:
-        out = set()
-        for x in range(-bound, bound + 1):
-            for y in range(-bound, bound + 1):
-                nu = ElemO(1 + n * x, n * y, d)
-                if nu.is_zero():
-                    continue
-                prod = principal_ideal(nu) * w
-                out.add((prod.scale, prod.a, prod.b))
-        return out
-
-    return bool(scaled_products(u) & scaled_products(v))
-
-
-@lru_cache(maxsize=None)
 def ray_class_count(d: int, n: int) -> int:
-    """h(O) * |(O/nO)*| / |image of units|, all three factors computed exactly."""
-    from .forms import reduced_forms
-
-    h = len(reduced_forms(d))
-    order, _ = residue_units(d, n)
-    return h * order // unit_image_size(d, n)
+    """h(O) * |(O/nO)*| / |image of units|: h from the reduced-form scan, the
+    unit count in closed form (`unit_count`), the image by reducing the units."""
+    return len(reduced_forms(d)) * unit_count(d, n) // unit_image_size(d, n)
 
 
 def extend_to_order(u: OIdeal, target_disc: int) -> "OIdeal":

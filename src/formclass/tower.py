@@ -46,33 +46,11 @@ class PadicMatrix:
     def modulus(self) -> int:
         return self.prime**self.precision
 
-    @staticmethod
-    def identity(p: int, n: int) -> "PadicMatrix":
-        return PadicMatrix(p, n, 1, 0, 0, 1)
-
-    @staticmethod
-    def from_unimod(g: UnimodMatrix, p: int, n: int) -> "PadicMatrix":
-        m = p**n
-        return PadicMatrix(p, n, g.p % m, g.q % m, g.r % m, g.s % m)
-
     def reduce_to(self, n: int) -> "PadicMatrix":
         if n > self.precision:
             raise ValueError(f"cannot raise precision {self.precision} to {n}")
         m = self.prime**n
         return PadicMatrix(self.prime, n, self.a % m, self.b % m, self.c % m, self.d % m)
-
-    def __mul__(self, other: "PadicMatrix") -> "PadicMatrix":
-        if (self.prime, self.precision) != (other.prime, other.precision):
-            raise ValueError("mismatched prime or precision")
-        m = self.modulus()
-        return PadicMatrix(
-            self.prime,
-            self.precision,
-            (self.a * other.a + self.b * other.c) % m,
-            (self.a * other.b + self.b * other.d) % m,
-            (self.c * other.a + self.d * other.c) % m,
-            (self.c * other.b + self.d * other.d) % m,
-        )
 
     def is_one_mod_p(self) -> bool:
         p = self.prime
@@ -257,23 +235,14 @@ def random_compliant_pair(p: int, length: int, rng: random.Random) -> tuple[Matr
 # -- base points at an odd prime and the classes above them -------------------
 
 
-@dataclass(frozen=True)
-class BasePointSet:
-    """One point per class of the full-congruence signed curve at a prime level."""
-
-    prime: int
-    disc: int
-    reps: tuple[CMPoint, ...]
-
-
-def base_point_set(p: int, d: int) -> BasePointSet:
+def base_point_set(p: int, d: int) -> tuple[CMPoint, ...]:
+    """One point per class of the full-congruence signed curve at an odd prime level p."""
     if not is_prime(p) or p == 2:
         raise ValueError(f"need an odd prime level, got {p}")
     require_discriminant(d)
     if d in (-3, -4):
         raise ValueError(f"discriminant {d} has extra units; the correspondence needs D < -4")
-    reps = cm_class_set(d, p, "y").classes
-    return BasePointSet(p, d, reps)
+    return cm_class_set(d, p, "y").classes
 
 
 def act_padic(point: CMPoint, g: PadicMatrix, n: int) -> CMPoint:
@@ -346,7 +315,7 @@ def correspondence_report(p: int, d: int, n: int, check_lift: bool = False) -> d
     # images are distinct classes exactly when their class keys are distinct
     first: dict[tuple, tuple[int, int]] = {}
     witnesses = []
-    for ri, r in enumerate(base.reps):
+    for ri, r in enumerate(base):
         for gi, g in enumerate(kernel):
             img = act_padic(r, g, n)
             key = class_key(img.carrier, level, CongKind.FULL_LEVEL)
@@ -357,14 +326,14 @@ def correspondence_report(p: int, d: int, n: int, check_lift: bool = False) -> d
                 witnesses.append({"first": list(seen), "second": [ri, gi]})
         if check_lift:
             _check_located(img, codomain)
-    pairs = len(base.reps) * len(kernel)
+    pairs = len(base) * len(kernel)
     injective = not witnesses
     codomain_size = len(codomain.classes)
     return {
         "p": p,
         "D": d,
         "n": n,
-        "base_size": len(base.reps),
+        "base_size": len(base),
         "kernel_size": len(kernel),
         "codomain_size": codomain_size,
         "pairs": pairs,

@@ -1,12 +1,17 @@
-"""Matrices the tests build words and reference reductions from, and the
-reference versions of the composition and ideal kernels."""
+"""What only tests use: word matrices, form values, reducedness, the Moebius
+action on roots, points by coefficients or by value, the ring operations of
+`ElemO`, ideal bases, conjugates, norms and the unit ideal, a brute-force
+ray-class oracle, the signed identity and inverse, and the reference versions
+of the HNF, ray-equality and composition kernels."""
 
 import math
+from fractions import Fraction
 
 from formclass._arith import crt, egcd
-from formclass.classgroup import CompositionBoundError, FormClass
-from formclass.forms import QuadForm, UnimodMatrix
-from formclass.ideals import ElemO, principal_generator, unit_group
+from formclass.classgroup import CompositionBoundError, FormClass, PMClass, conj_class, identity_class, inverse_class
+from formclass.cm import CMPoint
+from formclass.forms import QuadForm, QuadIrrational, SignedForm, UnimodMatrix
+from formclass.ideals import ElemO, OIdeal, principal_generator, principal_ideal, unit_group
 
 SWAP = UnimodMatrix(0, -1, 1, 0)
 
@@ -14,6 +19,117 @@ SWAP = UnimodMatrix(0, -1, 1, 0)
 def translation(m: int) -> UnimodMatrix:
     """[[1, m], [0, 1]]; acts on forms by b -> b + 2am."""
     return UnimodMatrix(1, m, 0, 1)
+
+
+def value(f: QuadForm, x: int, y: int) -> int:
+    return f.a * x * x + f.b * x * y + f.c * y * y
+
+
+def is_reduced(f: QuadForm) -> bool:
+    """|b| <= a <= c, with b >= 0 when |b| = a or a = c."""
+    a, b, c = f.triple()
+    return abs(b) <= a <= c and not ((abs(b) == a or a == c) and b < 0)
+
+
+def mobius(t: QuadIrrational, g: UnimodMatrix) -> QuadIrrational:
+    """The fractional linear image (p*t + q)/(r*t + s), exactly.
+
+    With t = (m + e*sqrt(D))/d, A = p*m + q*d and C = r*m + s*d:
+        g(t) = ((A*C - p*r*D)/d + e*sqrt(D)) / ((C^2 - r^2*D)/d),
+    and both divisions are exact because d | m^2 - D.
+    """
+    m, e, big_d, d = t.num, t.rad_coeff, t.disc, t.den
+    a_top = g.p * m + g.q * d
+    c_bot = g.r * m + g.s * d
+    new_den = (c_bot * c_bot - g.r * g.r * big_d) // d
+    return QuadIrrational((a_top * c_bot - g.p * g.r * big_d) // d, e, big_d, new_den)
+
+
+def point(a: int, b: int, c: int, sign: int = 1) -> CMPoint:
+    """The CM point at the root of a*x^2 + b*x + c in the half-plane of sign."""
+    return CMPoint(SignedForm(QuadForm(a, b, c), sign))
+
+
+def cm_from_value(t: QuadIrrational) -> CMPoint:
+    """The CM point at t = (m + e*sqrt(D))/d: the root of the primitive part of
+    (d^2, -2*m*d, m^2 - D), whatever presentation t was given in."""
+    m, d, big_d = t.num, t.den, t.disc
+    g = math.gcd(d * d, 2 * m * d, m * m - big_d)
+    p = point(d * d // g, -2 * m * d // g, (m * m - big_d) // g, 1 if t.in_upper_half_plane() else -1)
+    if p.tau() != t:
+        raise RuntimeError(f"the point of form {p.carrier.to_json()} does not sit at the given value")
+    return p
+
+
+def omega(d: int) -> ElemO:
+    return ElemO(0, 1, d)
+
+
+def elem_add(x: ElemO, y: ElemO) -> ElemO:
+    return ElemO(x.x + y.x, x.y + y.y, x.disc)
+
+
+def elem_mul(x: ElemO, y: ElemO) -> ElemO:
+    """The product in the order of x, with w^2 = d*w - (d^2 - d)/4."""
+    d = x.disc
+    nrm = (d * d - d) // 4
+    return ElemO(x.x * y.x - x.y * y.y * nrm, x.x * y.y + x.y * y.x + x.y * y.y * d, d)
+
+
+def elem_conj(x: ElemO) -> ElemO:
+    """The image under sqrt(d) -> -sqrt(d); conj(w) = d - w."""
+    return ElemO(x.x + x.y * x.disc, -x.y, x.disc)
+
+
+def basis_rows(u: OIdeal) -> list[tuple[int, int]]:
+    """Integral basis of the unscaled part in (1, w) coordinates: (-b + sqrt(d))/2 = (-b - d)/2 + w."""
+    return [(u.a, 0), ((-u.b - u.disc) // 2, 1)]
+
+
+def conjugate_ideal(u: OIdeal) -> OIdeal:
+    return OIdeal(u.disc, u.scale, u.a, (-u.b) % (2 * u.a))
+
+
+def ideal_norm(u: OIdeal) -> Fraction:
+    return u.scale * u.scale * u.a
+
+
+def unit_ideal(d: int) -> OIdeal:
+    """The order itself: Z + Z*w = Z*1 + Z*(-b0 + sqrt(d))/2 with b0 = d mod 2."""
+    return OIdeal(d, Fraction(1), 1, d % 2)
+
+
+def ray_class_equal_bruteforce(u: OIdeal, v: OIdeal, n: int, bound: int = 6) -> bool:
+    """Independent oracle: search nu, mu = 1 (mod nO) with nu*u == mu*v.
+
+    Exhausts nu = 1 + n*(x + y*w) for |x|, |y| <= bound on both sides and
+    intersects the two sets of products.  A hit proves equality; no hit within
+    the bound proves nothing.
+    """
+    if not u.prime_to(n) or not v.prime_to(n):
+        raise ValueError(f"ideals must be prime to {n}")
+
+    def scaled_products(w: OIdeal) -> set[tuple]:
+        out = set()
+        for x in range(-bound, bound + 1):
+            for y in range(-bound, bound + 1):
+                nu = ElemO(1 + n * x, n * y, u.disc)
+                if not nu.is_zero():
+                    prod = principal_ideal(nu) * w
+                    out.add((prod.scale, prod.a, prod.b))
+        return out
+
+    return bool(scaled_products(u) & scaled_products(v))
+
+
+def pm_identity(d: int, n: int) -> PMClass:
+    return PMClass(identity_class(d, n), 1)
+
+
+def pm_inverse(x: PMClass) -> PMClass:
+    if x.sign == 1:
+        return PMClass(inverse_class(x.base), 1)
+    return PMClass(conj_class(inverse_class(x.base)), -1)
 
 
 def hnf_pair_reference(rows: list[tuple[int, int]]) -> tuple[int, int, int]:
@@ -68,7 +184,7 @@ def ray_class_equal_reference(u, v, n: int) -> bool:
     k = scale.numerator * pow(scale.denominator, -1, n)
     base = ElemO(lam.x * k % n, lam.y * k % n, u.disc)
     for unit in unit_group(u.disc):
-        prod = unit * base
+        prod = elem_mul(unit, base)
         if prod.x % n == 1 and prod.y % n == 0:
             return True
     return False
@@ -96,7 +212,7 @@ def compose_reference(x: FormClass, y: FormClass, bound: int = 10, rng=None) -> 
         g, u, v = egcd(p, r)
         if g != 1:
             continue
-        if math.gcd(ax, y.rep(p, r)) != 1:
+        if math.gcd(ax, value(y.rep, p, r)) != 1:
             continue
         hits.append((p, r))
         if rng is None or len(hits) >= 4:

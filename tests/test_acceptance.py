@@ -16,7 +16,7 @@ import random
 import time
 
 from formclass import suites
-from formclass.cm import cm_class_set, curve_kind, point_of_class, class_of_point, CMPoint
+from formclass.cm import cm_class_set, curve_kind, class_of_point, CMPoint
 from formclass.congruence import CongKind, class_index, cong_equivalent, enumerate_classes
 
 UPPER = CongKind.UPPER_UNIPOTENT
@@ -163,14 +163,14 @@ def test_06_point_class_bijection():
             points = cm_class_set(d, n, curve)
             assert len(points.classes) == len(idx.reps)
             for f in idx.reps:
-                assert class_of_point(point_of_class(f), n) == f
+                assert class_of_point(CMPoint(f), n) == f
             for p in points.classes:
-                assert point_of_class(class_of_point(p, n)) == p
+                assert CMPoint(class_of_point(p, n)) == p
             # well-defined on classes: a transported representative lands with
             # its own class' point
             f = idx.reps[0]
             w = cong_equivalent(f, f, n, kind)
-            assert points.locate(point_of_class(f.transform(w))) == points.locate(CMPoint(f))
+            assert points.locate(CMPoint(f.transform(w))) == points.locate(CMPoint(f))
     _stamp(6, "point-class-bijection", t0, 30.0)
 
 

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from _helpers import column_shells_reference, compose_reference
+from _helpers import column_shells_reference, compose_reference, pm_identity, pm_inverse, unit_ideal
 from formclass._arith import egcd
 from formclass.classgroup import (
     ClassGroupTable,
@@ -29,14 +29,12 @@ from formclass.classgroup import (
     inverse_class,
     level_map,
     pm_compose,
-    pm_identity,
-    pm_inverse,
     same_class,
 )
 from formclass.classgroup import PMClass
 from formclass.congruence import ClassIndex, CongKind, class_index
 from formclass.forms import QuadForm, UnimodMatrix
-from formclass.ideals import ElemO, form_to_ideal, principal_ideal, ray_class_equal, unit_ideal
+from formclass.ideals import ElemO, form_to_ideal, principal_ideal, ray_class_equal
 
 FROZEN_TABLES = {
     (-23, 1): (3,),
@@ -220,7 +218,8 @@ def test_inverse_frozen_representative():
     inv = inverse_class(x)
     assert same_class(inv, FormClass.of(QuadForm(26, 17, 3), 3))
     table = class_group_table(-23, 3)
-    assert table.element_order(table.locate_class(x)) == 6
+    i = table.locate_class(x)
+    assert [k for k in range(1, 7) if table.power(i, k) == table.identity_index] == [6]
 
 
 def test_conjugation_is_not_the_inverse_at_higher_level():
@@ -275,11 +274,23 @@ def test_class_of_ideal_inverts_form_to_ideal():
 
 def test_table_powers_and_element_orders():
     table = class_group_table(-23, 3)
+    e = table.identity_index
     for i in range(table.order):
-        k = table.element_order(i)
-        assert table.power(i, k) == table.identity_index
+        k, acc = 1, i
+        while acc != e:
+            acc, k = table.mul(acc, i), k + 1
+        assert table.power(i, k) == e
         assert table.order % k == 0
-        assert table.inverse_index(i) == table.power(i, k - 1)
+        assert table.mul(i, table.power(i, k - 1)) == e
+        assert table.power(i, 0) == e and table.power(i, k + 1) == i
+
+
+def test_table_power_refuses_negative_exponents():
+    # the table keeps no inverse map, and halving -1 would never reach 0
+    table = class_group_table(-23, 3)
+    for k in (-1, -6):
+        with pytest.raises(ValueError, match=f"exponent {k} is negative"):
+            table.power(1, k)
 
 
 def test_table_json_shape():
@@ -344,12 +355,11 @@ def test_pm_inverse_both_cosets():
 
 def test_pm_involution_realizes_conjugation():
     pm = PMGroup.build(class_group_table(-23, 3))
-    n = pm.base.order
+    t, n = pm.cayley, pm.base.order
     flip = n + pm.identity_index
-    assert pm.mul(flip, flip) == pm.identity_index
+    assert t[flip][flip] == pm.identity_index  # so flip is its own inverse
     for i in range(pm.order):
-        conjugated = pm.mul(flip, pm.mul(i, pm.inverse_index(flip)))
-        assert conjugated == pm.conj_perm[i % n] + (0 if i < n else n)
+        assert t[flip][t[i][flip]] == pm.conj_perm[i % n] + (0 if i < n else n)
 
 
 # -- the group-table validator ------------------------------------------------------

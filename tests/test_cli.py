@@ -1,5 +1,6 @@
 """Exit codes, JSON shapes, and determinism of the command-line front end."""
 
+import hashlib
 import json
 import os
 import random
@@ -87,9 +88,19 @@ def test_exhausted_composition_search_is_exit_one(capsys, monkeypatch):
 
 
 def test_retired_bound_flag_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--bound", "5", "reduce", "1,1,1"])
-    assert exc.value.code == 2
+    # before the subcommand, argparse alone would read "5" as the command
+    for argv, named in ((["--bound", "5", "reduce", "1,1,1"], "--bound"),
+                        (["--seed", "5", "--bound=5", "reduce", "1,1,1"], "--bound=5"),
+                        (["reduce", "1,1,1", "--bound", "5"], "--bound 5")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == "", argv
+        assert f"unrecognized arguments: {named}" in out.err and "invalid choice" not in out.err, argv
+    # known global flags, with or without "=", and their unique prefixes still parse
+    for argv in (["--seed=5", "--level-cap", "9", "reduce", "7,11,5"], ["--form", "text", "reduce", "7,11,5"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "1, 1, 5" in out, argv
 
 
 def test_classgroup_rejects_positive_discriminant(capsys):
@@ -274,6 +285,21 @@ def test_unknown_suite_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
     assert exc.value.code == 2
+
+
+# sha256 of the stdout of `formclass <argv>`, recorded before the code that no
+# command reaches left src/
+FROZEN_STDOUT_DIGESTS = {
+    ("verify", "all", "--quick", "--seed", "3"): "6f069daf30dea64d82b8a0a4f7f7d48d492fad8514d9e55ebd44d923b393c196",
+    ("--format", "text", "classgroup", "-D", "-23", "-N", "3"):
+        "c078579bbf30c8c167782aece25fac7b8821b35a3cfb8f7abfab6117d79b5c8e",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FROZEN_STDOUT_DIGESTS), ids=" ".join)
+def test_stdout_digest_frozen(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == FROZEN_STDOUT_DIGESTS[argv]
 
 
 def test_output_is_byte_identical_for_fixed_seed(capsys):

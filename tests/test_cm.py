@@ -2,19 +2,15 @@
 
 import pytest
 
-from formclass.cm import (
-    CMPoint,
-    class_of_point,
-    cm_class_set,
-    cm_from_tau,
-    cm_from_value,
-    curve_kind,
-    equivalent_points,
-    partition_by_disc,
-    point_of_class,
-)
-from formclass.congruence import CongKind, class_index, cong_equivalent, lift_matrix
+from _helpers import cm_from_value, point
+from formclass.cm import CMPoint, class_of_point, cm_class_set, curve_kind, equivalent_points
+from formclass.congruence import CongKind, class_index, lift_matrix
 from formclass.forms import QuadForm, QuadIrrational, SignedForm, UnimodMatrix
+
+
+def conjugate_point(p: CMPoint) -> CMPoint:
+    """Complex conjugation: same form, other half-plane."""
+    return CMPoint(SignedForm(p.carrier.form, -p.carrier.sign))
 
 
 def test_curve_kind_names():
@@ -25,20 +21,20 @@ def test_curve_kind_names():
 
 
 def test_point_invariants():
-    p = cm_from_tau(2, 1, 3)
+    p = point(2, 1, 3)
     assert p.disc == -23
     assert p.primitive_mod(3) and not p.primitive_mod(2)
     assert p.tau().in_upper_half_plane()
-    q = p.conjugate_point()
+    q = conjugate_point(p)
     assert not q.tau().in_upper_half_plane()
-    assert q.conjugate_point() == p
+    assert conjugate_point(q) == p
     assert q.disc == -23
 
 
 def test_tau_reconstruction_roundtrip():
     for a, b, c in ((1, 1, 6), (2, 1, 3), (2, -1, 3), (4, 3, 2), (1, 0, 6)):
         for sign in (1, -1):
-            p = cm_from_tau(a, b, c, sign)
+            p = point(a, b, c, sign)
             assert cm_from_value(p.tau()) == p
 
 
@@ -52,21 +48,19 @@ def test_reconstruction_normalizes_presentation():
 
 
 def test_point_json_shape():
-    doc = cm_from_tau(2, 1, 3).to_json()
+    doc = point(2, 1, 3).to_json()
     assert doc["form"] == [2, 1, 3, 1]
     assert doc["tau"] == {"num": -1, "den": 4, "disc": -23, "half_plane": "upper"}
 
 
 def test_class_point_roundtrip_is_identity_on_representatives():
     for curve in ("y1", "y"):
-        cs = cm_class_set(-23, 3, curve)
-        for p in cs.classes:
-            f = class_of_point(p, 3)
-            assert point_of_class(f) == p
+        for p in cm_class_set(-23, 3, curve).classes:
+            assert CMPoint(class_of_point(p, 3)) == p
 
 
 def test_class_of_point_requires_primitivity():
-    p = cm_from_tau(3, 1, 2)  # leading coefficient 3
+    p = point(3, 1, 2)  # leading coefficient 3
     with pytest.raises(ValueError):
         class_of_point(p, 3)
 
@@ -108,23 +102,23 @@ def test_locate_is_inverse_of_enumeration():
 def test_locate_rejects_foreign_points():
     cs = cm_class_set(-23, 3, "y1")
     with pytest.raises(LookupError):
-        cs.locate(cm_from_tau(1, 0, 1))  # disc -4
+        cs.locate(point(1, 0, 1))  # disc -4
     with pytest.raises(ValueError):
-        cs.locate(cm_from_tau(3, 1, 2))  # not primitive mod 3
+        cs.locate(point(3, 1, 2))  # not primitive mod 3
 
 
 def test_equivalence_respects_curve_kind():
     # the level-3 unipotent witness pair is inequivalent at the full kind
-    p = cm_from_tau(1, -1, 6)
-    q = cm_from_tau(1, 1, 6)
+    p = point(1, -1, 6)
+    q = point(1, 1, 6)
     assert equivalent_points(p, q, 3, "y1")
     assert not equivalent_points(p, q, 3, "y")
-    assert not equivalent_points(p, cm_from_tau(1, 0, 1), 3, "y1")
+    assert not equivalent_points(p, point(1, 0, 1), 3, "y1")
 
 
 def test_half_planes_never_mix():
-    p = cm_from_tau(1, 1, 6)
-    assert not equivalent_points(p, p.conjugate_point(), 1, "y")
+    p = point(1, 1, 6)
+    assert not equivalent_points(p, conjugate_point(p), 1, "y")
     assert equivalent_points(p, p, 1, "y")
 
 
@@ -134,17 +128,4 @@ def test_conjugation_transports_classes():
     g = lift_matrix(1, 0, 3, 1, 3)
     for p in cs.classes:
         moved = CMPoint(p.carrier.transform(g))
-        assert equivalent_points(p.conjugate_point(), moved.conjugate_point(), 3, "y1")
-
-
-def test_partition_by_disc():
-    pts = [
-        cm_from_tau(1, 1, 6),       # -23
-        cm_from_tau(2, 1, 3, -1),   # -23
-        cm_from_tau(1, 1, 4),       # -15
-        cm_from_tau(3, 2, 8),       # -92
-    ]
-    cells = partition_by_disc(pts)
-    assert set(cells) == {-23, -15, -92}
-    assert len(cells[-23]) == 2
-    assert sum(len(v) for v in cells.values()) == len(pts)
+        assert equivalent_points(conjugate_point(p), conjugate_point(moved), 3, "y1")

@@ -15,14 +15,13 @@ from formclass.forms import (
     UnimodMatrix,
     automorphs,
     is_discriminant,
-    is_reduced,
     reduce_form,
     reduced_forms,
     require_discriminant,
     sl2_equivalent,
 )
 
-from _helpers import SWAP, translation
+from _helpers import SWAP, is_reduced, mobius, translation, value
 
 SAMPLE_DISCS = (-3, -4, -15, -20, -23, -24, -47, -71, -92)
 
@@ -205,14 +204,14 @@ def test_action_preserves_disc_and_values(f, g):
     # values are permuted along the column map: moved(x, y) = f(px + qy, rx + sy)
     p, q, r, s = g.entries()
     for x, y in ((1, 0), (0, 1), (1, 1), (2, -3)):
-        assert moved(x, y) == f(p * x + q * y, r * x + s * y)
+        assert value(moved, x, y) == value(f, p * x + q * y, r * x + s * y)
 
 
 @given(definite_form(), unimod())
 @settings(max_examples=100, deadline=None)
 def test_root_transforms_by_inverse_mobius(f, g):
     sf = SignedForm(f)
-    assert sf.transform(g).root() == sf.root().mobius(g.inverse())
+    assert sf.transform(g).root() == mobius(sf.root(), g.inverse())
 
 
 def test_automorph_counts():
@@ -282,8 +281,7 @@ def test_quad_irrational_value_equality():
     b = QuadIrrational(-2, 1, -92, 8)  # same value via sqrt(-92) = 2*sqrt(-23)
     assert a == b and hash(a) == hash(b)
     assert a != QuadIrrational(1, 1, -23, 4)
-    assert a != a.conjugate()
-    assert a.conjugate().conjugate() == a
+    assert a != QuadIrrational(-1, -1, -23, 4)  # the complex conjugate
 
 
 def test_signed_form_sign_validation():
