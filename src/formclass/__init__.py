@@ -37,7 +37,6 @@ from .classgroup import (
     CompositionBoundError,
     FormClass,
     GroupAxiomError,
-    PMClass,
     PMGroup,
     class_group_table,
     class_of_ideal,
@@ -48,25 +47,20 @@ from .classgroup import (
     inverse_class,
     level_map,
     order_change_map,
-    pm_compose,
     same_class,
 )
 from .cm import CMClassSet, CMPoint, class_of_point, cm_class_set, equivalent_points
 from .tower import (
     MatrixSeq,
     PadicMatrix,
-    TowerElem,
     act_padic,
     base_point_set,
     correspondence_report,
-    extend_tower,
     kernel_reps,
     limits_agree,
     random_compliant_pair,
     random_matrix_seq,
     seq_conditions_hold,
-    tower_compose,
-    tower_from_base,
 )
 
 __version__ = "0.1.0"

@@ -404,26 +404,6 @@ def order_change_map(x: FormClass, target_disc: int) -> FormClass:
 
 
 @dataclass(frozen=True)
-class PMClass:
-    """A form class together with a half-plane sign."""
-
-    base: FormClass
-    sign: int
-
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-
-
-def pm_compose(x: PMClass, y: PMClass) -> PMClass:
-    """Semidirect rule: a minus on the left conjugates the right factor."""
-    if x.sign == 1:
-        return PMClass(compose(x.base, y.base), y.sign)
-    return PMClass(compose(x.base, conj_class(y.base)), -y.sign)
-
-
-
-@dataclass(frozen=True)
 class PMGroup:
     """Dense table for the signed extension: indices [0, n) are the plus coset
     in base-table order, [n, 2n) the minus coset."""

@@ -131,20 +131,36 @@ def levelsquare(d: int, m: int, n: int) -> list[dict]:
     return [check("square-commutes", commute, D=d, fine=m, coarse=n, classes=size), surjective]
 
 
+def _hom_onto(src, dst, img) -> tuple[bool, bool]:
+    """(hom, onto) for the index map img from the group with Cayley table src
+    to the one with Cayley table dst."""
+    hom = all(img[k] == dst[img[i]][img[j]] for i, row in enumerate(src) for j, k in enumerate(row))
+    return hom, set(img) == set(range(len(dst)))
+
+
 def levelmaps(d: int, chains) -> list[dict]:
-    """Each level projection m -> n is a surjective homomorphism with even fibers."""
+    """Each level projection m -> n of the signed groups CM(D, Y1(N)^±) is a
+    surjective homomorphism with even fibers.
+
+    The signed group at level k is `PMGroup.build` of the class group table at
+    (d, k).  The projection keeps the sign and maps the class by `level_map`:
+    index i goes to proj(i mod n_m) + n_n*[i >= n_m].  A minus factor
+    conjugates its right factor, so this covers conjugation as well as the
+    product; it holds exactly when the levelwise product of two compatible
+    sequences in the inverse limit is again compatible.
+    """
+    groups: dict[int, PMGroup] = {}
     checks = []
     for m, n in chains:
-        tm, tn = class_group_table(d, m), class_group_table(d, n)
-        proj = [tn.locate_class(level_map(x, m, n)) for x in tm.classes]
-        hom = all(
-            proj[tm.mul(i, j)] == tn.mul(proj[i], proj[j])
-            for i in range(tm.order)
-            for j in range(tm.order)
-        )
-        onto = set(proj) == set(range(tn.order))
-        fiber = tm.order // tn.order
-        fibers_even = all(proj.count(k) == fiber for k in range(tn.order))
+        for k in (m, n):
+            if k not in groups:
+                groups[k] = PMGroup.build(class_group_table(d, k))
+        gm, gn = groups[m], groups[n]
+        proj = [gn.base.locate_class(level_map(x, m, n)) for x in gm.base.classes]
+        signed = proj + [k + gn.base.order for k in proj]
+        hom, onto = _hom_onto(gm.cayley, gn.cayley, signed)
+        fiber = gm.order // gn.order
+        fibers_even = all(signed.count(k) == fiber for k in range(gn.order))
         checks.append(check(f"chain-{m}-to-{n}", hom and onto and fibers_even,
                             hom=hom, surjective=onto, fiber_size=fiber))
     return checks
@@ -156,12 +172,7 @@ def orderchange(instances) -> list[dict]:
     for d_src, d_dst, n in instances:
         ts, td = class_group_table(d_src, n), class_group_table(d_dst, n)
         img = [td.locate_class(order_change_map(x, d_dst)) for x in ts.classes]
-        hom = all(
-            img[ts.mul(i, j)] == td.mul(img[i], img[j])
-            for i in range(ts.order)
-            for j in range(ts.order)
-        )
-        onto = set(img) == set(range(td.order))
+        hom, onto = _hom_onto(ts.cayley, td.cayley, img)
         checks.append(check(f"order-{d_src}-to-{d_dst}-at-{n}", hom and onto,
                             hom=hom, surjective=onto))
     return checks

@@ -1,8 +1,9 @@
-"""Finite truncations of the projective limits: compatible point sequences
-along divisibility chains of levels, matrix arithmetic at fixed prime-power
-precision, the uniqueness property of truncated matrix limits (sharp at the
-odd/even prime boundary), and the correspondence between base points times a
-congruence kernel and point classes at higher level, checked exhaustively.
+"""Finite truncations of the projective limits: matrix arithmetic at fixed
+prime-power precision, the uniqueness property of truncated matrix limits
+(sharp at the odd/even prime boundary), and the correspondence between base
+points times a congruence kernel and point classes at higher level, checked
+exhaustively.  The group law on lim CM(D, Y1(N)^±) is checked on whole
+tables, level by level, by `suites.levelmaps`.
 
 Everything runs on exact integers; "precision n" always means working modulo
 p^n with determinant exactly 1 on integral lifts.
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ._arith import egcd, is_prime
-from .cm import CMClassSet, CMPoint, cm_class_set, curve_kind, equivalent_points
+from .cm import CMClassSet, CMPoint, cm_class_set, equivalent_points
 from .congruence import CongKind, class_key, key_from_witness, lift_matrix
 from .forms import IDENTITY, UnimodMatrix, reduce_form, require_discriminant
 
@@ -341,92 +342,3 @@ def correspondence_report(p: int, d: int, n: int, check_lift: bool = False) -> d
         "surjective": injective and pairs == codomain_size,
         "witnesses_of_failure": witnesses,
     }
-
-
-# -- compatible sequences along level chains ----------------------------------
-
-
-@dataclass(frozen=True)
-class TowerElem:
-    """One point class per level along a divisibility chain, each the image of
-    the next under the level projection."""
-
-    disc: int
-    curve: str
-    levels: tuple[int, ...]
-    points: tuple[CMPoint, ...]
-
-    def __post_init__(self) -> None:
-        require_discriminant(self.disc)
-        if self.curve not in ("y1", "y"):
-            raise ValueError(f"curve must be 'y1' or 'y', got {self.curve!r}")
-        if not self.levels or len(self.levels) != len(self.points):
-            raise ValueError("need one point per level")
-        if any(m < 1 for m in self.levels):
-            raise ValueError("levels must be positive")
-        for a, b in zip(self.levels, self.levels[1:]):
-            if b % a:
-                raise ValueError(f"levels must form a divisibility chain; {a} does not divide {b}")
-        for lvl, pt in zip(self.levels, self.points):
-            if pt.disc != self.disc:
-                raise ValueError("point discriminant differs from the tower's")
-            if not pt.primitive_mod(lvl):
-                raise ValueError(f"point not primitive mod {lvl}")
-        for k in range(len(self.levels) - 1):
-            if not equivalent_points(self.points[k + 1], self.points[k], self.levels[k], self.curve):
-                raise ValueError(f"incompatible at level {self.levels[k]}")
-
-    def top(self) -> tuple[int, CMPoint]:
-        return self.levels[-1], self.points[-1]
-
-
-def extend_tower(t: TowerElem, m: int) -> TowerElem:
-    """Append a class at level m restricting to the current top (fiber search).
-
-    The projection is onto, so the search over enumerated level-m classes must
-    succeed; exhaustion is reported as a hard error, not an empty result.
-    """
-    top_level, top_point = t.top()
-    if m == top_level:
-        return t
-    if m % top_level:
-        raise ValueError(f"{top_level} does not divide {m}")
-    kind = curve_kind(t.curve)
-    want = class_key(top_point.carrier, top_level, kind)
-    for q in cm_class_set(t.disc, m, t.curve).classes:
-        if class_key(q.carrier, top_level, kind) == want:
-            return TowerElem(t.disc, t.curve, t.levels + (m,), t.points + (q,))
-    raise RuntimeError(f"no level-{m} class over the top class: projection failed to be onto")
-
-
-def tower_from_base(base: CMPoint, levels: tuple[int, ...], curve: str) -> TowerElem:
-    """Grow a compatible sequence over a base point along the whole chain."""
-    if not levels:
-        raise ValueError("empty chain")
-    t = TowerElem(base.disc, curve, (levels[0],), (base,))
-    for m in levels[1:]:
-        t = extend_tower(t, m)
-    return t
-
-
-def tower_compose(s: TowerElem, t: TowerElem) -> TowerElem:
-    """Levelwise signed-class product of two sequences on the same y1 chain.
-
-    The constructor of the result re-verifies compatibility, so each call
-    doubles as a check that composing commutes with the level projections.
-    There is no counterpart on the full-congruence chain (no group law there).
-    """
-    from .classgroup import FormClass, PMClass, pm_compose
-    from .forms import SignedForm
-
-    if s.curve != "y1" or t.curve != "y1":
-        raise ValueError("levelwise composition lives on the y1 chain only")
-    if (s.disc, s.levels) != (t.disc, t.levels):
-        raise ValueError("towers on different chains")
-    pts = []
-    for lvl, a, b in zip(s.levels, s.points, t.points):
-        xa = PMClass(FormClass.of(a.carrier.form, lvl), a.carrier.sign)
-        xb = PMClass(FormClass.of(b.carrier.form, lvl), b.carrier.sign)
-        out = pm_compose(xa, xb)
-        pts.append(CMPoint(SignedForm(out.base.rep, out.sign)))
-    return TowerElem(s.disc, "y1", s.levels, tuple(pts))

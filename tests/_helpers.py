@@ -1,14 +1,14 @@
 """What only tests use: word matrices, form values, reducedness, the Moebius
 action on roots, points by coefficients or by value, the ring operations of
 `ElemO`, ideal bases, conjugates, norms and the unit ideal, a brute-force
-ray-class oracle, the signed identity and inverse, and the reference versions
-of the HNF, ray-equality and composition kernels."""
+ray-class oracle, and the reference versions of the HNF, ray-equality and
+composition kernels."""
 
 import math
 from fractions import Fraction
 
 from formclass._arith import crt, egcd
-from formclass.classgroup import CompositionBoundError, FormClass, PMClass, conj_class, identity_class, inverse_class
+from formclass.classgroup import CompositionBoundError, FormClass
 from formclass.cm import CMPoint
 from formclass.forms import QuadForm, QuadIrrational, SignedForm, UnimodMatrix
 from formclass.ideals import ElemO, OIdeal, principal_generator, principal_ideal, unit_group
@@ -120,16 +120,6 @@ def ray_class_equal_bruteforce(u: OIdeal, v: OIdeal, n: int, bound: int = 6) -> 
         return out
 
     return bool(scaled_products(u) & scaled_products(v))
-
-
-def pm_identity(d: int, n: int) -> PMClass:
-    return PMClass(identity_class(d, n), 1)
-
-
-def pm_inverse(x: PMClass) -> PMClass:
-    if x.sign == 1:
-        return PMClass(inverse_class(x.base), 1)
-    return PMClass(conj_class(inverse_class(x.base)), -1)
 
 
 def hnf_pair_reference(rows: list[tuple[int, int]]) -> tuple[int, int, int]:

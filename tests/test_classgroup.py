@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from _helpers import column_shells_reference, compose_reference, pm_identity, pm_inverse, unit_ideal
+from _helpers import column_shells_reference, compose_reference, unit_ideal
 from formclass._arith import egcd
 from formclass.classgroup import (
     ClassGroupTable,
@@ -28,10 +28,8 @@ from formclass.classgroup import (
     identity_class,
     inverse_class,
     level_map,
-    pm_compose,
     same_class,
 )
-from formclass.classgroup import PMClass
 from formclass.congruence import ClassIndex, CongKind, class_index
 from formclass.forms import QuadForm, UnimodMatrix
 from formclass.ideals import ElemO, form_to_ideal, principal_ideal, ray_class_equal
@@ -330,27 +328,27 @@ def test_class_surjection_reports_missed_classes(monkeypatch):
 
 
 def test_pm_semidirect_rule():
-    d, n = -23, 3
-    x = PMClass(FormClass.of(QuadForm(2, 1, 3), n), -1)
-    y = PMClass(FormClass.of(QuadForm(2, 1, 3), n), 1)
-    z = pm_compose(x, y)
-    assert z.sign == -1
-    assert same_class(z.base, compose(x.base, conj_class(y.base)))
-    w = pm_compose(y, x)
-    assert w.sign == -1
-    assert same_class(w.base, compose(y.base, x.base))
+    table = class_group_table(-23, 3)
+    pm, n = PMGroup.build(table), table.order
+    x = FormClass.of(QuadForm(2, 1, 3), 3)
+    i = table.locate_class(x)
+    # a minus factor on the left conjugates the right factor and flips its sign
+    z = pm.cayley[n + i][i]
+    assert z >= n and same_class(table.classes[z - n], compose(x, conj_class(x)))
+    # a plus factor on the left keeps the right factor as it is
+    w = pm.cayley[i][n + i]
+    assert w >= n and same_class(table.classes[w - n], compose(x, x))
 
 
 def test_pm_inverse_both_cosets():
-    d, n = -23, 3
-    e = pm_identity(d, n)
-    for sign in (1, -1):
-        x = PMClass(FormClass.of(QuadForm(4, 3, 2), n), sign)
-        xi = pm_inverse(x)
-        prod = pm_compose(x, xi)
-        assert prod.sign == 1 and same_class(prod.base, e.base)
-        prod2 = pm_compose(xi, x)
-        assert prod2.sign == 1 and same_class(prod2.base, e.base)
+    table = class_group_table(-23, 3)
+    pm, n, e = PMGroup.build(table), table.order, table.identity_index
+    x = FormClass.of(QuadForm(4, 3, 2), 3)
+    # inverses by the ideal route: x^-1 in the plus coset, conj(x^-1) in the minus one
+    plus = (table.locate_class(x), table.locate_class(inverse_class(x)))
+    minus = (n + plus[0], n + table.locate_class(conj_class(inverse_class(x))))
+    for a, b in (plus, minus):
+        assert pm.cayley[a][b] == e and pm.cayley[b][a] == e
 
 
 def test_pm_involution_realizes_conjugation():

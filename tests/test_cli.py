@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import formclass
-from formclass import suites
+from formclass import classgroup, suites
 from formclass.classgroup import identity_class
 from formclass.cli import CELL_BUDGET, SCAN_BUDGET, Config, _check_disc, _check_table, main
 from formclass.congruence import ClassIndex
@@ -265,6 +265,17 @@ def test_every_suite_can_fail(capsys, monkeypatch, suite, target, corrupt, suite
     assert code == 1 and json.loads(out)["pass"] is False
 
 
+def test_levelmaps_checks_the_sign_law(monkeypatch):
+    # without conjugation at level 9 the signed table there is a direct
+    # product, still a group, but the projection to level 3 is no longer a
+    # homomorphism; the unsigned tables cannot see this
+    real = classgroup.conj_class
+    monkeypatch.setattr(classgroup, "conj_class", lambda x: x if x.level == 9 else real(x))
+    (chain,) = suites.levelmaps(-23, [(9, 3)])
+    assert chain["name"] == "chain-9-to-3" and not chain["pass"]
+    assert (chain["hom"], chain["surjective"], chain["fiber_size"]) == (False, True, 9)
+
+
 def test_padiclimits_disagreement_count_is_frozen(capsys):
     # pins the random stream: any change to the order or number of draws moves it
     doc = run_json(capsys, "verify", "padiclimits", "-p", "2", "--trials", "200", "--seed", "5")
@@ -288,11 +299,13 @@ def test_unknown_suite_is_a_usage_error(capsys):
 
 
 # sha256 of the stdout of `formclass <argv>`, recorded before the code that no
-# command reaches left src/
+# command reaches left src/; the levelmaps entry, which covers all four chains,
+# before levelmaps moved from the unsigned to the signed tables
 FROZEN_STDOUT_DIGESTS = {
     ("verify", "all", "--quick", "--seed", "3"): "6f069daf30dea64d82b8a0a4f7f7d48d492fad8514d9e55ebd44d923b393c196",
     ("--format", "text", "classgroup", "-D", "-23", "-N", "3"):
         "c078579bbf30c8c167782aece25fac7b8821b35a3cfb8f7abfab6117d79b5c8e",
+    ("verify", "levelmaps", "--seed", "7"): "c7fe155cce1da42278d885376043a97a9b81e10b2af883a220b20abb9a9856cb",
 }
 
 

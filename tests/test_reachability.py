@@ -21,16 +21,7 @@ COMMANDS = (
     "reduce 7,11,5",
 )
 
-TOWER_CHAIN = "a finite truncation of lim CM(D, Y1(N)^+-), kept for a suite over the inverse limits"
-
 ALLOWED = {
-    "tower.TowerElem.__post_init__": TOWER_CHAIN,
-    "tower.TowerElem.top": TOWER_CHAIN,
-    "tower.extend_tower": TOWER_CHAIN,
-    "tower.tower_from_base": TOWER_CHAIN,
-    "tower.tower_compose": TOWER_CHAIN,
-    "classgroup.PMClass.__post_init__": "the signed class, built only by tower_compose",
-    "classgroup.pm_compose": "the signed product, used only by tower_compose",
     "ideals.OIdeal.to_json": "names an ideal in the error messages of class_of_ideal",
     "forms.QuadIrrational.__eq__": "roots compare by value, not by presentation",
     "forms.QuadIrrational.__hash__": "kept consistent with __eq__",

@@ -11,18 +11,14 @@ from formclass.forms import IDENTITY, UnimodMatrix
 from formclass.tower import (
     MatrixSeq,
     PadicMatrix,
-    TowerElem,
     act_padic,
     base_point_set,
     correspondence_report,
-    extend_tower,
     kernel_reps,
     limits_agree,
     random_compliant_pair,
     random_matrix_seq,
     seq_conditions_hold,
-    tower_compose,
-    tower_from_base,
 )
 
 from _helpers import point, translation
@@ -305,60 +301,3 @@ def test_correspondence_report_at_precision_one():
     assert report["pairs"] == 36
     assert report["injective"] and report["surjective"]
     assert report["witnesses_of_failure"] == []
-
-
-# -- compatible sequences of points ------------------------------------------------
-
-
-def test_tower_from_base_and_extension():
-    base = point(1, 1, 6)
-    t = tower_from_base(base, (1, 3, 9), "y1")
-    assert t.levels == (1, 3, 9)
-    for k in range(2):
-        assert equivalent_points(t.points[k + 1], t.points[k], t.levels[k], "y1")
-    assert extend_tower(t, 9) is t
-
-
-def test_tower_validation():
-    base = point(1, 1, 6)
-    with pytest.raises(ValueError):
-        TowerElem(-23, "y1", (3, 5), (base, base))  # 3 does not divide 5
-    with pytest.raises(ValueError):
-        TowerElem(-23, "y2", (1,), (base,))
-    q = point(2, 1, 3, -1)
-    with pytest.raises(ValueError):
-        TowerElem(-23, "y1", (1, 3), (base, q))  # sign flip: incompatible below
-
-
-def test_tower_compose_is_levelwise_and_projection_compatible():
-    s = tower_from_base(point(1, 1, 6), (1, 3, 9), "y1")
-    t = tower_from_base(point(2, 1, 3), (1, 3, 9), "y1")
-    out = tower_compose(s, t)
-    # the constructor has already re-validated compatibility level by level
-    assert out.levels == s.levels
-    for lvl, a, b, c in zip(s.levels, s.points, t.points, out.points):
-        assert c.carrier.sign == a.carrier.sign * b.carrier.sign
-
-
-def test_tower_compose_identity():
-    s = tower_from_base(point(2, 1, 3), (1, 3), "y1")
-    # the constant principal tower (extend_tower may pick a different, shifted
-    # class over the base, so build the identity sequence by hand)
-    pt = point(1, 1, 6)
-    e = TowerElem(-23, "y1", (1, 3), (pt, pt))
-    out = tower_compose(s, e)
-    for lvl, a, c in zip(s.levels, s.points, out.points):
-        assert equivalent_points(a, c, lvl, "y1")
-
-
-def test_tower_compose_rejects_full_congruence_chain():
-    s = tower_from_base(point(1, 1, 6), (1, 3), "y")
-    with pytest.raises(ValueError):
-        tower_compose(s, s)
-
-
-def test_tower_compose_rejects_mismatched_chains():
-    s = tower_from_base(point(1, 1, 6), (1, 3), "y1")
-    t = tower_from_base(point(1, 1, 6), (1, 3, 9), "y1")
-    with pytest.raises(ValueError):
-        tower_compose(s, t)
