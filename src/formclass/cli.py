@@ -80,8 +80,8 @@ def _check_disc(d: int) -> None:
         raise ValueError(f"discriminant {d} needs ~{steps} reduced-form scan steps, over the budget of {SCAN_BUDGET}")
 
 
-# A Cayley table of order h takes h**2 `compose` and `locate` cells at ~45 us
-# each at order 900 (~25 us at order 48); 10**6 cells take about 45 s.
+# A Cayley table of order h takes h**2 `compose` and `locate` cells at ~23 us
+# each at order 900 (~19 us at order 48); 10**6 cells take about 23 s.
 CELL_BUDGET = 10**6
 
 

@@ -23,7 +23,7 @@ from .forms import (
     UnimodMatrix,
     automorphs,
     is_member,
-    reduce_form,
+    reduce_triple,
     reduced_forms,
     require_discriminant,
     sl2_equivalent,
@@ -148,9 +148,9 @@ def _automorph_entries(triple: tuple[int, int, int]) -> tuple[tuple[int, int, in
     return tuple(alpha.entries() for alpha in automorphs(QuadForm(*triple)))
 
 
-def key_from_witness(reduced: QuadForm, sign: int, w: tuple[int, int, int, int], n: int, kind: CongKind) -> tuple:
+def key_from_witness(triple: tuple, sign: int, w: tuple[int, int, int, int], n: int, kind: CongKind) -> tuple:
     """The class key of any signed form that the matrix w = (p, q, r, s) takes
-    to the reduced form R.
+    to the reduced form R with this triple.
 
     The matrices taking that form to R are w*Aut(R), so its class is the double
     coset Gamma*w*Aut(R).  Each right coset Gamma*m is named by m mod n
@@ -160,7 +160,6 @@ def key_from_witness(reduced: QuadForm, sign: int, w: tuple[int, int, int, int],
     matrix congruent to a witness.
     """
     p, q, r, s = w
-    triple = reduced.triple()
     auts = _automorph_entries(triple)
     if kind is CongKind.FULL_LEVEL:
         names = [((p * x + q * z) % n, (p * y + q * u) % n, (r * x + s * z) % n, (r * y + s * u) % n)
@@ -174,10 +173,11 @@ def class_key(f: SignedForm, n: int, kind: CongKind) -> tuple:
     """A complete invariant: equal keys exactly when the forms are equivalent.
 
     Reduction supplies R and a witness w with f.transform(w) == R; the key is
-    `key_from_witness` of them.
+    `key_from_witness` of them.  Uncached: the forms it locates (products,
+    images) are mostly new.
     """
-    reduced, w = reduce_form(f.form)
-    return key_from_witness(reduced, f.sign, w.entries(), n, kind)
+    a, b, c, p, q, r, s = reduce_triple(f.form.a, f.form.b, f.form.c)
+    return key_from_witness((a, b, c), f.sign, (p, q, r, s), n, kind)
 
 
 @lru_cache(maxsize=None)
@@ -199,7 +199,7 @@ def _keyed_classes(d: int, n: int, kind: CongKind) -> tuple[tuple[tuple, QuadFor
             cand = base.transform(g0)
             if math.gcd(cand.a, n) != 1:
                 continue
-            key = key_from_witness(base, 1, (g0.s, -g0.q, -g0.r, g0.p), n, kind)
+            key = key_from_witness(base.triple(), 1, (g0.s, -g0.q, -g0.r, g0.p), n, kind)
             kept = least.get(key)
             if kept is None or cand.triple() < kept.triple():
                 least[key] = cand

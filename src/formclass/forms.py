@@ -5,9 +5,10 @@ SL2(Z) action Q^g(v) = Q(g*v), Gauss reduction with a unimodular witness,
 automorph groups, and the quadratic irrational roots of forms.  Everything is
 integer/rational exact; no floating point is used anywhere.
 
-The hot paths work on plain ints: the Gauss loop carries the form and its
-witness as seven integers and builds the validated `QuadForm` and
-`UnimodMatrix` only for its result, whose witness it then checks exactly once.
+The hot paths work on plain ints: `reduce_triple`, the one Gauss loop, carries
+a form and its witness as seven integers and checks the witness exactly once.
+`reduce_form` caches it for forms reduced again and again (base points);
+`class_key` and `sl2_equivalent` call it uncached, as their forms are mostly new.
 """
 
 from __future__ import annotations
@@ -57,9 +58,6 @@ class UnimodMatrix:
     def __neg__(self) -> "UnimodMatrix":
         return UnimodMatrix(-self.p, -self.q, -self.r, -self.s)
 
-    def inverse(self) -> "UnimodMatrix":
-        return UnimodMatrix(self.s, -self.q, -self.r, self.p)
-
     def entries(self) -> tuple[int, int, int, int]:
         return (self.p, self.q, self.r, self.s)
 
@@ -97,13 +95,7 @@ class QuadForm:
         Satisfies Q.transform(g).transform(h) == Q.transform(g*h) and preserves
         the discriminant, primitivity and positive definiteness.
         """
-        a, b, c = self.a, self.b, self.c
-        p, q, r, s = g.p, g.q, g.r, g.s
-        return QuadForm(
-            (a * p + b * r) * p + c * r * r,
-            2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s,
-            (a * q + b * s) * q + c * s * s,
-        )
+        return QuadForm(*_moved(self.a, self.b, self.c, g.p, g.q, g.r, g.s))
 
     def conjugate(self) -> "QuadForm":
         """(a, b, c) -> (a, -b, c); the form of the complex-conjugate root."""
@@ -201,19 +193,23 @@ class QuadIrrational:
         return self.rad_coeff == 1
 
 
-@lru_cache(maxsize=None)
-def reduce_form(f: QuadForm) -> tuple[QuadForm, UnimodMatrix]:
-    """Gauss reduction.  Returns (R, g) with f.transform(g) == R and R reduced.
+def _moved(a: int, b: int, c: int, p: int, q: int, r: int, s: int) -> tuple[int, int, int]:
+    """The triple of (a, b, c) under the right action of [[p, q], [r, s]]."""
+    return ((a * p + b * r) * p + c * r * r,
+            2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s,
+            (a * q + b * s) * q + c * s * s)
 
-    Each SL2(Z) class contains exactly one reduced form, so R is a canonical
-    class representative and g is an explicit equivalence witness.  The loop
-    runs on the ints (a, b, c) and the witness entries (p, q, r, s): a swap
-    (right factor [[0, -1], [1, 0]]) sends them to (c, -b, a) and
-    (q, -p, s, -r), a translation by t to (a, b + 2at, (at + b)t + c) and
-    (p, q + pt, r, s + rt).  The witness is checked once, exactly, at the end;
-    RuntimeError if it fails.
+
+def reduce_triple(a: int, b: int, c: int) -> tuple[int, int, int, int, int, int, int]:
+    """Gauss reduction on ints: (a', b', c', p, q, r, s), the reduced triple
+    and the witness [[p, q], [r, s]] that takes (a, b, c) to it.
+
+    A swap (right factor [[0, -1], [1, 0]]) sends form and witness to (c, -b, a)
+    and (q, -p, s, -r), a translation by t to (a, b + 2at, (at + b)t + c) and
+    (p, q + pt, r, s + rt).  RuntimeError unless ps - qr = 1 and the witness
+    moves (a, b, c) to the result, checked once at the end.
     """
-    a, b, c = f.a, f.b, f.c
+    start = a, b, c
     p, q, r, s = 1, 0, 0, 1
     while True:
         if a > c or (a == c and b < 0):
@@ -226,10 +222,22 @@ def reduce_form(f: QuadForm) -> tuple[QuadForm, UnimodMatrix]:
             q, s = q + p * t, s + r * t
         else:
             break
-    reduced, witness = QuadForm(a, b, c), UnimodMatrix(p, q, r, s)
-    if f.transform(witness) != reduced:
-        raise RuntimeError(f"reduction witness {witness.entries()} does not take {f.triple()} to {reduced.triple()}")
-    return reduced, witness
+    if p * s - q * r != 1 or _moved(*start, p, q, r, s) != (a, b, c):
+        raise RuntimeError(f"reduction witness {(p, q, r, s)} does not take {start} to {(a, b, c)}")
+    return a, b, c, p, q, r, s
+
+
+@lru_cache(maxsize=None)
+def reduce_form(f: QuadForm) -> tuple[QuadForm, UnimodMatrix]:
+    """Gauss reduction.  Returns (R, g) with f.transform(g) == R and R reduced.
+
+    Each SL2(Z) class contains exactly one reduced form, so R is a canonical
+    class representative and g is an explicit equivalence witness.  Validated
+    objects around `reduce_triple`, cached for the forms that are reduced again
+    and again: base points in the lift check, and the `reduce` command.
+    """
+    a, b, c, p, q, r, s = reduce_triple(f.a, f.b, f.c)
+    return QuadForm(a, b, c), UnimodMatrix(p, q, r, s)
 
 
 @lru_cache(maxsize=None)
@@ -265,15 +273,16 @@ def sl2_equivalent(f: QuadForm, g: QuadForm) -> UnimodMatrix | None:
     """A matrix w with f.transform(w) == g, or None if the forms are inequivalent.
 
     Raises ValueError on a discriminant mismatch (that is an input error, not
-    inequivalence).  The full witness set is automorphs(f) * w.
+    inequivalence).  The full witness set is automorphs(f) * w.  Both forms go
+    through the uncached `reduce_triple`; w = w_f * w_g^-1 is checked exactly.
     """
     if f.discriminant() != g.discriminant():
         raise ValueError(f"discriminant mismatch: {f.discriminant()} vs {g.discriminant()}")
-    rf, wf = reduce_form(f)
-    rg, wg = reduce_form(g)
+    *rf, p, q, r, s = reduce_triple(f.a, f.b, f.c)
+    *rg, x, y, z, u = reduce_triple(g.a, g.b, g.c)
     if rf != rg:
         return None
-    w = wf * wg.inverse()
+    w = UnimodMatrix(p * u - q * z, q * x - p * y, r * u - s * z, s * x - r * y)
     if f.transform(w) != g:
         raise RuntimeError(f"witness {w.entries()} does not take {f.triple()} to {g.triple()}")
     return w

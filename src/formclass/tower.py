@@ -270,7 +270,7 @@ def _check_lift(point: CMPoint, g: PadicMatrix, n: int, key: tuple) -> None:
     """
     m = g.prime**n
     reduced, w = reduce_form(point.carrier.form)
-    want = key_from_witness(reduced, point.carrier.sign, _mul((g.d, -g.b, -g.c, g.a), w.entries()),
+    want = key_from_witness(reduced.triple(), point.carrier.sign, _mul((g.d, -g.b, -g.c, g.a), w.entries()),
                             m, CongKind.FULL_LEVEL)
     if key != want:
         raise RuntimeError(

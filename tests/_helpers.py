@@ -1,16 +1,17 @@
 """What only tests use: word matrices, form values, reducedness, the Moebius
 action on roots, points by coefficients or by value, the ring operations of
 `ElemO`, ideal bases, conjugates, norms and the unit ideal, a brute-force
-ray-class oracle, and the reference versions of the HNF, ray-equality and
-composition kernels."""
+ray-class oracle, matrix inverses, and the reference versions of reduction,
+plain equivalence and the HNF, ray-equality and composition kernels."""
 
 import math
+import random
 from fractions import Fraction
 
 from formclass._arith import crt, egcd
 from formclass.classgroup import CompositionBoundError, FormClass
 from formclass.cm import CMPoint
-from formclass.forms import QuadForm, QuadIrrational, SignedForm, UnimodMatrix
+from formclass.forms import QuadForm, QuadIrrational, SignedForm, UnimodMatrix, reduced_forms
 from formclass.ideals import ElemO, OIdeal, principal_generator, principal_ideal, unit_group
 
 SWAP = UnimodMatrix(0, -1, 1, 0)
@@ -19,6 +20,63 @@ SWAP = UnimodMatrix(0, -1, 1, 0)
 def translation(m: int) -> UnimodMatrix:
     """[[1, m], [0, 1]]; acts on forms by b -> b + 2am."""
     return UnimodMatrix(1, m, 0, 1)
+
+
+def inverse(g: UnimodMatrix) -> UnimodMatrix:
+    """The inverse [[s, -q], [-r, p]] of g = [[p, q], [r, s]]."""
+    return UnimodMatrix(g.s, -g.q, -g.r, g.p)
+
+
+def reduce_form_reference(f: QuadForm) -> tuple[QuadForm, UnimodMatrix]:
+    """`forms.reduce_form` as it was before its integer kernel `reduce_triple`:
+    the same Gauss loop, its witness checked through the validated objects."""
+    a, b, c = f.a, f.b, f.c
+    p, q, r, s = 1, 0, 0, 1
+    while True:
+        if a > c or (a == c and b < 0):
+            a, b, c = c, -b, a
+            p, q, r, s = q, -p, s, -r
+        elif not (-a < b <= a):
+            t = (a - b) // (2 * a)
+            b, c = b + 2 * a * t, (a * t + b) * t + c
+            q, s = q + p * t, s + r * t
+        else:
+            break
+    reduced, witness = QuadForm(a, b, c), UnimodMatrix(p, q, r, s)
+    if f.transform(witness) != reduced:
+        raise RuntimeError(f"reduction witness {witness.entries()} does not take {f.triple()} to {reduced.triple()}")
+    return reduced, witness
+
+
+def sl2_equivalent_reference(f: QuadForm, g: QuadForm) -> UnimodMatrix | None:
+    """`forms.sl2_equivalent` as it was before it reduced on ints: w_f * w_g^-1
+    from `reduce_form_reference` and matrix objects."""
+    if f.discriminant() != g.discriminant():
+        raise ValueError(f"discriminant mismatch: {f.discriminant()} vs {g.discriminant()}")
+    rf, wf = reduce_form_reference(f)
+    rg, wg = reduce_form_reference(g)
+    if rf != rg:
+        return None
+    w = wf * inverse(wg)
+    if f.transform(w) != g:
+        raise RuntimeError(f"witness {w.entries()} does not take {f.triple()} to {g.triple()}")
+    return w
+
+
+def seeded_forms() -> list[QuadForm]:
+    """5400 forms over D in (-3, -4, -15, -23, -56, -1003): reduced forms moved
+    by random words of translations and swaps, many with coefficients above
+    10**12."""
+    rng = random.Random(4104)
+    out = []
+    for d in (-3, -4, -15, -23, -56, -1003):
+        bases = reduced_forms(d)
+        for _ in range(900):
+            g = UnimodMatrix(1, 0, 0, 1)
+            for _ in range(rng.randint(0, 6)):
+                g = g * translation(rng.randint(-10**rng.randint(0, 4), 10**rng.randint(0, 4))) * SWAP
+            out.append(rng.choice(bases).transform(g))
+    return out
 
 
 def value(f: QuadForm, x: int, y: int) -> int:

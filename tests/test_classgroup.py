@@ -31,7 +31,7 @@ from formclass.classgroup import (
     same_class,
 )
 from formclass.congruence import ClassIndex, CongKind, class_index
-from formclass.forms import QuadForm, UnimodMatrix
+from formclass.forms import QuadForm, UnimodMatrix, reduce_form, reduced_forms
 from formclass.ideals import ElemO, form_to_ideal, principal_ideal, ray_class_equal
 
 FROZEN_TABLES = {
@@ -262,6 +262,16 @@ def test_class_group_table_caches_one_entry_per_level():
     assert class_group_table(-23, 2) is not first
     info = class_group_table.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+
+
+def test_locating_products_does_not_grow_the_reduction_cache():
+    """Products are located by the uncached kernel, so a table build leaves
+    reduce_form's cache no larger than the reduced forms at its discriminant."""
+    reduce_form.cache_clear()
+    table = ClassGroupTable.build(-51, 7)
+    for x, y in itertools.product(table.classes, repeat=2):
+        assert table.locate_class(compose(x, y)) == table.mul(table.locate_class(x), table.locate_class(y))
+    assert reduce_form.cache_info().currsize <= len(reduced_forms(-51))
 
 
 def test_class_of_ideal_inverts_form_to_ideal():

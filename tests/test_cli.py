@@ -300,12 +300,17 @@ def test_unknown_suite_is_a_usage_error(capsys):
 
 # sha256 of the stdout of `formclass <argv>`, recorded before the code that no
 # command reaches left src/; the levelmaps entry, which covers all four chains,
-# before levelmaps moved from the unsigned to the signed tables
+# before levelmaps moved from the unsigned to the signed tables; the classgroup
+# -D -51 and tower entries, which locate every product and image, before
+# class_key moved from the cached reduce_form to the integer kernel
 FROZEN_STDOUT_DIGESTS = {
     ("verify", "all", "--quick", "--seed", "3"): "6f069daf30dea64d82b8a0a4f7f7d48d492fad8514d9e55ebd44d923b393c196",
     ("--format", "text", "classgroup", "-D", "-23", "-N", "3"):
         "c078579bbf30c8c167782aece25fac7b8821b35a3cfb8f7abfab6117d79b5c8e",
     ("verify", "levelmaps", "--seed", "7"): "c7fe155cce1da42278d885376043a97a9b81e10b2af883a220b20abb9a9856cb",
+    ("classgroup", "-D", "-51", "-N", "7"): "84efa266af03dd071ce613a30763ae266d07145aa54ff2d74b02d641442c64ec",
+    ("tower", "-p", "3", "-D", "-23", "-n", "2", "--check-lift"):
+        "12461130317f4716510ae681713330604e52009333e156856d4f65b6445dbb28",
 }
 
 

@@ -27,7 +27,7 @@ from formclass.forms import (
     reduced_forms,
 )
 
-from _helpers import SWAP, translation
+from _helpers import SWAP, inverse, reduce_form_reference, seeded_forms, translation
 
 FULL = CongKind.FULL_LEVEL
 UPPER = CongKind.UPPER_UNIPOTENT
@@ -72,7 +72,7 @@ def test_coset_reps_pairwise_inequivalent():
     reps = coset_reps(n, UPPER)
     for i, g in enumerate(reps):
         for j, h in enumerate(reps):
-            same = in_gamma(g * h.inverse(), n, UPPER)
+            same = in_gamma(g * inverse(h), n, UPPER)
             assert same == (i == j)
 
 
@@ -190,7 +190,7 @@ def _random_member(rng: random.Random, f: SignedForm, n: int, in_subgroup: bool 
     while True:
         word = _random_word(rng)
         if in_subgroup:
-            word = word * translation(n * rng.randint(1, 3)) * word.inverse()
+            word = word * translation(n * rng.randint(1, 3)) * inverse(word)
         g = f.transform(word)
         if math.gcd(g.form.a, n) == 1:
             return g
@@ -232,6 +232,17 @@ def test_class_key_names_are_residues_of_matrix_products():
                     assert class_key(f, n, kind) == (reduced.triple(), f.sign, min(names)), (d, n, kind, f)
 
 
+def test_class_key_matches_reduction_then_key_from_witness():
+    """The uncached kernel behind class_key names every seeded form as the
+    object-level reduction followed by key_from_witness does."""
+    rng = random.Random(5)
+    for f in seeded_forms():
+        n, kind, sign = rng.choice((1, 2, 5, 6, 9, 12)), rng.choice((FULL, UPPER)), rng.choice((1, -1))
+        reduced, w = reduce_form_reference(f)
+        want = key_from_witness(reduced.triple(), sign, w.entries(), n, kind)
+        assert class_key(SignedForm(f, sign), n, kind) == want, (f, n, kind)
+
+
 def test_residue_keys_match_reduced_keys():
     """Every enumeration candidate R.transform(g0) is named from g0^-1's
     residues exactly as reduction names it, including the extra automorphs of
@@ -246,7 +257,7 @@ def test_residue_keys_match_reduced_keys():
                         cand = base.transform(g0)
                         if math.gcd(cand.a, n) != 1:
                             continue
-                        got = key_from_witness(base, 1, g0.inverse().entries(), n, kind)
+                        got = key_from_witness(base.triple(), 1, inverse(g0).entries(), n, kind)
                         assert got == class_key(SignedForm(cand), n, kind), (d, n, kind, cand, g0)
                         checked += 1
     assert checked > 5000, checked

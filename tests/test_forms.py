@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from formclass import forms
 from formclass.forms import (
     IDENTITY,
     QuadForm,
@@ -21,7 +22,17 @@ from formclass.forms import (
     sl2_equivalent,
 )
 
-from _helpers import SWAP, is_reduced, mobius, translation, value
+from _helpers import (
+    SWAP,
+    inverse,
+    is_reduced,
+    mobius,
+    reduce_form_reference,
+    seeded_forms,
+    sl2_equivalent_reference,
+    translation,
+    value,
+)
 
 SAMPLE_DISCS = (-3, -4, -15, -20, -23, -24, -47, -71, -92)
 
@@ -102,8 +113,8 @@ def test_unimod_determinant_checked():
 
 def test_matrix_group_ops():
     g = UnimodMatrix(2, 1, 1, 1)
-    assert g * g.inverse() == IDENTITY
-    assert g.inverse() * g == IDENTITY
+    assert g * inverse(g) == IDENTITY
+    assert inverse(g) * g == IDENTITY
     assert (-g).entries() == (-2, -1, -1, -1)
     assert g.to_json() == [2, 1, 1, 1]
 
@@ -155,26 +166,20 @@ def _reference_reduce(f: QuadForm) -> tuple[QuadForm, UnimodMatrix]:
 
 
 def test_reduce_matches_stepwise_reference():
-    rng = random.Random(4104)
     checked = huge = 0
-    for d in (-3, -4, -15, -23, -56, -1003):
-        bases = reduced_forms(d)
-        for _ in range(900):
-            g = IDENTITY
-            for _ in range(rng.randint(0, 6)):
-                g = g * translation(rng.randint(-10**rng.randint(0, 4), 10**rng.randint(0, 4))) * SWAP
-            f = rng.choice(bases).transform(g)
-            red, w = reduce_form(f)
-            assert (red, w) == _reference_reduce(f), f
-            assert f.transform(w) == red and is_reduced(red)
-            checked += 1
-            huge += max(map(abs, f.triple())) > 10**12
+    for f in seeded_forms():
+        red, w = reduce_form(f)
+        assert (red, w) == _reference_reduce(f) == reduce_form_reference(f), f
+        assert f.transform(w) == red and is_reduced(red)
+        checked += 1
+        huge += max(map(abs, f.triple())) > 10**12
     assert checked >= 5000 and huge > 500, (checked, huge)
 
 
 def test_reduce_rejects_a_wrong_witness(monkeypatch):
+    # the kernel checks its witness with the triple action that QuadForm.transform shares
     f = QuadForm(7, 11, 5)
-    monkeypatch.setattr(QuadForm, "transform", lambda self, g: self)
+    monkeypatch.setattr(forms, "_moved", lambda a, b, c, p, q, r, s: (a, b, c))
     with pytest.raises(RuntimeError, match=r"does not take \(7, 11, 5\) to \(1, 1, 5\)"):
         reduce_form.__wrapped__(f)
 
@@ -193,7 +198,7 @@ def test_action_composes_on_the_right(f, g, h):
 def test_action_identity_and_inverse(f):
     assert f.transform(IDENTITY) == f
     g = UnimodMatrix(2, 1, 1, 1)
-    assert f.transform(g).transform(g.inverse()) == f
+    assert f.transform(g).transform(inverse(g)) == f
 
 
 @given(definite_form(), unimod())
@@ -211,7 +216,7 @@ def test_action_preserves_disc_and_values(f, g):
 @settings(max_examples=100, deadline=None)
 def test_root_transforms_by_inverse_mobius(f, g):
     sf = SignedForm(f)
-    assert sf.transform(g).root() == mobius(sf.root(), g.inverse())
+    assert sf.transform(g).root() == mobius(sf.root(), inverse(g))
 
 
 def test_automorph_counts():
@@ -237,6 +242,31 @@ def test_sl2_equivalent_roundtrip():
     g = f.transform(UnimodMatrix(2, 1, 1, 1))
     w = sl2_equivalent(f, g)
     assert w is not None and f.transform(w) == g
+
+
+def test_sl2_equivalent_matches_reference_witness():
+    """Pairs of seeded forms of one discriminant, equivalent and not: the same
+    verdict and the same witness, entry for entry, as the object-level body."""
+    rng = random.Random(2113)
+    by_disc: dict[int, list[QuadForm]] = {}
+    for f in seeded_forms():
+        by_disc.setdefault(f.discriminant(), []).append(f)
+    found = {True: 0, False: 0}
+    for fs in by_disc.values():
+        for f in fs:
+            g = rng.choice(fs)
+            w = sl2_equivalent(f, g)
+            assert w == sl2_equivalent_reference(f, g), (f, g)
+            found[w is not None] += 1
+    assert found[True] > 1000 and found[False] > 1000, found
+
+
+def test_sl2_equivalent_rejects_a_wrong_witness(monkeypatch):
+    f = QuadForm(2, 1, 3)
+    g = f.transform(UnimodMatrix(2, 1, 1, 1))
+    monkeypatch.setattr(QuadForm, "transform", lambda self, h: self)
+    with pytest.raises(RuntimeError, match=r"^witness \(.*\) does not take \(2, 1, 3\) to \(13, 17, 6\)$"):
+        sl2_equivalent(f, g)
 
 
 def test_sl2_inequivalent_distinct_reduced():
