@@ -49,7 +49,7 @@ from .classgroup import (
     order_change_map,
     same_class,
 )
-from .cm import CMClassSet, CMPoint, class_of_point, cm_class_set, equivalent_points
+from .cm import cm_class_set, equivalent_points, point_json
 from .tower import (
     MatrixSeq,
     PadicMatrix,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import suites
 from .classgroup import ClassGroupTable, GroupAxiomError
-from .cm import cm_class_set
+from .cm import cm_class_set, point_json
 from .congruence import CongKind, cong_equivalent
 from .forms import QuadForm, SignedForm, reduce_form
 from .ideals import ray_class_count
@@ -182,17 +182,8 @@ def _cmd_classgroup(args, cfg: Config) -> int:
 def _cmd_cm(args, cfg: Config) -> int:
     n = _check_level(args.level, cfg)
     _check_disc(args.disc)
-    cs = cm_class_set(args.disc, n, args.curve)
-    _emit(
-        {
-            "D": cs.disc,
-            "N": cs.level,
-            "curve": cs.curve,
-            "count": len(cs.classes),
-            "classes": [p.to_json() for p in cs.classes],
-        },
-        cfg,
-    )
+    classes = [point_json(f) for f in cm_class_set(args.disc, n, args.curve).reps]
+    _emit({"D": args.disc, "N": n, "curve": args.curve, "count": len(classes), "classes": classes}, cfg)
     return 0
 
 

@@ -21,6 +21,7 @@ from .forms import (
     QuadForm,
     SignedForm,
     UnimodMatrix,
+    _moved,
     automorphs,
     is_member,
     reduce_triple,
@@ -54,14 +55,13 @@ def sl2_residues(n: int) -> tuple[tuple[int, int, int, int], ...]:
         return ((0, 0, 0, 0),)
     out = []
     for p in range(n):
-        g = math.gcd(p, n)
+        g, u, _ = egcd(p, n)
         for q in range(n):
             for r in range(n):
                 target = 1 + q * r
                 if target % g:
                     continue
                 # p*s = target (mod n) has g solutions, spaced n/g apart
-                _, u, _ = egcd(p, n)
                 s0 = (u * (target // g)) % (n // g)
                 for k in range(g):
                     out.append((p, q, r, s0 + k * (n // g)))
@@ -101,18 +101,22 @@ def coset_reps(n: int, kind: CongKind) -> tuple[UnimodMatrix, ...]:
 
     For the principal subgroup these biject with SL2(Z/n).  For the
     upper-unipotent family they biject with SL2(Z/n) modulo right
-    multiplication by unipotents [[1, k], [0, 1]]; each orbit is collapsed to
-    its lexicographically least tuple before lifting, so the output is
-    deterministic.
+    multiplication by unipotents [[1, k], [0, 1]].  That action fixes the
+    first column (p, r) and moves the second freely, so an orbit is the set of
+    residues with one first column; each orbit is collapsed to its
+    lexicographically least tuple, the least (q, s) for its (p, r), before
+    lifting, so the output is deterministic.
     """
     residues = sl2_residues(n)
     if kind is CongKind.FULL_LEVEL or n == 1:
         return tuple(lift_matrix(*t, n) for t in residues)
-    chosen = set()
+    least: dict[tuple[int, int], tuple[int, int]] = {}
     for p, q, r, s in residues:
-        orbit_min = min(((p, (q + k * p) % n, r, (s + k * r) % n) for k in range(n)))
-        chosen.add(orbit_min)
-    return tuple(lift_matrix(*t, n) for t in sorted(chosen))
+        kept = least.get((p, r))
+        if kept is None or (q, s) < kept:
+            least[(p, r)] = (q, s)
+    chosen = sorted((p, q, r, s) for (p, r), (q, s) in least.items())
+    return tuple(lift_matrix(*t, n) for t in chosen)
 
 
 def cong_equivalent(f: SignedForm, g: SignedForm, n: int, kind: CongKind) -> UnimodMatrix | None:
@@ -190,20 +194,23 @@ def _keyed_classes(d: int, n: int, kind: CongKind) -> tuple[tuple[tuple, QuadFor
     element).  The candidate R.transform(g0) goes back to R under g0^-1, so its
     key is read off the residues of g0^-1 with no reduction.  Candidates whose
     leading coefficient shares a factor with n are discarded (that property
-    is class-constant); the least triple is kept for each key.
+    is class-constant); the least triple is kept for each key.  Candidates
+    stay integer triples; only the kept ones become validated `QuadForm`s.
     """
     require_discriminant(d)
-    least: dict[tuple, QuadForm] = {}
+    least: dict[tuple, tuple[int, int, int]] = {}
     for base in reduced_forms(d):
+        triple = base.triple()
         for g0 in coset_reps(n, kind):
-            cand = base.transform(g0)
-            if math.gcd(cand.a, n) != 1:
+            p, q, r, s = g0.entries()
+            cand = _moved(*triple, p, q, r, s)
+            if math.gcd(cand[0], n) != 1:
                 continue
-            key = key_from_witness(base.triple(), 1, (g0.s, -g0.q, -g0.r, g0.p), n, kind)
+            key = key_from_witness(triple, 1, (s, -q, -r, p), n, kind)
             kept = least.get(key)
-            if kept is None or cand.triple() < kept.triple():
+            if kept is None or cand < kept:
                 least[key] = cand
-    return tuple(sorted(least.items(), key=lambda item: item[1].triple()))
+    return tuple((key, QuadForm(*cand)) for key, cand in sorted(least.items(), key=lambda item: item[1]))
 
 
 def unsigned_class_reps(d: int, n: int, kind: CongKind) -> tuple[QuadForm, ...]:

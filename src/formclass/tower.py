@@ -2,8 +2,10 @@
 prime-power precision, the uniqueness property of truncated matrix limits
 (sharp at the odd/even prime boundary), and the correspondence between base
 points times a congruence kernel and point classes at higher level, checked
-exhaustively.  The group law on lim CM(D, Y1(N)^±) is checked on whole
-tables, level by level, by `suites.levelmaps`.
+exhaustively.  Points are signed forms (see `cm`), and a kernel matrix acts
+on them through an integral lift taken mod p^n at the level asked.  The
+group law on lim CM(D, Y1(N)^±) is checked on whole tables, level by level,
+by `suites.levelmaps`.
 
 Everything runs on exact integers; "precision n" always means working modulo
 p^n with determinant exactly 1 on integral lifts.
@@ -16,9 +18,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ._arith import egcd, is_prime
-from .cm import CMClassSet, CMPoint, cm_class_set, equivalent_points
-from .congruence import CongKind, class_key, key_from_witness, lift_matrix
-from .forms import IDENTITY, UnimodMatrix, reduce_form, require_discriminant
+from .cm import cm_class_set, equivalent_points, point_json
+from .congruence import ClassIndex, CongKind, class_key, key_from_witness, lift_matrix
+from .forms import IDENTITY, SignedForm, UnimodMatrix, reduce_form, require_discriminant
 
 
 @dataclass(frozen=True)
@@ -47,19 +49,16 @@ class PadicMatrix:
     def modulus(self) -> int:
         return self.prime**self.precision
 
-    def reduce_to(self, n: int) -> "PadicMatrix":
-        if n > self.precision:
-            raise ValueError(f"cannot raise precision {self.precision} to {n}")
-        m = self.prime**n
-        return PadicMatrix(self.prime, n, self.a % m, self.b % m, self.c % m, self.d % m)
-
     def is_one_mod_p(self) -> bool:
         p = self.prime
         return (self.a % p, self.b % p, self.c % p, self.d % p) == (1, 0, 0, 1)
 
-    def lift(self) -> UnimodMatrix:
-        """A deterministic integral matrix of determinant exactly 1 in this residue class."""
-        return lift_matrix(self.a, self.b, self.c, self.d, self.modulus())
+    def lift(self, n: int) -> UnimodMatrix:
+        """A deterministic integral matrix of determinant exactly 1 congruent to
+        this one mod prime**n; ValueError unless 1 <= n <= precision."""
+        if not 1 <= n <= self.precision:
+            raise ValueError(f"matrix precision {self.precision} cannot give a lift mod {self.prime}^{n}")
+        return lift_matrix(self.a, self.b, self.c, self.d, self.prime**n)
 
 
 @lru_cache(maxsize=None)
@@ -236,31 +235,29 @@ def random_compliant_pair(p: int, length: int, rng: random.Random) -> tuple[Matr
 # -- base points at an odd prime and the classes above them -------------------
 
 
-def base_point_set(p: int, d: int) -> tuple[CMPoint, ...]:
+def base_point_set(p: int, d: int) -> tuple[SignedForm, ...]:
     """One point per class of the full-congruence signed curve at an odd prime level p."""
     if not is_prime(p) or p == 2:
         raise ValueError(f"need an odd prime level, got {p}")
     require_discriminant(d)
     if d in (-3, -4):
         raise ValueError(f"discriminant {d} has extra units; the correspondence needs D < -4")
-    return cm_class_set(d, p, "y").classes
+    return cm_class_set(d, p, "y").reps
 
 
-def act_padic(point: CMPoint, g: PadicMatrix, n: int) -> CMPoint:
+def act_padic(point: SignedForm, g: PadicMatrix, n: int) -> SignedForm:
     """Move a point by an integral lift of g taken mod prime**n.
 
     g must be trivial mod p (that is the domain of the correspondence) and
-    carry at least n digits.  The class of the result at level prime**n does
-    not depend on the lift (`_check_lift` tests that).
+    carry at least n digits (`PadicMatrix.lift`).  The class of the result at
+    level prime**n does not depend on the lift (`_check_lift` tests that).
     """
     if not g.is_one_mod_p():
         raise ValueError("matrix is not trivial mod p")
-    if g.precision < n:
-        raise ValueError(f"matrix precision {g.precision} below requested level exponent {n}")
-    return CMPoint(point.carrier.transform(g.reduce_to(n).lift()))
+    return point.transform(g.lift(n))
 
 
-def _check_lift(point: CMPoint, g: PadicMatrix, n: int, key: tuple) -> None:
+def _check_lift(point: SignedForm, g: PadicMatrix, n: int, key: tuple) -> None:
     """RuntimeError unless `key` is the level-prime**n class key of point.g.
 
     With (R, w) = reduce_form of the point's form, any gamma = g mod prime**n
@@ -269,17 +266,17 @@ def _check_lift(point: CMPoint, g: PadicMatrix, n: int, key: tuple) -> None:
     of adj(g) * w: no lift, transform or reduction of the image.
     """
     m = g.prime**n
-    reduced, w = reduce_form(point.carrier.form)
-    want = key_from_witness(reduced.triple(), point.carrier.sign, _mul((g.d, -g.b, -g.c, g.a), w.entries()),
+    reduced, w = reduce_form(point.form)
+    want = key_from_witness(reduced.triple(), point.sign, _mul((g.d, -g.b, -g.c, g.a), w.entries()),
                             m, CongKind.FULL_LEVEL)
     if key != want:
         raise RuntimeError(
-            f"{point.to_json()} moved by {[g.a, g.b, g.c, g.d]} mod {m} lands in class {key}, "
+            f"{point_json(point)} moved by {[g.a, g.b, g.c, g.d]} mod {m} lands in class {key}, "
             f"but the residues of its adjugate give {want}"
         )
 
 
-def _check_located(img: CMPoint, codomain: CMClassSet) -> None:
+def _check_located(img: SignedForm, codomain: ClassIndex, curve: str) -> None:
     """RuntimeError unless the codomain class that img's key locates holds img.
 
     The image is keyed through reduction, the codomain through coset residues
@@ -288,12 +285,12 @@ def _check_located(img: CMPoint, codomain: CMClassSet) -> None:
     definition of the class.
     """
     try:
-        rep = codomain.classes[codomain.locate(img)]
+        rep = codomain.reps[codomain.locate(img)]
     except LookupError as err:
-        raise RuntimeError(f"{img.to_json()} is in no enumerated level-{codomain.level} class: {err}") from None
-    if not equivalent_points(img, rep, codomain.level, codomain.curve):
+        raise RuntimeError(f"{point_json(img)} is in no enumerated level-{codomain.level} class: {err}") from None
+    if not equivalent_points(img, rep, codomain.level, curve):
         raise RuntimeError(
-            f"{img.to_json()} is located at {rep.to_json()}, but no level-{codomain.level} witness joins them"
+            f"{point_json(img)} is located at {point_json(rep)}, but no level-{codomain.level} witness joins them"
         )
 
 
@@ -319,17 +316,17 @@ def correspondence_report(p: int, d: int, n: int, check_lift: bool = False) -> d
     for ri, r in enumerate(base):
         for gi, g in enumerate(kernel):
             img = act_padic(r, g, n)
-            key = class_key(img.carrier, level, CongKind.FULL_LEVEL)
+            key = class_key(img, level, CongKind.FULL_LEVEL)
             if check_lift:
                 _check_lift(r, g, n, key)
             seen = first.setdefault(key, (ri, gi))
             if seen != (ri, gi):
                 witnesses.append({"first": list(seen), "second": [ri, gi]})
         if check_lift:
-            _check_located(img, codomain)
+            _check_located(img, codomain, "y")
     pairs = len(base) * len(kernel)
     injective = not witnesses
-    codomain_size = len(codomain.classes)
+    codomain_size = len(codomain.reps)
     return {
         "p": p,
         "D": d,

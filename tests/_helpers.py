@@ -2,7 +2,8 @@
 action on roots, points by coefficients or by value, the ring operations of
 `ElemO`, ideal bases, conjugates, norms and the unit ideal, a brute-force
 ray-class oracle, matrix inverses, and the reference versions of reduction,
-plain equivalence and the HNF, ray-equality and composition kernels."""
+plain equivalence, unipotent coset representatives and the HNF, ray-equality
+and composition kernels."""
 
 import math
 import random
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 from formclass._arith import crt, egcd
 from formclass.classgroup import CompositionBoundError, FormClass
-from formclass.cm import CMPoint
+from formclass.congruence import lift_matrix, sl2_residues
 from formclass.forms import QuadForm, QuadIrrational, SignedForm, UnimodMatrix, reduced_forms
 from formclass.ideals import ElemO, OIdeal, principal_generator, principal_ideal, unit_group
 
@@ -103,20 +104,34 @@ def mobius(t: QuadIrrational, g: UnimodMatrix) -> QuadIrrational:
     return QuadIrrational((a_top * c_bot - g.p * g.r * big_d) // d, e, big_d, new_den)
 
 
-def point(a: int, b: int, c: int, sign: int = 1) -> CMPoint:
+def point(a: int, b: int, c: int, sign: int = 1) -> SignedForm:
     """The CM point at the root of a*x^2 + b*x + c in the half-plane of sign."""
-    return CMPoint(SignedForm(QuadForm(a, b, c), sign))
+    return SignedForm(QuadForm(a, b, c), sign)
 
 
-def cm_from_value(t: QuadIrrational) -> CMPoint:
+def cm_from_value(t: QuadIrrational) -> SignedForm:
     """The CM point at t = (m + e*sqrt(D))/d: the root of the primitive part of
     (d^2, -2*m*d, m^2 - D), whatever presentation t was given in."""
     m, d, big_d = t.num, t.den, t.disc
     g = math.gcd(d * d, 2 * m * d, m * m - big_d)
     p = point(d * d // g, -2 * m * d // g, (m * m - big_d) // g, 1 if t.in_upper_half_plane() else -1)
-    if p.tau() != t:
-        raise RuntimeError(f"the point of form {p.carrier.to_json()} does not sit at the given value")
+    if p.root() != t:
+        raise RuntimeError(f"the point of form {p.to_json()} does not sit at the given value")
     return p
+
+
+def upper_unipotent_coset_reps_reference(n: int) -> tuple[UnimodMatrix, ...]:
+    """`congruence.coset_reps(n, UPPER_UNIPOTENT)` as it was before it keyed
+    orbits by their first column: the least of all n unipotent shifts of every
+    residue, O(n^4)."""
+    residues = sl2_residues(n)
+    if n == 1:
+        return tuple(lift_matrix(*t, n) for t in residues)
+    chosen = set()
+    for p, q, r, s in residues:
+        orbit_min = min(((p, (q + k * p) % n, r, (s + k * r) % n) for k in range(n)))
+        chosen.add(orbit_min)
+    return tuple(lift_matrix(*t, n) for t in sorted(chosen))
 
 
 def omega(d: int) -> ElemO:

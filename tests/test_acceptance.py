@@ -16,7 +16,7 @@ import random
 import time
 
 from formclass import suites
-from formclass.cm import cm_class_set, curve_kind, class_of_point, CMPoint
+from formclass.cm import cm_class_set, curve_kind
 from formclass.congruence import CongKind, class_index, cong_equivalent, enumerate_classes
 
 UPPER = CongKind.UPPER_UNIPOTENT
@@ -161,16 +161,16 @@ def test_06_point_class_bijection():
             kind = curve_kind(curve)
             idx = class_index(d, n, kind, signed=True)
             points = cm_class_set(d, n, curve)
-            assert len(points.classes) == len(idx.reps)
-            for f in idx.reps:
-                assert class_of_point(CMPoint(f), n) == f
-            for p in points.classes:
-                assert CMPoint(class_of_point(p, n)) == p
+            assert len(points.reps) == len(idx.reps)
+            # a point is its signed form: the upper half-plane holds exactly
+            # the sign +1 half of the classes
+            upper = [f.root().in_upper_half_plane() for f in points.reps]
+            assert upper == [f.sign == 1 for f in idx.reps] and sum(upper) * 2 == len(upper)
             # well-defined on classes: a transported representative lands with
             # its own class' point
             f = idx.reps[0]
             w = cong_equivalent(f, f, n, kind)
-            assert points.locate(CMPoint(f.transform(w))) == points.locate(CMPoint(f))
+            assert points.locate(f.transform(w)) == points.locate(f)
     _stamp(6, "point-class-bijection", t0, 30.0)
 
 

@@ -311,6 +311,8 @@ FROZEN_STDOUT_DIGESTS = {
     ("classgroup", "-D", "-51", "-N", "7"): "84efa266af03dd071ce613a30763ae266d07145aa54ff2d74b02d641442c64ec",
     ("tower", "-p", "3", "-D", "-23", "-n", "2", "--check-lift"):
         "12461130317f4716510ae681713330604e52009333e156856d4f65b6445dbb28",
+    ("cm", "-D", "-23", "-N", "5", "--curve", "y1"): "69e9190fc90eb0fe52cae7e1f84704f51bc4890b19216143ff1afb11cc99ee5e",
+    ("cm", "-D", "-23", "-N", "5", "--curve", "y"): "f776e42a871db0f8de83e93ef3d4f6ae9f5571a488d1b4d60bd2362860b37c3d",
 }
 
 
@@ -370,6 +372,7 @@ def test_checks_survive_optimized_mode():
         ["-m", "formclass", "verify", "all", "--quick", "--seed", "3"],
         ["-m", "formclass", "classgroup", "-D", "-23", "-N", "5"],
         ["-m", "formclass", "tower", "-p", "3", "-D", "-23", "-n", "2", "--check-lift"],
+        ["-m", "formclass", "cm", "-D", "-23", "-N", "5", "--curve", "y"],
     ):
         plain, optimized = (
             subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True, timeout=120)

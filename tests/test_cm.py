@@ -3,14 +3,14 @@
 import pytest
 
 from _helpers import cm_from_value, point
-from formclass.cm import CMPoint, class_of_point, cm_class_set, curve_kind, equivalent_points
+from formclass.cm import cm_class_set, curve_kind, equivalent_points, point_json
 from formclass.congruence import CongKind, class_index, lift_matrix
-from formclass.forms import QuadForm, QuadIrrational, SignedForm, UnimodMatrix
+from formclass.forms import QuadForm, QuadIrrational, SignedForm, UnimodMatrix, is_member
 
 
-def conjugate_point(p: CMPoint) -> CMPoint:
+def conjugate_point(p: SignedForm) -> SignedForm:
     """Complex conjugation: same form, other half-plane."""
-    return CMPoint(SignedForm(p.carrier.form, -p.carrier.sign))
+    return SignedForm(p.form, -p.sign)
 
 
 def test_curve_kind_names():
@@ -22,20 +22,20 @@ def test_curve_kind_names():
 
 def test_point_invariants():
     p = point(2, 1, 3)
-    assert p.disc == -23
-    assert p.primitive_mod(3) and not p.primitive_mod(2)
-    assert p.tau().in_upper_half_plane()
+    assert p.discriminant() == -23
+    assert is_member(p, -23, 3) and not is_member(p, -23, 2)
+    assert p.root().in_upper_half_plane()
     q = conjugate_point(p)
-    assert not q.tau().in_upper_half_plane()
+    assert not q.root().in_upper_half_plane()
     assert conjugate_point(q) == p
-    assert q.disc == -23
+    assert q.discriminant() == -23
 
 
 def test_tau_reconstruction_roundtrip():
     for a, b, c in ((1, 1, 6), (2, 1, 3), (2, -1, 3), (4, 3, 2), (1, 0, 6)):
         for sign in (1, -1):
             p = point(a, b, c, sign)
-            assert cm_from_value(p.tau()) == p
+            assert cm_from_value(p.root()) == p
 
 
 def test_reconstruction_normalizes_presentation():
@@ -43,26 +43,14 @@ def test_reconstruction_normalizes_presentation():
     # reconstruct the primitive polynomial and its own discriminant
     t = QuadIrrational(-2, 1, -92, 8)  # equals (-1 + sqrt(-23))/4
     p = cm_from_value(t)
-    assert p.disc == -23
-    assert p.carrier.form == QuadForm(2, 1, 3)
+    assert p.discriminant() == -23
+    assert p.form == QuadForm(2, 1, 3)
 
 
 def test_point_json_shape():
-    doc = point(2, 1, 3).to_json()
+    doc = point_json(point(2, 1, 3))
     assert doc["form"] == [2, 1, 3, 1]
     assert doc["tau"] == {"num": -1, "den": 4, "disc": -23, "half_plane": "upper"}
-
-
-def test_class_point_roundtrip_is_identity_on_representatives():
-    for curve in ("y1", "y"):
-        for p in cm_class_set(-23, 3, curve).classes:
-            assert CMPoint(class_of_point(p, 3)) == p
-
-
-def test_class_of_point_requires_primitivity():
-    p = point(3, 1, 2)  # leading coefficient 3
-    with pytest.raises(ValueError):
-        class_of_point(p, 3)
 
 
 @pytest.mark.parametrize(
@@ -77,33 +65,31 @@ def test_class_of_point_requires_primitivity():
     ],
 )
 def test_class_set_counts(d, n, curve, count):
-    assert len(cm_class_set(d, n, curve).classes) == count
+    assert len(cm_class_set(d, n, curve).reps) == count
 
 
 def test_class_set_counts_match_signed_class_index():
+    # the point classes are the signed form classes, not a second list
     for d, n in ((-23, 2), (-23, 3), (-20, 3), (-24, 5)):
         for curve in ("y1", "y"):
-            cs = cm_class_set(d, n, curve)
-            idx = class_index(d, n, curve_kind(curve), signed=True)
-            assert len(cs.classes) == len(idx.reps)
+            assert cm_class_set(d, n, curve) is class_index(d, n, curve_kind(curve), signed=True)
 
 
 def test_locate_is_inverse_of_enumeration():
     cs = cm_class_set(-23, 3, "y1")
-    for i, p in enumerate(cs.classes):
+    for i, p in enumerate(cs.reps):
         assert cs.locate(p) == i
     # a transported point lands in the same class
     mover = UnimodMatrix(1, 1, 0, 1)
-    for i, p in enumerate(cs.classes):
-        moved = CMPoint(p.carrier.transform(mover))
-        assert cs.locate(moved) == i
+    for i, p in enumerate(cs.reps):
+        assert cs.locate(p.transform(mover)) == i
 
 
 def test_locate_rejects_foreign_points():
     cs = cm_class_set(-23, 3, "y1")
     with pytest.raises(LookupError):
         cs.locate(point(1, 0, 1))  # disc -4
-    with pytest.raises(ValueError):
+    with pytest.raises(LookupError):
         cs.locate(point(3, 1, 2))  # not primitive mod 3
 
 
@@ -126,6 +112,6 @@ def test_conjugation_transports_classes():
     # conjugate points of equivalent points are equivalent
     cs = cm_class_set(-23, 3, "y1")
     g = lift_matrix(1, 0, 3, 1, 3)
-    for p in cs.classes:
-        moved = CMPoint(p.carrier.transform(g))
+    for p in cs.reps:
+        moved = p.transform(g)
         assert equivalent_points(conjugate_point(p), conjugate_point(moved), 3, "y1")

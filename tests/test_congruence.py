@@ -27,7 +27,14 @@ from formclass.forms import (
     reduced_forms,
 )
 
-from _helpers import SWAP, inverse, reduce_form_reference, seeded_forms, translation
+from _helpers import (
+    SWAP,
+    inverse,
+    reduce_form_reference,
+    seeded_forms,
+    translation,
+    upper_unipotent_coset_reps_reference,
+)
 
 FULL = CongKind.FULL_LEVEL
 UPPER = CongKind.UPPER_UNIPOTENT
@@ -74,6 +81,13 @@ def test_coset_reps_pairwise_inequivalent():
         for j, h in enumerate(reps):
             same = in_gamma(g * inverse(h), n, UPPER)
             assert same == (i == j)
+
+
+def test_unipotent_coset_reps_match_orbit_min_reference():
+    """One least (q, s) per first column (p, r) picks the same representatives,
+    in the same order, as the minimum over every unipotent orbit."""
+    for n in range(1, 17):
+        assert coset_reps(n, UPPER) == upper_unipotent_coset_reps_reference(n), n
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 9])

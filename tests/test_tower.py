@@ -5,8 +5,8 @@ import random
 import pytest
 
 import formclass.tower
-from formclass.cm import CMClassSet, equivalent_points
-from formclass.congruence import CongKind, class_key
+from formclass.cm import equivalent_points
+from formclass.congruence import ClassIndex, CongKind, class_key
 from formclass.forms import IDENTITY, UnimodMatrix
 from formclass.tower import (
     MatrixSeq,
@@ -36,9 +36,11 @@ def test_padic_matrix_reduces_and_checks_det():
     g = padic(UnimodMatrix(2, 1, 1, 1), 3, 2)
     assert (g.a, g.b, g.c, g.d) == (2, 1, 1, 1)
     assert g.modulus() == 9
-    assert g.reduce_to(1) == PadicMatrix(3, 1, 2, 1, 1, 1)
+    assert padic(g.lift(1), 3, 1) == PadicMatrix(3, 1, 2, 1, 1, 1)
     with pytest.raises(ValueError):
-        g.reduce_to(3)  # precision cannot be raised
+        g.lift(3)  # precision cannot be raised
+    with pytest.raises(ValueError):
+        g.lift(0)
     with pytest.raises(ValueError):
         PadicMatrix(3, 2, 1, 0, 0, 2)  # det = 2, not 1 mod 9
     with pytest.raises(ValueError):
@@ -53,7 +55,7 @@ def test_padic_entries_normalized():
 def test_lift_roundtrip():
     for entries in ((1, 3, 3, 10), (1, 0, 9, 1), (4, 3, 9, 7)):
         g = padic(UnimodMatrix(*entries), 3, 2)
-        lifted = g.lift()
+        lifted = g.lift(2)
         assert lifted.p * lifted.s - lifted.q * lifted.r == 1
         assert padic(lifted, 3, 2) == g
 
@@ -65,8 +67,8 @@ def test_kernel_sizes(p, n, count):
     assert len(set(reps)) == count
     for g in reps:
         assert g.is_one_mod_p()
-        if n > 1:
-            assert g.reduce_to(n - 1) == PadicMatrix(p, n - 1, 1, 0, 0, 1)
+        m = p ** (n - 1)
+        assert (g.a % m, g.b % m, g.c % m, g.d % m) == (1 % m, 0, 0, 1 % m)
 
 
 # -- convergent sequences -----------------------------------------------------------
@@ -215,14 +217,14 @@ def test_act_padic_identity_and_compatibility():
     gens = kernel_reps(3, 2)[:5]
     for g in gens:
         for h in gens:
-            one_step = act_padic(x, padic(g.lift() * h.lift(), 3, 2), 2)
+            one_step = act_padic(x, padic(g.lift(2) * h.lift(2), 3, 2), 2)
             two_step = act_padic(act_padic(x, g, 2), h, 2)
             assert equivalent_points(one_step, two_step, 9, "y")
 
 
 def lift_check(x, g):
     """The report's lift check for one pair at level 9: RuntimeError on a mismatch."""
-    key = class_key(act_padic(x, g, 2).carrier, 9, CongKind.FULL_LEVEL)
+    key = class_key(act_padic(x, g, 2), 9, CongKind.FULL_LEVEL)
     formclass.tower._check_lift(x, g, 2, key)
 
 
@@ -242,7 +244,7 @@ def test_act_padic_lift_check_raises(monkeypatch):
     asked for."""
     x = point(1, 1, 6)
     lift = PadicMatrix.lift
-    monkeypatch.setattr(PadicMatrix, "lift", lambda self: lift(self) * translation(1))
+    monkeypatch.setattr(PadicMatrix, "lift", lambda self, n: lift(self, n) * translation(1))
     for g in kernel_reps(3, 2):
         with pytest.raises(RuntimeError, match="adjugate"):
             lift_check(x, g)
@@ -260,8 +262,8 @@ def test_act_padic_lift_check_raises(monkeypatch):
 def test_located_check_raises(monkeypatch):
     """A class lookup that lands one class off is caught by the witness search,
     and only when the check is asked for."""
-    locate = CMClassSet.locate
-    monkeypatch.setattr(CMClassSet, "locate", lambda self, p: (locate(self, p) + 1) % len(self.classes))
+    locate = ClassIndex.locate
+    monkeypatch.setattr(ClassIndex, "locate", lambda self, f: (locate(self, f) + 1) % len(self.reps))
     correspondence_report(3, -23, 2)
     with pytest.raises(RuntimeError, match="no level-9 witness joins them"):
         correspondence_report(3, -23, 2, check_lift=True)
@@ -283,10 +285,10 @@ def test_lift_check_holds_for_any_lift(monkeypatch):
     lift = PadicMatrix.lift
     moved = []
 
-    def other_lift(self):
-        delta = UnimodMatrix(*formclass.tower._random_elem(self.modulus(), rng))
+    def other_lift(self, n):
+        delta = UnimodMatrix(*formclass.tower._random_elem(self.prime**n, rng))
         moved.append(delta != IDENTITY)
-        return lift(self) * delta
+        return lift(self, n) * delta
 
     monkeypatch.setattr(PadicMatrix, "lift", other_lift)
     assert correspondence_report(3, -23, 2, check_lift=True) == before
