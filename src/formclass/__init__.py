@@ -26,7 +26,6 @@ from .ideals import (
     form_to_ideal,
     fundamental_part,
     principal_generator,
-    principal_ideal,
     ray_class_count,
     ray_class_equal,
     residue_units,

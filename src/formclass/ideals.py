@@ -2,12 +2,14 @@
 
 An order of discriminant D is Z[w] with w = (D + sqrt(D))/2.  Proper
 fractional ideals are stored as a positive rational scale times an integral
-pair basis (Z*a + Z*(-b + sqrt(D))/2).  A product, a principal ideal or an
-extension to a larger order is read off integer generator rows written from
-the basis entries (w^2 = D*w - (D^2 - D)/4), and their two-column Hermite
-normal form comes from one Bezout pass over the rows.  The module also decides
-ray-class equality: two ideals are identified when their quotient is principal
-with a generator congruent to 1 modulo N (up to units).
+pair basis (Z*a + Z*(-b + sqrt(D))/2).  A product or an extension to a larger
+order is read off integer generator rows written from the basis entries
+(w^2 = D*w - (D^2 - D)/4), and their two-column Hermite normal form comes from
+one Bezout pass over the rows.  Ray-class equality runs on the same ints: two
+ideals are identified when their quotient, written as rows and put in Hermite
+form, reduces to the principal form (`principal_generator`) with a generator
+congruent to 1 modulo N up to units.  No `OIdeal`, form, matrix or `Fraction`
+is built on that path.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._arith import egcd, factorize, kronecker
-from .forms import QuadForm, reduced_forms, require_discriminant, sl2_equivalent
+from .forms import QuadForm, reduce_triple, reduced_forms, require_discriminant
 
 
 @lru_cache(maxsize=None)
@@ -72,9 +74,6 @@ class ElemO:
         """self times its conjugate under sqrt(disc) -> -sqrt(disc); positive unless self = 0."""
         return self.x * self.x + self.x * self.y * self.disc + self.y * self.y * _nrm(self.disc)
 
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
-
 
 def _hnf_pair(rows: list[tuple[int, int]]) -> tuple[int, int, int]:
     """Hermite form of the module spanned by rows (u, v) meaning u + v*w.
@@ -97,6 +96,24 @@ def _hnf_pair(rows: list[tuple[int, int]]) -> tuple[int, int, int]:
     if e == 0:
         raise ValueError("module has rank < 2")
     return e, g % e, h
+
+
+def _ideal_basis(rows: list[tuple[int, int]], d: int) -> tuple[int, int, int]:
+    """(a, b, h) with the module of rows equal to h * (Z*a + Z*(-b + sqrt(d))/2)
+    and 0 <= b < 2a; ValueError unless the module is an ideal of the order."""
+    e, g, h = _hnf_pair(rows)
+    if e % h or g % h:
+        raise ValueError("module is not an ideal of the order")
+    a = e // h
+    # g + h*w = h*(g/h + (d + sqrt(d))/2); match against (-b + sqrt(d))/2
+    return a, (-(2 * (g // h) + d)) % (2 * a), h
+
+
+def _product_rows(d: int, a1: int, b1: int, a2: int, b2: int) -> list[tuple[int, int]]:
+    """Generator rows of (Z*a1 + Z*(-b1 + sqrt(d))/2) * (Z*a2 + Z*(-b2 + sqrt(d))/2):
+    the products of the bases (a, 0), (x, 1) with x = (-b - d)/2, using w^2 = d*w - nrm."""
+    x1, x2 = (-b1 - d) // 2, (-b2 - d) // 2
+    return [(a1 * a2, 0), (a1 * x2, a1), (a2 * x1, a2), (x1 * x2 - _nrm(d), x1 + x2 + d)]
 
 
 @dataclass(frozen=True)
@@ -130,12 +147,7 @@ class OIdeal:
     @staticmethod
     def _from_rows(rows: list[tuple[int, int]], scale: Fraction, d: int) -> "OIdeal":
         """Build from generating rows (x, y) = x + y*w, absorbing the HNF content into scale."""
-        e, g, h, = _hnf_pair(rows)
-        if e % h or g % h:
-            raise ValueError("module is not an ideal of the order")
-        a = e // h
-        # g + h*w = h*(g/h + (d + sqrt(d))/2); match against (-b + sqrt(d))/2
-        b = (-(2 * (g // h) + d)) % (2 * a)
+        a, b, h = _ideal_basis(rows, d)
         return OIdeal(d, scale * h, a, b)
 
     # -- arithmetic --------------------------------------------------------
@@ -143,12 +155,8 @@ class OIdeal:
     def __mul__(self, other: "OIdeal") -> "OIdeal":
         if self.disc != other.disc:
             raise ValueError("ideals of different orders")
-        d = self.disc
-        a1, a2 = self.a, other.a
-        x1, x2 = (-self.b - d) // 2, (-other.b - d) // 2
-        # products of the bases (a, 0), (x, 1), using w^2 = d*w - nrm
-        rows = [(a1 * a2, 0), (a1 * x2, a1), (a2 * x1, a2), (x1 * x2 - _nrm(d), x1 + x2 + d)]
-        return OIdeal._from_rows(rows, self.scale * other.scale, d)
+        rows = _product_rows(self.disc, self.a, self.b, other.a, other.b)
+        return OIdeal._from_rows(rows, self.scale * other.scale, self.disc)
 
     def inverse(self) -> "OIdeal":
         """u * u.inverse() == unit_ideal exactly, via u * conj(u) = norm(u) * O."""
@@ -160,9 +168,6 @@ class OIdeal:
 
     # -- conversions -------------------------------------------------------
 
-    def associated_form(self) -> QuadForm:
-        return QuadForm(self.a, self.b, (self.b * self.b - self.disc) // (4 * self.a))
-
     def to_json(self) -> list[int]:
         """[scale numerator, scale denominator, a, b]."""
         return [self.scale.numerator, self.scale.denominator, self.a, self.b]
@@ -171,15 +176,6 @@ class OIdeal:
 def form_to_ideal(f: QuadForm) -> OIdeal:
     """The fractional ideal Z*root(f) + Z = (1/a) * (Z*a + Z*(-b + sqrt(D))/2)."""
     return OIdeal(f.discriminant(), Fraction(1, f.a), f.a, f.b % (2 * f.a))
-
-
-def principal_ideal(lam: ElemO, scale: Fraction = Fraction(1)) -> OIdeal:
-    """The ideal (scale * lam) * O."""
-    if lam.is_zero():
-        raise ValueError("zero is not a generator")
-    x, y, d = lam.x, lam.y, lam.disc
-    # lam and lam*w = -y*nrm + (x + y*d)*w
-    return OIdeal._from_rows([(x, y), (-y * _nrm(d), x + y * d)], scale, d)
 
 
 # -- residues and units -----------------------------------------------------
@@ -248,55 +244,55 @@ def unit_image_size(d: int, n: int) -> int:
 # -- principality and ray classes -------------------------------------------
 
 
-def principal_generator(u: OIdeal) -> tuple[Fraction, ElemO] | None:
-    """(scale, lam) with u = scale * lam * O, or None if u is not principal.
+def principal_generator(d: int, a: int, b: int) -> tuple[int, int] | None:
+    """(x, y) with x + y*w generating Z*a + Z*(-b + sqrt(d))/2, or None if that
+    ideal is not principal.
 
-    The associated form is reduced against the principal form; the witness
-    matrix transports the basis, giving lam = a*p - r*(-b + sqrt(D))/2 for
-    witness [[p, q], [r, s]].  Exactness is checked by re-expanding lam * O;
-    RuntimeError if it fails.
+    ValueError unless a > 0 and (a, b, (b^2 - d)/4a) is a primitive integral
+    form.  The ideal is principal exactly when that form reduces to the
+    principal form, the one reduced form with a = 1.  That form is reduced
+    already, so the witness [[p, q], [r, s]] of `reduce_triple` transports the
+    basis: the generator is a*p - r*(-b + sqrt(d))/2 = (a*p + r*(b + d)/2) - r*w.
+    Exactness is checked by re-expanding (x + y*w) * O through `_hnf_pair`;
+    RuntimeError if it is not the basis (a, b).
     """
-    d = u.disc
-    w = sl2_equivalent(u.associated_form(), QuadForm.principal(d))
-    if w is None:
+    num = b * b - d
+    if a <= 0 or num % (4 * a) or math.gcd(a, b, num // (4 * a)) != 1:
+        raise ValueError(f"(a, b) = ({a}, {b}) is not the basis of a proper ideal of disc {d}")
+    one, _, _, p, _, r, _ = reduce_triple(a, b, num // (4 * a))
+    if one != 1:
         return None
-    lam = ElemO(u.a * w.p + w.r * (u.b + d) // 2, -w.r, d)
-    if principal_ideal(lam) != OIdeal(d, Fraction(1), u.a, u.b):
-        raise RuntimeError(f"generator {lam} does not re-expand to the ideal {u}")
-    return u.scale, lam
-
-
-def _residue_inverse(k: int, n: int) -> int:
-    g, inv, _ = egcd(k % n, n)
-    if g != 1:
-        raise ValueError(f"{k} is not invertible mod {n}")
-    return inv % n
+    x, y = a * p + r * (b + d) // 2, -r
+    # x + y*w and (x + y*w)*w = -y*nrm + (x + y*d)*w
+    if _hnf_pair([(x, y), (-y * _nrm(d), x + y * d)]) != (a, (-b - d) // 2 % a, 1):
+        raise RuntimeError(f"generator {x} + {y}*w does not re-expand to the ideal ({a}, {b}) of disc {d}")
+    return x, y
 
 
 def ray_class_equal(u: OIdeal, v: OIdeal, n: int) -> bool:
     """Whether u and v agree in the ray class group for the modulus n.
 
-    Both must be prime to n.  The quotient w = u * v^-1 is principal with
-    generator mu = scale * lam iff the classes can agree at all; writing
-    mu = alpha / den with alpha in the order and den a positive integer (both
-    automatically prime to n), the classes agree exactly when some unit times
-    alpha * den^-1 is congruent to 1 mod n.  For n = 1 this reduces to plain
-    principality.
+    Both must be prime to n.  The quotient u * v^-1 is u * conj(v) scaled by
+    1 / (v.scale * v.a); its rows go through `_ideal_basis` to h * (a, b).  It
+    is principal with generator mu = scale * (x + y*w) iff the classes can
+    agree at all; writing scale = num / den (den prime to n), the classes
+    agree exactly when some unit times (x + y*w) * num * den^-1 is congruent
+    to 1 mod n.  For n = 1 this reduces to plain principality.
     """
     if u.disc != v.disc:
         raise ValueError("ideals of different orders")
     if not u.prime_to(n) or not v.prime_to(n):
         raise ValueError(f"ideals must be prime to {n}")
-    w = u * v.inverse()
-    found = principal_generator(w)
+    d = u.disc
+    a, b, h = _ideal_basis(_product_rows(d, u.a, u.b, v.a, -v.b), d)
+    found = principal_generator(d, a, b)
     if found is None:
         return False
     if n == 1:
         return True
-    scale, lam = found
-    d = w.disc
-    k = scale.numerator * _residue_inverse(scale.denominator, n)
-    bx, by = lam.x * k % n, lam.y * k % n
+    us, vs = u.scale, v.scale
+    k = us.numerator * vs.denominator * h * pow(us.denominator * vs.numerator * v.a, -1, n)
+    bx, by = found[0] * k % n, found[1] * k % n
     nrm = _nrm(d)
     return any(
         (ux * bx - uy * by * nrm) % n == 1 and (ux * by + uy * bx + uy * by * d) % n == 0

@@ -245,8 +245,9 @@ def base_point_set(p: int, d: int) -> tuple[SignedForm, ...]:
     return cm_class_set(d, p, "y").reps
 
 
-def act_padic(point: SignedForm, g: PadicMatrix, n: int) -> SignedForm:
-    """Move a point by an integral lift of g taken mod prime**n.
+def act_padic(point: SignedForm, g: PadicMatrix, n: int, lift: UnimodMatrix | None = None) -> SignedForm:
+    """Move a point by an integral lift of g taken mod prime**n: `lift`, which
+    must be g.lift(n) (a report lifts each kernel class once), or else g.lift(n).
 
     g must be trivial mod p (that is the domain of the correspondence) and
     carry at least n digits (`PadicMatrix.lift`).  The class of the result at
@@ -254,7 +255,7 @@ def act_padic(point: SignedForm, g: PadicMatrix, n: int) -> SignedForm:
     """
     if not g.is_one_mod_p():
         raise ValueError("matrix is not trivial mod p")
-    return point.transform(g.lift(n))
+    return point.transform(g.lift(n) if lift is None else lift)
 
 
 def _check_lift(point: SignedForm, g: PadicMatrix, n: int, key: tuple) -> None:
@@ -313,9 +314,10 @@ def correspondence_report(p: int, d: int, n: int, check_lift: bool = False) -> d
     # images are distinct classes exactly when their class keys are distinct
     first: dict[tuple, tuple[int, int]] = {}
     witnesses = []
+    lifts = [g.lift(n) for g in kernel]
     for ri, r in enumerate(base):
         for gi, g in enumerate(kernel):
-            img = act_padic(r, g, n)
+            img = act_padic(r, g, n, lifts[gi])
             key = class_key(img, level, CongKind.FULL_LEVEL)
             if check_lift:
                 _check_lift(r, g, n, key)

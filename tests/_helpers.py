@@ -1,9 +1,10 @@
 """What only tests use: word matrices, form values, reducedness, the Moebius
 action on roots, points by coefficients or by value, the ring operations of
-`ElemO`, ideal bases, conjugates, norms and the unit ideal, a brute-force
-ray-class oracle, matrix inverses, and the reference versions of reduction,
-plain equivalence, unipotent coset representatives and the HNF, ray-equality
-and composition kernels."""
+`ElemO`, principal ideals, ideal bases, associated forms, conjugates, norms
+and the unit ideal, a brute-force ray-class oracle, matrix inverses, and the
+reference versions of reduction, plain equivalence, unipotent coset
+representatives and the HNF, principality, ray-equality and composition
+kernels."""
 
 import math
 import random
@@ -12,8 +13,8 @@ from fractions import Fraction
 from formclass._arith import crt, egcd
 from formclass.classgroup import CompositionBoundError, FormClass
 from formclass.congruence import lift_matrix, sl2_residues
-from formclass.forms import QuadForm, QuadIrrational, SignedForm, UnimodMatrix, reduced_forms
-from formclass.ideals import ElemO, OIdeal, principal_generator, principal_ideal, unit_group
+from formclass.forms import QuadForm, QuadIrrational, SignedForm, UnimodMatrix, reduced_forms, sl2_equivalent
+from formclass.ideals import ElemO, OIdeal, _unit_entries, unit_group
 
 SWAP = UnimodMatrix(0, -1, 1, 0)
 
@@ -163,6 +164,19 @@ def conjugate_ideal(u: OIdeal) -> OIdeal:
     return OIdeal(u.disc, u.scale, u.a, (-u.b) % (2 * u.a))
 
 
+def associated_form(u: OIdeal) -> QuadForm:
+    return QuadForm(u.a, u.b, (u.b * u.b - u.disc) // (4 * u.a))
+
+
+def principal_ideal(lam: ElemO, scale: Fraction = Fraction(1)) -> OIdeal:
+    """The ideal (scale * lam) * O."""
+    if (lam.x, lam.y) == (0, 0):
+        raise ValueError("zero is not a generator")
+    x, y, d = lam.x, lam.y, lam.disc
+    # lam and lam*w = -y*nrm + (x + y*d)*w
+    return OIdeal._from_rows([(x, y), (-y * ((d * d - d) // 4), x + y * d)], scale, d)
+
+
 def ideal_norm(u: OIdeal) -> Fraction:
     return u.scale * u.scale * u.a
 
@@ -187,7 +201,7 @@ def ray_class_equal_bruteforce(u: OIdeal, v: OIdeal, n: int, bound: int = 6) -> 
         for x in range(-bound, bound + 1):
             for y in range(-bound, bound + 1):
                 nu = ElemO(1 + n * x, n * y, u.disc)
-                if not nu.is_zero():
+                if (nu.x, nu.y) != (0, 0):
                     prod = principal_ideal(nu) * w
                     out.add((prod.scale, prod.a, prod.b))
         return out
@@ -235,10 +249,48 @@ def hnf_pair_reference(rows: list[tuple[int, int]]) -> tuple[int, int, int]:
     return e, g, h
 
 
+def principal_generator_reference(u: OIdeal):
+    """(scale, lam) with u = scale * lam * O, or None: `ideals.principal_generator`
+    as it was on objects, through `sl2_equivalent` against the principal form
+    and a re-expansion compared as an `OIdeal`."""
+    d = u.disc
+    w = sl2_equivalent(associated_form(u), QuadForm.principal(d))
+    if w is None:
+        return None
+    lam = ElemO(u.a * w.p + w.r * (u.b + d) // 2, -w.r, d)
+    if principal_ideal(lam) != OIdeal(d, Fraction(1), u.a, u.b):
+        raise RuntimeError(f"generator {lam} does not re-expand to the ideal {u}")
+    return u.scale, lam
+
+
+def ray_class_equal_objects_reference(u: OIdeal, v: OIdeal, n: int) -> bool:
+    """`ideals.ray_class_equal` as it was on objects: the quotient u * v^-1 as an
+    `OIdeal`, its generator from `principal_generator_reference`, then the
+    unit test on the integer entries of the units."""
+    if u.disc != v.disc:
+        raise ValueError("ideals of different orders")
+    if not u.prime_to(n) or not v.prime_to(n):
+        raise ValueError(f"ideals must be prime to {n}")
+    found = principal_generator_reference(u * v.inverse())
+    if found is None:
+        return False
+    if n == 1:
+        return True
+    scale, lam = found
+    d = u.disc
+    k = scale.numerator * pow(scale.denominator, -1, n)
+    bx, by = lam.x * k % n, lam.y * k % n
+    nrm = (d * d - d) // 4
+    return any(
+        (ux * bx - uy * by * nrm) % n == 1 and (ux * by + uy * bx + uy * by * d) % n == 0
+        for ux, uy in _unit_entries(d)
+    )
+
+
 def ray_class_equal_reference(u, v, n: int) -> bool:
     """`ideals.ray_class_equal` with its unit test as a loop over the ElemO
     products of unit_group: some unit times alpha * den^-1 is 1 mod n."""
-    found = principal_generator(u * v.inverse())
+    found = principal_generator_reference(u * v.inverse())
     if found is None:
         return False
     if n == 1:

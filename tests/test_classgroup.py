@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from _helpers import column_shells_reference, compose_reference, unit_ideal
+from _helpers import column_shells_reference, compose_reference, principal_ideal, unit_ideal
 from formclass._arith import egcd
 from formclass.classgroup import (
     ClassGroupTable,
@@ -32,7 +32,7 @@ from formclass.classgroup import (
 )
 from formclass.congruence import ClassIndex, CongKind, class_index
 from formclass.forms import QuadForm, UnimodMatrix, reduce_form, reduced_forms
-from formclass.ideals import ElemO, form_to_ideal, principal_ideal, ray_class_equal
+from formclass.ideals import ElemO, form_to_ideal, ray_class_equal
 
 FROZEN_TABLES = {
     (-23, 1): (3,),

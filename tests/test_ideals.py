@@ -6,18 +6,24 @@ and with a generous coordinate bound.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import formclass
 import formclass.ideals as ideals_module
-from _helpers import basis_rows, conjugate_ideal, elem_add, elem_conj, elem_mul, hnf_pair_reference, ideal_norm
-from _helpers import omega, ray_class_equal_bruteforce, ray_class_equal_reference, unit_ideal
+from _helpers import associated_form, basis_rows, conjugate_ideal, elem_add, elem_conj, elem_mul, hnf_pair_reference
+from _helpers import ideal_norm, omega, principal_generator_reference, principal_ideal, ray_class_equal_bruteforce
+from _helpers import ray_class_equal_objects_reference, ray_class_equal_reference, unit_ideal
 from formclass.congruence import CongKind, class_index
-from formclass.forms import QuadForm, reduced_forms
+from formclass.forms import QuadForm, UnimodMatrix, reduced_forms
 from formclass.ideals import (
     ElemO,
     _hnf_pair,
@@ -26,7 +32,6 @@ from formclass.ideals import (
     form_to_ideal,
     fundamental_part,
     principal_generator,
-    principal_ideal,
     ray_class_count,
     ray_class_equal,
     residue_units,
@@ -62,7 +67,7 @@ def test_omega_satisfies_its_quadratic():
         w = omega(d)
         # omega^2 - D*omega + (D^2 - D)/4 = 0
         lhs = elem_add(elem_add(elem_mul(w, w), -elem_mul(ElemO(d, 0, d), w)), ElemO((d * d - d) // 4, 0, d))
-        assert lhs.is_zero()
+        assert lhs == ElemO(0, 0, d)
 
 
 @given(elem(), elem(), elem())
@@ -98,7 +103,7 @@ def test_norm_positive_definite():
     for x in range(-4, 5):
         for y in range(-4, 5):
             e = ElemO(x, y, -23)
-            assert (e.norm() == 0) == e.is_zero()
+            assert (e.norm() == 0) == ((x, y) == (0, 0))
 
 
 # -- module arithmetic -------------------------------------------------------------
@@ -118,7 +123,7 @@ def test_form_ideal_roundtrip():
     # translation-normalized form: same a, b mod 2a, same discriminant
     for d in DISCS:
         for f in reduced_forms(d):
-            g = form_to_ideal(f).associated_form()
+            g = associated_form(form_to_ideal(f))
             assert g.a == f.a
             assert (g.b - f.b) % (2 * f.a) == 0
             assert g.discriminant() == d
@@ -181,9 +186,10 @@ def test_prime_to():
 # -- integer kernels against their references ------------------------------------
 
 
-def _hnf_outcome(hnf, rows):
+def _outcome(fn, *args):
+    """fn's result, or the message of the ValueError it raised."""
     try:
-        return hnf(rows)
+        return fn(*args)
     except ValueError as err:
         return str(err)
 
@@ -191,9 +197,9 @@ def _hnf_outcome(hnf, rows):
 def test_hnf_pair_edge_cases_match_reference():
     for rows in ([], [(0, 0)], [(0, 0), (0, 0)], [(3, 0), (-6, 0)], [(2, 4), (-1, -2)],
                  [(0, 5)], [(0, 0), (7, 0), (0, -3)], [(10**13, 3), (5, 10**14)]):
-        assert _hnf_outcome(_hnf_pair, rows) == _hnf_outcome(hnf_pair_reference, rows), rows
-    assert _hnf_outcome(_hnf_pair, [(0, 0)]) == "zero module"
-    assert _hnf_outcome(_hnf_pair, [(2, 4), (-1, -2)]) == "module has rank < 2"
+        assert _outcome(_hnf_pair, rows) == _outcome(hnf_pair_reference, rows), rows
+    assert _outcome(_hnf_pair, [(0, 0)]) == "zero module"
+    assert _outcome(_hnf_pair, [(2, 4), (-1, -2)]) == "module has rank < 2"
 
 
 def test_hnf_pair_matches_reference_on_seeded_rows():
@@ -207,7 +213,7 @@ def test_hnf_pair_matches_reference_on_seeded_rows():
         elif shape == 2:  # zero rows mixed in
             rows += [(0, 0)] * rng.randint(1, 2)
             rng.shuffle(rows)
-        assert _hnf_outcome(_hnf_pair, rows) == _hnf_outcome(hnf_pair_reference, rows), rows
+        assert _outcome(_hnf_pair, rows) == _outcome(hnf_pair_reference, rows), rows
 
 
 PRODUCT_DISCS = (-3, -4, -15, -23, -56, -92)
@@ -238,7 +244,7 @@ def test_products_equal_elemo_products(monkeypatch):
         for x in range(-3, 4):
             for y in range(-3, 4):
                 lam = ElemO(x, y, d)
-                if not lam.is_zero():
+                if (x, y) != (0, 0):
                     rows = _elemo_rows([lam], [ElemO.one(d), omega(d)])
                     cases.append((principal_ideal(lam, Fraction(2, 3)), rows, Fraction(2, 3), d))
     monkeypatch.setattr(ideals_module, "_hnf_pair", hnf_pair_reference)
@@ -258,6 +264,128 @@ def test_ray_class_equal_matches_the_unit_loop(d):
                 assert ray_class_equal(u, v, n) == ray_class_equal_reference(u, v, n), (u, v, n)
 
 
+RAY_DISCS = (-3, -4, -15, -23, -31, -52, -59, -1003)
+
+
+def _ray_pool(d, n, rng):
+    """Class ideals at level n, some of their products and inverses, and
+    principal ideals scaled by 2/3, alone and times a class ideal."""
+    reps = class_index(d, n, CongKind.UPPER_UNIPOTENT, signed=False).reps
+    classes = [form_to_ideal(rep.form) for rep in reps]
+    pool = classes + [rng.choice(classes) * rng.choice(classes) for _ in range(6)]
+    pool += [u.inverse() for u in pool[:6]]
+    for _ in range(4):
+        lam = ElemO(rng.randint(-4, 4), rng.randint(-4, 4), d)
+        if (lam.x, lam.y) != (0, 0):
+            pool += [principal_ideal(lam, Fraction(2, 3)), principal_ideal(lam, Fraction(2, 3)) * rng.choice(classes)]
+    return pool
+
+
+def test_ray_class_equal_matches_the_object_reference_on_seeded_pairs():
+    rng = random.Random(15)
+    principal = 0
+    for d in RAY_DISCS:
+        units = [(e.x, e.y) for e in ideals_module.unit_group(d)]
+        for n in range(1, 8):
+            pool = _ray_pool(d, n, rng)
+            for _ in range(60):
+                u, v = rng.choice(pool), rng.choice(pool)
+                want = _outcome(ray_class_equal_objects_reference, u, v, n)
+                assert _outcome(ray_class_equal, u, v, n) == want, (u, v, n)
+                w = u * v.inverse()
+                got, ref = principal_generator(d, w.a, w.b), principal_generator_reference(w)
+                assert (got is None) == (ref is None), (u, v)
+                if got is not None:
+                    principal += 1
+                    lam = ref[1]
+                    assert any((p.x, p.y) == got for e in units for p in (elem_mul(ElemO(*e, d), lam),)), (got, lam)
+                    assert principal_ideal(ElemO(*got, d), w.scale) == w
+    assert principal > 1000, principal
+
+
+def test_ray_class_equal_builds_no_objects(monkeypatch):
+    """The kernel runs on ints: no ideal, form, matrix or order element is built."""
+    u, v = form_to_ideal(QuadForm(2, 1, 3)), form_to_ideal(QuadForm(3, 1, 2))
+    uu = u * u
+    for cls in (OIdeal, QuadForm, UnimodMatrix, ElemO):
+        monkeypatch.setattr(cls, "__post_init__", lambda self: pytest.fail(f"built {self!r}"))
+    assert ray_class_equal(u, u, 5) and ray_class_equal(uu, v, 1) and not ray_class_equal(u, v, 1)
+
+
+def _unchecked_ideal(d, a, b):
+    """An OIdeal that skips validation, for a basis no proper ideal has."""
+    u = object.__new__(OIdeal)
+    for name, val in (("disc", d), ("scale", Fraction(1)), ("a", a), ("b", b)):
+        object.__setattr__(u, name, val)
+    return u
+
+
+def test_ray_class_equal_refuses_a_quotient_that_is_no_proper_ideal():
+    # (2, 2, 12) of disc -92 is not primitive: its module is an ideal of the
+    # order of disc -23 only, so its quotient by the unit ideal fails the check
+    bad = _unchecked_ideal(-92, 2, 2)
+    with pytest.raises(ValueError, match="proper ideal"):
+        ray_class_equal(bad, unit_ideal(-92), 1)
+    with pytest.raises(ValueError, match="proper ideal"):
+        ray_class_equal(unit_ideal(-92), bad, 3)
+
+
+def _wrong_witness(real):
+    """reduce_triple with its witness moved by [[1, 0], [1, 1]]: same reduced triple, wrong generator."""
+    def patched(a, b, c):
+        ra, rb, rc, p, q, r, s = real(a, b, c)
+        return ra, rb, rc, p + q, q, r + s, s
+    return patched
+
+
+def _wrong_reexpansion(real):
+    """_hnf_pair with the content of every two-row module (a re-expansion) off by one."""
+    def patched(rows):
+        e, g, h = real(rows)
+        return (e, g, h + 1) if len(rows) == 2 else (e, g, h)
+    return patched
+
+
+@pytest.mark.parametrize("name,mutate", [("reduce_triple", _wrong_witness), ("_hnf_pair", _wrong_reexpansion)])
+def test_wrong_generator_fails_the_reexpansion(monkeypatch, name, mutate):
+    ideals = [form_to_ideal(f) for f in reduced_forms(-23)]
+    monkeypatch.setattr(ideals_module, name, mutate(getattr(ideals_module, name)))
+    with pytest.raises(RuntimeError, match="does not re-expand"):
+        principal_generator(-23, 1, 1)
+    for u in ideals:
+        with pytest.raises(RuntimeError, match="does not re-expand"):
+            ray_class_equal(u, u, 5)  # u * u^-1 = O is principal
+    u, v = ideals[1], ideals[2]  # (2, +-1, 3): u / v = u^2 is not principal, so there is nothing to check
+    assert not ray_class_equal(u, v, 1)
+
+
+def test_kernel_checks_survive_optimized_mode():
+    """python -O drops assert statements; the kernel's checks are plain ifs."""
+    script = (
+        "import formclass.ideals as m\n"
+        "from fractions import Fraction\n"
+        "real = m._hnf_pair\n"
+        "m._hnf_pair = lambda rows: (lambda e, g, h: (e, g, h + (len(rows) == 2)))(*real(rows))\n"
+        "u = m.OIdeal(-23, Fraction(1, 2), 2, 1)\n"
+        "try:\n"
+        "    m.ray_class_equal(u, u, 1)\n"
+        "except RuntimeError as err:\n"
+        "    print('RuntimeError', err)\n"
+        "m._hnf_pair = real\n"
+        "try:\n"
+        "    m.principal_generator(-92, 2, 2)\n"
+        "except ValueError as err:\n"
+        "    print('ValueError', err)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(formclass.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert [line.split()[0] for line in lines] == ["RuntimeError", "ValueError"], out.stdout
+
+
 # -- principality -------------------------------------------------------------------
 
 
@@ -270,18 +398,25 @@ def test_principal_ideal_norm():
 def test_principal_generator_roundtrip():
     for d in (-23, -15):
         for x, y in ((1, 0), (2, 0), (3, 1), (-1, 2), (5, -3)):
-            lam = ElemO(x, y, d)
-            if lam.is_zero():
-                continue
-            got = principal_generator(principal_ideal(lam))
+            u = principal_ideal(ElemO(x, y, d))
+            got = principal_generator(d, u.a, u.b)
             assert got is not None
-            scale, mu = got
-            assert principal_ideal(mu, scale) == principal_ideal(lam)
+            assert principal_ideal(ElemO(*got, d), u.scale) == u
 
 
 def test_nonprincipal_has_no_generator():
-    assert principal_generator(form_to_ideal(QuadForm(2, 1, 3))) is None
-    assert principal_generator(form_to_ideal(QuadForm(2, 1, 2))) is None  # disc -15
+    for f in (QuadForm(2, 1, 3), QuadForm(2, 1, 2)):  # disc -23 and -15
+        u = form_to_ideal(f)
+        assert principal_generator(u.disc, u.a, u.b) is None
+
+
+def test_principal_generator_refuses_a_basis_that_is_no_proper_ideal():
+    with pytest.raises(ValueError, match="proper ideal"):
+        principal_generator(-92, 2, 2)  # (2, 2, 12) is not primitive
+    with pytest.raises(ValueError, match="proper ideal"):
+        principal_generator(-23, 2, 0)  # 0^2 != -23 mod 8
+    with pytest.raises(ValueError, match="proper ideal"):
+        principal_generator(-23, 0, 1)
 
 
 def test_principal_class_detected_at_level_one():
