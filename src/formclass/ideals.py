@@ -248,15 +248,16 @@ def principal_generator(d: int, a: int, b: int) -> tuple[int, int] | None:
     """(x, y) with x + y*w generating Z*a + Z*(-b + sqrt(d))/2, or None if that
     ideal is not principal.
 
-    ValueError unless a > 0 and (a, b, (b^2 - d)/4a) is a primitive integral
-    form.  The ideal is principal exactly when that form reduces to the
-    principal form, the one reduced form with a = 1.  That form is reduced
+    ValueError unless d is a negative discriminant, a > 0 and
+    (a, b, (b^2 - d)/4a) is a primitive integral form.  The ideal is
+    principal exactly when that form reduces to the principal form, the one
+    reduced form with a = 1.  That form is reduced
     already, so the witness [[p, q], [r, s]] of `reduce_triple` transports the
     basis: the generator is a*p - r*(-b + sqrt(d))/2 = (a*p + r*(b + d)/2) - r*w.
     Exactness is checked by re-expanding (x + y*w) * O through `_hnf_pair`;
     RuntimeError if it is not the basis (a, b).
     """
-    num = b * b - d
+    num = b * b - require_discriminant(d)
     if a <= 0 or num % (4 * a) or math.gcd(a, b, num // (4 * a)) != 1:
         raise ValueError(f"(a, b) = ({a}, {b}) is not the basis of a proper ideal of disc {d}")
     one, _, _, p, _, r, _ = reduce_triple(a, b, num // (4 * a))

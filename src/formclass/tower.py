@@ -245,17 +245,17 @@ def base_point_set(p: int, d: int) -> tuple[SignedForm, ...]:
     return cm_class_set(d, p, "y").reps
 
 
-def act_padic(point: SignedForm, g: PadicMatrix, n: int, lift: UnimodMatrix | None = None) -> SignedForm:
-    """Move a point by an integral lift of g taken mod prime**n: `lift`, which
-    must be g.lift(n) (a report lifts each kernel class once), or else g.lift(n).
+def act_padic(point: SignedForm, g: PadicMatrix, lift: UnimodMatrix) -> SignedForm:
+    """Move a point by `lift`, an integral lift of g (`PadicMatrix.lift`; a
+    report lifts each kernel class once).
 
-    g must be trivial mod p (that is the domain of the correspondence) and
-    carry at least n digits (`PadicMatrix.lift`).  The class of the result at
-    level prime**n does not depend on the lift (`_check_lift` tests that).
+    g must be trivial mod p (that is the domain of the correspondence).  The
+    class of the result at level prime**n does not depend on which lift of g
+    mod prime**n is passed (`_check_lift` tests that).
     """
     if not g.is_one_mod_p():
         raise ValueError("matrix is not trivial mod p")
-    return point.transform(g.lift(n) if lift is None else lift)
+    return point.transform(lift)
 
 
 def _check_lift(point: SignedForm, g: PadicMatrix, n: int, key: tuple) -> None:
@@ -317,7 +317,7 @@ def correspondence_report(p: int, d: int, n: int, check_lift: bool = False) -> d
     lifts = [g.lift(n) for g in kernel]
     for ri, r in enumerate(base):
         for gi, g in enumerate(kernel):
-            img = act_padic(r, g, n, lifts[gi])
+            img = act_padic(r, g, lifts[gi])
             key = class_key(img, level, CongKind.FULL_LEVEL)
             if check_lift:
                 _check_lift(r, g, n, key)

@@ -417,6 +417,10 @@ def test_principal_generator_refuses_a_basis_that_is_no_proper_ideal():
         principal_generator(-23, 2, 0)  # 0^2 != -23 mod 8
     with pytest.raises(ValueError, match="proper ideal"):
         principal_generator(-23, 0, 1)
+    # no negative discriminant: d = 5 would cycle in the reduction, d = 0 divide by zero
+    for d, a, b in ((5, 1, 1), (0, 1, 0)):
+        with pytest.raises(ValueError, match="not a negative discriminant"):
+            principal_generator(d, a, b)
 
 
 def test_principal_class_detected_at_level_one():
