@@ -34,7 +34,6 @@ from .ideals import (
 from .classgroup import (
     ClassGroupTable,
     CompositionBoundError,
-    FormClass,
     GroupAxiomError,
     PMGroup,
     class_group_table,
@@ -42,9 +41,7 @@ from .classgroup import (
     class_surjection,
     compose,
     conj_class,
-    identity_class,
     inverse_class,
-    level_map,
     order_change_map,
     same_class,
 )

@@ -2,6 +2,11 @@
 its signed (plus/minus) extension, and the transition maps between levels,
 kinds, and orders.
 
+A class is named by one representative `QuadForm`; the level is an argument
+(`compose(f, g, n)`, `same_class(f, g, n)`, `inverse_class(f, n)`) or comes
+from the `ClassGroupTable`, whose `locate_class` gives a form's index.
+Level projections are index maps, `class_surjection`.
+
 Composition keeps the stricter level-N equivalence throughout: the second
 factor is moved inside its own class (by a matrix that is unipotent upper
 triangular mod N) until its leading coefficient is coprime to the first
@@ -22,7 +27,7 @@ from operator import itemgetter
 
 from ._arith import crt, egcd, factorize
 from .congruence import CongKind, class_index, cong_equivalent
-from .forms import QuadForm, SignedForm, require_discriminant
+from .forms import QuadForm, SignedForm
 from .ideals import OIdeal, extend_to_order, form_to_ideal, ray_class_count, ray_class_equal
 
 
@@ -34,41 +39,8 @@ class GroupAxiomError(RuntimeError):
     """A built multiplication table failed a group-law or order check."""
 
 
-@dataclass(frozen=True)
-class FormClass:
-    """The level-N class of a form, named by one representative."""
-
-    rep: QuadForm
-    disc: int
-    level: int
-
-    def __post_init__(self) -> None:
-        require_discriminant(self.disc)
-        if self.rep.discriminant() != self.disc:
-            raise ValueError(f"representative has discriminant {self.rep.discriminant()}, not {self.disc}")
-        if self.level < 1:
-            raise ValueError("level must be >= 1")
-        if math.gcd(self.rep.a, self.level) != 1:
-            raise ValueError(f"leading coefficient {self.rep.a} not coprime to level {self.level}")
-
-    @staticmethod
-    def of(f: QuadForm, level: int) -> "FormClass":
-        return FormClass(f, f.discriminant(), level)
-
-
-def identity_class(d: int, n: int) -> FormClass:
-    return FormClass.of(QuadForm.principal(d), n)
-
-
-def same_class(x: FormClass, y: FormClass) -> bool:
-    if (x.disc, x.level) != (y.disc, y.level):
-        raise ValueError("classes live at different discriminant/level")
-    return cong_equivalent(SignedForm(x.rep), SignedForm(y.rep), x.level, CongKind.UPPER_UNIPOTENT) is not None
-
-
-def conj_class(x: FormClass) -> FormClass:
-    """(a, b, c) -> (a, -b, c) descends to classes; an automorphism, not the inverse."""
-    return FormClass(x.rep.conjugate(), x.disc, x.level)
+def same_class(f: QuadForm, g: QuadForm, n: int) -> bool:
+    return cong_equivalent(SignedForm(f), SignedForm(g), n, CongKind.UPPER_UNIPOTENT) is not None
 
 
 # Shells 0.._SHELLS of candidate columns bound the concordance search.  A
@@ -135,25 +107,32 @@ def _compose_triple(
     return QuadForm(m, big_b, (big_b * big_b - d) // (4 * m))
 
 
-def compose(x: FormClass, y: FormClass, rng: random.Random | None = None) -> FormClass:
-    """The class product, via a concordant pair of representatives.
+def compose(f: QuadForm, g: QuadForm, n: int, rng: random.Random | None = None) -> QuadForm:
+    """A representative of the product of the level-n classes of f and g, via a
+    concordant pair of representatives.
 
-    Moves y by gamma = [[p, -v], [r, u]] (unipotent upper triangular mod N,
-    built from any coprime column p = 1, r = 0 mod N with gcd(a_x, Q_y(p, r))
-    = 1), then glues the middle coefficients by CRT.  The candidate columns
-    and their Bezout coefficients are computed once per level and shell, and
-    the product is worked out on the integer coefficients; CompositionBoundError
-    if no column within _SHELLS shells qualifies.  The result class does not
-    depend on the chosen column; passing rng picks among the first few
-    admissible columns at random, which is how the independence is tested.
+    ValueError unless f and g share a discriminant and both leading
+    coefficients are prime to n >= 1.  Moves g by gamma = [[p, -v], [r, u]]
+    (unipotent upper triangular mod n, built from any coprime column p = 1,
+    r = 0 mod n with gcd(a_f, Q_g(p, r)) = 1), then glues the middle
+    coefficients by CRT.  The candidate columns and their Bezout coefficients
+    are computed once per level and shell, and the product is worked out on
+    the integer coefficients; CompositionBoundError if no column within
+    _SHELLS shells qualifies.  The result class does not depend on the chosen
+    column; passing rng picks among the first few admissible columns at
+    random, which is how the independence is tested.
     """
-    if (x.disc, x.level) != (y.disc, y.level):
-        raise ValueError("classes live at different discriminant/level")
-    return FormClass(_compose_triple(x.disc, x.level, x.rep.triple(), y.rep.triple(), rng), x.disc, x.level)
+    d = f.discriminant()
+    if g.discriminant() != d:
+        raise ValueError(f"discriminant mismatch: {d} vs {g.discriminant()}")
+    if n < 1 or math.gcd(f.a, n) != 1 or math.gcd(g.a, n) != 1:
+        raise ValueError(f"leading coefficients {f.a} and {g.a} must be prime to the level {n}")
+    return _compose_triple(d, n, f.triple(), g.triple(), rng)
 
 
-def class_of_ideal(u: OIdeal, d: int, n: int) -> FormClass:
-    """The unique enumerated class whose ideal is ray-equal to u at modulus n.
+def class_of_ideal(u: OIdeal, d: int, n: int) -> QuadForm:
+    """The representative of the unique enumerated class whose ideal is
+    ray-equal to u at modulus n.
 
     LookupError if no class matches (u must be invertible-prime to n, else
     ValueError).  GroupAxiomError if more than one class matches: that would
@@ -168,12 +147,12 @@ def class_of_ideal(u: OIdeal, d: int, n: int) -> FormClass:
         raise LookupError(f"no class at disc {d}, level {n} matches ideal {u.to_json()}")
     if len(matches) > 1:
         raise GroupAxiomError(f"ideal {u.to_json()} matched classes {matches}")
-    return FormClass(idx.reps[matches[0]].form, d, n)
+    return idx.reps[matches[0]].form
 
 
-def inverse_class(x: FormClass) -> FormClass:
-    """The group inverse, through the ideal dictionary (see module docstring)."""
-    return class_of_ideal(form_to_ideal(x.rep).inverse(), x.disc, x.level)
+def inverse_class(f: QuadForm, n: int) -> QuadForm:
+    """The inverse of f's level-n class, through the ideal dictionary (see module docstring)."""
+    return class_of_ideal(form_to_ideal(f).inverse(), f.discriminant(), n)
 
 
 # -- the full group ----------------------------------------------------------
@@ -273,7 +252,7 @@ class ClassGroupTable:
 
     disc: int
     level: int
-    classes: tuple[FormClass, ...]
+    classes: tuple[QuadForm, ...]
     cayley: tuple[tuple[int, ...], ...]
     identity_index: int
 
@@ -284,14 +263,14 @@ class ClassGroupTable:
     @staticmethod
     def build(d: int, n: int) -> "ClassGroupTable":
         idx = class_index(d, n, CongKind.UPPER_UNIPOTENT, signed=False)
-        classes = tuple(FormClass(rep.form, d, n) for rep in idx.reps)
+        classes = tuple(rep.form for rep in idx.reps)
         size = len(classes)
         expected = ray_class_count(d, n)
         if size != expected:
             raise GroupAxiomError(f"enumerated {size} classes at ({d}, {n}); order formula says {expected}")
         rows = []
         for x in classes:
-            row = [idx.locate(SignedForm(compose(x, y).rep)) for y in classes]
+            row = [idx.locate(SignedForm(compose(x, y, n))) for y in classes]
             rows.append(tuple(row))
         cayley = tuple(rows)
         identity = idx.locate(SignedForm(QuadForm.principal(d)))
@@ -323,11 +302,13 @@ class ClassGroupTable:
             k >>= 1
         return acc
 
-    def locate_class(self, x: FormClass) -> int:
-        if (x.disc, x.level) != (self.disc, self.level):
-            raise ValueError("class belongs to a different group")
+    def locate_class(self, f: QuadForm) -> int:
+        """The index of f's class; ValueError unless f has this table's
+        discriminant and a leading coefficient prime to its level."""
+        if f.discriminant() != self.disc or math.gcd(f.a, self.level) != 1:
+            raise ValueError(f"form {f.triple()} is not in the group at ({self.disc}, {self.level})")
         idx = class_index(self.disc, self.level, CongKind.UPPER_UNIPOTENT, signed=False)
-        return idx.locate(SignedForm(x.rep))
+        return idx.locate(SignedForm(f))
 
     def invariant_factors(self) -> tuple[int, ...]:
         return _abelian_invariants(self.order, self.identity_index, self.power)
@@ -337,7 +318,7 @@ class ClassGroupTable:
             "D": self.disc,
             "N": self.level,
             "order": self.order,
-            "reps": [list(x.rep.triple()) for x in self.classes],
+            "reps": [list(f.triple()) for f in self.classes],
             "cayley": [list(row) for row in self.cayley],
             "invariant_factors": list(self.invariant_factors()),
         }
@@ -350,15 +331,6 @@ def class_group_table(d: int, n: int) -> ClassGroupTable:
 
 
 # -- transition maps ---------------------------------------------------------
-
-
-def level_map(x: FormClass, m: int, n: int) -> FormClass:
-    """Reinterpret a level-m class at a coarser level n (n | m); rep unchanged."""
-    if n < 1 or m % n:
-        raise ValueError(f"target level {n} must divide source level {m}")
-    if x.level != m:
-        raise ValueError(f"class has level {x.level}, not {m}")
-    return FormClass(x.rep, x.disc, n)
 
 
 def class_surjection(
@@ -389,18 +361,23 @@ def class_surjection(
     return out
 
 
-def order_change_map(x: FormClass, target_disc: int) -> FormClass:
-    """Push a class to a smaller-conductor order (disc l1^2*d -> l2^2*d, l2 | l1).
+def order_change_map(f: QuadForm, target_disc: int, n: int) -> QuadForm:
+    """Push f's level-n class to a smaller-conductor order (disc l1^2*d ->
+    l2^2*d, l2 | l1).
 
-    Extends the representative's ideal to the target order and reads off its
-    class at the same level; ValueError if the extended ideal is not prime to
-    the level.
+    Extends f's ideal to the target order and reads off its class at the same
+    level; ValueError if the extended ideal is not prime to the level.
     """
-    ext = extend_to_order(form_to_ideal(x.rep), target_disc)
-    return class_of_ideal(ext, target_disc, x.level)
+    return class_of_ideal(extend_to_order(form_to_ideal(f), target_disc), target_disc, n)
 
 
 # -- the signed (plus/minus) extension ---------------------------------------
+
+
+def conj_class(table: ClassGroupTable) -> tuple[int, ...]:
+    """The index permutation of (a, b, c) -> (a, -b, c) on the table's classes:
+    an automorphism, not the inverse."""
+    return tuple(table.locate_class(f.conjugate()) for f in table.classes)
 
 
 @dataclass(frozen=True)
@@ -423,7 +400,7 @@ class PMGroup:
     @staticmethod
     def build(base: ClassGroupTable) -> "PMGroup":
         n = base.order
-        conj = tuple(base.locate_class(conj_class(x)) for x in base.classes)
+        conj = conj_class(base)
         # a plus factor keeps the coset of the right factor; a minus factor
         # conjugates the right factor and flips its coset
         plus = [row + tuple(k + n for k in row) for row in base.cayley]

@@ -17,15 +17,12 @@ from .classgroup import (
     class_group_table,
     class_surjection,
     compose,
-    conj_class,
-    identity_class,
     inverse_class,
-    level_map,
     order_change_map,
     same_class,
 )
 from .congruence import CongKind, class_index
-from .forms import IDENTITY, reduced_forms
+from .forms import IDENTITY, QuadForm, reduced_forms
 from .ideals import form_to_ideal, ray_class_count, ray_class_equal, residue_units, unit_count
 from .tower import MatrixSeq, correspondence_report, limits_agree, random_compliant_pair, seq_conditions_hold
 
@@ -54,16 +51,16 @@ def grouplaw(d: int, n: int, rng: random.Random) -> list[dict]:
     checks.append(check("order-formula", table.order == expected,
                         D=d, N=n, order=table.order, formula=expected))
 
-    units_order, _ = residue_units(d, n)
+    units_order = residue_units(d, n)
     closed_form = unit_count(d, n)
     checks.append(check("residue-units-enumerated", units_order == closed_form,
                         units=units_order, closed_form=closed_form))
 
-    ideals = [form_to_ideal(x.rep) for x in table.classes]
+    ideals = [form_to_ideal(x) for x in table.classes]
     ok_dual = True
     for i, x in enumerate(table.classes):
         for j, y in enumerate(table.classes):
-            matrix_route = same_class(x, y)
+            matrix_route = same_class(x, y, n)
             ideal_route = ray_class_equal(ideals[i], ideals[j], n)
             if matrix_route != (i == j) or ideal_route != (i == j):
                 ok_dual = False
@@ -72,25 +69,25 @@ def grouplaw(d: int, n: int, rng: random.Random) -> list[dict]:
     ok_cells = True
     for i, x in enumerate(table.classes):
         for j, y in enumerate(table.classes):
-            z = compose(x, y, rng=rng)
+            z = compose(x, y, n, rng=rng)
             prod = ideals[i] * ideals[j]
-            if not ray_class_equal(form_to_ideal(z.rep), prod, n) or table.locate_class(z) != table.mul(i, j):
+            if not ray_class_equal(form_to_ideal(z), prod, n) or table.locate_class(z) != table.mul(i, j):
                 ok_cells = False
     checks.append(check("compose-matches-ideal-product", ok_cells, cells=table.order**2))
 
     ok_inv = all(
-        same_class(compose(x, inverse_class(x)), identity_class(d, n))
+        same_class(compose(x, inverse_class(x, n), n), QuadForm.principal(d), n)
         for x in table.classes
     )
     checks.append(check("inverses-via-ideal-route", ok_inv))
 
     try:
         pm = PMGroup.build(table)
+        conj = pm.conj_perm
         conj_auto = all(
-            table.locate_class(conj_class(compose(x, y)))
-            == table.mul(table.locate_class(conj_class(x)), table.locate_class(conj_class(y)))
-            for x in table.classes
-            for y in table.classes
+            table.locate_class(compose(x, y, n).conjugate()) == table.mul(conj[i], conj[j])
+            for i, x in enumerate(table.classes)
+            for j, y in enumerate(table.classes)
         )
         checks.append(check("signed-extension-closes", pm.order == 2 * table.order, order=pm.order))
         checks.append(check("conjugation-is-automorphism", conj_auto))
@@ -143,8 +140,9 @@ def levelmaps(d: int, chains) -> list[dict]:
     surjective homomorphism with even fibers.
 
     The signed group at level k is `PMGroup.build` of the class group table at
-    (d, k).  The projection keeps the sign and maps the class by `level_map`:
-    index i goes to proj(i mod n_m) + n_n*[i >= n_m].  A minus factor
+    (d, k).  The projection is the signed `class_surjection` of the unipotent
+    kind from m to n: it keeps the sign and locates each level-m
+    representative among the level-n classes.  A minus factor
     conjugates its right factor, so this covers conjugation as well as the
     product; it holds exactly when the levelwise product of two compatible
     sequences in the inverse limit is again compatible.
@@ -156,10 +154,13 @@ def levelmaps(d: int, chains) -> list[dict]:
             if k not in groups:
                 groups[k] = PMGroup.build(class_group_table(d, k))
         gm, gn = groups[m], groups[n]
-        proj = [gn.base.locate_class(level_map(x, m, n)) for x in gm.base.classes]
-        signed = proj + [k + gn.base.order for k in proj]
-        hom, onto = _hom_onto(gm.cayley, gn.cayley, signed)
         fiber = gm.order // gn.order
+        try:
+            signed = class_surjection(d, m, n, CongKind.UPPER_UNIPOTENT, CongKind.UPPER_UNIPOTENT, signed=True)
+        except GroupAxiomError as err:
+            checks.append(check(f"chain-{m}-to-{n}", False, surjective=False, fiber_size=fiber, missed=str(err)))
+            continue
+        hom, onto = _hom_onto(gm.cayley, gn.cayley, signed)
         fibers_even = all(signed.count(k) == fiber for k in range(gn.order))
         checks.append(check(f"chain-{m}-to-{n}", hom and onto and fibers_even,
                             hom=hom, surjective=onto, fiber_size=fiber))
@@ -171,7 +172,7 @@ def orderchange(instances) -> list[dict]:
     checks = []
     for d_src, d_dst, n in instances:
         ts, td = class_group_table(d_src, n), class_group_table(d_dst, n)
-        img = [td.locate_class(order_change_map(x, d_dst)) for x in ts.classes]
+        img = [td.locate_class(order_change_map(x, d_dst, n)) for x in ts.classes]
         hom, onto = _hom_onto(ts.cayley, td.cayley, img)
         checks.append(check(f"order-{d_src}-to-{d_dst}-at-{n}", hom and onto,
                             hom=hom, surjective=onto))
@@ -195,7 +196,7 @@ def padiclimits(primes, trials: int, rng: random.Random) -> list[dict]:
             else:
                 disagreed += 1
         if p == 2:
-            neg = MatrixSeq(2, tuple(-IDENTITY for _ in range(length)), check=False)
+            neg = MatrixSeq(2, (-IDENTITY,) * length)
             pos = MatrixSeq(2, (IDENTITY,) * length)
             canonical = seq_conditions_hold(pos, neg) and not limits_agree(pos, neg)
             ok = mispredicted == 0 and canonical

@@ -5,7 +5,8 @@ points times a congruence kernel and point classes at higher level, checked
 exhaustively.  Points are signed forms (see `cm`), and a kernel matrix acts
 on them through an integral lift taken mod p^n at the level asked.  The
 group law on lim CM(D, Y1(N)^±) is checked on whole tables, level by level,
-by `suites.levelmaps`.
+by `suites.levelmaps`, which projects the signed tables through
+`classgroup.class_surjection`.
 
 Everything runs on exact integers; "precision n" always means working modulo
 p^n with determinant exactly 1 on integral lifts.

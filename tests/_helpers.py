@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from formclass._arith import crt, egcd
-from formclass.classgroup import CompositionBoundError, FormClass
+from formclass.classgroup import CompositionBoundError
 from formclass.congruence import lift_matrix, sl2_residues
 from formclass.forms import QuadForm, QuadIrrational, SignedForm, UnimodMatrix, reduced_forms, sl2_equivalent
 from formclass.ideals import ElemO, OIdeal, _unit_entries, unit_group
@@ -314,37 +314,37 @@ def column_shells_reference(n: int, bound: int):
                     yield 1 + kp * n, kr * n
 
 
-def compose_reference(x: FormClass, y: FormClass, bound: int = 10, rng=None) -> FormClass:
+def compose_reference(x: QuadForm, y: QuadForm, n: int, bound: int = 10, rng=None) -> QuadForm:
     """`classgroup.compose` as it was before its integer kernel: one egcd per
     candidate column and cell, y moved by a validated `UnimodMatrix`."""
-    if (x.disc, x.level) != (y.disc, y.level):
-        raise ValueError("classes live at different discriminant/level")
-    d, n = x.disc, x.level
-    ax = x.rep.a
+    d = x.discriminant()
+    if y.discriminant() != d:
+        raise ValueError("forms of different discriminants")
+    ax = x.a
 
     hits: list[tuple[int, int]] = []
     for p, r in column_shells_reference(n, bound):
         g, u, v = egcd(p, r)
         if g != 1:
             continue
-        if math.gcd(ax, value(y.rep, p, r)) != 1:
+        if math.gcd(ax, value(y, p, r)) != 1:
             continue
         hits.append((p, r))
         if rng is None or len(hits) >= 4:
             break
     if not hits:
         raise CompositionBoundError(
-            f"no concordant column for {x.rep.triple()} * {y.rep.triple()} at level {n} within bound {bound}"
+            f"no concordant column for {x.triple()} * {y.triple()} at level {n} within bound {bound}"
         )
     p, r = hits[0] if rng is None else rng.choice(hits)
 
     g, u, v = egcd(p, r)
     gamma = UnimodMatrix(p, -v, r, u)
-    moved = y.rep.transform(gamma)
-    big_b, modulus = crt(x.rep.b, 2 * ax, moved.b, 2 * moved.a)
+    moved = y.transform(gamma)
+    big_b, modulus = crt(x.b, 2 * ax, moved.b, 2 * moved.a)
     m = ax * moved.a
     if modulus != 2 * m:
         raise RuntimeError(f"CRT modulus {modulus} is not 2*{m}: the moved pair is not concordant")
     if big_b > m:
         big_b -= 2 * m
-    return FormClass(QuadForm(m, big_b, (big_b * big_b - d) // (4 * m)), d, n)
+    return QuadForm(m, big_b, (big_b * big_b - d) // (4 * m))

@@ -14,7 +14,6 @@ from formclass._arith import egcd
 from formclass.classgroup import (
     ClassGroupTable,
     CompositionBoundError,
-    FormClass,
     GroupAxiomError,
     PMGroup,
     _SHELLS,
@@ -25,9 +24,7 @@ from formclass.classgroup import (
     class_surjection,
     compose,
     conj_class,
-    identity_class,
     inverse_class,
-    level_map,
     same_class,
 )
 from formclass.congruence import ClassIndex, CongKind, class_index
@@ -65,29 +62,32 @@ def test_large_cyclic_extension():
 
 
 def test_identity_and_same_class():
-    e = identity_class(-23, 3)
-    assert same_class(e, e)
-    x = FormClass.of(QuadForm(2, 1, 3), 3)
-    assert not same_class(x, e)
+    e = QuadForm.principal(-23)
+    assert same_class(e, e, 3)
+    x = QuadForm(2, 1, 3)
+    assert not same_class(x, e, 3)
     with pytest.raises(ValueError):
-        same_class(x, identity_class(-23, 5))
+        same_class(x, QuadForm.principal(-15), 3)
 
 
-def test_formclass_validation():
-    with pytest.raises(ValueError):
-        FormClass.of(QuadForm(3, 1, 2), 3)  # leading coefficient shares a factor with the level
-    with pytest.raises(ValueError):
-        FormClass(QuadForm(2, 1, 3), -15, 1)  # discriminant mismatch
+def test_compose_and_locate_refuse_forms_outside_the_group():
+    table, e = class_group_table(-23, 3), QuadForm.principal(-23)
+    shares = QuadForm(3, 1, 2)  # leading coefficient shares a factor with the level
+    other = QuadForm(2, 1, 2)  # discriminant -15, not -23
+    for route in (lambda f: compose(f, e, 3), lambda f: compose(e, f, 3), table.locate_class):
+        for f in (shares, other):
+            with pytest.raises(ValueError):
+                route(f)
 
 
 def test_compose_neutral_and_commutative():
     table = class_group_table(-23, 3)
-    e = identity_class(-23, 3)
+    e = QuadForm.principal(-23)
     for x in table.classes:
-        assert same_class(compose(x, e), x)
-        assert same_class(compose(e, x), x)
+        assert same_class(compose(x, e, 3), x, 3)
+        assert same_class(compose(e, x, 3), x, 3)
         for y in table.classes:
-            assert same_class(compose(x, y), compose(y, x))
+            assert same_class(compose(x, y, 3), compose(y, x, 3), 3)
 
 
 def test_compose_well_defined_under_random_concordance_choice():
@@ -97,7 +97,7 @@ def test_compose_well_defined_under_random_concordance_choice():
     for seed in range(6):
         rng = random.Random(seed)
         for x, y in pairs:
-            assert same_class(compose(x, y, rng=rng), compose(x, y))
+            assert same_class(compose(x, y, 3, rng=rng), compose(x, y, 3), 3)
 
 
 def _random_members(d, n, rng, count):
@@ -109,7 +109,7 @@ def _random_members(d, n, rng, count):
         f = rng.choice(reps)
         k = rng.randint(-3, 3)
         g = UnimodMatrix(1, k, 0, 1) if rng.random() < 0.5 else UnimodMatrix(1, 0, n * k, 1)
-        out.append(FormClass(f.transform(g), d, n))
+        out.append(f.transform(g))
     return out
 
 
@@ -121,11 +121,11 @@ def test_compose_kernel_matches_reference_triples(d):
         rng = random.Random(1000 * n - d)
         members = _random_members(d, n, rng, 24)
         for x, y in zip(members[::2], members[1::2]):
-            assert compose(x, y).rep.triple() == compose_reference(x, y).rep.triple(), (d, n, x, y)
+            assert compose(x, y, n) == compose_reference(x, y, n), (d, n, x, y)
             seed = rng.randrange(2**32)
             ours, theirs = random.Random(seed), random.Random(seed)
-            z, w = compose(x, y, rng=ours), compose_reference(x, y, rng=theirs)
-            assert z.rep.triple() == w.rep.triple(), (d, n, x, y, seed)
+            z, w = compose(x, y, n, rng=ours), compose_reference(x, y, n, rng=theirs)
+            assert z == w, (d, n, x, y, seed)
             assert ours.getstate() == theirs.getstate()
 
 
@@ -140,15 +140,15 @@ def test_coprime_shells_match_the_candidate_columns():
 
 def test_composition_bound_error_names_both_triples(monkeypatch):
     # leading coefficients 2 and 2: the only column within shell 0 is (1, 0)
-    x, y = FormClass.of(QuadForm(2, 1, 3), 1), FormClass.of(QuadForm(2, -1, 3), 1)
+    x, y = QuadForm(2, 1, 3), QuadForm(2, -1, 3)
     message = "no concordant column for (2, 1, 3) * (2, -1, 3) at level 1 within bound 0"
     monkeypatch.setattr("formclass.classgroup._SHELLS", 0)
-    for route in (compose, lambda x, y: compose_reference(x, y, bound=0)):
+    for route in (compose, lambda x, y, n: compose_reference(x, y, n, bound=0)):
         with pytest.raises(CompositionBoundError) as err:
-            route(x, y)
+            route(x, y, 1)
         assert str(err.value) == message
     monkeypatch.setattr("formclass.classgroup._SHELLS", 1)
-    assert compose(x, y).rep.triple() == compose_reference(x, y, bound=1).rep.triple()
+    assert compose(x, y, 1) == compose_reference(x, y, 1, bound=1)
 
 
 def _hit_shells(ax, y, n, wanted):
@@ -199,22 +199,22 @@ def test_compose_matches_ideal_multiplication():
         table = class_group_table(d, n)
         for x in table.classes:
             for y in table.classes:
-                z = compose(x, y)
-                prod = form_to_ideal(x.rep) * form_to_ideal(y.rep)
-                assert ray_class_equal(form_to_ideal(z.rep), prod, n)
+                z = compose(x, y, n)
+                prod = form_to_ideal(x) * form_to_ideal(y)
+                assert ray_class_equal(form_to_ideal(z), prod, n)
 
 
 def test_inverse_routes_through_ray_predicate():
     table = class_group_table(-23, 3)
-    e = identity_class(-23, 3)
+    e = QuadForm.principal(-23)
     for x in table.classes:
-        assert same_class(compose(x, inverse_class(x)), e)
+        assert same_class(compose(x, inverse_class(x, 3), 3), e, 3)
 
 
 def test_inverse_frozen_representative():
-    x = FormClass.of(QuadForm(2, 1, 3), 3)
-    inv = inverse_class(x)
-    assert same_class(inv, FormClass.of(QuadForm(26, 17, 3), 3))
+    x = QuadForm(2, 1, 3)
+    inv = inverse_class(x, 3)
+    assert same_class(inv, QuadForm(26, 17, 3), 3)
     table = class_group_table(-23, 3)
     i = table.locate_class(x)
     assert [k for k in range(1, 7) if table.power(i, k) == table.identity_index] == [6]
@@ -223,17 +223,17 @@ def test_inverse_frozen_representative():
 def test_conjugation_is_not_the_inverse_at_higher_level():
     # at level 1 conj is the inverse; at (D, N) = (-23, 5) it provably is not
     table = class_group_table(-23, 5)
-    e = identity_class(-23, 5)
+    e = QuadForm.principal(-23)
     broken = [
         x for x in table.classes
-        if not same_class(compose(x, conj_class(x)), e)
+        if not same_class(compose(x, x.conjugate(), 5), e, 5)
     ]
     assert broken, "x * conj(x) = identity held everywhere; conj would be the inverse"
 
 
 def test_conjugation_is_an_automorphism():
     table = class_group_table(-23, 5)
-    perm = tuple(table.locate_class(conj_class(x)) for x in table.classes)
+    perm = conj_class(table)
     assert sorted(perm) == list(range(table.order))
     for i in range(table.order):
         for j in range(table.order):
@@ -243,10 +243,11 @@ def test_conjugation_is_an_automorphism():
 def test_class_of_ideal_frozen_values():
     two = principal_ideal(ElemO(2, 0, -23))
     # -2 = 1 mod 3, so the ideal 2O is ray-trivial at level 3
-    assert same_class(class_of_ideal(two, -23, 3), identity_class(-23, 3))
+    e = QuadForm.principal(-23)
+    assert same_class(class_of_ideal(two, -23, 3), e, 3)
     # but not at level 5
-    assert not same_class(class_of_ideal(two, -23, 5), identity_class(-23, 5))
-    assert same_class(class_of_ideal(unit_ideal(-23), -23, 5), identity_class(-23, 5))
+    assert not same_class(class_of_ideal(two, -23, 5), e, 5)
+    assert same_class(class_of_ideal(unit_ideal(-23), -23, 5), e, 5)
 
 
 def test_class_of_ideal_rejects_several_matches(monkeypatch):
@@ -270,14 +271,14 @@ def test_locating_products_does_not_grow_the_reduction_cache():
     reduce_form.cache_clear()
     table = ClassGroupTable.build(-51, 7)
     for x, y in itertools.product(table.classes, repeat=2):
-        assert table.locate_class(compose(x, y)) == table.mul(table.locate_class(x), table.locate_class(y))
+        assert table.locate_class(compose(x, y, 7)) == table.mul(table.locate_class(x), table.locate_class(y))
     assert reduce_form.cache_info().currsize <= len(reduced_forms(-51))
 
 
 def test_class_of_ideal_inverts_form_to_ideal():
     table = class_group_table(-24, 5)
     for x in table.classes:
-        assert same_class(class_of_ideal(form_to_ideal(x.rep), -24, 5), x)
+        assert same_class(class_of_ideal(form_to_ideal(x), -24, 5), x, 5)
 
 
 def test_table_powers_and_element_orders():
@@ -313,14 +314,6 @@ def test_table_json_shape():
 # -- transition maps ------------------------------------------------------------
 
 
-def test_level_map_validation():
-    x = identity_class(-23, 3)
-    with pytest.raises(ValueError):
-        level_map(x, 3, 2)  # 2 does not divide 3
-    with pytest.raises(ValueError):
-        level_map(x, 9, 3)  # x does not live at level 9
-
-
 def test_class_surjection_rejects_wrong_containment():
     with pytest.raises(ValueError):
         class_surjection(-23, 9, 3, CongKind.UPPER_UNIPOTENT, CongKind.FULL_LEVEL)
@@ -334,29 +327,40 @@ def test_class_surjection_reports_missed_classes(monkeypatch):
         class_surjection(-23, 9, 3, CongKind.FULL_LEVEL, CongKind.FULL_LEVEL)
 
 
+@pytest.mark.parametrize("d", [-23, -15, -20])
+def test_signed_surjection_is_the_unsigned_map_then_its_shift(d):
+    # the sign is kept: the minus coset maps like the plus one, shifted by the target order
+    upper = CongKind.UPPER_UNIPOTENT
+    for m, n in ((3, 1), (4, 2), (9, 3), (6, 3), (6, 2)):
+        proj = class_surjection(d, m, n, upper, upper)
+        shift = len(class_index(d, n, upper).reps)
+        assert class_surjection(d, m, n, upper, upper, signed=True) == proj + tuple(k + shift for k in proj), (d, m, n)
+
+
 # -- the signed extension ---------------------------------------------------------
 
 
 def test_pm_semidirect_rule():
     table = class_group_table(-23, 3)
     pm, n = PMGroup.build(table), table.order
-    x = FormClass.of(QuadForm(2, 1, 3), 3)
+    x = QuadForm(2, 1, 3)
     i = table.locate_class(x)
     # a minus factor on the left conjugates the right factor and flips its sign
     z = pm.cayley[n + i][i]
-    assert z >= n and same_class(table.classes[z - n], compose(x, conj_class(x)))
+    assert z >= n and same_class(table.classes[z - n], compose(x, x.conjugate(), 3), 3)
     # a plus factor on the left keeps the right factor as it is
     w = pm.cayley[i][n + i]
-    assert w >= n and same_class(table.classes[w - n], compose(x, x))
+    assert w >= n and same_class(table.classes[w - n], compose(x, x, 3), 3)
 
 
 def test_pm_inverse_both_cosets():
     table = class_group_table(-23, 3)
     pm, n, e = PMGroup.build(table), table.order, table.identity_index
-    x = FormClass.of(QuadForm(4, 3, 2), 3)
+    x = QuadForm(4, 3, 2)
     # inverses by the ideal route: x^-1 in the plus coset, conj(x^-1) in the minus one
-    plus = (table.locate_class(x), table.locate_class(inverse_class(x)))
-    minus = (n + plus[0], n + table.locate_class(conj_class(inverse_class(x))))
+    inv = inverse_class(x, 3)
+    plus = (table.locate_class(x), table.locate_class(inv))
+    minus = (n + plus[0], n + table.locate_class(inv.conjugate()))
     for a, b in (plus, minus):
         assert pm.cayley[a][b] == e and pm.cayley[b][a] == e
 

@@ -13,9 +13,9 @@ import pytest
 
 import formclass
 from formclass import classgroup, suites
-from formclass.classgroup import identity_class
 from formclass.cli import CELL_BUDGET, SCAN_BUDGET, Config, _check_disc, _check_table, main
 from formclass.congruence import ClassIndex
+from formclass.forms import QuadForm
 
 
 def run(capsys, *argv):
@@ -228,6 +228,16 @@ def test_levelsquare_reports_an_edge_that_misses_classes(capsys, monkeypatch):
     assert surjective["missed"]["relax-coarse"] == "transition map misses target classes [1, 2, 3, 4, 5]"
 
 
+def test_levelmaps_reports_a_projection_that_misses_classes(monkeypatch):
+    def missing(*args, **kwargs):
+        raise classgroup.GroupAxiomError("transition map misses target classes [1]")
+
+    monkeypatch.setattr(suites, "class_surjection", missing)
+    (chain,) = suites.levelmaps(-23, [(3, 1)])
+    assert chain == {"name": "chain-3-to-1", "pass": False, "surjective": False, "fiber_size": 2,
+                     "missed": "transition map misses target classes [1]"}
+
+
 def _off_by_one_report(real):
     def report(*args, **kwargs):
         out = real(*args, **kwargs)
@@ -242,15 +252,15 @@ MUTATIONS = [
      (-23, 2, random.Random(0)), ["-N", "2"]),
     ("levelsquare", "class_surjection", lambda real: lambda *a: tuple(reversed(real(*a))),
      (-23, 3, 1), ["-M", "3", "-N", "1"]),
-    ("levelmaps", "level_map", lambda real: lambda x, m, n: identity_class(x.disc, n),
+    ("levelmaps", "class_surjection", lambda real: lambda *a, **kw: tuple(reversed(real(*a, **kw))),
      (-23, [(3, 1)]), ["--quick"]),
-    ("orderchange", "order_change_map", lambda real: lambda x, d: identity_class(d, x.level),
+    ("orderchange", "order_change_map", lambda real: lambda f, d, n: QuadForm.principal(d),
      (((-60, -15, 1),),), []),
     ("padiclimits", "limits_agree", lambda real: lambda s, t: True,
      ([2], 20, random.Random(0)), ["-p", "2", "--trials", "20"]),
     ("padicpoints", "correspondence_report", _off_by_one_report,
      ([(3, -23, 1)],), ["-p", "3", "-D", "-23", "-n", "1"]),
-    pytest.param("grouplaw", "residue_units", lambda real: lambda d, n: (n * n, real(d, n)[1]),
+    pytest.param("grouplaw", "residue_units", lambda real: lambda d, n: n * n,
                  (-23, 3, random.Random(0)), [], id="grouplaw-residue-units"),
 ]
 
@@ -270,7 +280,7 @@ def test_levelmaps_checks_the_sign_law(monkeypatch):
     # product, still a group, but the projection to level 3 is no longer a
     # homomorphism; the unsigned tables cannot see this
     real = classgroup.conj_class
-    monkeypatch.setattr(classgroup, "conj_class", lambda x: x if x.level == 9 else real(x))
+    monkeypatch.setattr(classgroup, "conj_class", lambda t: tuple(range(t.order)) if t.level == 9 else real(t))
     (chain,) = suites.levelmaps(-23, [(9, 3)])
     assert chain["name"] == "chain-9-to-3" and not chain["pass"]
     assert (chain["hom"], chain["surjective"], chain["fiber_size"]) == (False, True, 9)

@@ -360,9 +360,10 @@ def test_wrong_generator_fails_the_reexpansion(monkeypatch, name, mutate):
 
 
 def test_kernel_checks_survive_optimized_mode():
-    """python -O drops assert statements; the kernel's checks are plain ifs."""
+    """python -O drops assert statements; the kernels' checks are plain ifs."""
     script = (
         "import formclass.ideals as m\n"
+        "from formclass import QuadForm, compose\n"
         "from fractions import Fraction\n"
         "real = m._hnf_pair\n"
         "m._hnf_pair = lambda rows: (lambda e, g, h: (e, g, h + (len(rows) == 2)))(*real(rows))\n"
@@ -376,6 +377,11 @@ def test_kernel_checks_survive_optimized_mode():
         "    m.principal_generator(-92, 2, 2)\n"
         "except ValueError as err:\n"
         "    print('ValueError', err)\n"
+        "for f in (QuadForm(3, 1, 2), QuadForm(2, 1, 2)):  # a shares a factor with 3; disc -15\n"
+        "    try:\n"
+        "        compose(f, QuadForm.principal(-23), 3)\n"
+        "    except ValueError as err:\n"
+        "        print('ValueError', err)\n"
     )
     env = dict(os.environ)
     src = str(Path(formclass.__file__).resolve().parent.parent)
@@ -383,7 +389,7 @@ def test_kernel_checks_survive_optimized_mode():
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert [line.split()[0] for line in lines] == ["RuntimeError", "ValueError"], out.stdout
+    assert [line.split()[0] for line in lines] == ["RuntimeError", "ValueError", "ValueError", "ValueError"], out.stdout
 
 
 # -- principality -------------------------------------------------------------------
@@ -473,10 +479,10 @@ def test_unit_groups():
 def test_residue_unit_counts():
     # split, inert, and ramified residue counts at a prime level p:
     # (p-1)^2, p^2-1, p(p-1) respectively
-    assert residue_units(-23, 3)[0] == 4   # -23 = 1 mod 3: split
-    assert residue_units(-23, 5)[0] == 24  # -23 = 2 mod 5, nonresidue: inert
-    assert residue_units(-15, 5)[0] == 20  # 5 divides -15: ramified
-    assert residue_units(-23, 1)[0] == 1
+    assert residue_units(-23, 3) == 4   # -23 = 1 mod 3: split
+    assert residue_units(-23, 5) == 24  # -23 = 2 mod 5, nonresidue: inert
+    assert residue_units(-15, 5) == 20  # 5 divides -15: ramified
+    assert residue_units(-23, 1) == 1
 
 
 def test_unit_image_sizes():

@@ -98,8 +98,7 @@ def test_constant_identity_vs_minus_identity_at_odd_prime():
 def test_even_prime_counterexample():
     # at p = 2 the pair (I, -I) satisfies every hypothesis yet the limits differ
     pos = MatrixSeq(2, (IDENTITY,) * 5)
-    neg = MatrixSeq(2, (-IDENTITY,) * 5, check=False)
-    assert neg.conditions_hold()
+    neg = MatrixSeq(2, (-IDENTITY,) * 5)  # -I = I mod 2, so the constructor's check passes
     assert seq_conditions_hold(pos, neg)
     assert not limits_agree(pos, neg)
 
