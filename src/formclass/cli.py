@@ -219,7 +219,8 @@ def _suite(name: str, args, cfg: Config):
     if name == "padiclimits":
         trials = args.trials or (200 if args.quick else 1000)
         primes = [args.prime] if args.prime else [3, 5, 2]
-        return [], [], [], lambda rng: suites.padiclimits(primes, trials, rng)
+        levels = [(args.prime, 1)] if args.prime else []  # caps -p before is_prime's trial division
+        return levels, [], [], lambda rng: suites.padiclimits(primes, trials, rng)
     if args.prime is not None:  # padicpoints
         instances = [(args.prime, args.disc, args.precision)]
     else:

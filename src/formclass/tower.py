@@ -120,12 +120,14 @@ class MatrixSeq:
 
     def conditions_hold(self) -> bool:
         """(i) successive terms agree mod p^n; (ii) the first term is I mod p."""
-        if not _congruent(self.mats[0], IDENTITY, self.prime):
+        p = m = self.prime
+        if not _congruent(self.mats[0], IDENTITY, p):
             return False
-        return all(
-            _congruent(self.mats[k + 1], self.mats[k], self.prime**(k + 1))
-            for k in range(len(self.mats) - 1)
-        )
+        for g, h in zip(self.mats, self.mats[1:]):
+            if not _congruent(h, g, m):
+                return False
+            m *= p
+        return True
 
 
 def _same_shape(s: MatrixSeq, t: MatrixSeq) -> None:
@@ -140,11 +142,11 @@ def seq_conditions_hold(s: MatrixSeq, t: MatrixSeq) -> bool:
     _same_shape(s, t)
     if not (s.conditions_hold() and t.conditions_hold()):
         return False
-    p = s.prime
-    for k, (g, h) in enumerate(zip(s.mats, t.mats), start=1):
-        m = p**k
+    p = m = s.prime
+    for g, h in zip(s.mats, t.mats):
         if not (_congruent(g, h, m) or _congruent_to_negative(g, h, m)):
             return False
+        m *= p
     return True
 
 
@@ -157,8 +159,12 @@ def limits_agree(s: MatrixSeq, t: MatrixSeq) -> bool:
     """
     if not seq_conditions_hold(s, t):
         raise ValueError("sequences do not satisfy the hypotheses")
-    p = s.prime
-    return all(_congruent(g, h, p**k) for k, (g, h) in enumerate(zip(s.mats, t.mats), start=1))
+    p = m = s.prime
+    for g, h in zip(s.mats, t.mats):
+        if not _congruent(g, h, m):
+            return False
+        m *= p
+    return True
 
 
 _Entries = tuple[int, int, int, int]
@@ -171,6 +177,16 @@ def _mul(x: _Entries, y: _Entries) -> _Entries:
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
+def _below(getrandbits, n: int) -> int:
+    """rng.randrange(n) for n >= 1, drawn as CPython's `_randbelow_with_getrandbits`
+    draws it: the same bits, the same result, the same RNG state afterwards."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _random_elem(modulus: int, rng: random.Random) -> _Entries:
     """Entries (p, q, r, s) of a random element of the level-`modulus`
     principal congruence subgroup.
@@ -178,21 +194,23 @@ def _random_elem(modulus: int, rng: random.Random) -> _Entries:
     The element is T(x)L(y) or T(x)L(y)T(z), with T(x) = [[1, x], [0, 1]],
     L(y) = [[1, 0], [y, 1]] and x, y, z random multiples of the modulus, in
     closed form: T(x)L(y) = (1 + xy, x, y, 1) and
-    T(x)L(y)T(z) = (1 + xy, (1 + xy)z + x, y, yz + 1).  The draws are
-    randint(2, 3) for the factor count, then one randint(-3, 3) per factor.
+    T(x)L(y)T(z) = (1 + xy, (1 + xy)z + x, y, yz + 1).  The draws go through
+    `_below` and mirror randint(2, 3), then randint(-3, 3) once per factor.
     """
-    factors = rng.randint(2, 3)
-    x = rng.randint(-3, 3) * modulus
-    y = rng.randint(-3, 3) * modulus
+    bits = rng.getrandbits
+    factors = 2 + _below(bits, 2)
+    x = (_below(bits, 7) - 3) * modulus
+    y = (_below(bits, 7) - 3) * modulus
     if factors == 2:
         return (1 + x * y, x, y, 1)
-    z = rng.randint(-3, 3) * modulus
+    z = (_below(bits, 7) - 3) * modulus
     return (1 + x * y, (1 + x * y) * z + x, y, y * z + 1)
 
 
 def random_matrix_seq(p: int, length: int, rng: random.Random) -> MatrixSeq:
     """A random compliant sequence: each term perturbs the previous inside
-    the matching principal congruence subgroup.
+    the matching principal congruence subgroup (`_random_elem` at moduli p, p,
+    p^2, ..., p^(length-1), its draws mirroring randint's).
 
     The products run on entry tuples; each term becomes one validated
     UnimodMatrix (determinant checked) and MatrixSeq re-checks compliance.
@@ -201,9 +219,11 @@ def random_matrix_seq(p: int, length: int, rng: random.Random) -> MatrixSeq:
         raise ValueError("length must be >= 1")
     g = _random_elem(p, rng)
     mats = [UnimodMatrix(*g)]
-    for k in range(1, length):
-        g = _mul(g, _random_elem(p**k, rng))
+    m = p
+    for _ in range(1, length):
+        g = _mul(g, _random_elem(m, rng))
         mats.append(UnimodMatrix(*g))
+        m *= p
     return MatrixSeq(p, tuple(mats))
 
 
@@ -218,16 +238,18 @@ def random_compliant_pair(p: int, length: int, rng: random.Random) -> tuple[Matr
     """
     s = random_matrix_seq(p, length, rng)
     if p == 2:
-        signs = [rng.choice((1, -1))]
+        signs = [(1, -1)[_below(rng.getrandbits, 2)]]  # rng.choice((1, -1))
         if length > 1:
-            persistent = rng.choice((1, -1))
+            persistent = (1, -1)[_below(rng.getrandbits, 2)]
             signs += [persistent] * (length - 1)
     else:
         signs = [1] * length
     mats = []
-    for k, (g, e) in enumerate(zip(s.mats, signs), start=1):
-        h = _mul(g.entries(), _random_elem(p**k, rng))
-        mats.append(UnimodMatrix(*(e * v for v in h)))
+    m = p
+    for g, e in zip(s.mats, signs):
+        a, b, c, d = _mul(g.entries(), _random_elem(m, rng))
+        mats.append(UnimodMatrix(a, b, c, d) if e == 1 else UnimodMatrix(-a, -b, -c, -d))
+        m *= p
     t = MatrixSeq(p, tuple(mats))
     expected = p != 2 or length < 2 or signs[1] == 1
     return s, t, expected

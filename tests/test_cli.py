@@ -164,6 +164,20 @@ def test_verify_applies_the_level_cap_before_any_suite(capsys):
         assert code == 2 and out == "" and "exceeds the cap" in err, argv
 
 
+def test_padiclimits_caps_the_prime_before_testing_it(capsys):
+    # is_prime's trial division on a prime near 10^18 would take hours
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "padiclimits", "-p", "1000000000000000003", "--trials", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "exceeds the cap" in err
+    code, out, err = run(capsys, "verify", "padiclimits", "-p", "4")
+    assert code == 2 and out == "" and "4 is not prime" in err
+    code, out, err = run(capsys, "verify", "padiclimits", "-p", "67", "--trials", "3")
+    assert code == 2 and out == "" and "level 67 exceeds the cap 64" in err
+    doc = run_json(capsys, "--level-cap", "67", "verify", "padiclimits", "-p", "67", "--trials", "3")
+    assert doc["pass"] and doc["suites"][0]["checks"][0]["p"] == 67
+
+
 def test_huge_discriminants_are_refused_before_any_enumeration(capsys):
     # the reduced-form scan at |D| = 10^11 alone would take hours
     for argv in (

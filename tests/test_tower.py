@@ -194,6 +194,54 @@ def test_random_generators_match_the_matrix_product_reference():
     assert pairs == 1120
 
 
+def test_below_mirrors_cpython_randrange():
+    """`_below` draws as CPython's `Random._randbelow` does; a Python whose
+    `_randbelow` draws differently fails here by name, not only through the
+    matrix reference above."""
+    below = formclass.tower._below
+    for seed in range(20):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for n in range(1, 71):
+            assert below(ours.getrandbits, n) == ref.randrange(n), (seed, n)
+            assert ours.getstate() == ref.getstate(), (seed, n)
+            assert (1, -1)[below(ours.getrandbits, 2)] == ref.choice((1, -1)), (seed, n)
+            assert 2 + below(ours.getrandbits, 2) == ref.randint(2, 3), (seed, n)
+            assert below(ours.getrandbits, 7) - 3 == ref.randint(-3, 3), (seed, n)
+            assert ours.getstate() == ref.getstate(), (seed, n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_running_moduli_sit_on_each_boundary(p):
+    """Every predicate compares at exactly p^k in position k: moving a term by
+    [[1, x], [0, 1]] with x at the modulus passes, with x one power of p short
+    it fails.  An off-by-one in a running modulus fails one of the two."""
+    base = random_matrix_seq(p, 5, random.Random(p)).mats
+    # conditions_hold: term k + 1 against term k mod p^k (terms k + 1.. move
+    # together, so no other comparison changes), and term 1 against I mod p
+    for k in range(1, 5):
+        for x, ok in ((p**k, True), (p ** (k - 1), False)):
+            mats = base[:k] + tuple(g * translation(x) for g in base[k:])
+            assert MatrixSeq(p, mats, check=False).conditions_hold() is ok, (k, x)
+    for x, ok in ((p, True), (1, False)):
+        mats = tuple(g * translation(x) for g in base)
+        assert MatrixSeq(p, mats, check=False).conditions_hold() is ok, x
+    # seq_conditions_hold and limits_agree: term k of t against term k of s
+    # mod p^k, up to sign where the sign is free (p = 2 only: for odd p, -I is
+    # not I mod p)
+    s = MatrixSeq(p, base)
+    for k in range(1, 6):
+        for x, ok in ((p**k, True), (p ** (k - 1), False)):
+            moved = base[:k - 1] + (base[k - 1] * translation(x),) + base[k:]
+            for e in (1, -1) if p == 2 else (1,):
+                t = MatrixSeq(p, moved if e == 1 else tuple(-g for g in moved), check=False)
+                assert seq_conditions_hold(s, t) is ok, (k, x, e)
+                if ok:
+                    assert limits_agree(s, t) is (e == 1), (k, x, e)
+                else:
+                    with pytest.raises(ValueError):
+                        limits_agree(s, t)
+
+
 # -- base points and the correspondence ------------------------------------------
 
 
