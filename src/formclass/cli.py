@@ -218,8 +218,8 @@ def _suite(name: str, args, cfg: Config):
         return [(n, 1) for _, _, n in instances], [], [], lambda rng: suites.orderchange(instances)
     if name == "padiclimits":
         trials = args.trials or (200 if args.quick else 1000)
-        primes = [args.prime] if args.prime else [3, 5, 2]
-        levels = [(args.prime, 1)] if args.prime else []  # caps -p before is_prime's trial division
+        primes = [args.prime] if args.prime is not None else [3, 5, 2]
+        levels = [(args.prime, 1)] if args.prime is not None else []  # caps -p before is_prime's trial division
         return levels, [], [], lambda rng: suites.padiclimits(primes, trials, rng)
     if args.prime is not None:  # padicpoints
         instances = [(args.prime, args.disc, args.precision)]

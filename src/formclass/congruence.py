@@ -6,7 +6,8 @@ congruent to 1, lower-left to 0 mod N, upper-right free).  The module decides
 membership, enumerates coset representatives by lifting SL2(Z/N), and
 enumerates equivalence classes of signed forms exhaustively.  One exact key,
 `class_key`, decides which class a form is in; `cong_equivalent` finds an
-explicit witness of an equivalence.
+explicit witness of an equivalence; `class_keys` reads the classes as keys
+straight off the residues of SL2(Z/N), where no representative is printed.
 """
 
 from __future__ import annotations
@@ -161,10 +162,15 @@ def key_from_witness(triple: tuple, sign: int, w: tuple[int, int, int, int], n: 
     (principal subgroup, which is normal) or by the bottom row of m mod n
     (upper-unipotent family); the key takes the least such name over Aut(R),
     next to R and the sign.  Only w mod n matters, so w may be any integer
-    matrix congruent to a witness.
+    matrix congruent to a witness.  When Aut(R) = {I, -I}, as for every form
+    of D < -4, the least name is that of w or -w, taken with no products.
     """
     p, q, r, s = w
     auts = _automorph_entries(triple)
+    if len(auts) == 2:  # Aut(R) = {I, -I}: the name of w or of -w
+        if kind is CongKind.FULL_LEVEL:
+            return (triple, sign, min((p % n, q % n, r % n, s % n), (-p % n, -q % n, -r % n, -s % n)))
+        return (triple, sign, min((r % n, s % n), (-r % n, -s % n)))
     if kind is CongKind.FULL_LEVEL:
         names = [((p * x + q * z) % n, (p * y + q * u) % n, (r * x + s * z) % n, (r * y + s * u) % n)
                  for x, y, z, u in auts]
@@ -211,6 +217,21 @@ def _keyed_classes(d: int, n: int, kind: CongKind) -> tuple[tuple[tuple, QuadFor
             if kept is None or cand < kept:
                 least[key] = cand
     return tuple((key, QuadForm(*cand)) for key, cand in sorted(least.items(), key=lambda item: item[1]))
+
+
+def class_keys(d: int, n: int, kind: CongKind) -> frozenset:
+    """The key set of `_keyed_classes`, with no lift, moved form or `QuadForm`:
+    a candidate R.transform(g0), g0 = (p, q, r, s) mod n, has the leading
+    coefficient R(p, r) and goes back to R under g0^-1 = (s, -q, -r, p).  For
+    the upper-unipotent family, residues with one first column share a key."""
+    require_discriminant(d)
+    residues = sl2_residues(n)
+    return frozenset(
+        key_from_witness((a, b, c), 1, (s, -q, -r, p), n, kind)
+        for a, b, c in (base.triple() for base in reduced_forms(d))
+        for p, q, r, s in residues
+        if math.gcd((a * p + b * r) * p + c * r * r, n) == 1
+    )
 
 
 def unsigned_class_reps(d: int, n: int, kind: CongKind) -> tuple[QuadForm, ...]:

@@ -20,8 +20,8 @@ from functools import lru_cache
 
 from ._arith import egcd, is_prime
 from .cm import cm_class_set, equivalent_points, point_json
-from .congruence import ClassIndex, CongKind, class_key, key_from_witness, lift_matrix
-from .forms import IDENTITY, SignedForm, UnimodMatrix, reduce_form, require_discriminant
+from .congruence import CongKind, class_key, class_keys, key_from_witness, lift_matrix
+from .forms import IDENTITY, QuadForm, SignedForm, UnimodMatrix, reduce_form, require_discriminant
 
 
 @dataclass(frozen=True)
@@ -300,39 +300,46 @@ def _check_lift(point: SignedForm, g: PadicMatrix, n: int, key: tuple) -> None:
         )
 
 
-def _check_located(img: SignedForm, codomain: ClassIndex, curve: str) -> None:
-    """RuntimeError unless the codomain class that img's key locates holds img.
+def _check_located(img: SignedForm, key: tuple, codomain: frozenset, level: int) -> None:
+    """RuntimeError unless img's key is in the codomain and its class holds img.
 
-    The image is keyed through reduction, the codomain through coset residues
-    (`unsigned_class_reps`); `equivalent_points` searches for a witness in the
-    subgroup and uses neither key, so this ties both key routes to the
-    definition of the class.
+    The image is keyed through reduction, the codomain through the residues of
+    SL2(Z/level) (`class_keys`).  The class (R, sign, name) is rebuilt as R
+    moved by a lift of the name's adjugate; `equivalent_points` joins img to it
+    by a witness in the subgroup, using neither key, and the rebuilt form must
+    reduce to the same key, so this ties both key routes to the class itself.
     """
-    try:
-        rep = codomain.reps[codomain.locate(img)]
-    except LookupError as err:
-        raise RuntimeError(f"{point_json(img)} is in no enumerated level-{codomain.level} class: {err}") from None
-    if not equivalent_points(img, rep, codomain.level, curve):
-        raise RuntimeError(
-            f"{point_json(img)} is located at {point_json(rep)}, but no level-{codomain.level} witness joins them"
-        )
+    if key not in codomain:
+        raise RuntimeError(f"{point_json(img)} has the key {key}, which is no enumerated level-{level} class")
+    triple, sign, (x, y, z, u) = key
+    rep = SignedForm(QuadForm(*triple).transform(lift_matrix(u, -y, -z, x, level)), sign)
+    if not equivalent_points(img, rep, level, "y"):
+        raise RuntimeError(f"{point_json(img)} is located at {point_json(rep)}, but no level-{level} witness joins them")
+    rebuilt = class_key(rep, level, CongKind.FULL_LEVEL)
+    if rebuilt != key:
+        raise RuntimeError(f"{point_json(rep)} was rebuilt from the key {key}, but its own key is {rebuilt}")
 
 
 def correspondence_report(p: int, d: int, n: int, check_lift: bool = False) -> dict:
     """Exhaustive check that (base point, kernel class) pairs hit pairwise
     distinct classes at level p^n, with the codomain enumerated independently.
 
+    The codomain is the signed keys read off the residues of SL2(Z/p^n)
+    (`class_keys`), never built as representatives; the images are surjective
+    when their key set equals the codomain.
+
     Returns a plain dict (JSON-ready): sizes of all three sets, the pair
     count, injectivity and surjectivity verdicts, and explicit witnesses for
     any failure instead of an exception.  With check_lift every image's class
     is also read off the residues of its matrix (`_check_lift`), and the last
-    image of each base point is matched to its codomain class by an explicit
-    witness (`_check_located`); either raises RuntimeError on a mismatch.
+    image of each base point is joined to the class its key names by an
+    explicit witness (`_check_located`); either raises RuntimeError on a mismatch.
     """
     base = base_point_set(p, d)
     kernel = kernel_reps(p, n)
     level = p**n
-    codomain = cm_class_set(d, level, "y")
+    unsigned = class_keys(d, level, CongKind.FULL_LEVEL)
+    codomain = unsigned | {(triple, -1, name) for triple, _, name in unsigned}
 
     # images are distinct classes exactly when their class keys are distinct
     first: dict[tuple, tuple[int, int]] = {}
@@ -348,19 +355,18 @@ def correspondence_report(p: int, d: int, n: int, check_lift: bool = False) -> d
             if seen != (ri, gi):
                 witnesses.append({"first": list(seen), "second": [ri, gi]})
         if check_lift:
-            _check_located(img, codomain, "y")
+            _check_located(img, key, codomain, level)
     pairs = len(base) * len(kernel)
     injective = not witnesses
-    codomain_size = len(codomain.reps)
     return {
         "p": p,
         "D": d,
         "n": n,
         "base_size": len(base),
         "kernel_size": len(kernel),
-        "codomain_size": codomain_size,
+        "codomain_size": len(codomain),
         "pairs": pairs,
         "injective": injective,
-        "surjective": injective and pairs == codomain_size,
+        "surjective": first.keys() == codomain,
         "witnesses_of_failure": witnesses,
     }

@@ -3,8 +3,8 @@ action on roots, points by coefficients or by value, the ring operations of
 `ElemO`, principal ideals, ideal bases, associated forms, conjugates, norms
 and the unit ideal, a brute-force ray-class oracle, matrix inverses, and the
 reference versions of reduction, plain equivalence, unipotent coset
-representatives and the HNF, principality, ray-equality and composition
-kernels."""
+representatives, class keys and the HNF, principality, ray-equality and
+composition kernels."""
 
 import math
 import random
@@ -12,8 +12,16 @@ from fractions import Fraction
 
 from formclass._arith import crt, egcd
 from formclass.classgroup import CompositionBoundError
-from formclass.congruence import lift_matrix, sl2_residues
-from formclass.forms import QuadForm, QuadIrrational, SignedForm, UnimodMatrix, reduced_forms, sl2_equivalent
+from formclass.congruence import CongKind, lift_matrix, sl2_residues
+from formclass.forms import (
+    QuadForm,
+    QuadIrrational,
+    SignedForm,
+    UnimodMatrix,
+    automorphs,
+    reduced_forms,
+    sl2_equivalent,
+)
 from formclass.ideals import ElemO, OIdeal, _unit_entries, unit_group
 
 SWAP = UnimodMatrix(0, -1, 1, 0)
@@ -133,6 +141,19 @@ def upper_unipotent_coset_reps_reference(n: int) -> tuple[UnimodMatrix, ...]:
         orbit_min = min(((p, (q + k * p) % n, r, (s + k * r) % n) for k in range(n)))
         chosen.add(orbit_min)
     return tuple(lift_matrix(*t, n) for t in sorted(chosen))
+
+
+def key_from_witness_reference(triple: tuple, sign: int, w: tuple, n: int, kind: CongKind) -> tuple:
+    """`congruence.key_from_witness` as it was before its Aut(R) = {I, -I}
+    fast path: the least name of w*alpha over every automorph alpha of R."""
+    p, q, r, s = w
+    auts = [alpha.entries() for alpha in automorphs(QuadForm(*triple))]
+    if kind is CongKind.FULL_LEVEL:
+        names = [((p * x + q * z) % n, (p * y + q * u) % n, (r * x + s * z) % n, (r * y + s * u) % n)
+                 for x, y, z, u in auts]
+    else:
+        names = [((r * x + s * z) % n, (r * y + s * u) % n) for x, y, z, u in auts]
+    return (triple, sign, min(names))
 
 
 def omega(d: int) -> ElemO:

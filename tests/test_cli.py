@@ -14,7 +14,7 @@ import pytest
 import formclass
 from formclass import classgroup, suites
 from formclass.cli import CELL_BUDGET, SCAN_BUDGET, Config, _check_disc, _check_table, main
-from formclass.congruence import ClassIndex
+from formclass.congruence import ClassIndex, CongKind, class_key
 from formclass.forms import QuadForm
 
 
@@ -178,6 +178,18 @@ def test_padiclimits_caps_the_prime_before_testing_it(capsys):
     assert doc["pass"] and doc["suites"][0]["checks"][0]["p"] == 67
 
 
+@pytest.mark.parametrize("prime, message", [("0", "level must be >= 1"), ("1", "1 is not prime")])
+def test_padiclimits_refuses_a_prime_below_two(capsys, prime, message):
+    # a -p that is given is checked even when it is falsy, as padicpoints does
+    code, out, err = run(capsys, "verify", "padiclimits", "-p", prime, "--trials", "1")
+    assert code == 2 and out == "" and "invalid input" in err and message in err
+
+
+def test_padiclimits_without_a_prime_runs_three_five_and_two(capsys):
+    doc = run_json(capsys, "verify", "padiclimits", "--trials", "2")
+    assert [c["p"] for c in doc["suites"][0]["checks"]] == [3, 5, 2]
+
+
 def test_huge_discriminants_are_refused_before_any_enumeration(capsys):
     # the reduced-form scan at |D| = 10^11 alone would take hours
     for argv in (
@@ -287,6 +299,30 @@ def test_every_suite_can_fail(capsys, monkeypatch, suite, target, corrupt, suite
     assert any(not c["pass"] for c in checks), checks
     code, out, _ = run(capsys, "verify", suite, *argv)
     assert code == 1 and json.loads(out)["pass"] is False
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["dropped", "swapped"])
+def test_padicpoints_decides_surjectivity_by_key_sets(capsys, monkeypatch, swap):
+    """A codomain missing the key of one image is not hit, even when a foreign
+    key keeps its size: the swap leaves every count right, so only the
+    key-set equality can fail."""
+    real = formclass.tower.class_keys
+    first = class_key(formclass.tower.base_point_set(3, -23)[0], 9, CongKind.FULL_LEVEL)
+    triple, sign, name = first
+    foreign = (triple, sign, tuple(-x % 9 for x in name))  # the name of -w, not the least one
+
+    def corrupt(d, n, kind):
+        keys = real(d, n, kind)
+        assert first in keys and foreign not in keys
+        return keys - {first} | ({foreign} if swap else set())
+
+    monkeypatch.setattr(formclass.tower, "class_keys", corrupt)
+    report = formclass.tower.correspondence_report(3, -23, 2, check_lift=True)
+    assert report["injective"] and not report["surjective"]
+    assert (report["codomain_size"] == report["pairs"]) == swap
+    code, out, _ = run(capsys, "verify", "padicpoints", "-p", "3", "-D", "-23", "-n", "2")
+    (check,) = json.loads(out)["suites"][0]["checks"]
+    assert code == 1 and check["pass"] is False and check["surjective"] is False
 
 
 def test_levelmaps_checks_the_sign_law(monkeypatch):

@@ -5,10 +5,13 @@ import random
 
 import pytest
 
+from formclass._arith import egcd
 from formclass.congruence import (
     CongKind,
+    _keyed_classes,
     class_index,
     class_key,
+    class_keys,
     cong_equivalent,
     coset_reps,
     enumerate_classes,
@@ -30,6 +33,7 @@ from formclass.forms import (
 from _helpers import (
     SWAP,
     inverse,
+    key_from_witness_reference,
     reduce_form_reference,
     seeded_forms,
     translation,
@@ -275,6 +279,42 @@ def test_residue_keys_match_reduced_keys():
                         assert got == class_key(SignedForm(cand), n, kind), (d, n, kind, cand, g0)
                         checked += 1
     assert checked > 5000, checked
+
+
+def _random_witness(rng: random.Random) -> tuple[int, int, int, int]:
+    """A random SL2(Z) matrix with large entries of either sign."""
+    while True:
+        p, r = rng.randint(-10**12, 10**12), rng.randint(-10**12, 10**12)
+        g, u, v = egcd(p, r)
+        if g in (1, -1):
+            break
+    u, v = u * g, v * g  # p*u + r*v = 1
+    k = rng.randint(-10**9, 10**9)
+    return (p, -v + k * p, r, u + k * r)
+
+
+def test_key_from_witness_matches_reference():
+    """The {I, -I} fast path names every witness as the product over all of
+    Aut(R) does, and -3 and -4 keep their larger automorph groups."""
+    rng = random.Random(18)
+    for d in (-3, -4, -15, -23, -95):
+        for base in reduced_forms(d):
+            triple = base.triple()
+            for n in range(1, 31):
+                for kind in (FULL, UPPER):
+                    for _ in range(3):
+                        w, sign = _random_witness(rng), rng.choice((1, -1))
+                        assert w[0] * w[3] - w[1] * w[2] == 1
+                        want = key_from_witness_reference(triple, sign, w, n, kind)
+                        assert key_from_witness(triple, sign, w, n, kind) == want, (triple, w, n, kind)
+
+
+@pytest.mark.parametrize("d", [-3, -4, -15, -20, -23, -31, -56, -95])
+def test_class_keys_match_keyed_classes(d):
+    """The keys read off residues alone are the keys of the enumerated classes."""
+    for n in (1, 2, 3, 4, 5, 6, 8, 9):
+        for kind in (FULL, UPPER):
+            assert class_keys(d, n, kind) == {key for key, _ in _keyed_classes(d, n, kind)}, (d, n, kind)
 
 
 @pytest.mark.parametrize("d,n,kind", [(-3, 4, FULL), (-4, 6, UPPER), (-23, 6, FULL), (-56, 9, UPPER)])

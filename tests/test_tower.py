@@ -6,8 +6,8 @@ import pytest
 
 import formclass.tower
 from formclass.cm import equivalent_points
-from formclass.congruence import ClassIndex, CongKind, class_key
-from formclass.forms import IDENTITY, UnimodMatrix
+from formclass.congruence import CongKind, class_key
+from formclass.forms import IDENTITY, QuadForm, UnimodMatrix
 from formclass.tower import (
     MatrixSeq,
     PadicMatrix,
@@ -306,14 +306,37 @@ def test_act_padic_lift_check_raises(monkeypatch):
             lift_check(x, g)
 
 
+class _ShiftedRebuild(QuadForm):
+    """R whose moves are followed by T(1): a form rebuilt as R moved by g0
+    lands at R moved by g0*T(1), whose name is T(-1) times the key's."""
+
+    def transform(self, g):
+        return super().transform(g * translation(1))
+
+
 def test_located_check_raises(monkeypatch):
-    """A class lookup that lands one class off is caught by the witness search,
+    """A representative rebuilt one class off is caught by the witness search,
     and only when the check is asked for."""
-    locate = ClassIndex.locate
-    monkeypatch.setattr(ClassIndex, "locate", lambda self, f: (locate(self, f) + 1) % len(self.reps))
+    monkeypatch.setattr(formclass.tower, "QuadForm", _ShiftedRebuild)
     correspondence_report(3, -23, 2)
     with pytest.raises(RuntimeError, match="no level-9 witness joins them"):
         correspondence_report(3, -23, 2, check_lift=True)
+
+
+def test_located_check_rebuilds_the_key():
+    """A key outside the codomain is refused, and so is a key whose name is
+    not the least over Aut(R): its representative is in the right class, so a
+    witness joins it to the image, but it reduces to the canonical key."""
+    img = point(1, 1, 6)
+    key = class_key(img, 9, CongKind.FULL_LEVEL)
+    triple, sign, name = key
+    negated = (triple, sign, tuple(-x % 9 for x in name))
+    assert negated != key
+    formclass.tower._check_located(img, key, frozenset({key}), 9)
+    with pytest.raises(RuntimeError, match="which is no enumerated level-9 class"):
+        formclass.tower._check_located(img, key, frozenset({negated}), 9)
+    with pytest.raises(RuntimeError, match="but its own key is"):
+        formclass.tower._check_located(img, negated, frozenset({negated}), 9)
 
 
 def test_lift_check_searches_one_witness_per_base_point(monkeypatch):
