@@ -11,10 +11,10 @@ Composition keeps the stricter level-N equivalence throughout: the second
 factor is moved inside its own class (by a matrix that is unipotent upper
 triangular mod N) until its leading coefficient is coprime to the first
 factor's, after which the two forms share a middle coefficient by CRT and
-multiply like the ideals they correspond to.  Inverses and the ideal-to-class
-map go through the exact ray-class predicate rather than any closed formula:
-the conjugate class is NOT the inverse once N > 1, because the rational
-factor (1/a) it introduces is itself generally nontrivial at level N.
+multiply like the ideals they correspond to.  An ideal is a rational m times
+the ideal of a form; `class_of_ideal` moves that form by the diamond operator
+<m> = diag(1/m, m) mod N, locates it and confirms once by `ray_class_equal`.
+The inverse is the conjugate class moved by <a>, NOT the conjugate once N > 1.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from ._arith import crt, egcd, factorize
-from .congruence import CongKind, class_index, cong_equivalent
+from .congruence import CongKind, class_index, cong_equivalent, lift_matrix
 from .forms import QuadForm, SignedForm
 from .ideals import OIdeal, extend_to_order, form_to_ideal, ray_class_count, ray_class_equal
 
@@ -131,27 +131,27 @@ def compose(f: QuadForm, g: QuadForm, n: int, rng: random.Random | None = None) 
 
 
 def class_of_ideal(u: OIdeal, d: int, n: int) -> QuadForm:
-    """The representative of the unique enumerated class whose ideal is
-    ray-equal to u at modulus n.
-
-    LookupError if no class matches (u must be invertible-prime to n, else
-    ValueError).  GroupAxiomError if more than one class matches: that would
-    break the class/ideal dictionary itself.
-    """
+    """The level-n class whose ideal is ray-equal to u: u = scale * (Z*a +
+    Z*(-b + sqrt(d))/2) is m = scale*a times the ideal of (a, b, (b^2 - d)/4a),
+    so that form moved by <m>, a lift of diag(1/m, m) mod n, is located and
+    confirmed by one `ray_class_equal` call (LookupError if it disagrees).
+    ValueError unless u is of disc d and prime to n."""
+    if u.disc != d:
+        raise ValueError("ideals of different orders")
+    if not u.prime_to(n):
+        raise ValueError(f"ideals must be prime to {n}")
+    m = u.scale.numerator * u.a * pow(u.scale.denominator, -1, n) % n
+    moved = QuadForm(u.a, u.b, (u.b * u.b - d) // (4 * u.a)).transform(lift_matrix(pow(m, -1, n), 0, 0, m, n))
     idx = class_index(d, n, CongKind.UPPER_UNIPOTENT, signed=False)
-    matches = [
-        i for i, rep in enumerate(idx.reps)
-        if ray_class_equal(u, form_to_ideal(rep.form), n)
-    ]
-    if not matches:
-        raise LookupError(f"no class at disc {d}, level {n} matches ideal {u.to_json()}")
-    if len(matches) > 1:
-        raise GroupAxiomError(f"ideal {u.to_json()} matched classes {matches}")
-    return idx.reps[matches[0]].form
+    rep = idx.reps[idx.locate(SignedForm(moved))].form
+    if not ray_class_equal(u, form_to_ideal(rep), n):
+        raise LookupError(f"ideal {u.to_json()} is not in the class of {rep.triple()} at disc {d}, level {n}")
+    return rep
 
 
 def inverse_class(f: QuadForm, n: int) -> QuadForm:
-    """The inverse of f's level-n class, through the ideal dictionary (see module docstring)."""
+    """The inverse of f's level-n class: its inverse ideal is a times conj(f)'s,
+    so `class_of_ideal` moves conj(f) by <m> with m = a and confirms once."""
     return class_of_ideal(form_to_ideal(f).inverse(), f.discriminant(), n)
 
 

@@ -3,8 +3,8 @@ action on roots, points by coefficients or by value, the ring operations of
 `ElemO`, principal ideals, ideal bases, associated forms, conjugates, norms
 and the unit ideal, a brute-force ray-class oracle, matrix inverses, and the
 reference versions of reduction, plain equivalence, unipotent coset
-representatives, class keys and the HNF, principality, ray-equality and
-composition kernels."""
+representatives, class keys, the HNF, principality, ray-equality and
+composition kernels and the ideal-to-class scan."""
 
 import math
 import random
@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from formclass._arith import crt, egcd
 from formclass.classgroup import CompositionBoundError
-from formclass.congruence import CongKind, lift_matrix, sl2_residues
+from formclass.congruence import CongKind, class_index, lift_matrix, sl2_residues
 from formclass.forms import (
     QuadForm,
     QuadIrrational,
@@ -22,7 +22,7 @@ from formclass.forms import (
     reduced_forms,
     sl2_equivalent,
 )
-from formclass.ideals import ElemO, OIdeal, _unit_entries, unit_group
+from formclass.ideals import ElemO, OIdeal, _unit_entries, form_to_ideal, ray_class_equal, unit_group
 
 SWAP = UnimodMatrix(0, -1, 1, 0)
 
@@ -369,3 +369,12 @@ def compose_reference(x: QuadForm, y: QuadForm, n: int, bound: int = 10, rng=Non
     if big_b > m:
         big_b -= 2 * m
     return QuadForm(m, big_b, (big_b * big_b - d) // (4 * m))
+
+
+def class_of_ideal_scan_reference(u: OIdeal, d: int, n: int) -> QuadForm:
+    """`classgroup.class_of_ideal` as it was: the first enumerated class whose
+    ideal is ray-equal to u, found by trying every class in turn."""
+    for rep in class_index(d, n, CongKind.UPPER_UNIPOTENT, signed=False).reps:
+        if ray_class_equal(u, form_to_ideal(rep.form), n):
+            return rep.form
+    raise LookupError(f"no class at disc {d}, level {n} matches ideal {u.to_json()}")

@@ -5,11 +5,19 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import random
+import re
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from _helpers import column_shells_reference, compose_reference, principal_ideal, unit_ideal
+import formclass
+from _helpers import associated_form, class_of_ideal_scan_reference, column_shells_reference, compose_reference
+from _helpers import principal_ideal, unit_ideal
 from formclass._arith import egcd
 from formclass.classgroup import (
     ClassGroupTable,
@@ -27,9 +35,10 @@ from formclass.classgroup import (
     inverse_class,
     same_class,
 )
-from formclass.congruence import ClassIndex, CongKind, class_index
-from formclass.forms import QuadForm, UnimodMatrix, reduce_form, reduced_forms
-from formclass.ideals import ElemO, form_to_ideal, ray_class_equal
+from formclass.congruence import ClassIndex, CongKind, class_index, lift_matrix
+from formclass.forms import QuadForm, SignedForm, UnimodMatrix, reduce_form, reduced_forms
+from formclass.ideals import ElemO, OIdeal, extend_to_order, form_to_ideal, ray_class_equal
+from formclass.suites import ORDERCHANGE_INSTANCES
 
 FROZEN_TABLES = {
     (-23, 1): (3,),
@@ -250,10 +259,101 @@ def test_class_of_ideal_frozen_values():
     assert same_class(class_of_ideal(unit_ideal(-23), -23, 5), e, 5)
 
 
-def test_class_of_ideal_rejects_several_matches(monkeypatch):
-    monkeypatch.setattr("formclass.classgroup.ray_class_equal", lambda u, v, n: True)
-    with pytest.raises(GroupAxiomError, match=r"matched classes \[0, 1, 2, 3, 4, 5\]"):
-        class_of_ideal(unit_ideal(-23), -23, 3)
+def test_class_of_ideal_refuses_foreign_ideals():
+    # checked before any lookup: the ideal's own (a, b) becomes a form of disc d
+    with pytest.raises(ValueError, match="ideals of different orders"):
+        class_of_ideal(form_to_ideal(QuadForm(2, 1, 3)), -20, 3)
+    for u, n in ((form_to_ideal(QuadForm(2, 1, 3)), 2), (OIdeal(-23, Fraction(1, 3), 1, 1), 3),
+                 (OIdeal(-23, Fraction(5), 1, 1), 5)):
+        with pytest.raises(ValueError, match=f"ideals must be prime to {n}"):
+            class_of_ideal(u, -23, n)
+
+
+_CONFIRMATION_SCRIPT = """
+import formclass.classgroup as m
+from formclass.congruence import ClassIndex
+from formclass.ideals import OIdeal
+from fractions import Fraction
+
+def attempt():
+    try:
+        m.class_of_ideal(OIdeal(-23, Fraction(1), 1, 1), -23, 3)
+    except LookupError as err:
+        print('LookupError', err)
+
+real_equal, real_locate = m.ray_class_equal, ClassIndex.locate
+m.ray_class_equal = lambda u, v, n: False
+attempt()
+m.ray_class_equal = real_equal
+ClassIndex.locate = lambda self, f: (real_locate(self, f) + 1) % len(self.reps)
+attempt()
+"""
+
+
+def test_class_of_ideal_confirms_by_the_ideal_route(monkeypatch):
+    u = unit_ideal(-23)
+    located = class_of_ideal(u, -23, 3).triple()
+    with monkeypatch.context() as patch:
+        patch.setattr("formclass.classgroup.ray_class_equal", lambda u, v, n: False)
+        with pytest.raises(LookupError, match=re.escape(f"is not in the class of {located}")):
+            class_of_ideal(u, -23, 3)
+    real = ClassIndex.locate
+    with monkeypatch.context() as patch:
+        patch.setattr(ClassIndex, "locate", lambda self, f: (real(self, f) + 1) % len(self.reps))
+        with pytest.raises(LookupError, match="is not in the class of"):
+            class_of_ideal(u, -23, 3)
+    # the confirmation is a plain `if`, so python -O keeps it
+    env = dict(os.environ)
+    src = str(Path(formclass.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-O", "-c", _CONFIRMATION_SCRIPT], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert [line.split()[0] for line in out.stdout.splitlines()] == ["LookupError", "LookupError"], out.stdout
+
+
+def _seeded_ideals(d: int, n: int, rng: random.Random) -> list[OIdeal]:
+    """Every class ideal at (d, n), their inverses, 8 products of two class
+    ideals and 8 class ideals scaled by an integer prime to n."""
+    base = [form_to_ideal(rep.form) for rep in class_index(d, n, CongKind.UPPER_UNIPOTENT).reps]
+    scales = [k for k in range(2, 40) if math.gcd(k, n) == 1]
+    return (base + [u.inverse() for u in base]
+            + [rng.choice(base) * rng.choice(base) for _ in range(8)]
+            + [OIdeal(d, u.scale * rng.choice(scales), u.a, u.b) for u in rng.choices(base, k=8)])
+
+
+def test_class_of_ideal_matches_the_scan():
+    rng = random.Random(19)
+    cases = [(u, d, n) for d in (-3, -4, -15, -23, -31, -56, -84) for n in range(1, 9)
+             for u in _seeded_ideals(d, n, rng)]
+    cases += [(extend_to_order(form_to_ideal(rep.form), dst), dst, n) for src, dst, n in ORDERCHANGE_INSTANCES
+              for rep in class_index(src, n, CongKind.UPPER_UNIPOTENT).reps]
+    conventions_differ = 0
+    for u, d, n in cases:
+        rep = class_of_ideal(u, d, n)
+        assert rep == class_of_ideal_scan_reference(u, d, n), (u.to_json(), d, n)
+        # the diamond operator by m = scale alone, without the factor a
+        idx = class_index(d, n, CongKind.UPPER_UNIPOTENT)
+        m = u.scale.numerator * pow(u.scale.denominator, -1, n) % n
+        by_scale = associated_form(u).transform(lift_matrix(pow(m, -1, n), 0, 0, m, n))
+        conventions_differ += idx.locate(SignedForm(by_scale)) != idx.locate(SignedForm(rep))
+    assert len(cases) > 2500 and conventions_differ > 0
+
+
+def test_inverse_class_confirms_once(monkeypatch):
+    calls = []
+
+    def counted(u, v, n):
+        calls.append(n)
+        return ray_class_equal(u, v, n)
+
+    monkeypatch.setattr("formclass.classgroup.ray_class_equal", counted)
+    for d, n in ((-23, 5), (-56, 7)):
+        reps = class_index(d, n, CongKind.UPPER_UNIPOTENT).reps
+        for rep in reps:
+            inverse_class(rep.form, n)
+        assert calls == [n] * len(reps)
+        calls.clear()
 
 
 def test_class_group_table_caches_one_entry_per_level():

@@ -368,6 +368,7 @@ FROZEN_STDOUT_DIGESTS = {
     ("--format", "text", "classgroup", "-D", "-23", "-N", "3"):
         "c078579bbf30c8c167782aece25fac7b8821b35a3cfb8f7abfab6117d79b5c8e",
     ("verify", "levelmaps", "--seed", "7"): "c7fe155cce1da42278d885376043a97a9b81e10b2af883a220b20abb9a9856cb",
+    ("verify", "orderchange", "--seed", "7"): "6abfe3fbcf1a07715bfdba1897f84b423f85f5cd598934519cf8bd7a7ded60b6",
     ("verify", "grouplaw", "-D", "-31", "-N", "5", "--seed", "3"):
         "4fb9666694d16e6cbcc6bd3e30b4fd90441e81364e22bf958315d19639e6d9cf",
     ("classgroup", "-D", "-51", "-N", "7"): "84efa266af03dd071ce613a30763ae266d07145aa54ff2d74b02d641442c64ec",
