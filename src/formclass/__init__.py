@@ -10,7 +10,6 @@ moduli curves, together with the p-adic tower sitting above an odd prime.
 from .forms import (
     IDENTITY,
     QuadForm,
-    QuadIrrational,
     SignedForm,
     UnimodMatrix,
     reduce_form,
@@ -20,7 +19,6 @@ from .forms import (
 )
 from .congruence import CongKind, class_index, cong_equivalent, coset_reps, in_gamma, lift_matrix
 from .ideals import (
-    ElemO,
     OIdeal,
     extend_to_order,
     form_to_ideal,
@@ -48,7 +46,6 @@ from .classgroup import (
 from .cm import cm_class_set, equivalent_points, point_json
 from .tower import (
     MatrixSeq,
-    PadicMatrix,
     act_padic,
     base_point_set,
     correspondence_report,

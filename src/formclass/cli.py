@@ -56,8 +56,10 @@ def _check_level(base: int, cfg: Config, exponent: int = 1) -> int:
 
     A base with |base| >= 2 at least doubles the level with each step of the
     exponent, so an exponent past the cap's bit length is refused before the
-    power is taken.
+    power is taken, and so is an exponent below 1.
     """
+    if exponent < 1:
+        raise ValueError("precision must be >= 1")
     if abs(base) >= 2 and exponent > cfg.level_cap.bit_length():
         raise ValueError(f"level {base}^{exponent} exceeds the cap {cfg.level_cap} (raise --level-cap)")
     n = base**exponent

@@ -1,9 +1,10 @@
 """CM points on the signed modular curves, as exact data.
 
 A point is the signed form whose root it is — never a floating complex
-number — so the classes of points on the level-N curve are the signed form
-classes of `congruence.class_index`, located by the same exact key, and two
-points coincide exactly when `cong_equivalent` finds a witness.  The sign
+number, and no second object: `point_json` writes its value from the
+coefficients.  So the classes of points on the level-N curve are the signed
+form classes of `congruence.class_index`, located by the same exact key, and
+two points coincide exactly when `cong_equivalent` finds a witness.  The sign
 selects the half-plane: + is the root (-b + sqrt(D))/(2a) in the upper
 half-plane, - its complex conjugate below the real axis.
 """
@@ -25,15 +26,14 @@ def curve_kind(curve: str) -> CongKind:
 
 
 def point_json(f: SignedForm) -> dict:
-    """The point at the root of f: its exact value and its form."""
-    t = f.root()
+    """The point at the root of f, tau = (num + sign*sqrt(disc))/den, and its form.
+
+    num = -b, den = 2a and disc = D: den > 0 and den divides num^2 - disc = 4ac,
+    so the value is exact and its Moebius images stay integral.
+    """
+    a, b, _ = f.form.triple()
     return {
-        "tau": {
-            "num": t.num,
-            "den": t.den,
-            "disc": t.disc,
-            "half_plane": "upper" if t.in_upper_half_plane() else "lower",
-        },
+        "tau": {"num": -b, "den": 2 * a, "disc": f.discriminant(), "half_plane": "upper" if f.sign == 1 else "lower"},
         "form": f.to_json(),
     }
 

@@ -2,8 +2,8 @@
 
 Primitive positive definite integer forms a*x^2 + b*x*y + c*y^2, the right
 SL2(Z) action Q^g(v) = Q(g*v), Gauss reduction with a unimodular witness,
-automorph groups, and the quadratic irrational roots of forms.  Everything is
-integer/rational exact; no floating point is used anywhere.
+automorph groups, and signed forms, whose roots are the CM points of `cm`.
+Everything is integer exact; no floating point is used anywhere.
 
 The hot paths work on plain ints: `reduce_triple`, the one Gauss loop, carries
 a form and its witness as seven integers and checks the witness exactly once.
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 
@@ -130,11 +129,6 @@ class SignedForm:
     def discriminant(self) -> int:
         return self.form.discriminant()
 
-    def root(self) -> "QuadIrrational":
-        """sign=+1: the root (-b + sqrt(D))/(2a) in the upper half-plane;
-        sign=-1: its complex conjugate in the lower half-plane."""
-        return QuadIrrational(-self.form.b, self.sign, self.form.discriminant(), 2 * self.form.a)
-
     def to_json(self) -> list[int]:
         """[a, b, c, s] with s = +-1."""
         return [self.form.a, self.form.b, self.form.c, self.sign]
@@ -147,50 +141,6 @@ def is_member(f: SignedForm, d: int, n: int) -> bool:
     are the discriminant and gcd(a, n) = 1; the sign is irrelevant.
     """
     return f.discriminant() == d and math.gcd(f.form.a, n) == 1
-
-
-@dataclass(frozen=True, eq=False)
-class QuadIrrational:
-    """Exact quadratic irrational (num + rad_coeff*sqrt(disc)) / den.
-
-    disc < 0, den > 0 and rad_coeff is +1 (upper half-plane) or -1 (lower).
-    The representation keeps the invariant den | num^2 - disc, which makes the
-    Moebius action by integer matrices exact and closed (no rationals needed).
-    Equality compares values, not representations: sqrt(-4)/2 equals sqrt(-1).
-    """
-
-    num: int
-    rad_coeff: int
-    disc: int
-    den: int
-
-    def __post_init__(self) -> None:
-        if self.rad_coeff not in (1, -1):
-            raise ValueError(f"rad_coeff must be +-1, got {self.rad_coeff}")
-        require_discriminant(self.disc)
-        if self.den <= 0:
-            raise ValueError("denominator must be positive")
-        if (self.num * self.num - self.disc) % self.den != 0:
-            raise ValueError(f"den {self.den} does not divide num^2 - disc = {self.num * self.num - self.disc}")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QuadIrrational):
-            return NotImplemented
-        return (
-            self.rad_coeff == other.rad_coeff
-            and self.num * other.den == other.num * self.den
-            and self.disc * other.den * other.den == other.disc * self.den * self.den
-        )
-
-    def __hash__(self) -> int:
-        return hash((
-            Fraction(self.num, self.den),
-            self.rad_coeff,
-            Fraction(self.disc, self.den * self.den),
-        ))
-
-    def in_upper_half_plane(self) -> bool:
-        return self.rad_coeff == 1
 
 
 def _moved(a: int, b: int, c: int, p: int, q: int, r: int, s: int) -> tuple[int, int, int]:

@@ -1,6 +1,7 @@
 """Imaginary quadratic orders, their proper fractional ideals, and ray classes.
 
-An order of discriminant D is Z[w] with w = (D + sqrt(D))/2.  Proper
+An order of discriminant D is Z[w] with w = (D + sqrt(D))/2, and an
+element x + y*w is its pair (x, y): units, generators and rows.  Proper
 fractional ideals are stored as a positive rational scale times an integral
 pair basis (Z*a + Z*(-b + sqrt(D))/2).  A product or an extension to a larger
 order is read off integer generator rows written from the basis entries
@@ -50,29 +51,6 @@ def fundamental_part(d: int) -> tuple[int, int]:
 
 def _nrm(d: int) -> int:
     return (d * d - d) // 4
-
-
-@dataclass(frozen=True)
-class ElemO:
-    """x + y*w in the order of discriminant disc, with w = (disc + sqrt(disc))/2."""
-
-    x: int
-    y: int
-    disc: int
-
-    def __post_init__(self) -> None:
-        require_discriminant(self.disc)
-
-    @staticmethod
-    def one(d: int) -> "ElemO":
-        return ElemO(1, 0, d)
-
-    def __neg__(self) -> "ElemO":
-        return ElemO(-self.x, -self.y, self.disc)
-
-    def norm(self) -> int:
-        """self times its conjugate under sqrt(disc) -> -sqrt(disc); positive unless self = 0."""
-        return self.x * self.x + self.x * self.y * self.disc + self.y * self.y * _nrm(self.disc)
 
 
 def _hnf_pair(rows: list[tuple[int, int]]) -> tuple[int, int, int]:
@@ -206,33 +184,27 @@ def unit_count(d: int, n: int) -> int:
     return count
 
 
-def unit_group(d: int) -> tuple[ElemO, ...]:
-    """The units of the order: +-1, plus the extra units for disc -4 and -3."""
-    require_discriminant(d)
-    one = ElemO.one(d)
-    units = [one, -one]
-    if d == -4:
-        i = ElemO(2, 1, d)  # 2 + w = sqrt(-1)
-        units += [i, -i]
-    if d == -3:
-        z = ElemO(2, 1, d)  # 2 + w, a primitive sixth root of unity
-        units += [z, -z, ElemO(1, 1, d), -ElemO(1, 1, d)]
-    for u in units:
-        if u.norm() != 1:
-            raise RuntimeError(f"unit {u} of discriminant {d} has norm {u.norm()}")
-    return tuple(units)
-
-
 @lru_cache(maxsize=None)
-def _unit_entries(d: int) -> tuple[tuple[int, int], ...]:
-    """The units of the order as integer pairs (x, y) = x + y*w."""
-    return tuple((u.x, u.y) for u in unit_group(d))
+def unit_group(d: int) -> tuple[tuple[int, int], ...]:
+    """The units of the order as pairs (x, y) = x + y*w: +-1, plus the extra
+    units for disc -4 and -3; RuntimeError if one has norm other than 1."""
+    require_discriminant(d)
+    units = [(1, 0), (-1, 0)]
+    if d == -4:
+        units += [(2, 1), (-2, -1)]  # 2 + w = sqrt(-1)
+    if d == -3:
+        units += [(2, 1), (-2, -1), (1, 1), (-1, -1)]  # 2 + w, a primitive sixth root of unity
+    for x, y in units:
+        norm = x * x + x * y * d + y * y * _nrm(d)
+        if norm != 1:
+            raise RuntimeError(f"unit {x} + {y}*w of discriminant {d} has norm {norm}")
+    return tuple(units)
 
 
 @lru_cache(maxsize=None)
 def unit_image_size(d: int, n: int) -> int:
     """Size of the image of the unit group in (O/nO)*."""
-    reduced = {(u.x % n, u.y % n) for u in unit_group(d)}
+    reduced = {(x % n, y % n) for x, y in unit_group(d)}
     return len(reduced)
 
 
@@ -292,7 +264,7 @@ def ray_class_equal(u: OIdeal, v: OIdeal, n: int) -> bool:
     nrm = _nrm(d)
     return any(
         (ux * bx - uy * by * nrm) % n == 1 and (ux * by + uy * bx + uy * by * d) % n == 0
-        for ux, uy in _unit_entries(d)
+        for ux, uy in unit_group(d)
     )
 
 

@@ -1,11 +1,12 @@
-"""Finite truncations of the projective limits: matrix arithmetic at fixed
-prime-power precision, the uniqueness property of truncated matrix limits
-(sharp at the odd/even prime boundary), and the correspondence between base
-points times a congruence kernel and point classes at higher level, checked
-exhaustively.  Points are signed forms (see `cm`), and a kernel matrix acts
-on them through an integral lift taken mod p^n at the level asked.  The
-group law on lim CM(D, Y1(N)^±) is checked on whole tables, level by level,
-by `suites.levelmaps`, which projects the signed tables through
+"""Finite truncations of the projective limits: the reduction kernel mod
+prime powers, the uniqueness property of truncated matrix limits (sharp at
+the odd/even prime boundary), and the correspondence between base points
+times a congruence kernel and point classes at higher level, checked
+exhaustively.  Points are signed forms (see `cm`); a kernel class is its
+residue tuple (a, b, c, d) mod p^n, and it acts on points through an
+integral lift (`congruence.lift_matrix`) taken at its own level.  The group
+law on lim CM(D, Y1(N)^±) is checked on whole tables, level by level, by
+`suites.levelmaps`, which projects the signed tables through
 `classgroup.class_surjection`.
 
 Everything runs on exact integers; "precision n" always means working modulo
@@ -23,48 +24,13 @@ from .cm import cm_class_set, equivalent_points, point_json
 from .congruence import CongKind, class_key, class_keys, key_from_witness, lift_matrix
 from .forms import IDENTITY, QuadForm, SignedForm, UnimodMatrix, reduce_form, require_discriminant
 
-
-@dataclass(frozen=True)
-class PadicMatrix:
-    """[[a, b], [c, d]] modulo prime**precision, with det = 1 at that modulus."""
-
-    prime: int
-    precision: int
-    a: int
-    b: int
-    c: int
-    d: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
-        if self.precision < 1:
-            raise ValueError("precision must be >= 1")
-        m = self.modulus()
-        for entry in (self.a, self.b, self.c, self.d):
-            if not 0 <= entry < m:
-                raise ValueError("entries must be reduced to [0, modulus)")
-        if (self.a * self.d - self.b * self.c) % m != 1:
-            raise ValueError(f"determinant is not 1 mod {m}")
-
-    def modulus(self) -> int:
-        return self.prime**self.precision
-
-    def is_one_mod_p(self) -> bool:
-        p = self.prime
-        return (self.a % p, self.b % p, self.c % p, self.d % p) == (1, 0, 0, 1)
-
-    def lift(self, n: int) -> UnimodMatrix:
-        """A deterministic integral matrix of determinant exactly 1 congruent to
-        this one mod prime**n; ValueError unless 1 <= n <= precision."""
-        if not 1 <= n <= self.precision:
-            raise ValueError(f"matrix precision {self.precision} cannot give a lift mod {self.prime}^{n}")
-        return lift_matrix(self.a, self.b, self.c, self.d, self.prime**n)
+_Entries = tuple[int, int, int, int]
 
 
 @lru_cache(maxsize=None)
-def kernel_reps(p: int, n: int) -> tuple[PadicMatrix, ...]:
-    """All classes mod p^n that reduce to the identity mod p: count p^(3(n-1)).
+def kernel_reps(p: int, n: int) -> tuple[_Entries, ...]:
+    """Residues (a, b, c, d) in [0, p^n) of all classes mod p^n that reduce to
+    the identity mod p: count p^(3(n-1)).
 
     Closed form: a = 1 + p*al, b = p*be, c = p*ga range freely mod p^(n-1) and
     d is the unique solution of the determinant congruence, d = (1 + p^2*be*ga) * a^{-1}.
@@ -81,7 +47,7 @@ def kernel_reps(p: int, n: int) -> tuple[PadicMatrix, ...]:
         for be in range(span):
             for ga in range(span):
                 d = ((1 + p * p * be * ga) * inv_a) % m
-                out.append(PadicMatrix(p, n, a % m, (p * be) % m, (p * ga) % m, d))
+                out.append((a, p * be, p * ga, d))
     return tuple(out)
 
 
@@ -99,20 +65,18 @@ def _congruent_to_negative(g: UnimodMatrix, h: UnimodMatrix, m: int) -> bool:
 
 @dataclass(frozen=True)
 class MatrixSeq:
-    """gamma_1..gamma_L in SL2(Z), meant to converge: gamma_{n+1} = gamma_n mod p^n
-    and gamma_1 = I mod p.  Pass check=False to build a deliberately
-    non-compliant sequence (the predicates always re-check from scratch)."""
+    """gamma_1..gamma_L in SL2(Z) that converge: gamma_{n+1} = gamma_n mod p^n
+    and gamma_1 = I mod p, checked once at construction."""
 
     prime: int
     mats: tuple[UnimodMatrix, ...]
-    check: bool = True
 
     def __post_init__(self) -> None:
         if not is_prime(self.prime):
             raise ValueError(f"{self.prime} is not prime")
         if not self.mats:
             raise ValueError("empty sequence")
-        if self.check and not self.conditions_hold():
+        if not self.conditions_hold():
             raise ValueError("sequence violates the convergence conditions")
 
     def __len__(self) -> int:
@@ -130,18 +94,13 @@ class MatrixSeq:
         return True
 
 
-def _same_shape(s: MatrixSeq, t: MatrixSeq) -> None:
+def seq_conditions_hold(s: MatrixSeq, t: MatrixSeq) -> bool:
+    """Termwise equality up to sign mod p^n of two sequences of one shape;
+    each converges by construction."""
     if s.prime != t.prime:
         raise ValueError("sequences at different primes")
     if len(s) != len(t):
         raise ValueError("sequences of different lengths")
-
-
-def seq_conditions_hold(s: MatrixSeq, t: MatrixSeq) -> bool:
-    """Both sequences converge-compatible, and termwise equal up to sign mod p^n."""
-    _same_shape(s, t)
-    if not (s.conditions_hold() and t.conditions_hold()):
-        return False
     p = m = s.prime
     for g, h in zip(s.mats, t.mats):
         if not (_congruent(g, h, m) or _congruent_to_negative(g, h, m)):
@@ -165,9 +124,6 @@ def limits_agree(s: MatrixSeq, t: MatrixSeq) -> bool:
             return False
         m *= p
     return True
-
-
-_Entries = tuple[int, int, int, int]
 
 
 def _mul(x: _Entries, y: _Entries) -> _Entries:
@@ -268,34 +224,34 @@ def base_point_set(p: int, d: int) -> tuple[SignedForm, ...]:
     return cm_class_set(d, p, "y").reps
 
 
-def act_padic(point: SignedForm, g: PadicMatrix, lift: UnimodMatrix) -> SignedForm:
-    """Move a point by `lift`, an integral lift of g (`PadicMatrix.lift`; a
-    report lifts each kernel class once).
+def act_padic(point: SignedForm, lift: UnimodMatrix, p: int) -> SignedForm:
+    """Move a point by `lift`, an integral lift of a kernel class (a report
+    lifts each class once, by `lift_matrix`).
 
-    g must be trivial mod p (that is the domain of the correspondence).  The
-    class of the result at level prime**n does not depend on which lift of g
-    mod prime**n is passed (`_check_lift` tests that).
+    The lift must be trivial mod p (that is the domain of the correspondence).
+    The class of the result at level p**n does not depend on which lift of the
+    class mod p**n is passed (`_check_lift` tests that).
     """
-    if not g.is_one_mod_p():
+    if not _congruent(lift, IDENTITY, p):
         raise ValueError("matrix is not trivial mod p")
     return point.transform(lift)
 
 
-def _check_lift(point: SignedForm, g: PadicMatrix, n: int, key: tuple) -> None:
-    """RuntimeError unless `key` is the level-prime**n class key of point.g.
+def _check_lift(point: SignedForm, g: _Entries, m: int, key: tuple) -> None:
+    """RuntimeError unless `key` is the level-m class key of point.g, for the
+    residue tuple g mod m.
 
-    With (R, w) = reduce_form of the point's form, any gamma = g mod prime**n
-    takes the image back to R by gamma^-1 * w, and gamma^-1 is congruent to
-    the adjugate of g mod prime**n.  So the image's key is `key_from_witness`
-    of adj(g) * w: no lift, transform or reduction of the image.
+    With (R, w) = reduce_form of the point's form, any gamma = g mod m takes
+    the image back to R by gamma^-1 * w, and gamma^-1 is congruent to the
+    adjugate of g mod m.  So the image's key is `key_from_witness` of
+    adj(g) * w: no lift, transform or reduction of the image.
     """
-    m = g.prime**n
+    a, b, c, d = g
     reduced, w = reduce_form(point.form)
-    want = key_from_witness(reduced.triple(), point.sign, _mul((g.d, -g.b, -g.c, g.a), w.entries()),
-                            m, CongKind.FULL_LEVEL)
+    want = key_from_witness(reduced.triple(), point.sign, _mul((d, -b, -c, a), w.entries()), m, CongKind.FULL_LEVEL)
     if key != want:
         raise RuntimeError(
-            f"{point_json(point)} moved by {[g.a, g.b, g.c, g.d]} mod {m} lands in class {key}, "
+            f"{point_json(point)} moved by {list(g)} mod {m} lands in class {key}, "
             f"but the residues of its adjugate give {want}"
         )
 
@@ -344,13 +300,13 @@ def correspondence_report(p: int, d: int, n: int, check_lift: bool = False) -> d
     # images are distinct classes exactly when their class keys are distinct
     first: dict[tuple, tuple[int, int]] = {}
     witnesses = []
-    lifts = [g.lift(n) for g in kernel]
+    lifts = [lift_matrix(*g, level) for g in kernel]
     for ri, r in enumerate(base):
         for gi, g in enumerate(kernel):
-            img = act_padic(r, g, lifts[gi])
+            img = act_padic(r, lifts[gi], p)
             key = class_key(img, level, CongKind.FULL_LEVEL)
             if check_lift:
-                _check_lift(r, g, n, key)
+                _check_lift(r, g, level, key)
             seen = first.setdefault(key, (ri, gi))
             if seen != (ri, gi):
                 witnesses.append({"first": list(seen), "second": [ri, gi]})

@@ -1,6 +1,7 @@
-"""What only tests use: word matrices, form values, reducedness, the Moebius
-action on roots, points by coefficients or by value, the ring operations of
-`ElemO`, principal ideals, ideal bases, associated forms, conjugates, norms
+"""What only tests use: word matrices, form values, reducedness, exact
+quadratic irrationals with the Moebius action on them, the root of a signed
+form, points by coefficients or by value, order elements `ElemO` and their
+ring operations, principal ideals, ideal bases, associated forms, conjugates, norms
 and the unit ideal, a brute-force ray-class oracle, matrix inverses, and the
 reference versions of reduction, plain equivalence, unipotent coset
 representatives, class keys, the HNF, principality, ray-equality and
@@ -8,6 +9,7 @@ composition kernels and the ideal-to-class scan."""
 
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from formclass._arith import crt, egcd
@@ -15,14 +17,14 @@ from formclass.classgroup import CompositionBoundError
 from formclass.congruence import CongKind, class_index, lift_matrix, sl2_residues
 from formclass.forms import (
     QuadForm,
-    QuadIrrational,
     SignedForm,
     UnimodMatrix,
     automorphs,
     reduced_forms,
+    require_discriminant,
     sl2_equivalent,
 )
-from formclass.ideals import ElemO, OIdeal, _unit_entries, form_to_ideal, ray_class_equal, unit_group
+from formclass.ideals import OIdeal, form_to_ideal, ray_class_equal, unit_group
 
 SWAP = UnimodMatrix(0, -1, 1, 0)
 
@@ -99,6 +101,56 @@ def is_reduced(f: QuadForm) -> bool:
     return abs(b) <= a <= c and not ((abs(b) == a or a == c) and b < 0)
 
 
+@dataclass(frozen=True, eq=False)
+class QuadIrrational:
+    """Exact quadratic irrational (num + rad_coeff*sqrt(disc)) / den.
+
+    disc < 0, den > 0 and rad_coeff is +1 (upper half-plane) or -1 (lower).
+    The representation keeps the invariant den | num^2 - disc, which makes the
+    Moebius action by integer matrices exact and closed (no rationals needed).
+    Equality compares values, not representations: sqrt(-4)/2 equals sqrt(-1).
+    """
+
+    num: int
+    rad_coeff: int
+    disc: int
+    den: int
+
+    def __post_init__(self) -> None:
+        if self.rad_coeff not in (1, -1):
+            raise ValueError(f"rad_coeff must be +-1, got {self.rad_coeff}")
+        require_discriminant(self.disc)
+        if self.den <= 0:
+            raise ValueError("denominator must be positive")
+        if (self.num * self.num - self.disc) % self.den != 0:
+            raise ValueError(f"den {self.den} does not divide num^2 - disc = {self.num * self.num - self.disc}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QuadIrrational):
+            return NotImplemented
+        return (
+            self.rad_coeff == other.rad_coeff
+            and self.num * other.den == other.num * self.den
+            and self.disc * other.den * other.den == other.disc * self.den * self.den
+        )
+
+    def __hash__(self) -> int:
+        return hash((
+            Fraction(self.num, self.den),
+            self.rad_coeff,
+            Fraction(self.disc, self.den * self.den),
+        ))
+
+    def in_upper_half_plane(self) -> bool:
+        return self.rad_coeff == 1
+
+
+def root(f: SignedForm) -> QuadIrrational:
+    """sign=+1: the root (-b + sqrt(D))/(2a) in the upper half-plane;
+    sign=-1: its complex conjugate in the lower half-plane."""
+    return QuadIrrational(-f.form.b, f.sign, f.discriminant(), 2 * f.form.a)
+
+
 def mobius(t: QuadIrrational, g: UnimodMatrix) -> QuadIrrational:
     """The fractional linear image (p*t + q)/(r*t + s), exactly.
 
@@ -124,7 +176,7 @@ def cm_from_value(t: QuadIrrational) -> SignedForm:
     m, d, big_d = t.num, t.den, t.disc
     g = math.gcd(d * d, 2 * m * d, m * m - big_d)
     p = point(d * d // g, -2 * m * d // g, (m * m - big_d) // g, 1 if t.in_upper_half_plane() else -1)
-    if p.root() != t:
+    if root(p) != t:
         raise RuntimeError(f"the point of form {p.to_json()} does not sit at the given value")
     return p
 
@@ -154,6 +206,29 @@ def key_from_witness_reference(triple: tuple, sign: int, w: tuple, n: int, kind:
     else:
         names = [((r * x + s * z) % n, (r * y + s * u) % n) for x, y, z, u in auts]
     return (triple, sign, min(names))
+
+
+@dataclass(frozen=True)
+class ElemO:
+    """x + y*w in the order of discriminant disc, with w = (disc + sqrt(disc))/2."""
+
+    x: int
+    y: int
+    disc: int
+
+    def __post_init__(self) -> None:
+        require_discriminant(self.disc)
+
+    @staticmethod
+    def one(d: int) -> "ElemO":
+        return ElemO(1, 0, d)
+
+    def __neg__(self) -> "ElemO":
+        return ElemO(-self.x, -self.y, self.disc)
+
+    def norm(self) -> int:
+        """self times its conjugate under sqrt(disc) -> -sqrt(disc); positive unless self = 0."""
+        return self.x * self.x + self.x * self.y * self.disc + self.y * self.y * ((self.disc * self.disc - self.disc) // 4)
 
 
 def omega(d: int) -> ElemO:
@@ -304,13 +379,13 @@ def ray_class_equal_objects_reference(u: OIdeal, v: OIdeal, n: int) -> bool:
     nrm = (d * d - d) // 4
     return any(
         (ux * bx - uy * by * nrm) % n == 1 and (ux * by + uy * bx + uy * by * d) % n == 0
-        for ux, uy in _unit_entries(d)
+        for ux, uy in unit_group(d)
     )
 
 
 def ray_class_equal_reference(u, v, n: int) -> bool:
     """`ideals.ray_class_equal` with its unit test as a loop over the ElemO
-    products of unit_group: some unit times alpha * den^-1 is 1 mod n."""
+    products of the units: some unit times alpha * den^-1 is 1 mod n."""
     found = principal_generator_reference(u * v.inverse())
     if found is None:
         return False
@@ -320,7 +395,7 @@ def ray_class_equal_reference(u, v, n: int) -> bool:
     k = scale.numerator * pow(scale.denominator, -1, n)
     base = ElemO(lam.x * k % n, lam.y * k % n, u.disc)
     for unit in unit_group(u.disc):
-        prod = elem_mul(unit, base)
+        prod = elem_mul(ElemO(*unit, u.disc), base)
         if prod.x % n == 1 and prod.y % n == 0:
             return True
     return False

@@ -16,7 +16,7 @@ import random
 import time
 
 from formclass import suites
-from formclass.cm import cm_class_set, curve_kind
+from formclass.cm import cm_class_set, curve_kind, point_json
 from formclass.congruence import CongKind, class_index, cong_equivalent, enumerate_classes
 
 UPPER = CongKind.UPPER_UNIPOTENT
@@ -164,7 +164,7 @@ def test_06_point_class_bijection():
             assert len(points.reps) == len(idx.reps)
             # a point is its signed form: the upper half-plane holds exactly
             # the sign +1 half of the classes
-            upper = [f.root().in_upper_half_plane() for f in points.reps]
+            upper = [point_json(f)["tau"]["half_plane"] == "upper" for f in points.reps]
             assert upper == [f.sign == 1 for f in idx.reps] and sum(upper) * 2 == len(upper)
             # well-defined on classes: a transported representative lands with
             # its own class' point

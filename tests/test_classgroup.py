@@ -17,7 +17,7 @@ import pytest
 
 import formclass
 from _helpers import associated_form, class_of_ideal_scan_reference, column_shells_reference, compose_reference
-from _helpers import principal_ideal, unit_ideal
+from _helpers import ElemO, principal_ideal, unit_ideal
 from formclass._arith import egcd
 from formclass.classgroup import (
     ClassGroupTable,
@@ -37,7 +37,7 @@ from formclass.classgroup import (
 )
 from formclass.congruence import ClassIndex, CongKind, class_index, lift_matrix
 from formclass.forms import QuadForm, SignedForm, UnimodMatrix, reduce_form, reduced_forms
-from formclass.ideals import ElemO, OIdeal, extend_to_order, form_to_ideal, ray_class_equal
+from formclass.ideals import OIdeal, extend_to_order, form_to_ideal, ray_class_equal
 from formclass.suites import ORDERCHANGE_INSTANCES
 
 FROZEN_TABLES = {

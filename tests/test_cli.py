@@ -178,6 +178,19 @@ def test_padiclimits_caps_the_prime_before_testing_it(capsys):
     assert doc["pass"] and doc["suites"][0]["checks"][0]["p"] == 67
 
 
+@pytest.mark.parametrize("command", ["tower", "verify padicpoints"])
+@pytest.mark.parametrize("precision", ["0", "-2"])
+def test_precision_below_one_is_refused_before_any_enumeration(capsys, monkeypatch, command, precision):
+    # -n 0 used to enumerate the base points for seconds before the kernel
+    # refused it, and -n -2 took p**-2 as a float
+    def no_enumeration(*args):
+        raise AssertionError("base_point_set was called")
+
+    monkeypatch.setattr(formclass.tower, "base_point_set", no_enumeration)
+    code, out, err = run(capsys, *command.split(), "-p", "61", "-D", "-23", "-n", precision)
+    assert code == 2 and out == "" and err == "invalid input: precision must be >= 1\n"
+
+
 @pytest.mark.parametrize("prime, message", [("0", "level must be >= 1"), ("1", "1 is not prime")])
 def test_padiclimits_refuses_a_prime_below_two(capsys, prime, message):
     # a -p that is given is checked even when it is falsy, as padicpoints does
@@ -376,6 +389,9 @@ FROZEN_STDOUT_DIGESTS = {
         "12461130317f4716510ae681713330604e52009333e156856d4f65b6445dbb28",
     ("cm", "-D", "-23", "-N", "5", "--curve", "y1"): "69e9190fc90eb0fe52cae7e1f84704f51bc4890b19216143ff1afb11cc99ee5e",
     ("cm", "-D", "-23", "-N", "5", "--curve", "y"): "f776e42a871db0f8de83e93ef3d4f6ae9f5571a488d1b4d60bd2362860b37c3d",
+    ("verify", "padicpoints", "--seed", "7"): "7d32767d46c7fc2db0deb8673bfb829c2d12903cf168557f5cd25607deaa2922",
+    ("verify", "grouplaw", "-D", "-3", "-N", "13", "--seed", "1"):
+        "d06076491f595fb6f21b6beee48209454fbd7686315455196cebfaf395379423",
 }
 
 

@@ -2,10 +2,10 @@
 
 import pytest
 
-from _helpers import cm_from_value, point
+from _helpers import QuadIrrational, cm_from_value, point, root
 from formclass.cm import cm_class_set, curve_kind, equivalent_points, point_json
 from formclass.congruence import CongKind, class_index, lift_matrix
-from formclass.forms import QuadForm, QuadIrrational, SignedForm, UnimodMatrix, is_member
+from formclass.forms import QuadForm, SignedForm, UnimodMatrix, is_member
 
 
 def conjugate_point(p: SignedForm) -> SignedForm:
@@ -24,9 +24,9 @@ def test_point_invariants():
     p = point(2, 1, 3)
     assert p.discriminant() == -23
     assert is_member(p, -23, 3) and not is_member(p, -23, 2)
-    assert p.root().in_upper_half_plane()
+    assert point_json(p)["tau"]["half_plane"] == "upper"
     q = conjugate_point(p)
-    assert not q.root().in_upper_half_plane()
+    assert point_json(q)["tau"]["half_plane"] == "lower"
     assert conjugate_point(q) == p
     assert q.discriminant() == -23
 
@@ -35,7 +35,7 @@ def test_tau_reconstruction_roundtrip():
     for a, b, c in ((1, 1, 6), (2, 1, 3), (2, -1, 3), (4, 3, 2), (1, 0, 6)):
         for sign in (1, -1):
             p = point(a, b, c, sign)
-            assert cm_from_value(p.root()) == p
+            assert cm_from_value(root(p)) == p
 
 
 def test_reconstruction_normalizes_presentation():

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formclass import forms
+from formclass.cm import cm_class_set, point_json
 from formclass.forms import (
     IDENTITY,
     QuadForm,
-    QuadIrrational,
     SignedForm,
     UnimodMatrix,
     automorphs,
@@ -24,10 +24,12 @@ from formclass.forms import (
 
 from _helpers import (
     SWAP,
+    QuadIrrational,
     inverse,
     is_reduced,
     mobius,
     reduce_form_reference,
+    root,
     seeded_forms,
     sl2_equivalent_reference,
     translation,
@@ -216,7 +218,7 @@ def test_action_preserves_disc_and_values(f, g):
 @settings(max_examples=100, deadline=None)
 def test_root_transforms_by_inverse_mobius(f, g):
     sf = SignedForm(f)
-    assert sf.transform(g).root() == mobius(sf.root(), inverse(g))
+    assert root(sf.transform(g)) == mobius(root(sf), inverse(g))
 
 
 def test_automorph_counts():
@@ -287,23 +289,33 @@ def test_conjugate_form_is_inverse_class_at_level_one():
 
 
 def test_root_is_actual_zero():
-    f = QuadForm(2, 1, 3)
-    t = SignedForm(f).root()
-    # a*t^2 + b*t + c = 0 for t = (-b + sqrt(D)) / 2a, checked exactly:
-    # substitute t = (num + rad*sqrt(D)) / den and clear denominators.
-    num, rad, d, den = t.num, t.rad_coeff, t.disc, t.den
-    # 2*2*t = (-1 + sqrt(-23)) => num=-1, rad=1, den=4
-    a, b, c = f.triple()
-    # rational and irrational parts of a*t^2 + b*t + c (times den^2)
-    rational = a * (num * num + rad * rad * d) + b * num * den + c * den * den
-    irrational = 2 * a * num * rad + b * rad * den
-    assert rational == 0 and irrational == 0
+    """The tau that `point_json` prints, (num + rad*sqrt(disc))/den with rad = +1
+    in the upper half-plane, is a zero of its form for every printed class,
+    and it is the reference root field by field."""
+    count = 0
+    for d in (-3, -4, -23, -56):
+        for n in range(1, 7):
+            for curve in ("y1", "y"):
+                for f in cm_class_set(d, n, curve).reps:
+                    tau = point_json(f)["tau"]
+                    num, den, disc = tau["num"], tau["den"], tau["disc"]
+                    rad = {"upper": 1, "lower": -1}[tau["half_plane"]]
+                    a, b, c = f.form.triple()
+                    # rational and irrational parts of a*t^2 + b*t + c, times den^2
+                    assert a * (num * num + rad * rad * disc) + b * num * den + c * den * den == 0, f
+                    assert 2 * a * num * rad + b * rad * den == 0, f
+                    t = root(f)
+                    assert (num, rad, disc, den) == (t.num, t.rad_coeff, t.disc, t.den), f
+                    count += 1
+    assert count > 1000, count
 
 
 def test_root_halfplane_tracks_sign():
     f = QuadForm(2, 1, 3)
-    assert SignedForm(f, 1).root().in_upper_half_plane()
-    assert not SignedForm(f, -1).root().in_upper_half_plane()
+    assert point_json(SignedForm(f, 1))["tau"]["half_plane"] == "upper"
+    assert point_json(SignedForm(f, -1))["tau"]["half_plane"] == "lower"
+    assert root(SignedForm(f, 1)).in_upper_half_plane()
+    assert not root(SignedForm(f, -1)).in_upper_half_plane()
 
 
 def test_quad_irrational_value_equality():

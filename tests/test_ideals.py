@@ -19,13 +19,13 @@ from hypothesis import strategies as st
 
 import formclass
 import formclass.ideals as ideals_module
-from _helpers import associated_form, basis_rows, conjugate_ideal, elem_add, elem_conj, elem_mul, hnf_pair_reference
+from _helpers import ElemO, associated_form, basis_rows, conjugate_ideal, elem_add, elem_conj, elem_mul
+from _helpers import hnf_pair_reference
 from _helpers import ideal_norm, omega, principal_generator_reference, principal_ideal, ray_class_equal_bruteforce
 from _helpers import ray_class_equal_objects_reference, ray_class_equal_reference, unit_ideal
 from formclass.congruence import CongKind, class_index
 from formclass.forms import QuadForm, UnimodMatrix, reduced_forms
 from formclass.ideals import (
-    ElemO,
     _hnf_pair,
     OIdeal,
     extend_to_order,
@@ -285,7 +285,7 @@ def test_ray_class_equal_matches_the_object_reference_on_seeded_pairs():
     rng = random.Random(15)
     principal = 0
     for d in RAY_DISCS:
-        units = [(e.x, e.y) for e in ideals_module.unit_group(d)]
+        units = ideals_module.unit_group(d)
         for n in range(1, 8):
             pool = _ray_pool(d, n, rng)
             for _ in range(60):
@@ -304,10 +304,10 @@ def test_ray_class_equal_matches_the_object_reference_on_seeded_pairs():
 
 
 def test_ray_class_equal_builds_no_objects(monkeypatch):
-    """The kernel runs on ints: no ideal, form, matrix or order element is built."""
+    """The kernel runs on ints: no ideal, form or matrix is built."""
     u, v = form_to_ideal(QuadForm(2, 1, 3)), form_to_ideal(QuadForm(3, 1, 2))
     uu = u * u
-    for cls in (OIdeal, QuadForm, UnimodMatrix, ElemO):
+    for cls in (OIdeal, QuadForm, UnimodMatrix):
         monkeypatch.setattr(cls, "__post_init__", lambda self: pytest.fail(f"built {self!r}"))
     assert ray_class_equal(u, u, 5) and ray_class_equal(uu, v, 1) and not ray_class_equal(u, v, 1)
 
@@ -472,8 +472,11 @@ def test_unit_groups():
     for d in (-15, -20, -23, -24):
         assert len(unit_group(d)) == 2
     for d in DISCS:
-        for u in unit_group(d):
+        units = {ElemO(x, y, d) for x, y in unit_group(d)}
+        assert len(units) == len(unit_group(d))
+        for u in units:
             assert u.norm() == 1
+            assert {elem_mul(u, v) for v in units} == units  # closed under products
 
 
 def test_residue_unit_counts():

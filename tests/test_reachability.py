@@ -23,8 +23,6 @@ COMMANDS = (
 
 ALLOWED = {
     "ideals.OIdeal.to_json": "names an ideal in the error messages of class_of_ideal",
-    "forms.QuadIrrational.__eq__": "roots compare by value, not by presentation",
-    "forms.QuadIrrational.__hash__": "kept consistent with __eq__",
 }
 
 

@@ -1,4 +1,4 @@
-"""Finite-precision matrices, convergent sequences, and the level-p^n story."""
+"""Reduction-kernel residues, convergent sequences, and the level-p^n story."""
 
 import random
 
@@ -6,11 +6,10 @@ import pytest
 
 import formclass.tower
 from formclass.cm import equivalent_points
-from formclass.congruence import CongKind, class_key
+from formclass.congruence import CongKind, class_key, lift_matrix
 from formclass.forms import IDENTITY, QuadForm, UnimodMatrix
 from formclass.tower import (
     MatrixSeq,
-    PadicMatrix,
     act_padic,
     base_point_set,
     correspondence_report,
@@ -24,51 +23,55 @@ from formclass.tower import (
 from _helpers import point, translation
 
 
-def padic(g: UnimodMatrix, p: int, n: int) -> PadicMatrix:
-    """g reduced mod p^n."""
-    return PadicMatrix(p, n, *(x % p**n for x in g.entries()))
+def residues(g: UnimodMatrix, m: int) -> tuple[int, int, int, int]:
+    """The entries of g reduced mod m."""
+    return tuple(x % m for x in g.entries())
 
 
-# -- finite-precision matrices ---------------------------------------------------
+# -- residues mod p^n and their lifts ---------------------------------------------
 
 
 def test_padic_matrix_reduces_and_checks_det():
-    g = padic(UnimodMatrix(2, 1, 1, 1), 3, 2)
-    assert (g.a, g.b, g.c, g.d) == (2, 1, 1, 1)
-    assert g.modulus() == 9
-    assert padic(g.lift(1), 3, 1) == PadicMatrix(3, 1, 2, 1, 1, 1)
-    with pytest.raises(ValueError):
-        g.lift(3)  # precision cannot be raised
-    with pytest.raises(ValueError):
-        g.lift(0)
-    with pytest.raises(ValueError):
-        PadicMatrix(3, 2, 1, 0, 0, 2)  # det = 2, not 1 mod 9
-    with pytest.raises(ValueError):
-        PadicMatrix(4, 1, 1, 0, 0, 1)  # 4 is not prime
+    """A residue matrix mod p^n is lifted with determinant 1 and reduces back;
+    a determinant other than 1 mod p^n, a non-prime p or a precision below 1
+    is refused."""
+    g = lift_matrix(2, 1, 1, 1, 9)
+    assert residues(g, 9) == (2, 1, 1, 1) and g.p * g.s - g.q * g.r == 1
+    with pytest.raises(ValueError, match="not unimodular mod 9"):
+        lift_matrix(1, 0, 0, 2, 9)  # det = 2, not 1 mod 9
+    with pytest.raises(ValueError, match="4 is not prime"):
+        kernel_reps(4, 2)
+    with pytest.raises(ValueError, match="precision must be >= 1"):
+        kernel_reps(3, 0)
 
 
 def test_padic_entries_normalized():
-    g = padic(UnimodMatrix(-1, 0, 0, -1), 3, 2)
-    assert (g.a, g.b, g.c, g.d) == (8, 0, 0, 8)
+    """Residues are taken in [0, p^n): -I mod 9 is (8, 0, 0, 8), and the kernel's
+    closed form lands there without a reduction step."""
+    assert residues(lift_matrix(-1, 0, 0, -1, 9), 9) == (8, 0, 0, 8)
+    for p, n in ((2, 3), (3, 2), (5, 2), (3, 3)):
+        assert all(0 <= x < p**n for g in kernel_reps(p, n) for x in g), (p, n)
 
 
 def test_lift_roundtrip():
     for entries in ((1, 3, 3, 10), (1, 0, 9, 1), (4, 3, 9, 7)):
-        g = padic(UnimodMatrix(*entries), 3, 2)
-        lifted = g.lift(2)
+        lifted = lift_matrix(*entries, 9)
         assert lifted.p * lifted.s - lifted.q * lifted.r == 1
-        assert padic(lifted, 3, 2) == g
+        assert residues(lifted, 9) == tuple(x % 9 for x in entries)
 
 
 @pytest.mark.parametrize("p,n,count", [(3, 1, 1), (3, 2, 27), (5, 2, 125), (2, 2, 8)])
 def test_kernel_sizes(p, n, count):
+    """p^(3(n-1)) distinct residue tuples in [0, p^n), each I mod p with
+    determinant 1 mod p^n."""
+    m = p**n
     reps = kernel_reps(p, n)
     assert len(reps) == count
     assert len(set(reps)) == count
-    for g in reps:
-        assert g.is_one_mod_p()
-        m = p ** (n - 1)
-        assert (g.a % m, g.b % m, g.c % m, g.d % m) == (1 % m, 0, 0, 1 % m)
+    for a, b, c, d in reps:
+        assert all(0 <= x < m for x in (a, b, c, d))
+        assert (a % p, b % p, c % p, d % p) == (1 % p, 0, 0, 1 % p)
+        assert (a * d - b * c) % m == 1 % m
 
 
 # -- convergent sequences -----------------------------------------------------------
@@ -81,18 +84,17 @@ def test_sequence_conditions():
         MatrixSeq(3, (translation(1), translation(1)))  # first term not I mod 3
     with pytest.raises(ValueError):
         MatrixSeq(3, (IDENTITY, translation(1)))  # no agreement mod 3
-    bad = MatrixSeq(3, (IDENTITY, translation(1)), check=False)
-    assert not bad.conditions_hold()
+    with pytest.raises(ValueError):
+        MatrixSeq(4, (IDENTITY,))  # 4 is not prime
+    with pytest.raises(ValueError):
+        MatrixSeq(3, ())
 
 
 def test_constant_identity_vs_minus_identity_at_odd_prime():
-    pos = MatrixSeq(3, (IDENTITY,) * 4)
-    neg = MatrixSeq(3, (-IDENTITY,) * 4, check=False)
-    # -I fails the first-term condition at p = 3, so the hypotheses fail ...
-    assert not seq_conditions_hold(pos, neg)
-    # ... and the conclusion is not even posed
-    with pytest.raises(ValueError):
-        limits_agree(pos, neg)
+    # -I fails the first-term condition at p = 3, so the sequence, and with it
+    # the conclusion about its pair, is not even posed
+    with pytest.raises(ValueError, match="convergence conditions"):
+        MatrixSeq(3, (-IDENTITY,) * 4)
 
 
 def test_even_prime_counterexample():
@@ -210,30 +212,45 @@ def test_below_mirrors_cpython_randrange():
             assert ours.getstate() == ref.getstate(), (seed, n)
 
 
+def builds(p, mats) -> bool:
+    """Whether MatrixSeq accepts the terms; only the convergence check may refuse them."""
+    try:
+        MatrixSeq(p, mats)
+    except ValueError as err:
+        assert "convergence conditions" in str(err)
+        return False
+    return True
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_running_moduli_sit_on_each_boundary(p):
-    """Every predicate compares at exactly p^k in position k: moving a term by
+    """Every check compares at exactly p^k in position k: moving a term by
     [[1, x], [0, 1]] with x at the modulus passes, with x one power of p short
     it fails.  An off-by-one in a running modulus fails one of the two."""
     base = random_matrix_seq(p, 5, random.Random(p)).mats
-    # conditions_hold: term k + 1 against term k mod p^k (terms k + 1.. move
+    # construction: term k + 1 against term k mod p^k (terms k + 1.. move
     # together, so no other comparison changes), and term 1 against I mod p
     for k in range(1, 5):
         for x, ok in ((p**k, True), (p ** (k - 1), False)):
-            mats = base[:k] + tuple(g * translation(x) for g in base[k:])
-            assert MatrixSeq(p, mats, check=False).conditions_hold() is ok, (k, x)
+            assert builds(p, base[:k] + tuple(g * translation(x) for g in base[k:])) is ok, (k, x)
     for x, ok in ((p, True), (1, False)):
-        mats = tuple(g * translation(x) for g in base)
-        assert MatrixSeq(p, mats, check=False).conditions_hold() is ok, x
+        assert builds(p, tuple(g * translation(x) for g in base)) is ok, x
     # seq_conditions_hold and limits_agree: term k of t against term k of s
     # mod p^k, up to sign where the sign is free (p = 2 only: for odd p, -I is
-    # not I mod p)
+    # not I mod p).  t must converge on its own: it moves term k by p^k, which
+    # keeps term k + 1 in step, or every term from k on by p^(k - 1), which
+    # misses term k of s and keeps term k in step with term k - 1 (k >= 2)
     s = MatrixSeq(p, base)
     for k in range(1, 6):
         for x, ok in ((p**k, True), (p ** (k - 1), False)):
-            moved = base[:k - 1] + (base[k - 1] * translation(x),) + base[k:]
+            if ok:
+                moved = base[:k - 1] + (base[k - 1] * translation(x),) + base[k:]
+            elif k >= 2:
+                moved = base[:k - 1] + tuple(g * translation(x) for g in base[k - 1:])
+            else:
+                continue
             for e in (1, -1) if p == 2 else (1,):
-                t = MatrixSeq(p, moved if e == 1 else tuple(-g for g in moved), check=False)
+                t = MatrixSeq(p, moved if e == 1 else tuple(-g for g in moved))
                 assert seq_conditions_hold(s, t) is ok, (k, x, e)
                 if ok:
                     assert limits_agree(s, t) is (e == 1), (k, x, e)
@@ -258,47 +275,51 @@ def test_base_point_set_sizes_and_gates():
 
 def test_act_padic_identity_and_compatibility():
     x = point(1, 1, 6)
-    e = PadicMatrix(3, 2, 1, 0, 0, 1)
+    e = lift_matrix(1, 0, 0, 1, 9)
     # the lift of the identity need not be I itself, only I mod 9
-    assert equivalent_points(act_padic(x, e, e.lift(2)), x, 9, "y")
-    gens = kernel_reps(3, 2)[:5]
-    for g in gens:
-        for h in gens:
-            gh = padic(g.lift(2) * h.lift(2), 3, 2)
-            one_step = act_padic(x, gh, gh.lift(2))
-            two_step = act_padic(act_padic(x, g, g.lift(2)), h, h.lift(2))
+    assert e != IDENTITY
+    assert equivalent_points(act_padic(x, e, 3), x, 9, "y")
+    lifts = [lift_matrix(*g, 9) for g in kernel_reps(3, 2)[:5]]
+    for g in lifts:
+        for h in lifts:
+            gh = lift_matrix(*residues(g * h, 9), 9)
+            one_step = act_padic(x, gh, 3)
+            two_step = act_padic(act_padic(x, g, 3), h, 3)
             assert equivalent_points(one_step, two_step, 9, "y")
 
 
 def lift_check(x, g):
-    """The report's lift check for one pair at level 9: RuntimeError on a mismatch."""
-    key = class_key(act_padic(x, g, g.lift(2)), 9, CongKind.FULL_LEVEL)
-    formclass.tower._check_lift(x, g, 2, key)
+    """The report's lift check for one pair at level 9, the kernel class g
+    lifted as the report lifts it: RuntimeError on a mismatch."""
+    key = class_key(act_padic(x, formclass.tower.lift_matrix(*g, 9), 3), 9, CongKind.FULL_LEVEL)
+    formclass.tower._check_lift(x, g, 9, key)
 
 
 def test_act_padic_lift_independence_and_gates():
     x = point(1, 1, 6)
     for g in kernel_reps(3, 2)[:6]:
         lift_check(x, g)  # raises RuntimeError if the image and the adjugate's residues disagree
-    t = padic(translation(1), 3, 2)
-    with pytest.raises(ValueError):
-        act_padic(x, t, t.lift(2))  # not 1 mod p
+    with pytest.raises(ValueError, match="not trivial mod p"):
+        act_padic(x, translation(1), 3)
+    with pytest.raises(ValueError, match="not trivial mod p"):
+        act_padic(x, -IDENTITY, 3)  # -I is I mod 2 only
+    assert act_padic(x, -IDENTITY, 2) == x
 
 
 def test_act_padic_lift_check_raises(monkeypatch):
-    """A wrong lift (gamma * T(1)) or a wrong adjugate sends the two routes to
-    different classes: the check fires on every kernel class, and only when
-    asked for."""
+    """A wrong lift (gamma * T(3): still I mod 3, but off gamma mod 9) or a
+    wrong adjugate sends the two routes to different classes: the check fires
+    on every kernel class, and only when asked for."""
     x = point(1, 1, 6)
-    lift = PadicMatrix.lift
-    monkeypatch.setattr(PadicMatrix, "lift", lambda self, n: lift(self, n) * translation(1))
+    lift = formclass.tower.lift_matrix
+    monkeypatch.setattr(formclass.tower, "lift_matrix", lambda *g: lift(*g) * translation(3))
     for g in kernel_reps(3, 2):
         with pytest.raises(RuntimeError, match="adjugate"):
             lift_check(x, g)
     correspondence_report(3, -23, 2)  # no check requested, no error
     with pytest.raises(RuntimeError, match="adjugate"):
         correspondence_report(3, -23, 2, check_lift=True)
-    monkeypatch.setattr(PadicMatrix, "lift", lift)
+    monkeypatch.setattr(formclass.tower, "lift_matrix", lift)
     mul = formclass.tower._mul
     monkeypatch.setattr(formclass.tower, "_mul", lambda u, v: mul(mul(u, (1, 1, 0, 1)), v))
     for g in kernel_reps(3, 2):
@@ -352,15 +373,15 @@ def test_lift_check_holds_for_any_lift(monkeypatch):
     passes the check and gives the same report."""
     before = correspondence_report(3, -23, 2)
     rng = random.Random(12)
-    lift = PadicMatrix.lift
+    lift = formclass.tower.lift_matrix
     moved = []
 
-    def other_lift(self, n):
-        delta = UnimodMatrix(*formclass.tower._random_elem(self.prime**n, rng))
+    def other_lift(a, b, c, d, m):
+        delta = UnimodMatrix(*formclass.tower._random_elem(m, rng))
         moved.append(delta != IDENTITY)
-        return lift(self, n) * delta
+        return lift(a, b, c, d, m) * delta
 
-    monkeypatch.setattr(PadicMatrix, "lift", other_lift)
+    monkeypatch.setattr(formclass.tower, "lift_matrix", other_lift)
     assert correspondence_report(3, -23, 2, check_lift=True) == before
     assert sum(moved) > len(moved) // 2, (sum(moved), len(moved))
 
