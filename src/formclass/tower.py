@@ -4,9 +4,11 @@ the odd/even prime boundary), and the correspondence between base points
 times a congruence kernel and point classes at higher level, checked
 exhaustively.  Points are signed forms (see `cm`); a kernel class is its
 residue tuple (a, b, c, d) mod p^n, and it acts on points through an
-integral lift (`congruence.lift_matrix`) taken at its own level.  The group
-law on lim CM(D, Y1(N)^±) is checked on whole tables, level by level, by
-`suites.levelmaps`, which projects the signed tables through
+integral lift (`congruence.lift_matrix`) taken at its own level.  In the
+pair loop a point moves as its form's integer triple by the lift's entries;
+objects are built only for the located check, once per base point.  The
+group law on lim CM(D, Y1(N)^±) is checked on whole tables, level by level,
+by `suites.levelmaps`, which projects the signed tables through
 `classgroup.class_surjection`.
 
 Everything runs on exact integers; "precision n" always means working modulo
@@ -22,7 +24,16 @@ from functools import lru_cache
 from ._arith import egcd, is_prime
 from .cm import cm_class_set, equivalent_points, point_json
 from .congruence import CongKind, class_key, class_keys, key_from_witness, lift_matrix
-from .forms import IDENTITY, QuadForm, SignedForm, UnimodMatrix, reduce_form, require_discriminant
+from .forms import (
+    IDENTITY,
+    QuadForm,
+    SignedForm,
+    UnimodMatrix,
+    _moved,
+    reduce_form,
+    reduce_triple,
+    require_discriminant,
+)
 
 _Entries = tuple[int, int, int, int]
 
@@ -224,17 +235,19 @@ def base_point_set(p: int, d: int) -> tuple[SignedForm, ...]:
     return cm_class_set(d, p, "y").reps
 
 
-def act_padic(point: SignedForm, lift: UnimodMatrix, p: int) -> SignedForm:
-    """Move a point by `lift`, an integral lift of a kernel class (a report
-    lifts each class once, by `lift_matrix`).
+def act_padic(triple: tuple[int, int, int], lift: _Entries, p: int) -> tuple[int, int, int]:
+    """The triple of a point's form moved by `lift`, the entries of an
+    integral lift of a kernel class (a report lifts each class once, by
+    `lift_matrix`); the sign of the point does not move.
 
     The lift must be trivial mod p (that is the domain of the correspondence).
     The class of the result at level p**n does not depend on which lift of the
     class mod p**n is passed (`_check_lift` tests that).
     """
-    if not _congruent(lift, IDENTITY, p):
+    x, y, z, u = lift
+    if (x - 1) % p or y % p or z % p or (u - 1) % p:
         raise ValueError("matrix is not trivial mod p")
-    return point.transform(lift)
+    return _moved(*triple, x, y, z, u)
 
 
 def _check_lift(point: SignedForm, g: _Entries, m: int, key: tuple) -> None:
@@ -284,12 +297,20 @@ def correspondence_report(p: int, d: int, n: int, check_lift: bool = False) -> d
     (`class_keys`), never built as representatives; the images are surjective
     when their key set equals the codomain.
 
+    The pairs run on integers: a base point moves as its form's triple by the
+    entries of each class's lift (`act_padic`), and the image's key is
+    `key_from_witness` of its `reduce_triple`, whose witness is checked there.
+    No per-pair object is validated, and none needs to be: det-1 lifts keep
+    the discriminant, primitivity and definiteness, and a stray key would
+    break the equality with the codomain.
+
     Returns a plain dict (JSON-ready): sizes of all three sets, the pair
     count, injectivity and surjectivity verdicts, and explicit witnesses for
     any failure instead of an exception.  With check_lift every image's class
     is also read off the residues of its matrix (`_check_lift`), and the last
-    image of each base point is joined to the class its key names by an
-    explicit witness (`_check_located`); either raises RuntimeError on a mismatch.
+    image of each base point, the one signed form built per base point, is
+    joined to the class its key names by an explicit witness
+    (`_check_located`); either raises RuntimeError on a mismatch.
     """
     base = base_point_set(p, d)
     kernel = kernel_reps(p, n)
@@ -300,18 +321,19 @@ def correspondence_report(p: int, d: int, n: int, check_lift: bool = False) -> d
     # images are distinct classes exactly when their class keys are distinct
     first: dict[tuple, tuple[int, int]] = {}
     witnesses = []
-    lifts = [lift_matrix(*g, level) for g in kernel]
+    lifts = [lift_matrix(*g, level).entries() for g in kernel]
     for ri, r in enumerate(base):
-        for gi, g in enumerate(kernel):
-            img = act_padic(r, lifts[gi], p)
-            key = class_key(img, level, CongKind.FULL_LEVEL)
+        triple, sign = r.form.triple(), r.sign
+        for gi, (g, lift) in enumerate(zip(kernel, lifts)):
+            a, b, c, *w = reduce_triple(*act_padic(triple, lift, p))
+            key = key_from_witness((a, b, c), sign, w, level, CongKind.FULL_LEVEL)
             if check_lift:
                 _check_lift(r, g, level, key)
             seen = first.setdefault(key, (ri, gi))
             if seen != (ri, gi):
                 witnesses.append({"first": list(seen), "second": [ri, gi]})
         if check_lift:
-            _check_located(img, key, codomain, level)
+            _check_located(r.transform(UnimodMatrix(*lift)), key, codomain, level)
     pairs = len(base) * len(kernel)
     injective = not witnesses
     return {

@@ -5,16 +5,18 @@ ring operations, principal ideals, ideal bases, associated forms, conjugates, no
 and the unit ideal, a brute-force ray-class oracle, matrix inverses, and the
 reference versions of reduction, plain equivalence, unipotent coset
 representatives, class keys, the HNF, principality, ray-equality and
-composition kernels and the ideal-to-class scan."""
+composition kernels, the ideal-to-class scan and the object-based tower
+correspondence report."""
 
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from formclass import tower
 from formclass._arith import crt, egcd
 from formclass.classgroup import CompositionBoundError
-from formclass.congruence import CongKind, class_index, lift_matrix, sl2_residues
+from formclass.congruence import CongKind, class_index, class_key, class_keys, in_gamma, lift_matrix, sl2_residues
 from formclass.forms import (
     QuadForm,
     SignedForm,
@@ -453,3 +455,43 @@ def class_of_ideal_scan_reference(u: OIdeal, d: int, n: int) -> QuadForm:
         if ray_class_equal(u, form_to_ideal(rep.form), n):
             return rep.form
     raise LookupError(f"no class at disc {d}, level {n} matches ideal {u.to_json()}")
+
+
+def correspondence_report_objects_reference(p: int, d: int, n: int, check_lift: bool = False) -> dict:
+    """`tower.correspondence_report` as it ran on validated objects: each pair
+    moves the base point's `SignedForm` by the kernel class's `UnimodMatrix`
+    lift and keys the image by `class_key`.  The lifts, base points, kernel
+    and checks are the module's own, looked up at call time."""
+    base = tower.base_point_set(p, d)
+    kernel = tower.kernel_reps(p, n)
+    level = p**n
+    unsigned = class_keys(d, level, CongKind.FULL_LEVEL)
+    codomain = unsigned | {(triple, -1, name) for triple, _, name in unsigned}
+    first: dict[tuple, tuple[int, int]] = {}
+    witnesses = []
+    lifts = [tower.lift_matrix(*g, level) for g in kernel]
+    for ri, r in enumerate(base):
+        for gi, g in enumerate(kernel):
+            if not in_gamma(lifts[gi], p, CongKind.FULL_LEVEL):
+                raise ValueError("matrix is not trivial mod p")
+            img = r.transform(lifts[gi])
+            key = class_key(img, level, CongKind.FULL_LEVEL)
+            if check_lift:
+                tower._check_lift(r, g, level, key)
+            seen = first.setdefault(key, (ri, gi))
+            if seen != (ri, gi):
+                witnesses.append({"first": list(seen), "second": [ri, gi]})
+        if check_lift:
+            tower._check_located(img, key, codomain, level)
+    return {
+        "p": p,
+        "D": d,
+        "n": n,
+        "base_size": len(base),
+        "kernel_size": len(kernel),
+        "codomain_size": len(codomain),
+        "pairs": len(base) * len(kernel),
+        "injective": not witnesses,
+        "surjective": first.keys() == codomain,
+        "witnesses_of_failure": witnesses,
+    }

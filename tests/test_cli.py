@@ -387,6 +387,8 @@ FROZEN_STDOUT_DIGESTS = {
     ("classgroup", "-D", "-51", "-N", "7"): "84efa266af03dd071ce613a30763ae266d07145aa54ff2d74b02d641442c64ec",
     ("tower", "-p", "3", "-D", "-23", "-n", "2", "--check-lift"):
         "12461130317f4716510ae681713330604e52009333e156856d4f65b6445dbb28",
+    ("tower", "-p", "5", "-D", "-15", "-n", "2", "--check-lift"):
+        "afc04d05e3b2d7ee426eabafca403fc028dd4f023a1f5df9dc12b2fe17470285",
     ("cm", "-D", "-23", "-N", "5", "--curve", "y1"): "69e9190fc90eb0fe52cae7e1f84704f51bc4890b19216143ff1afb11cc99ee5e",
     ("cm", "-D", "-23", "-N", "5", "--curve", "y"): "f776e42a871db0f8de83e93ef3d4f6ae9f5571a488d1b4d60bd2362860b37c3d",
     ("verify", "padicpoints", "--seed", "7"): "7d32767d46c7fc2db0deb8673bfb829c2d12903cf168557f5cd25607deaa2922",

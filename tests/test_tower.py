@@ -7,7 +7,7 @@ import pytest
 import formclass.tower
 from formclass.cm import equivalent_points
 from formclass.congruence import CongKind, class_key, lift_matrix
-from formclass.forms import IDENTITY, QuadForm, UnimodMatrix
+from formclass.forms import IDENTITY, QuadForm, SignedForm, UnimodMatrix
 from formclass.tower import (
     MatrixSeq,
     act_padic,
@@ -20,7 +20,7 @@ from formclass.tower import (
     seq_conditions_hold,
 )
 
-from _helpers import point, translation
+from _helpers import correspondence_report_objects_reference, point, translation
 
 
 def residues(g: UnimodMatrix, m: int) -> tuple[int, int, int, int]:
@@ -273,25 +273,31 @@ def test_base_point_set_sizes_and_gates():
         base_point_set(3, -4)
 
 
+def moved(x, lift, p):
+    """The point x moved by the matrix `lift` through `act_padic`, which
+    moves the form's triple by the lift's entries and keeps the sign."""
+    return point(*act_padic(x.form.triple(), lift.entries(), p), x.sign)
+
+
 def test_act_padic_identity_and_compatibility():
     x = point(1, 1, 6)
     e = lift_matrix(1, 0, 0, 1, 9)
     # the lift of the identity need not be I itself, only I mod 9
     assert e != IDENTITY
-    assert equivalent_points(act_padic(x, e, 3), x, 9, "y")
+    assert equivalent_points(moved(x, e, 3), x, 9, "y")
     lifts = [lift_matrix(*g, 9) for g in kernel_reps(3, 2)[:5]]
     for g in lifts:
         for h in lifts:
             gh = lift_matrix(*residues(g * h, 9), 9)
-            one_step = act_padic(x, gh, 3)
-            two_step = act_padic(act_padic(x, g, 3), h, 3)
+            one_step = moved(x, gh, 3)
+            two_step = moved(moved(x, g, 3), h, 3)
             assert equivalent_points(one_step, two_step, 9, "y")
 
 
 def lift_check(x, g):
     """The report's lift check for one pair at level 9, the kernel class g
     lifted as the report lifts it: RuntimeError on a mismatch."""
-    key = class_key(act_padic(x, formclass.tower.lift_matrix(*g, 9), 3), 9, CongKind.FULL_LEVEL)
+    key = class_key(moved(x, formclass.tower.lift_matrix(*g, 9), 3), 9, CongKind.FULL_LEVEL)
     formclass.tower._check_lift(x, g, 9, key)
 
 
@@ -300,10 +306,10 @@ def test_act_padic_lift_independence_and_gates():
     for g in kernel_reps(3, 2)[:6]:
         lift_check(x, g)  # raises RuntimeError if the image and the adjugate's residues disagree
     with pytest.raises(ValueError, match="not trivial mod p"):
-        act_padic(x, translation(1), 3)
+        moved(x, translation(1), 3)
     with pytest.raises(ValueError, match="not trivial mod p"):
-        act_padic(x, -IDENTITY, 3)  # -I is I mod 2 only
-    assert act_padic(x, -IDENTITY, 2) == x
+        moved(x, -IDENTITY, 3)  # -I is I mod 2 only
+    assert moved(x, -IDENTITY, 2) == x
 
 
 def test_act_padic_lift_check_raises(monkeypatch):
@@ -394,3 +400,43 @@ def test_correspondence_report_at_precision_one():
     assert report["pairs"] == 36
     assert report["injective"] and report["surjective"]
     assert report["witnesses_of_failure"] == []
+
+
+@pytest.mark.parametrize("p,d,n", [(3, -23, 1), (3, -23, 2), (3, -31, 2), (3, -95, 2), (5, -15, 2), (7, -23, 1)])
+def test_report_matches_the_object_reference(p, d, n):
+    """The pair loop on integer triples gives the report of the loop that
+    moved and keyed one validated signed form per pair, with and without the
+    lift and located checks."""
+    for check_lift in (False, True):
+        assert correspondence_report(p, d, n, check_lift) == correspondence_report_objects_reference(
+            p, d, n, check_lift), check_lift
+
+
+def test_report_witnesses_match_the_object_reference(monkeypatch):
+    """With every kernel class lifted to a lift of I, all images of a base
+    point collide: both loops name the same colliding pairs in the same order."""
+    lift = formclass.tower.lift_matrix
+    monkeypatch.setattr(formclass.tower, "lift_matrix", lambda *g: lift(1, 0, 0, 1, g[-1]))
+    report = correspondence_report(3, -23, 2)
+    assert not report["injective"] and len(report["witnesses_of_failure"]) == 36 * 26
+    assert report == correspondence_report_objects_reference(3, -23, 2)
+
+
+def test_report_builds_no_objects_per_pair(monkeypatch):
+    """With caches warm, a checked report validates as many forms and signed
+    forms at n = 2 (972 pairs) as at n = 1 (36 pairs): objects are built per
+    base point, for the located check, and never per pair."""
+    counts = {QuadForm: 0, SignedForm: 0}
+    for cls in counts:
+        def counted(self, cls=cls, real=cls.__post_init__):
+            counts[cls] += 1
+            real(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    built = {}
+    for n in (1, 2):
+        correspondence_report(3, -23, n, check_lift=True)  # warm the caches
+        counts.update(dict.fromkeys(counts, 0))
+        correspondence_report(3, -23, n, check_lift=True)
+        built[n] = dict(counts)
+    assert built[1] == built[2], built
+    assert min(built[1].values()) >= 36, built  # the counters see the located check
