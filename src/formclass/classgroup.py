@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import itemgetter
 
@@ -246,15 +246,10 @@ def _check_group_table(cayley: tuple[tuple[int, ...], ...], identity: int) -> No
                 raise GroupAxiomError(f"associativity fails at ({i}, {g}, {k})")
 
 
-@dataclass(frozen=True)
-class ClassGroupTable:
+class ClassGroupTable(namedtuple("ClassGroupTable", "disc level classes cayley identity_index")):
     """Dense multiplication table over the enumerated classes at (disc, level)."""
 
-    disc: int
-    level: int
-    classes: tuple[QuadForm, ...]
-    cayley: tuple[tuple[int, ...], ...]
-    identity_index: int
+    __slots__ = ()
 
     @property
     def order(self) -> int:
@@ -380,14 +375,11 @@ def conj_class(table: ClassGroupTable) -> tuple[int, ...]:
     return tuple(table.locate_class(f.conjugate()) for f in table.classes)
 
 
-@dataclass(frozen=True)
-class PMGroup:
+class PMGroup(namedtuple("PMGroup", "base conj_perm cayley")):
     """Dense table for the signed extension: indices [0, n) are the plus coset
     in base-table order, [n, 2n) the minus coset."""
 
-    base: ClassGroupTable
-    conj_perm: tuple[int, ...]
-    cayley: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def order(self) -> int:

@@ -17,30 +17,29 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import suites
 from .classgroup import ClassGroupTable, GroupAxiomError
 from .cm import cm_class_set, point_json
 from .congruence import CongKind, cong_equivalent
-from .forms import QuadForm, SignedForm, reduce_form
+from .forms import QuadForm, SignedForm, _checked_make, reduce_form
 from .ideals import ray_class_count
 from .tower import correspondence_report
 
 SUITES = ("grouplaw", "levelsquare", "levelmaps", "orderchange", "padiclimits", "padicpoints")
 
 
-@dataclass(frozen=True)
-class Config:
-    level_cap: int = 64
-    seed: int = 0
-    fmt: str = "json"
+class Config(namedtuple("Config", "level_cap seed fmt")):
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self) -> None:
-        if self.level_cap < 1:
+    def __new__(cls, level_cap: int = 64, seed: int = 0, fmt: str = "json") -> "Config":
+        if level_cap < 1:
             raise ValueError("level cap must be >= 1")
-        if self.fmt not in ("json", "text"):
+        if fmt not in ("json", "text"):
             raise ValueError("format must be json or text")
+        return tuple.__new__(cls, (level_cap, seed, fmt))
 
 
 def _parse_form(text: str) -> QuadForm:

@@ -13,7 +13,7 @@ straight off the residues of SL2(Z/N), where no representative is printed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 
@@ -91,7 +91,7 @@ def lift_matrix(p: int, q: int, r: int, s: int, n: int) -> UnimodMatrix:
     p0, q0 = v, -u
     t = (u * (p - p0) + v * (q - q0)) % n
     lifted = UnimodMatrix(p0 + t * rr, q0 + t * ss, rr, ss)
-    if any((x - y) % n for x, y in zip(lifted.entries(), (p, q, r, s))):
+    if any((x - y) % n for x, y in zip(lifted, (p, q, r, s))):
         raise RuntimeError(f"lift {lifted.entries()} is not congruent to {(p, q, r, s)} mod {n}")
     return lifted
 
@@ -147,10 +147,10 @@ def cong_equivalent(f: SignedForm, g: SignedForm, n: int, kind: CongKind) -> Uni
 
 
 @lru_cache(maxsize=None)
-def _automorph_entries(triple: tuple[int, int, int]) -> tuple[tuple[int, int, int, int], ...]:
-    """The entries (p, q, r, s) of every element of Aut(R), for the reduced
-    form R with this triple."""
-    return tuple(alpha.entries() for alpha in automorphs(QuadForm(*triple)))
+def _automorph_entries(triple: tuple[int, int, int]) -> tuple[UnimodMatrix, ...]:
+    """Every element of Aut(R), for the reduced form R with this triple; each
+    matrix is its entries (p, q, r, s)."""
+    return automorphs(QuadForm(*triple))
 
 
 def key_from_witness(triple: tuple, sign: int, w: tuple[int, int, int, int], n: int, kind: CongKind) -> tuple:
@@ -208,7 +208,7 @@ def _keyed_classes(d: int, n: int, kind: CongKind) -> tuple[tuple[tuple, QuadFor
     for base in reduced_forms(d):
         triple = base.triple()
         for g0 in coset_reps(n, kind):
-            p, q, r, s = g0.entries()
+            p, q, r, s = g0
             cand = _moved(*triple, p, q, r, s)
             if math.gcd(cand[0], n) != 1:
                 continue
@@ -253,22 +253,17 @@ def enumerate_classes(d: int, n: int, kind: CongKind, signed: bool = False) -> t
     return tuple(reps)
 
 
-@dataclass(frozen=True)
-class ClassIndex:
-    """A frozen class list with exact membership lookup."""
+class ClassIndex(namedtuple("ClassIndex", "disc level kind signed reps by_key")):
+    """A frozen class list with exact membership lookup: `by_key` maps each
+    class key to the index of its representative in `reps`."""
 
-    disc: int
-    level: int
-    kind: CongKind
-    signed: bool
-    reps: tuple[SignedForm, ...]
-    _index: dict[tuple, int]
+    __slots__ = ()
 
     def locate(self, f: SignedForm) -> int:
         """Index of the class of f among reps; LookupError if f is not a member."""
         if not is_member(f, self.disc, self.level):
             raise LookupError(f"{f.to_json()} is not in the discriminant-{self.disc} level-{self.level} family")
-        i = self._index.get(class_key(f, self.level, self.kind))
+        i = self.by_key.get(class_key(f, self.level, self.kind))
         if i is None:
             raise LookupError(f"no enumerated class matches {f.to_json()}")
         return i

@@ -5,6 +5,10 @@ SL2(Z) action Q^g(v) = Q(g*v), Gauss reduction with a unimodular witness,
 automorph groups, and signed forms, whose roots are the CM points of `cm`.
 Everything is integer exact; no floating point is used anywhere.
 
+A value is a validated tuple of its entries: a matrix is (p, q, r, s), a form
+(a, b, c), a signed form (form, sign).  Its constructor checks it once, so it
+equals, hashes and unpacks as that tuple, and it cannot be changed afterwards.
+
 The hot paths work on plain ints: `reduce_triple`, the one Gauss loop, carries
 a form and its witness as seven integers and checks the witness exactly once.
 `reduce_form` caches it for forms reduced again and again (base points);
@@ -14,8 +18,12 @@ a form and its witness as seven integers and checks the witness exactly once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
+
+# namedtuple's own _make, which _replace calls, builds with tuple.__new__ and
+# would skip the check; a validated value sends it through its constructor
+_checked_make = classmethod(lambda cls, entries: cls(*entries))
 
 
 def is_discriminant(value: int) -> bool:
@@ -29,18 +37,16 @@ def require_discriminant(value: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class UnimodMatrix:
+class UnimodMatrix(namedtuple("UnimodMatrix", "p q r s")):
     """2x2 integer matrix [[p, q], [r, s]] of determinant 1."""
 
-    p: int
-    q: int
-    r: int
-    s: int
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self) -> None:
-        if self.p * self.s - self.q * self.r != 1:
-            raise ValueError(f"determinant of {self.entries()} is not 1")
+    def __new__(cls, p: int, q: int, r: int, s: int) -> "UnimodMatrix":
+        if p * s - q * r != 1:
+            raise ValueError(f"determinant of {(p, q, r, s)} is not 1")
+        return tuple.__new__(cls, (p, q, r, s))
 
     @staticmethod
     def identity() -> "UnimodMatrix":
@@ -58,32 +64,31 @@ class UnimodMatrix:
         return UnimodMatrix(-self.p, -self.q, -self.r, -self.s)
 
     def entries(self) -> tuple[int, int, int, int]:
-        return (self.p, self.q, self.r, self.s)
+        return tuple(self)
 
     def to_json(self) -> list[int]:
         """Row-major [p, q, r, s]."""
-        return [self.p, self.q, self.r, self.s]
+        return list(self)
 
 
 IDENTITY = UnimodMatrix.identity()
 
 
-@dataclass(frozen=True)
-class QuadForm:
+class QuadForm(namedtuple("QuadForm", "a b c")):
     """Primitive positive definite binary quadratic form (a, b, c)."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self) -> None:
-        if math.gcd(self.a, self.b, self.c) != 1:
-            raise ValueError(f"form {self.triple()} is not primitive")
-        if self.a <= 0 or self.b * self.b - 4 * self.a * self.c >= 0:
-            raise ValueError(f"form {self.triple()} is not positive definite")
+    def __new__(cls, a: int, b: int, c: int) -> "QuadForm":
+        if math.gcd(a, b, c) != 1:
+            raise ValueError(f"form {(a, b, c)} is not primitive")
+        if a <= 0 or b * b - 4 * a * c >= 0:
+            raise ValueError(f"form {(a, b, c)} is not positive definite")
+        return tuple.__new__(cls, (a, b, c))
 
     def triple(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
+        return tuple(self)
 
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
@@ -108,20 +113,20 @@ class QuadForm:
         return QuadForm(1, b0, (b0 * b0 - d) // 4)
 
 
-@dataclass(frozen=True)
-class SignedForm:
+class SignedForm(namedtuple("SignedForm", "form sign")):
     """A positive definite carrier form plus a global sign.
 
     sign=-1 denotes the negated form -Q; the stored coefficients are always
     those of the positive definite carrier.
     """
 
-    form: QuadForm
-    sign: int = 1
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +-1, got {self.sign}")
+    def __new__(cls, form: QuadForm, sign: int = 1) -> "SignedForm":
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +-1, got {sign}")
+        return tuple.__new__(cls, (form, sign))
 
     def transform(self, g: UnimodMatrix) -> "SignedForm":
         return SignedForm(self.form.transform(g), self.sign)

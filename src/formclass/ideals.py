@@ -16,12 +16,12 @@ is built on that path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
 from ._arith import egcd, factorize, kronecker
-from .forms import QuadForm, reduce_triple, reduced_forms, require_discriminant
+from .forms import QuadForm, _checked_make, reduce_triple, reduced_forms, require_discriminant
 
 
 @lru_cache(maxsize=None)
@@ -94,8 +94,7 @@ def _product_rows(d: int, a1: int, b1: int, a2: int, b2: int) -> list[tuple[int,
     return [(a1 * a2, 0), (a1 * x2, a1), (a2 * x1, a2), (x1 * x2 - _nrm(d), x1 + x2 + d)]
 
 
-@dataclass(frozen=True)
-class OIdeal:
+class OIdeal(namedtuple("OIdeal", "disc scale a b")):
     """scale * (Z*a + Z*(-b + sqrt(disc))/2): a proper fractional ideal.
 
     Invariants: scale > 0, a > 0, 0 <= b < 2a, b^2 = disc mod 4a, and the
@@ -103,22 +102,21 @@ class OIdeal:
     exactly what makes the multiplier ring the full order).
     """
 
-    disc: int
-    scale: Fraction
-    a: int
-    b: int
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self) -> None:
-        require_discriminant(self.disc)
-        if self.scale <= 0:
+    def __new__(cls, disc: int, scale: Fraction, a: int, b: int) -> "OIdeal":
+        require_discriminant(disc)
+        if scale <= 0:
             raise ValueError("scale must be positive")
-        if self.a <= 0 or not 0 <= self.b < 2 * self.a:
-            raise ValueError(f"need a > 0 and 0 <= b < 2a, got a={self.a}, b={self.b}")
-        num = self.b * self.b - self.disc
-        if num % (4 * self.a):
-            raise ValueError(f"b^2 = disc (mod 4a) fails for a={self.a}, b={self.b}, disc={self.disc}")
-        if math.gcd(self.a, self.b, num // (4 * self.a)) != 1:
-            raise ValueError(f"(a, b) = ({self.a}, {self.b}) does not define a proper ideal")
+        if a <= 0 or not 0 <= b < 2 * a:
+            raise ValueError(f"need a > 0 and 0 <= b < 2a, got a={a}, b={b}")
+        num = b * b - disc
+        if num % (4 * a):
+            raise ValueError(f"b^2 = disc (mod 4a) fails for a={a}, b={b}, disc={disc}")
+        if math.gcd(a, b, num // (4 * a)) != 1:
+            raise ValueError(f"(a, b) = ({a}, {b}) does not define a proper ideal")
+        return tuple.__new__(cls, (disc, scale, a, b))
 
     # -- constructors ------------------------------------------------------
 

@@ -18,7 +18,7 @@ p^n with determinant exactly 1 on integral lifts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from ._arith import egcd, is_prime
@@ -29,6 +29,7 @@ from .forms import (
     QuadForm,
     SignedForm,
     UnimodMatrix,
+    _checked_make,
     _moved,
     reduce_form,
     reduce_triple,
@@ -74,21 +75,22 @@ def _congruent_to_negative(g: UnimodMatrix, h: UnimodMatrix, m: int) -> bool:
     return (g.p + h.p) % m == 0 and (g.q + h.q) % m == 0 and (g.r + h.r) % m == 0 and (g.s + h.s) % m == 0
 
 
-@dataclass(frozen=True)
-class MatrixSeq:
+class MatrixSeq(namedtuple("MatrixSeq", "prime mats")):
     """gamma_1..gamma_L in SL2(Z) that converge: gamma_{n+1} = gamma_n mod p^n
     and gamma_1 = I mod p, checked once at construction."""
 
-    prime: int
-    mats: tuple[UnimodMatrix, ...]
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
-        if not self.mats:
+    def __new__(cls, prime: int, mats: tuple[UnimodMatrix, ...]) -> "MatrixSeq":
+        if not is_prime(prime):
+            raise ValueError(f"{prime} is not prime")
+        if not mats:
             raise ValueError("empty sequence")
-        if not self.conditions_hold():
+        seq = tuple.__new__(cls, (prime, mats))
+        if not seq.conditions_hold():
             raise ValueError("sequence violates the convergence conditions")
+        return seq
 
     def __len__(self) -> int:
         return len(self.mats)
@@ -214,7 +216,7 @@ def random_compliant_pair(p: int, length: int, rng: random.Random) -> tuple[Matr
     mats = []
     m = p
     for g, e in zip(s.mats, signs):
-        a, b, c, d = _mul(g.entries(), _random_elem(m, rng))
+        a, b, c, d = _mul(g, _random_elem(m, rng))
         mats.append(UnimodMatrix(a, b, c, d) if e == 1 else UnimodMatrix(-a, -b, -c, -d))
         m *= p
     t = MatrixSeq(p, tuple(mats))
@@ -236,9 +238,10 @@ def base_point_set(p: int, d: int) -> tuple[SignedForm, ...]:
 
 
 def act_padic(triple: tuple[int, int, int], lift: _Entries, p: int) -> tuple[int, int, int]:
-    """The triple of a point's form moved by `lift`, the entries of an
-    integral lift of a kernel class (a report lifts each class once, by
-    `lift_matrix`); the sign of the point does not move.
+    """The triple of a point's form moved by `lift`, an integral lift of a
+    kernel class as its entries (a report lifts each class once, by
+    `lift_matrix`, whose matrix is its entries); the sign of the point does
+    not move.
 
     The lift must be trivial mod p (that is the domain of the correspondence).
     The class of the result at level p**n does not depend on which lift of the
@@ -261,7 +264,7 @@ def _check_lift(point: SignedForm, g: _Entries, m: int, key: tuple) -> None:
     """
     a, b, c, d = g
     reduced, w = reduce_form(point.form)
-    want = key_from_witness(reduced.triple(), point.sign, _mul((d, -b, -c, a), w.entries()), m, CongKind.FULL_LEVEL)
+    want = key_from_witness(reduced.triple(), point.sign, _mul((d, -b, -c, a), w), m, CongKind.FULL_LEVEL)
     if key != want:
         raise RuntimeError(
             f"{point_json(point)} moved by {list(g)} mod {m} lands in class {key}, "
@@ -321,7 +324,7 @@ def correspondence_report(p: int, d: int, n: int, check_lift: bool = False) -> d
     # images are distinct classes exactly when their class keys are distinct
     first: dict[tuple, tuple[int, int]] = {}
     witnesses = []
-    lifts = [lift_matrix(*g, level).entries() for g in kernel]
+    lifts = [lift_matrix(*g, level) for g in kernel]
     for ri, r in enumerate(base):
         triple, sign = r.form.triple(), r.sign
         for gi, (g, lift) in enumerate(zip(kernel, lifts)):
@@ -333,7 +336,7 @@ def correspondence_report(p: int, d: int, n: int, check_lift: bool = False) -> d
             if seen != (ri, gi):
                 witnesses.append({"first": list(seen), "second": [ri, gi]})
         if check_lift:
-            _check_located(r.transform(UnimodMatrix(*lift)), key, codomain, level)
+            _check_located(r.transform(lift), key, codomain, level)
     pairs = len(base) * len(kernel)
     injective = not witnesses
     return {

@@ -463,3 +463,15 @@ def test_checks_survive_optimized_mode():
         assert optimized.returncode == 0, optimized.stderr
         assert json.loads(plain.stdout).get("pass", True)
         assert optimized.stdout == plain.stdout
+
+
+def test_import_loads_no_dataclasses():
+    """Every command pays the import first: values are namedtuples, so neither
+    dataclasses nor the inspect module it pulls in is loaded."""
+    env = dict(os.environ)
+    src = str(Path(formclass.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    script = "import sys, formclass, formclass.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -1,14 +1,20 @@
 """Reduction, the right action, and roots — checked against brute-force oracles."""
 
+import copy
 import math
+import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formclass import forms
+from formclass.classgroup import PMGroup, class_group_table
+from formclass.cli import Config
 from formclass.cm import cm_class_set, point_json
+from formclass.congruence import ClassIndex, CongKind, class_index
 from formclass.forms import (
     IDENTITY,
     QuadForm,
@@ -21,6 +27,8 @@ from formclass.forms import (
     require_discriminant,
     sl2_equivalent,
 )
+from formclass.ideals import OIdeal
+from formclass.tower import MatrixSeq
 
 from _helpers import (
     SWAP,
@@ -111,6 +119,73 @@ def test_unimod_determinant_checked():
         UnimodMatrix(1, 0, 0, 2)
     with pytest.raises(ValueError):
         UnimodMatrix(2, 0, 0, 2)
+
+
+# -- values are validated tuples of their entries --------------------------------
+
+# (value, a field, a value of that field which the constructor refuses)
+CHECKED_VALUES = [
+    (UnimodMatrix(2, 1, 1, 1), "p", 3),
+    (QuadForm(2, 1, 3), "a", 0),
+    (SignedForm(QuadForm(2, 1, 3), -1), "sign", 0),
+    (OIdeal(-23, Fraction(1, 2), 2, 1), "b", 0),
+    (MatrixSeq(3, (IDENTITY, translation(3), translation(3))), "prime", 4),
+    (Config(level_cap=5, seed=1, fmt="text"), "fmt", "yaml"),
+]
+each_checked_value = pytest.mark.parametrize("v, field, bad", CHECKED_VALUES, ids=[type(v).__name__ for v, _, _ in CHECKED_VALUES])
+
+
+def _all_values():
+    table = class_group_table(-23, 3)
+    return [v for v, _, _ in CHECKED_VALUES] + [table, PMGroup.build(table), class_index(-23, 3, CongKind.FULL_LEVEL)]
+
+
+def _forged(v, field, bad):
+    """v with one entry replaced, built past the constructor's check."""
+    entries = list(v)
+    entries[v._fields.index(field)] = bad
+    return tuple.__new__(type(v), entries)
+
+
+def test_value_is_its_entry_tuple():
+    assert QuadForm(2, 1, 3) == (2, 1, 3)
+    for v in _all_values():
+        entries = tuple(getattr(v, field) for field in v._fields)
+        assert v == entries and tuple(v) == entries, v
+        first, *rest = v
+        assert (first, *rest) == entries
+        if not isinstance(v, ClassIndex):  # its by_key dict has no hash
+            assert hash(v) == hash(entries)
+
+
+def test_value_refuses_attribute_assignment():
+    for v in _all_values():
+        with pytest.raises(AttributeError):
+            setattr(v, v._fields[0], None)
+        with pytest.raises(AttributeError):
+            v.extra = None
+
+
+@each_checked_value
+def test_value_replace_reruns_the_check(v, field, bad):
+    assert v._replace() == v and type(v._replace()) is type(v)
+    assert type(v)._make(v) == v  # MatrixSeq.__len__ counts terms, not fields
+    with pytest.raises(ValueError):
+        v._replace(**{field: bad})
+    with pytest.raises(ValueError):
+        type(v)._make(_forged(v, field, bad))
+
+
+@each_checked_value
+def test_value_copy_and_pickle_rerun_the_check(v, field, bad):
+    forged = _forged(v, field, bad)
+    for roundtrip in [copy.copy, copy.deepcopy] + [
+        lambda x, proto=proto: pickle.loads(pickle.dumps(x, proto)) for proto in range(2, pickle.HIGHEST_PROTOCOL + 1)
+    ]:
+        again = roundtrip(v)
+        assert again == v and type(again) is type(v)
+        with pytest.raises(ValueError):
+            roundtrip(forged)
 
 
 def test_matrix_group_ops():

@@ -428,10 +428,10 @@ def test_report_builds_no_objects_per_pair(monkeypatch):
     base point, for the located check, and never per pair."""
     counts = {QuadForm: 0, SignedForm: 0}
     for cls in counts:
-        def counted(self, cls=cls, real=cls.__post_init__):
+        def counted(klass, *entries, cls=cls, real=cls.__new__):
             counts[cls] += 1
-            real(self)
-        monkeypatch.setattr(cls, "__post_init__", counted)
+            return real(klass, *entries)
+        monkeypatch.setattr(cls, "__new__", counted)
     built = {}
     for n in (1, 2):
         correspondence_report(3, -23, n, check_lift=True)  # warm the caches
