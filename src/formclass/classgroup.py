@@ -71,42 +71,6 @@ def _coprime_shell(n: int, shell: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(out)
 
 
-def _compose_triple(
-    d: int,
-    n: int,
-    x: tuple[int, int, int],
-    y: tuple[int, int, int],
-    rng: random.Random | None,
-) -> QuadForm:
-    """The product form of the level-n classes of the triples x and y (see `compose`)."""
-    ax, bx, _ = x
-    ay, by, cy = y
-    wanted = 1 if rng is None else 4
-    hits = []
-    for shell in range(_SHELLS + 1):
-        for col in _coprime_shell(n, shell):
-            p, r = col[0], col[1]
-            if math.gcd(ax, (ay * p + by * r) * p + cy * r * r) == 1:
-                hits.append(col)
-                if len(hits) == wanted:
-                    break
-        if len(hits) == wanted:
-            break
-    if not hits:
-        raise CompositionBoundError(f"no concordant column for {x} * {y} at level {n} within bound {_SHELLS}")
-    p, r, u, v = hits[0] if rng is None else rng.choice(hits)
-    # y moved by gamma = [[p, -v], [r, u]]: leading and middle coefficients
-    a2 = (ay * p + by * r) * p + cy * r * r
-    b2 = -2 * ay * p * v + by * (p * u - v * r) + 2 * cy * r * u
-    big_b, modulus = crt(bx, 2 * ax, b2, 2 * a2)
-    m = ax * a2
-    if modulus != 2 * m:
-        raise RuntimeError(f"CRT modulus {modulus} is not 2*{m}: the moved pair is not concordant")
-    if big_b > m:
-        big_b -= 2 * m
-    return QuadForm(m, big_b, (big_b * big_b - d) // (4 * m))
-
-
 def compose(f: QuadForm, g: QuadForm, n: int, rng: random.Random | None = None) -> QuadForm:
     """A representative of the product of the level-n classes of f and g, via a
     concordant pair of representatives.
@@ -125,9 +89,36 @@ def compose(f: QuadForm, g: QuadForm, n: int, rng: random.Random | None = None) 
     d = f.discriminant()
     if g.discriminant() != d:
         raise ValueError(f"discriminant mismatch: {d} vs {g.discriminant()}")
-    if n < 1 or math.gcd(f.a, n) != 1 or math.gcd(g.a, n) != 1:
-        raise ValueError(f"leading coefficients {f.a} and {g.a} must be prime to the level {n}")
-    return _compose_triple(d, n, f.triple(), g.triple(), rng)
+    ax, bx, _ = f
+    ay, by, cy = g
+    if n < 1 or math.gcd(ax, n) != 1 or math.gcd(ay, n) != 1:
+        raise ValueError(f"leading coefficients {ax} and {ay} must be prime to the level {n}")
+    wanted = 1 if rng is None else 4
+    hits = []
+    for shell in range(_SHELLS + 1):
+        for col in _coprime_shell(n, shell):
+            p, r = col[0], col[1]
+            if math.gcd(ax, (ay * p + by * r) * p + cy * r * r) == 1:
+                hits.append(col)
+                if len(hits) == wanted:
+                    break
+        if len(hits) == wanted:
+            break
+    if not hits:
+        raise CompositionBoundError(
+            f"no concordant column for {tuple(f)} * {tuple(g)} at level {n} within bound {_SHELLS}"
+        )
+    p, r, u, v = hits[0] if rng is None else rng.choice(hits)
+    # g moved by gamma = [[p, -v], [r, u]]: leading and middle coefficients
+    a2 = (ay * p + by * r) * p + cy * r * r
+    b2 = -2 * ay * p * v + by * (p * u - v * r) + 2 * cy * r * u
+    big_b, modulus = crt(bx, 2 * ax, b2, 2 * a2)
+    m = ax * a2
+    if modulus != 2 * m:
+        raise RuntimeError(f"CRT modulus {modulus} is not 2*{m}: the moved pair is not concordant")
+    if big_b > m:
+        big_b -= 2 * m
+    return QuadForm(m, big_b, (big_b * big_b - d) // (4 * m))
 
 
 def class_of_ideal(u: OIdeal, d: int, n: int) -> QuadForm:
@@ -145,7 +136,7 @@ def class_of_ideal(u: OIdeal, d: int, n: int) -> QuadForm:
     idx = class_index(d, n, CongKind.UPPER_UNIPOTENT, signed=False)
     rep = idx.reps[idx.locate(SignedForm(moved))].form
     if not ray_class_equal(u, form_to_ideal(rep), n):
-        raise LookupError(f"ideal {u.to_json()} is not in the class of {rep.triple()} at disc {d}, level {n}")
+        raise LookupError(f"ideal {u.to_json()} is not in the class of {tuple(rep)} at disc {d}, level {n}")
     return rep
 
 
@@ -301,7 +292,7 @@ class ClassGroupTable(namedtuple("ClassGroupTable", "disc level classes cayley i
         """The index of f's class; ValueError unless f has this table's
         discriminant and a leading coefficient prime to its level."""
         if f.discriminant() != self.disc or math.gcd(f.a, self.level) != 1:
-            raise ValueError(f"form {f.triple()} is not in the group at ({self.disc}, {self.level})")
+            raise ValueError(f"form {tuple(f)} is not in the group at ({self.disc}, {self.level})")
         idx = class_index(self.disc, self.level, CongKind.UPPER_UNIPOTENT, signed=False)
         return idx.locate(SignedForm(f))
 
@@ -313,7 +304,7 @@ class ClassGroupTable(namedtuple("ClassGroupTable", "disc level classes cayley i
             "D": self.disc,
             "N": self.level,
             "order": self.order,
-            "reps": [list(f.triple()) for f in self.classes],
+            "reps": [list(f) for f in self.classes],
             "cayley": [list(row) for row in self.cayley],
             "invariant_factors": list(self.invariant_factors()),
         }

@@ -141,8 +141,8 @@ def _cmd_reduce(args, cfg: Config) -> int:
     reduced, witness = reduce_form(f)
     _emit(
         {
-            "input": list(f.triple()),
-            "reduced": list(reduced.triple()),
+            "input": list(f),
+            "reduced": list(reduced),
             "witness": witness.to_json(),
             "discriminant": f.discriminant(),
         },
@@ -157,8 +157,8 @@ def _cmd_equiv(args, cfg: Config) -> int:
     kind = CongKind.UPPER_UNIPOTENT if args.gamma1 else CongKind.FULL_LEVEL
     w = cong_equivalent(SignedForm(f), SignedForm(g), n, kind)
     doc = {
-        "first": list(f.triple()),
-        "second": list(g.triple()),
+        "first": list(f),
+        "second": list(g),
         "N": n,
         "kind": kind.value,
         "equivalent": w is not None,
@@ -199,7 +199,7 @@ def _cmd_tower(args, cfg: Config) -> int:
 # -- verification suites -------------------------------------------------------
 
 
-def _suite(name: str, args, cfg: Config):
+def _suite(name: str, args):
     """(levels, discs, tables, run) for one suite: every level it enumerates, as
     (base, exponent) pairs for _check_level, every discriminant it takes from -D,
     for _check_disc, every (D, N) it builds a class group table at from -D, for
@@ -234,7 +234,7 @@ def _cmd_verify(args, cfg: Config) -> int:
     if args.trials < 0:
         raise ValueError("--trials must be >= 0 (0 means the default)")
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    plans = [(name, *_suite(name, args, cfg)) for name in names]
+    plans = [(name, *_suite(name, args)) for name in names]
     for _, levels, discs, _, _ in plans:
         for base, exponent in levels:
             _check_level(base, cfg, exponent)

@@ -31,7 +31,7 @@ def point_json(f: SignedForm) -> dict:
     num = -b, den = 2a and disc = D: den > 0 and den divides num^2 - disc = 4ac,
     so the value is exact and its Moebius images stay integral.
     """
-    a, b, _ = f.form.triple()
+    a, b, _ = f.form
     return {
         "tau": {"num": -b, "den": 2 * a, "disc": f.discriminant(), "half_plane": "upper" if f.sign == 1 else "lower"},
         "form": f.to_json(),

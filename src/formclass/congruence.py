@@ -19,10 +19,12 @@ from functools import lru_cache
 
 from ._arith import egcd
 from .forms import (
+    IDENTITY,
     QuadForm,
     SignedForm,
     UnimodMatrix,
     _moved,
+    _mul,
     automorphs,
     is_member,
     reduce_triple,
@@ -77,7 +79,7 @@ def lift_matrix(p: int, q: int, r: int, s: int, n: int) -> UnimodMatrix:
     unique translate matching (p, q) mod n.
     """
     if n == 1:
-        return UnimodMatrix.identity()
+        return IDENTITY
     if (p * s - q * r) % n != 1:
         raise ValueError(f"({p},{q},{r},{s}) is not unimodular mod {n}")
     rr = r % n
@@ -92,7 +94,7 @@ def lift_matrix(p: int, q: int, r: int, s: int, n: int) -> UnimodMatrix:
     t = (u * (p - p0) + v * (q - q0)) % n
     lifted = UnimodMatrix(p0 + t * rr, q0 + t * ss, rr, ss)
     if any((x - y) % n for x, y in zip(lifted, (p, q, r, s))):
-        raise RuntimeError(f"lift {lifted.entries()} is not congruent to {(p, q, r, s)} mod {n}")
+        raise RuntimeError(f"lift {tuple(lifted)} is not congruent to {(p, q, r, s)} mod {n}")
     return lifted
 
 
@@ -141,16 +143,9 @@ def cong_equivalent(f: SignedForm, g: SignedForm, n: int, kind: CongKind) -> Uni
         w = alpha * w0
         if in_gamma(w, n, kind):
             if f.transform(w) != g:
-                raise RuntimeError(f"witness {w.entries()} does not take {f.to_json()} to {g.to_json()}")
+                raise RuntimeError(f"witness {tuple(w)} does not take {f.to_json()} to {g.to_json()}")
             return w
     return None
-
-
-@lru_cache(maxsize=None)
-def _automorph_entries(triple: tuple[int, int, int]) -> tuple[UnimodMatrix, ...]:
-    """Every element of Aut(R), for the reduced form R with this triple; each
-    matrix is its entries (p, q, r, s)."""
-    return automorphs(QuadForm(*triple))
 
 
 def key_from_witness(triple: tuple, sign: int, w: tuple[int, int, int, int], n: int, kind: CongKind) -> tuple:
@@ -163,20 +158,19 @@ def key_from_witness(triple: tuple, sign: int, w: tuple[int, int, int, int], n: 
     (upper-unipotent family); the key takes the least such name over Aut(R),
     next to R and the sign.  Only w mod n matters, so w may be any integer
     matrix congruent to a witness.  When Aut(R) = {I, -I}, as for every form
-    of D < -4, the least name is that of w or -w, taken with no products.
+    of D < -4, the least name is that of w or -w, taken with no products;
+    otherwise each name is read off a product w*alpha (`_mul`).
     """
-    p, q, r, s = w
-    auts = _automorph_entries(triple)
+    auts = automorphs(triple)
     if len(auts) == 2:  # Aut(R) = {I, -I}: the name of w or of -w
+        p, q, r, s = w
         if kind is CongKind.FULL_LEVEL:
             return (triple, sign, min((p % n, q % n, r % n, s % n), (-p % n, -q % n, -r % n, -s % n)))
         return (triple, sign, min((r % n, s % n), (-r % n, -s % n)))
+    products = [_mul(w, alpha) for alpha in auts]
     if kind is CongKind.FULL_LEVEL:
-        names = [((p * x + q * z) % n, (p * y + q * u) % n, (r * x + s * z) % n, (r * y + s * u) % n)
-                 for x, y, z, u in auts]
-    else:
-        names = [((r * x + s * z) % n, (r * y + s * u) % n) for x, y, z, u in auts]
-    return (triple, sign, min(names))
+        return (triple, sign, min((p % n, q % n, r % n, s % n) for p, q, r, s in products))
+    return (triple, sign, min((r % n, s % n) for _, _, r, s in products))
 
 
 def class_key(f: SignedForm, n: int, kind: CongKind) -> tuple:
@@ -206,7 +200,7 @@ def _keyed_classes(d: int, n: int, kind: CongKind) -> tuple[tuple[tuple, QuadFor
     require_discriminant(d)
     least: dict[tuple, tuple[int, int, int]] = {}
     for base in reduced_forms(d):
-        triple = base.triple()
+        triple = tuple(base)
         for g0 in coset_reps(n, kind):
             p, q, r, s = g0
             cand = _moved(*triple, p, q, r, s)
@@ -228,7 +222,7 @@ def class_keys(d: int, n: int, kind: CongKind) -> frozenset:
     residues = sl2_residues(n)
     return frozenset(
         key_from_witness((a, b, c), 1, (s, -q, -r, p), n, kind)
-        for a, b, c in (base.triple() for base in reduced_forms(d))
+        for a, b, c in reduced_forms(d)
         for p, q, r, s in residues
         if math.gcd((a * p + b * r) * p + c * r * r, n) == 1
     )

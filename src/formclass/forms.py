@@ -8,11 +8,16 @@ Everything is integer exact; no floating point is used anywhere.
 A value is a validated tuple of its entries: a matrix is (p, q, r, s), a form
 (a, b, c), a signed form (form, sign).  Its constructor checks it once, so it
 equals, hashes and unpacks as that tuple, and it cannot be changed afterwards.
+It has no `entries()` or `triple()`: code that prints a value as a plain tuple,
+or puts it into a key, writes `tuple(v)`.
 
-The hot paths work on plain ints: `reduce_triple`, the one Gauss loop, carries
-a form and its witness as seven integers and checks the witness exactly once.
-`reduce_form` caches it for forms reduced again and again (base points);
-`class_key` and `sl2_equivalent` call it uncached, as their forms are mostly new.
+The hot paths work on plain ints, one kernel per operation: `_mul` is the 2x2
+product, `_moved` the right action on a triple, and `reduce_triple`, the one
+Gauss loop, carries a form and its witness as seven integers and checks the
+witness exactly once.  `reduce_form` wraps it in values and caches it for two
+callers: `tower.correspondence_report`, which reduces each base point once for
+its lift check, and the `reduce` command.  `class_key` and `sl2_equivalent`
+call `reduce_triple` uncached, as their forms are mostly new.
 """
 
 from __future__ import annotations
@@ -48,30 +53,18 @@ class UnimodMatrix(namedtuple("UnimodMatrix", "p q r s")):
             raise ValueError(f"determinant of {(p, q, r, s)} is not 1")
         return tuple.__new__(cls, (p, q, r, s))
 
-    @staticmethod
-    def identity() -> "UnimodMatrix":
-        return UnimodMatrix(1, 0, 0, 1)
-
     def __mul__(self, other: "UnimodMatrix") -> "UnimodMatrix":
-        return UnimodMatrix(
-            self.p * other.p + self.q * other.r,
-            self.p * other.q + self.q * other.s,
-            self.r * other.p + self.s * other.r,
-            self.r * other.q + self.s * other.s,
-        )
+        return UnimodMatrix(*_mul(self, other))
 
     def __neg__(self) -> "UnimodMatrix":
         return UnimodMatrix(-self.p, -self.q, -self.r, -self.s)
-
-    def entries(self) -> tuple[int, int, int, int]:
-        return tuple(self)
 
     def to_json(self) -> list[int]:
         """Row-major [p, q, r, s]."""
         return list(self)
 
 
-IDENTITY = UnimodMatrix.identity()
+IDENTITY = UnimodMatrix(1, 0, 0, 1)
 
 
 class QuadForm(namedtuple("QuadForm", "a b c")):
@@ -86,9 +79,6 @@ class QuadForm(namedtuple("QuadForm", "a b c")):
         if a <= 0 or b * b - 4 * a * c >= 0:
             raise ValueError(f"form {(a, b, c)} is not positive definite")
         return tuple.__new__(cls, (a, b, c))
-
-    def triple(self) -> tuple[int, int, int]:
-        return tuple(self)
 
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
@@ -148,6 +138,13 @@ def is_member(f: SignedForm, d: int, n: int) -> bool:
     return f.discriminant() == d and math.gcd(f.form.a, n) == 1
 
 
+def _mul(x: tuple[int, int, int, int], y: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """Row-major product of two 2x2 integer matrices given by their entries."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
 def _moved(a: int, b: int, c: int, p: int, q: int, r: int, s: int) -> tuple[int, int, int]:
     """The triple of (a, b, c) under the right action of [[p, q], [r, s]]."""
     return ((a * p + b * r) * p + c * r * r,
@@ -188,23 +185,24 @@ def reduce_form(f: QuadForm) -> tuple[QuadForm, UnimodMatrix]:
 
     Each SL2(Z) class contains exactly one reduced form, so R is a canonical
     class representative and g is an explicit equivalence witness.  Validated
-    objects around `reduce_triple`, cached for the forms that are reduced again
-    and again: base points in the lift check, and the `reduce` command.
+    objects around `reduce_triple`, cached: a lift check reduces each base
+    point once, and later reports on the same points hit the cache.
     """
     a, b, c, p, q, r, s = reduce_triple(f.a, f.b, f.c)
     return QuadForm(a, b, c), UnimodMatrix(p, q, r, s)
 
 
 @lru_cache(maxsize=None)
-def automorphs(f: QuadForm) -> tuple[UnimodMatrix, ...]:
-    """All g with f.transform(g) == f.
+def automorphs(triple: tuple[int, int, int]) -> tuple[UnimodMatrix, ...]:
+    """All g that fix the form with this triple, in entry order.
 
     Built from the solutions of t^2 - D*u^2 = 4: the automorph
     [[(t - b*u)/2, -c*u], [a*u, (t + b*u)/2]] has determinant (t^2 - D*u^2)/4.
     Sizes: 2 for D < -4, 4 for D = -4, 6 for D = -3; always contains +-I.
+    A `QuadForm` is its triple, so it shares the cache entry of the plain tuple.
     """
-    a, b, c = f.triple()
-    d = f.discriminant()
+    a, b, c = triple
+    d = b * b - 4 * a * c
     out = []
     umax = math.isqrt(4 // -d) if -d <= 4 else 0
     for u in range(-umax, umax + 1):
@@ -216,11 +214,11 @@ def automorphs(f: QuadForm) -> tuple[UnimodMatrix, ...]:
             continue
         for t in ({t_root, -t_root} if t_root else {0}):
             g = UnimodMatrix((t - b * u) // 2, -c * u, a * u, (t + b * u) // 2)
-            if f.transform(g) == f:
+            if _moved(a, b, c, *g) == (a, b, c):
                 out.append(g)
-    out.sort(key=UnimodMatrix.entries)
+    out.sort()
     if IDENTITY not in out or -IDENTITY not in out:
-        raise RuntimeError(f"automorphs of {f.triple()} miss +-I: {[g.entries() for g in out]}")
+        raise RuntimeError(f"automorphs of {(a, b, c)} miss +-I: {[tuple(g) for g in out]}")
     return tuple(out)
 
 
@@ -229,7 +227,8 @@ def sl2_equivalent(f: QuadForm, g: QuadForm) -> UnimodMatrix | None:
 
     Raises ValueError on a discriminant mismatch (that is an input error, not
     inequivalence).  The full witness set is automorphs(f) * w.  Both forms go
-    through the uncached `reduce_triple`; w = w_f * w_g^-1 is checked exactly.
+    through the uncached `reduce_triple`; w = w_f * adj(w_g) = w_f * w_g^-1 is
+    checked exactly.
     """
     if f.discriminant() != g.discriminant():
         raise ValueError(f"discriminant mismatch: {f.discriminant()} vs {g.discriminant()}")
@@ -237,9 +236,9 @@ def sl2_equivalent(f: QuadForm, g: QuadForm) -> UnimodMatrix | None:
     *rg, x, y, z, u = reduce_triple(g.a, g.b, g.c)
     if rf != rg:
         return None
-    w = UnimodMatrix(p * u - q * z, q * x - p * y, r * u - s * z, s * x - r * y)
+    w = UnimodMatrix(*_mul((p, q, r, s), (u, -y, -z, x)))
     if f.transform(w) != g:
-        raise RuntimeError(f"witness {w.entries()} does not take {f.triple()} to {g.triple()}")
+        raise RuntimeError(f"witness {tuple(w)} does not take {tuple(f)} to {tuple(g)}")
     return w
 
 
@@ -267,5 +266,5 @@ def reduced_forms(d: int) -> tuple[QuadForm, ...]:
             if math.gcd(a, b, c) != 1:
                 continue
             out.append(QuadForm(a, b, c))
-    out.sort(key=QuadForm.triple)
+    out.sort()
     return tuple(out)

@@ -31,6 +31,7 @@ from .forms import (
     UnimodMatrix,
     _checked_make,
     _moved,
+    _mul,
     reduce_form,
     reduce_triple,
     require_discriminant,
@@ -137,13 +138,6 @@ def limits_agree(s: MatrixSeq, t: MatrixSeq) -> bool:
             return False
         m *= p
     return True
-
-
-def _mul(x: _Entries, y: _Entries) -> _Entries:
-    """Row-major product of two 2x2 integer matrices given by their entries."""
-    a, b, c, d = x
-    e, f, g, h = y
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 def _below(getrandbits, n: int) -> int:
@@ -253,18 +247,20 @@ def act_padic(triple: tuple[int, int, int], lift: _Entries, p: int) -> tuple[int
     return _moved(*triple, x, y, z, u)
 
 
-def _check_lift(point: SignedForm, g: _Entries, m: int, key: tuple) -> None:
+def _check_lift(
+    point: SignedForm, reduced: QuadForm, to_reduced: UnimodMatrix, g: _Entries, m: int, key: tuple
+) -> None:
     """RuntimeError unless `key` is the level-m class key of point.g, for the
     residue tuple g mod m.
 
-    With (R, w) = reduce_form of the point's form, any gamma = g mod m takes
-    the image back to R by gamma^-1 * w, and gamma^-1 is congruent to the
+    (reduced, to_reduced) is `reduce_form` of the point's form, taken once per
+    base point by the caller.  Any gamma = g mod m takes the image back to R =
+    reduced by gamma^-1 * to_reduced, and gamma^-1 is congruent to the
     adjugate of g mod m.  So the image's key is `key_from_witness` of
-    adj(g) * w: no lift, transform or reduction of the image.
+    adj(g) * to_reduced: no lift, transform or reduction of the image.
     """
     a, b, c, d = g
-    reduced, w = reduce_form(point.form)
-    want = key_from_witness(reduced.triple(), point.sign, _mul((d, -b, -c, a), w), m, CongKind.FULL_LEVEL)
+    want = key_from_witness(tuple(reduced), point.sign, _mul((d, -b, -c, a), to_reduced), m, CongKind.FULL_LEVEL)
     if key != want:
         raise RuntimeError(
             f"{point_json(point)} moved by {list(g)} mod {m} lands in class {key}, "
@@ -326,12 +322,14 @@ def correspondence_report(p: int, d: int, n: int, check_lift: bool = False) -> d
     witnesses = []
     lifts = [lift_matrix(*g, level) for g in kernel]
     for ri, r in enumerate(base):
-        triple, sign = r.form.triple(), r.sign
+        triple, sign = tuple(r.form), r.sign
+        if check_lift:
+            reduced, to_reduced = reduce_form(r.form)
         for gi, (g, lift) in enumerate(zip(kernel, lifts)):
             a, b, c, *w = reduce_triple(*act_padic(triple, lift, p))
             key = key_from_witness((a, b, c), sign, w, level, CongKind.FULL_LEVEL)
             if check_lift:
-                _check_lift(r, g, level, key)
+                _check_lift(r, reduced, to_reduced, g, level, key)
             seen = first.setdefault(key, (ri, gi))
             if seen != (ri, gi):
                 witnesses.append({"first": list(seen), "second": [ri, gi]})

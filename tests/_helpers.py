@@ -58,7 +58,7 @@ def reduce_form_reference(f: QuadForm) -> tuple[QuadForm, UnimodMatrix]:
             break
     reduced, witness = QuadForm(a, b, c), UnimodMatrix(p, q, r, s)
     if f.transform(witness) != reduced:
-        raise RuntimeError(f"reduction witness {witness.entries()} does not take {f.triple()} to {reduced.triple()}")
+        raise RuntimeError(f"reduction witness {tuple(witness)} does not take {tuple(f)} to {tuple(reduced)}")
     return reduced, witness
 
 
@@ -73,7 +73,7 @@ def sl2_equivalent_reference(f: QuadForm, g: QuadForm) -> UnimodMatrix | None:
         return None
     w = wf * inverse(wg)
     if f.transform(w) != g:
-        raise RuntimeError(f"witness {w.entries()} does not take {f.triple()} to {g.triple()}")
+        raise RuntimeError(f"witness {tuple(w)} does not take {tuple(f)} to {tuple(g)}")
     return w
 
 
@@ -99,7 +99,7 @@ def value(f: QuadForm, x: int, y: int) -> int:
 
 def is_reduced(f: QuadForm) -> bool:
     """|b| <= a <= c, with b >= 0 when |b| = a or a = c."""
-    a, b, c = f.triple()
+    a, b, c = f
     return abs(b) <= a <= c and not ((abs(b) == a or a == c) and b < 0)
 
 
@@ -201,7 +201,7 @@ def key_from_witness_reference(triple: tuple, sign: int, w: tuple, n: int, kind:
     """`congruence.key_from_witness` as it was before its Aut(R) = {I, -I}
     fast path: the least name of w*alpha over every automorph alpha of R."""
     p, q, r, s = w
-    auts = [alpha.entries() for alpha in automorphs(QuadForm(*triple))]
+    auts = [tuple(alpha) for alpha in automorphs(QuadForm(*triple))]
     if kind is CongKind.FULL_LEVEL:
         names = [((p * x + q * z) % n, (p * y + q * u) % n, (r * x + s * z) % n, (r * y + s * u) % n)
                  for x, y, z, u in auts]
@@ -432,7 +432,7 @@ def compose_reference(x: QuadForm, y: QuadForm, n: int, bound: int = 10, rng=Non
             break
     if not hits:
         raise CompositionBoundError(
-            f"no concordant column for {x.triple()} * {y.triple()} at level {n} within bound {bound}"
+            f"no concordant column for {tuple(x)} * {tuple(y)} at level {n} within bound {bound}"
         )
     p, r = hits[0] if rng is None else rng.choice(hits)
 
@@ -477,7 +477,7 @@ def correspondence_report_objects_reference(p: int, d: int, n: int, check_lift: 
             img = r.transform(lifts[gi])
             key = class_key(img, level, CongKind.FULL_LEVEL)
             if check_lift:
-                tower._check_lift(r, g, level, key)
+                tower._check_lift(r, *tower.reduce_form(r.form), g, level, key)
             seen = first.setdefault(key, (ri, gi))
             if seen != (ri, gi):
                 witnesses.append({"first": list(seen), "second": [ri, gi]})

@@ -177,7 +177,7 @@ def test_shell_limit_has_its_measured_margin():
     # draw collects within shell 6, far inside _SHELLS
     assert _SHELLS >= 6
     for d, n in ((-31, 5), (-59, 5), (-20, 9), (-51, 7)):
-        reps = [rep.form.triple() for rep in class_index(d, n, CongKind.UPPER_UNIPOTENT).reps]
+        reps = [tuple(rep.form) for rep in class_index(d, n, CongKind.UPPER_UNIPOTENT).reps]
         ys = reps + [(a, -b, c) for a, b, c in reps]
         for (ax, _, _), y in itertools.product(reps, ys):
             shells = _hit_shells(ax, y, n, 4)
@@ -291,7 +291,7 @@ attempt()
 
 def test_class_of_ideal_confirms_by_the_ideal_route(monkeypatch):
     u = unit_ideal(-23)
-    located = class_of_ideal(u, -23, 3).triple()
+    located = tuple(class_of_ideal(u, -23, 3))
     with monkeypatch.context() as patch:
         patch.setattr("formclass.classgroup.ray_class_equal", lambda u, v, n: False)
         with pytest.raises(LookupError, match=re.escape(f"is not in the class of {located}")):

@@ -375,7 +375,9 @@ def test_unknown_suite_is_a_usage_error(capsys):
 # command reaches left src/; the levelmaps entry, which covers all four chains,
 # before levelmaps moved from the unsigned to the signed tables; the classgroup
 # -D -51 and tower entries, which locate every product and image, before
-# class_key moved from the cached reduce_form to the integer kernel
+# class_key moved from the cached reduce_form to the integer kernel; the equiv
+# --gamma1 and cm -D -4 entries, which reach the automorph times witness
+# products and the four-automorph key, before every 2x2 product became `_mul`
 FROZEN_STDOUT_DIGESTS = {
     ("verify", "all", "--quick", "--seed", "3"): "6f069daf30dea64d82b8a0a4f7f7d48d492fad8514d9e55ebd44d923b393c196",
     ("--format", "text", "classgroup", "-D", "-23", "-N", "3"):
@@ -394,6 +396,9 @@ FROZEN_STDOUT_DIGESTS = {
     ("verify", "padicpoints", "--seed", "7"): "7d32767d46c7fc2db0deb8673bfb829c2d12903cf168557f5cd25607deaa2922",
     ("verify", "grouplaw", "-D", "-3", "-N", "13", "--seed", "1"):
         "d06076491f595fb6f21b6beee48209454fbd7686315455196cebfaf395379423",
+    ("equiv", "1,-1,6", "1,1,6", "-N", "3", "--gamma1"):
+        "397749d77735b414eee8464fa399671c0892af6698b8595ee340be5f652c8d91",
+    ("cm", "-D", "-4", "-N", "6", "--curve", "y"): "73832753bd3be2f64d78d6a699578a0fe1b31f6b2148cfe393ce22e5a5bd33f8",
 }
 
 

@@ -97,9 +97,9 @@ def test_unipotent_coset_reps_match_orbit_min_reference():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 9])
 def test_lift_matrix_hits_target_residue(n):
     for g in coset_reps(n, FULL)[:40]:
-        p, q, r, s = (x % n for x in g.entries())
+        p, q, r, s = (x % n for x in g)
         lifted = lift_matrix(p, q, r, s, n)
-        lp, lq, lr, ls = lifted.entries()
+        lp, lq, lr, ls = lifted
         assert (lp - p) % n == 0 and (lq - q) % n == 0
         assert (lr - r) % n == 0 and (ls - s) % n == 0
 
@@ -247,7 +247,7 @@ def test_class_key_names_are_residues_of_matrix_products():
                         names = [(m.p % n, m.q % n, m.r % n, m.s % n) for m in moved]
                     else:
                         names = [(m.r % n, m.s % n) for m in moved]
-                    assert class_key(f, n, kind) == (reduced.triple(), f.sign, min(names)), (d, n, kind, f)
+                    assert class_key(f, n, kind) == (tuple(reduced), f.sign, min(names)), (d, n, kind, f)
 
 
 def test_class_key_matches_reduction_then_key_from_witness():
@@ -257,7 +257,7 @@ def test_class_key_matches_reduction_then_key_from_witness():
     for f in seeded_forms():
         n, kind, sign = rng.choice((1, 2, 5, 6, 9, 12)), rng.choice((FULL, UPPER)), rng.choice((1, -1))
         reduced, w = reduce_form_reference(f)
-        want = key_from_witness(reduced.triple(), sign, w.entries(), n, kind)
+        want = key_from_witness(tuple(reduced), sign, tuple(w), n, kind)
         assert class_key(SignedForm(f, sign), n, kind) == want, (f, n, kind)
 
 
@@ -275,7 +275,7 @@ def test_residue_keys_match_reduced_keys():
                         cand = base.transform(g0)
                         if math.gcd(cand.a, n) != 1:
                             continue
-                        got = key_from_witness(base.triple(), 1, inverse(g0).entries(), n, kind)
+                        got = key_from_witness(tuple(base), 1, tuple(inverse(g0)), n, kind)
                         assert got == class_key(SignedForm(cand), n, kind), (d, n, kind, cand, g0)
                         checked += 1
     assert checked > 5000, checked
@@ -299,7 +299,7 @@ def test_key_from_witness_matches_reference():
     rng = random.Random(18)
     for d in (-3, -4, -15, -23, -95):
         for base in reduced_forms(d):
-            triple = base.triple()
+            triple = tuple(base)
             for n in range(1, 31):
                 for kind in (FULL, UPPER):
                     for _ in range(3):
@@ -322,15 +322,15 @@ def test_enumeration_keeps_least_triple_per_class(d, n, kind):
     """The representatives are the triple-least candidates, one per class, in
     triple order."""
     reps = unsigned_class_reps(d, n, kind)
-    assert [f.triple() for f in reps] == sorted(f.triple() for f in reps)
+    assert [tuple(f) for f in reps] == sorted(tuple(f) for f in reps)
     least = {}
     for base in reduced_forms(d):
         for g0 in coset_reps(n, kind):
             cand = base.transform(g0)
             if math.gcd(cand.a, n) == 1:
                 key = class_key(SignedForm(cand), n, kind)
-                least[key] = min(least.get(key, cand.triple()), cand.triple())
-    assert [f.triple() for f in reps] == sorted(least.values())
+                least[key] = min(least.get(key, tuple(cand)), tuple(cand))
+    assert [tuple(f) for f in reps] == sorted(least.values())
 
 
 @pytest.mark.parametrize("d,n,kind", [(-3, 6, FULL), (-4, 4, UPPER), (-15, 4, FULL), (-23, 6, UPPER)])

@@ -192,7 +192,7 @@ def test_matrix_group_ops():
     g = UnimodMatrix(2, 1, 1, 1)
     assert g * inverse(g) == IDENTITY
     assert inverse(g) * g == IDENTITY
-    assert (-g).entries() == (-2, -1, -1, -1)
+    assert tuple(-g) == (-2, -1, -1, -1)
     assert g.to_json() == [2, 1, 1, 1]
 
 
@@ -201,7 +201,7 @@ def test_matrix_group_ops():
 
 @pytest.mark.parametrize("d", SAMPLE_DISCS)
 def test_reduced_forms_match_brute_scan(d):
-    got = {f.triple() for f in reduced_forms(d)}
+    got = {tuple(f) for f in reduced_forms(d)}
     assert got == brute_reduced(d)
 
 
@@ -213,7 +213,7 @@ def test_class_numbers(d, h):
 def test_reduce_witness_is_exact():
     f = QuadForm(7, 11, 5)
     red, w = reduce_form(f)
-    assert red.triple() == (1, 1, 5)
+    assert tuple(red) == (1, 1, 5)
     assert f.transform(w) == red
     assert is_reduced(red)
 
@@ -232,7 +232,7 @@ def _reference_reduce(f: QuadForm) -> tuple[QuadForm, UnimodMatrix]:
     """Gauss reduction one validated step at a time, through the matrix objects."""
     g = IDENTITY
     while True:
-        a, b, c = f.triple()
+        a, b, c = f
         if a > c or (a == c and b < 0):
             f, g = f.transform(SWAP), g * SWAP
         elif not (-a < b <= a):
@@ -249,7 +249,7 @@ def test_reduce_matches_stepwise_reference():
         assert (red, w) == _reference_reduce(f) == reduce_form_reference(f), f
         assert f.transform(w) == red and is_reduced(red)
         checked += 1
-        huge += max(map(abs, f.triple())) > 10**12
+        huge += max(map(abs, f)) > 10**12
     assert checked >= 5000 and huge > 500, (checked, huge)
 
 
@@ -284,7 +284,7 @@ def test_action_preserves_disc_and_values(f, g):
     moved = f.transform(g)
     assert moved.discriminant() == f.discriminant()
     # values are permuted along the column map: moved(x, y) = f(px + qy, rx + sy)
-    p, q, r, s = g.entries()
+    p, q, r, s = g
     for x, y in ((1, 0), (0, 1), (1, 1), (2, -3)):
         assert value(moved, x, y) == value(f, p * x + q * y, r * x + s * y)
 
@@ -309,6 +309,15 @@ def test_automorphs_fix_the_form():
         for f in reduced_forms(d):
             for g in automorphs(f):
                 assert f.transform(g) == f
+
+
+def test_automorphs_share_one_cache_entry_per_triple():
+    """A form is its triple, so a plain triple and its `QuadForm` hit the same
+    cache entry and get the same tuple of automorphs."""
+    automorphs.cache_clear()
+    by_triple = automorphs((1, 1, 6))
+    assert automorphs(QuadForm(1, 1, 6)) is by_triple
+    assert automorphs.cache_info().currsize == 1
 
 
 # -- plain equivalence ------------------------------------------------------------
@@ -355,7 +364,7 @@ def test_sl2_inequivalent_distinct_reduced():
 
 def test_conjugate_form_is_inverse_class_at_level_one():
     f = QuadForm(2, 1, 3)
-    assert f.conjugate().triple() == (2, -1, 3)
+    assert tuple(f.conjugate()) == (2, -1, 3)
     # (2,1,3) and (2,-1,3) are the two non-principal classes of -23
     assert sl2_equivalent(f, f.conjugate()) is None
 
@@ -375,7 +384,7 @@ def test_root_is_actual_zero():
                     tau = point_json(f)["tau"]
                     num, den, disc = tau["num"], tau["den"], tau["disc"]
                     rad = {"upper": 1, "lower": -1}[tau["half_plane"]]
-                    a, b, c = f.form.triple()
+                    a, b, c = f.form
                     # rational and irrational parts of a*t^2 + b*t + c, times den^2
                     assert a * (num * num + rad * rad * disc) + b * num * den + c * den * den == 0, f
                     assert 2 * a * num * rad + b * rad * den == 0, f

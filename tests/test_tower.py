@@ -7,7 +7,7 @@ import pytest
 import formclass.tower
 from formclass.cm import equivalent_points
 from formclass.congruence import CongKind, class_key, lift_matrix
-from formclass.forms import IDENTITY, QuadForm, SignedForm, UnimodMatrix
+from formclass.forms import IDENTITY, QuadForm, SignedForm, UnimodMatrix, reduce_form
 from formclass.tower import (
     MatrixSeq,
     act_padic,
@@ -25,7 +25,7 @@ from _helpers import correspondence_report_objects_reference, point, translation
 
 def residues(g: UnimodMatrix, m: int) -> tuple[int, int, int, int]:
     """The entries of g reduced mod m."""
-    return tuple(x % m for x in g.entries())
+    return tuple(x % m for x in g)
 
 
 # -- residues mod p^n and their lifts ---------------------------------------------
@@ -179,7 +179,7 @@ def test_random_generators_match_the_matrix_product_reference():
     """The entry-tuple kernel draws the same numbers in the same order and
     returns the same matrices as chained UnimodMatrix products."""
     def entries(seq):
-        return [g.entries() for g in seq]
+        return [tuple(g) for g in seq]
 
     pairs = 0
     for p in (2, 3, 5, 7):
@@ -276,7 +276,7 @@ def test_base_point_set_sizes_and_gates():
 def moved(x, lift, p):
     """The point x moved by the matrix `lift` through `act_padic`, which
     moves the form's triple by the lift's entries and keeps the sign."""
-    return point(*act_padic(x.form.triple(), lift.entries(), p), x.sign)
+    return point(*act_padic(x.form, lift, p), x.sign)
 
 
 def test_act_padic_identity_and_compatibility():
@@ -298,7 +298,7 @@ def lift_check(x, g):
     """The report's lift check for one pair at level 9, the kernel class g
     lifted as the report lifts it: RuntimeError on a mismatch."""
     key = class_key(moved(x, formclass.tower.lift_matrix(*g, 9), 3), 9, CongKind.FULL_LEVEL)
-    formclass.tower._check_lift(x, g, 9, key)
+    formclass.tower._check_lift(x, *reduce_form(x.form), g, 9, key)
 
 
 def test_act_padic_lift_independence_and_gates():
@@ -370,6 +370,16 @@ def test_lift_check_searches_one_witness_per_base_point(monkeypatch):
     calls = []
     real = formclass.tower.equivalent_points
     monkeypatch.setattr(formclass.tower, "equivalent_points", lambda *a: calls.append(a) or real(*a))
+    report = correspondence_report(3, -23, 2, check_lift=True)
+    assert len(calls) == report["base_size"] == 36
+
+
+def test_lift_check_reduces_each_base_point_once(monkeypatch):
+    """The lift check takes the base point's reduction and witness once per
+    base point, not once per (base point, kernel class) pair."""
+    calls = []
+    real = formclass.tower.reduce_form
+    monkeypatch.setattr(formclass.tower, "reduce_form", lambda f: calls.append(f) or real(f))
     report = correspondence_report(3, -23, 2, check_lift=True)
     assert len(calls) == report["base_size"] == 36
 
