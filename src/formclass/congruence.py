@@ -41,12 +41,14 @@ class CongKind(Enum):
     UPPER_UNIPOTENT = "gamma1"   # diag = 1, lower-left = 0 mod N
 
 
-def in_gamma(g: UnimodMatrix, n: int, kind: CongKind) -> bool:
+def in_gamma(g: tuple[int, int, int, int], n: int, kind: CongKind) -> bool:
+    """Whether the entries (p, q, r, s) of g lie in the level-n subgroup of `kind`."""
     if n < 1:
         raise ValueError("level must be >= 1")
-    if (g.p - 1) % n or g.r % n or (g.s - 1) % n:
+    p, q, r, s = g
+    if (p - 1) % n or r % n or (s - 1) % n:
         return False
-    return kind is CongKind.UPPER_UNIPOTENT or g.q % n == 0
+    return kind is CongKind.UPPER_UNIPOTENT or q % n == 0
 
 
 @lru_cache(maxsize=None)

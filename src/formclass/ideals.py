@@ -26,27 +26,15 @@ from .forms import QuadForm, _checked_make, reduce_triple, reduced_forms, requir
 
 @lru_cache(maxsize=None)
 def fundamental_part(d: int) -> tuple[int, int]:
-    """Split d into (fundamental discriminant, conductor): d = conductor^2 * d0."""
+    """Split d into (fundamental discriminant, conductor): d = conductor^2 * d0.
+
+    d0 is m or 4m for m = -(product of the primes to an odd power in |d|),
+    whichever is a discriminant (m = 1 mod 4 or not).
+    """
     require_discriminant(d)
-
-    def squarefree(m: int) -> bool:
-        m = abs(m)
-        f = 2
-        while f * f <= m:
-            if m % (f * f) == 0:
-                return False
-            f += 1
-        return True
-
-    for ell in range(math.isqrt(-d), 0, -1):
-        if d % (ell * ell):
-            continue
-        d0 = d // (ell * ell)
-        if d0 % 4 == 1 and squarefree(d0):
-            return d0, ell
-        if d0 % 4 == 0 and d0 // 4 % 4 in (2, 3) and squarefree(d0 // 4):
-            return d0, ell
-    raise AssertionError(f"no fundamental part found for {d}")  # unreachable for valid d
+    m = -math.prod(p for p, e in factorize(-d).items() if e % 2)
+    d0 = m if m % 4 == 1 else 4 * m
+    return d0, math.isqrt(d // d0)
 
 
 def _nrm(d: int) -> int:
@@ -157,7 +145,6 @@ def form_to_ideal(f: QuadForm) -> OIdeal:
 # -- residues and units -----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def residue_units(d: int, n: int) -> int:
     """|(O/nO)*| by exhaustive enumeration of all n^2 residues x + y*w.
 

@@ -1,14 +1,15 @@
 """Finite truncations of the projective limits: the reduction kernel mod
-prime powers, the uniqueness property of truncated matrix limits (sharp at
-the odd/even prime boundary), and the correspondence between base points
-times a congruence kernel and point classes at higher level, checked
-exhaustively.  Points are signed forms (see `cm`); a kernel class is its
-residue tuple (a, b, c, d) mod p^n, and it acts on points through an
-integral lift (`congruence.lift_matrix`) taken at its own level.  In the
-pair loop a point moves as its form's integer triple by the lift's entries;
-objects are built only for the located check, once per base point.  The
-group law on lim CM(D, Y1(N)^±) is checked on whole tables, level by level,
-by `suites.levelmaps`, which projects the signed tables through
+prime powers, read off the residues of SL2(Z/p^n) as those in Gamma(p), the
+uniqueness property of truncated matrix limits (sharp at the odd/even prime
+boundary), and the correspondence between base points times a congruence
+kernel and point classes at higher level, checked exhaustively.  Points are
+signed forms (see `cm`); a kernel class is its residue tuple (a, b, c, d)
+mod p^n, and it acts on points through an integral lift
+(`congruence.lift_matrix`) taken at its own level.  In the pair loop a point
+moves as its form's integer triple by the lift's entries; objects are built
+only for the located check, once per base point.  The group law on
+lim CM(D, Y1(N)^±) is checked on whole tables, level by level, by
+`suites.levelmaps`, which projects the signed tables through
 `classgroup.class_surjection`.
 
 Everything runs on exact integers; "precision n" always means working modulo
@@ -19,13 +20,11 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from functools import lru_cache
 
-from ._arith import egcd, is_prime
+from ._arith import is_prime
 from .cm import cm_class_set, equivalent_points, point_json
-from .congruence import CongKind, class_key, class_keys, key_from_witness, lift_matrix
+from .congruence import CongKind, class_key, class_keys, in_gamma, key_from_witness, lift_matrix, sl2_residues
 from .forms import (
-    IDENTITY,
     QuadForm,
     SignedForm,
     UnimodMatrix,
@@ -40,40 +39,34 @@ from .forms import (
 _Entries = tuple[int, int, int, int]
 
 
-@lru_cache(maxsize=None)
 def kernel_reps(p: int, n: int) -> tuple[_Entries, ...]:
     """Residues (a, b, c, d) in [0, p^n) of all classes mod p^n that reduce to
     the identity mod p: count p^(3(n-1)).
 
-    Closed form: a = 1 + p*al, b = p*be, c = p*ga range freely mod p^(n-1) and
-    d is the unique solution of the determinant congruence, d = (1 + p^2*be*ga) * a^{-1}.
+    They are read off the residues of SL2(Z/p^n) (`sl2_residues`) as the ones
+    in Gamma(p), in the order those are enumerated.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n < 1:
         raise ValueError("precision must be >= 1")
-    m, span = p**n, p ** (n - 1)
-    out = []
-    for al in range(span):
-        a = 1 + p * al
-        _, inv_a, _ = egcd(a, m)
-        for be in range(span):
-            for ga in range(span):
-                d = ((1 + p * p * be * ga) * inv_a) % m
-                out.append((a, p * be, p * ga, d))
-    return tuple(out)
+    return tuple(g for g in sl2_residues(p**n) if in_gamma(g, p, CongKind.FULL_LEVEL))
 
 
 # -- truncated matrix sequences ----------------------------------------------
 
 
-def _congruent(g: UnimodMatrix, h: UnimodMatrix, m: int) -> bool:
-    return (g.p - h.p) % m == 0 and (g.q - h.q) % m == 0 and (g.r - h.r) % m == 0 and (g.s - h.s) % m == 0
-
-
-def _congruent_to_negative(g: UnimodMatrix, h: UnimodMatrix, m: int) -> bool:
-    """g = -h entrywise mod m, without building -h."""
-    return (g.p + h.p) % m == 0 and (g.q + h.q) % m == 0 and (g.r + h.r) % m == 0 and (g.s + h.s) % m == 0
+def _agree(xs: tuple[UnimodMatrix, ...], ys: tuple[UnimodMatrix, ...], p: int, e: int = 1) -> bool:
+    """Whether the k-th term of xs is e times the k-th term of ys mod p^k,
+    for k = 1, 2, ... over the shorter of the two."""
+    m = p
+    for (a, b, c, d), (w, x, y, z) in zip(xs, ys):
+        if e < 0:  # negated entries, not four products by e, keep the common e = 1 walk fast
+            w, x, y, z = -w, -x, -y, -z
+        if (a - w) % m or (b - x) % m or (c - y) % m or (d - z) % m:
+            return False
+        m *= p
+    return True
 
 
 class MatrixSeq(namedtuple("MatrixSeq", "prime mats")):
@@ -93,34 +86,27 @@ class MatrixSeq(namedtuple("MatrixSeq", "prime mats")):
             raise ValueError("sequence violates the convergence conditions")
         return seq
 
-    def __len__(self) -> int:
-        return len(self.mats)
-
     def conditions_hold(self) -> bool:
-        """(i) successive terms agree mod p^n; (ii) the first term is I mod p."""
-        p = m = self.prime
-        if not _congruent(self.mats[0], IDENTITY, p):
-            return False
-        for g, h in zip(self.mats, self.mats[1:]):
-            if not _congruent(h, g, m):
-                return False
-            m *= p
-        return True
+        """(i) the first term is I mod p; (ii) successive terms agree mod p^n."""
+        p, mats = self
+        return in_gamma(mats[0], p, CongKind.FULL_LEVEL) and _agree(mats[1:], mats, p)
 
 
 def seq_conditions_hold(s: MatrixSeq, t: MatrixSeq) -> bool:
     """Termwise equality up to sign mod p^n of two sequences of one shape;
-    each converges by construction."""
+    each converges by construction.
+
+    One sign for all terms is the same test as a sign per term, because both
+    sequences converge: from term 2 on (term 1 on for odd p) at most one sign
+    fits, since 2h = 0 mod p^n is impossible for h = I mod p, and consecutive
+    terms, agreeing mod p^n, carry that sign forward; term 1 at p = 2 is taken
+    mod 2, where -h = h fits either sign.
+    """
     if s.prime != t.prime:
         raise ValueError("sequences at different primes")
-    if len(s) != len(t):
+    if len(s.mats) != len(t.mats):
         raise ValueError("sequences of different lengths")
-    p = m = s.prime
-    for g, h in zip(s.mats, t.mats):
-        if not (_congruent(g, h, m) or _congruent_to_negative(g, h, m)):
-            return False
-        m *= p
-    return True
+    return _agree(s.mats, t.mats, s.prime) or _agree(s.mats, t.mats, s.prime, -1)
 
 
 def limits_agree(s: MatrixSeq, t: MatrixSeq) -> bool:
@@ -132,12 +118,7 @@ def limits_agree(s: MatrixSeq, t: MatrixSeq) -> bool:
     """
     if not seq_conditions_hold(s, t):
         raise ValueError("sequences do not satisfy the hypotheses")
-    p = m = s.prime
-    for g, h in zip(s.mats, t.mats):
-        if not _congruent(g, h, m):
-            return False
-        m *= p
-    return True
+    return _agree(s.mats, t.mats, s.prime)
 
 
 def _below(getrandbits, n: int) -> int:

@@ -5,8 +5,9 @@ ring operations, principal ideals, ideal bases, associated forms, conjugates, no
 and the unit ideal, a brute-force ray-class oracle, matrix inverses, and the
 reference versions of reduction, plain equivalence, unipotent coset
 representatives, class keys, the HNF, principality, ray-equality and
-composition kernels, the ideal-to-class scan and the object-based tower
-correspondence report."""
+composition kernels, the ideal-to-class scan, the fundamental-part scan, the
+closed-form prime-power kernel, the per-term sign check of two matrix
+sequences and the object-based tower correspondence report."""
 
 import math
 import random
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from formclass import tower
-from formclass._arith import crt, egcd
+from formclass._arith import crt, egcd, is_prime
 from formclass.classgroup import CompositionBoundError
 from formclass.congruence import CongKind, class_index, class_key, class_keys, in_gamma, lift_matrix, sl2_residues
 from formclass.forms import (
@@ -27,6 +28,7 @@ from formclass.forms import (
     sl2_equivalent,
 )
 from formclass.ideals import OIdeal, form_to_ideal, ray_class_equal, unit_group
+from formclass.tower import MatrixSeq
 
 SWAP = UnimodMatrix(0, -1, 1, 0)
 
@@ -455,6 +457,65 @@ def class_of_ideal_scan_reference(u: OIdeal, d: int, n: int) -> QuadForm:
         if ray_class_equal(u, form_to_ideal(rep.form), n):
             return rep.form
     raise LookupError(f"no class at disc {d}, level {n} matches ideal {u.to_json()}")
+
+
+def fundamental_part_reference(d: int) -> tuple[int, int]:
+    """`ideals.fundamental_part` as it was before it read the fundamental
+    discriminant off `factorize`: the largest ell with d / ell^2 a fundamental
+    discriminant, by a descending scan and trial-division squarefree tests."""
+    require_discriminant(d)
+
+    def squarefree(m: int) -> bool:
+        m = abs(m)
+        f = 2
+        while f * f <= m:
+            if m % (f * f) == 0:
+                return False
+            f += 1
+        return True
+
+    for ell in range(math.isqrt(-d), 0, -1):
+        if d % (ell * ell):
+            continue
+        d0 = d // (ell * ell)
+        if d0 % 4 == 1 and squarefree(d0):
+            return d0, ell
+        if d0 % 4 == 0 and d0 // 4 % 4 in (2, 3) and squarefree(d0 // 4):
+            return d0, ell
+    raise AssertionError(f"no fundamental part found for {d}")
+
+
+def kernel_reps_reference(p: int, n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """`tower.kernel_reps` in closed form, as it was before it filtered the
+    residues of SL2(Z/p^n): a = 1 + p*al, b = p*be, c = p*ga range freely mod
+    p^(n-1) and d = (1 + p^2*be*ga) * a^-1 mod p^n solves the determinant."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if n < 1:
+        raise ValueError("precision must be >= 1")
+    m, span = p**n, p ** (n - 1)
+    out = []
+    for al in range(span):
+        a = 1 + p * al
+        _, inv_a, _ = egcd(a, m)
+        for be in range(span):
+            for ga in range(span):
+                out.append((a, p * be, p * ga, ((1 + p * p * be * ga) * inv_a) % m))
+    return tuple(out)
+
+
+def seq_conditions_hold_reference(s: MatrixSeq, t: MatrixSeq) -> bool:
+    """`tower.seq_conditions_hold` with a sign chosen per term: every k-th term
+    of s is +- the k-th term of t mod p^k, each sign on its own."""
+    if s.prime != t.prime:
+        raise ValueError("sequences at different primes")
+    if len(s.mats) != len(t.mats):
+        raise ValueError("sequences of different lengths")
+    p = s.prime
+    return all(
+        any(all((x - e * y) % p**k == 0 for x, y in zip(g, h)) for e in (1, -1))
+        for k, (g, h) in enumerate(zip(s.mats, t.mats), start=1)
+    )
 
 
 def correspondence_report_objects_reference(p: int, d: int, n: int, check_lift: bool = False) -> dict:

@@ -394,6 +394,8 @@ FROZEN_STDOUT_DIGESTS = {
     ("cm", "-D", "-23", "-N", "5", "--curve", "y1"): "69e9190fc90eb0fe52cae7e1f84704f51bc4890b19216143ff1afb11cc99ee5e",
     ("cm", "-D", "-23", "-N", "5", "--curve", "y"): "f776e42a871db0f8de83e93ef3d4f6ae9f5571a488d1b4d60bd2362860b37c3d",
     ("verify", "padicpoints", "--seed", "7"): "7d32767d46c7fc2db0deb8673bfb829c2d12903cf168557f5cd25607deaa2922",
+    ("verify", "padiclimits", "--trials", "300", "--seed", "11"):
+        "29653414c61b176676e4bb6f3baced118324da4d969755d71faf54676f869b56",
     ("verify", "grouplaw", "-D", "-3", "-N", "13", "--seed", "1"):
         "d06076491f595fb6f21b6beee48209454fbd7686315455196cebfaf395379423",
     ("equiv", "1,-1,6", "1,1,6", "-N", "3", "--gamma1"):

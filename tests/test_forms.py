@@ -169,7 +169,7 @@ def test_value_refuses_attribute_assignment():
 @each_checked_value
 def test_value_replace_reruns_the_check(v, field, bad):
     assert v._replace() == v and type(v._replace()) is type(v)
-    assert type(v)._make(v) == v  # MatrixSeq.__len__ counts terms, not fields
+    assert type(v)._make(v) == v  # a MatrixSeq unpacks to its two fields, as any value does
     with pytest.raises(ValueError):
         v._replace(**{field: bad})
     with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import formclass
 import formclass.ideals as ideals_module
 from _helpers import ElemO, associated_form, basis_rows, conjugate_ideal, elem_add, elem_conj, elem_mul
-from _helpers import hnf_pair_reference
+from _helpers import fundamental_part_reference, hnf_pair_reference
 from _helpers import ideal_norm, omega, principal_generator_reference, principal_ideal, ray_class_equal_bruteforce
 from _helpers import ray_class_equal_objects_reference, ray_class_equal_reference, unit_ideal
 from formclass.congruence import CongKind, class_index
@@ -59,6 +59,13 @@ def test_fundamental_part():
     assert fundamental_part(-60) == (-15, 2)
     assert fundamental_part(-12) == (-3, 2)
     assert fundamental_part(-16) == (-4, 2)
+
+
+def test_fundamental_part_matches_the_scan():
+    """The factorization route equals the descending scan on every discriminant in [-5000, -3]."""
+    for d in range(-3, -5001, -1):
+        if d % 4 in (0, 1):
+            assert fundamental_part(d) == fundamental_part_reference(d), d
 
 
 def test_omega_satisfies_its_quadratic():

@@ -20,7 +20,8 @@ from formclass.tower import (
     seq_conditions_hold,
 )
 
-from _helpers import correspondence_report_objects_reference, point, translation
+from _helpers import correspondence_report_objects_reference, kernel_reps_reference, point
+from _helpers import seq_conditions_hold_reference, translation
 
 
 def residues(g: UnimodMatrix, m: int) -> tuple[int, int, int, int]:
@@ -46,8 +47,8 @@ def test_padic_matrix_reduces_and_checks_det():
 
 
 def test_padic_entries_normalized():
-    """Residues are taken in [0, p^n): -I mod 9 is (8, 0, 0, 8), and the kernel's
-    closed form lands there without a reduction step."""
+    """Residues are taken in [0, p^n): -I mod 9 is (8, 0, 0, 8), and so are the
+    kernel's residues."""
     assert residues(lift_matrix(-1, 0, 0, -1, 9), 9) == (8, 0, 0, 8)
     for p, n in ((2, 3), (3, 2), (5, 2), (3, 3)):
         assert all(0 <= x < p**n for g in kernel_reps(p, n) for x in g), (p, n)
@@ -72,6 +73,12 @@ def test_kernel_sizes(p, n, count):
         assert all(0 <= x < m for x in (a, b, c, d))
         assert (a % p, b % p, c % p, d % p) == (1 % p, 0, 0, 1 % p)
         assert (a * d - b * c) % m == 1 % m
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 2)])
+def test_kernel_matches_closed_form(p, n):
+    """The residues of SL2(Z/p^n) in Gamma(p) are the closed-form kernel, in the same order."""
+    assert kernel_reps(p, n) == kernel_reps_reference(p, n)
 
 
 # -- convergent sequences -----------------------------------------------------------
@@ -130,6 +137,29 @@ def test_even_prime_pairs_match_prediction():
         assert limits_agree(s, t) == expected
         seen_false = seen_false or not expected
     assert seen_false, "the sign coin never came up tails in 200 draws"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_one_sign_for_all_terms_matches_a_sign_per_term(p):
+    """On 300 compliant pairs, and on each s against the previous pair's t,
+    one sign for the whole sequence decides as a sign per term does."""
+    rng = random.Random(p)
+    prev = None
+    for _ in range(300):
+        s, t, _ = random_compliant_pair(p, 5, rng)
+        assert seq_conditions_hold(s, t) and seq_conditions_hold_reference(s, t)
+        if prev is not None:
+            assert seq_conditions_hold(s, prev) == seq_conditions_hold_reference(s, prev)
+        prev = t
+
+
+def test_first_term_sign_is_free_at_two():
+    """At p = 2 the first term is taken mod 2, so its sign may differ from the rest."""
+    s = MatrixSeq(2, (IDENTITY,) * 3)
+    for mats, agree in [((-IDENTITY, IDENTITY, IDENTITY), True), ((IDENTITY, -IDENTITY, -IDENTITY), False)]:
+        t = MatrixSeq(2, mats)
+        assert seq_conditions_hold(s, t) and seq_conditions_hold_reference(s, t)
+        assert limits_agree(s, t) is agree
 
 
 def test_random_sequences_are_compliant():
