@@ -1,8 +1,12 @@
 """Command-line front end: the six subcommands.
 
-`verify` derives each named suite's instances from its arguments, checks
-their levels against --level-cap, runs the suites of `formclass.suites` on one
-seeded RNG and renders the check dicts they return.
+Each command is a plan (levels, discs, tables, run) read off its arguments:
+every level it enumerates, every discriminant it scans, every class group
+table it builds, and the call that runs it.  `main` checks that --level-cap
+is >= 1, then the levels against the cap, the discriminants against
+SCAN_BUDGET and the tables against CELL_BUDGET, so an oversized input exits 2
+before any plan runs.  `verify` joins the plans of its suites, which run the
+suites of `formclass.suites` on one seeded RNG.
 
 Every command prints one JSON document (or a plain-text rendering with
 --format text) built only from exact integers, so identical invocations with
@@ -17,29 +21,16 @@ import argparse
 import json
 import random
 import sys
-from collections import namedtuple
 
 from . import suites
 from .classgroup import ClassGroupTable, GroupAxiomError
 from .cm import cm_class_set, point_json
 from .congruence import CongKind, cong_equivalent
-from .forms import QuadForm, SignedForm, _checked_make, reduce_form
+from .forms import QuadForm, SignedForm, reduce_form
 from .ideals import ray_class_count
 from .tower import correspondence_report
 
 SUITES = ("grouplaw", "levelsquare", "levelmaps", "orderchange", "padiclimits", "padicpoints")
-
-
-class Config(namedtuple("Config", "level_cap seed fmt")):
-    __slots__ = ()
-    _make = _checked_make
-
-    def __new__(cls, level_cap: int = 64, seed: int = 0, fmt: str = "json") -> "Config":
-        if level_cap < 1:
-            raise ValueError("level cap must be >= 1")
-        if fmt not in ("json", "text"):
-            raise ValueError("format must be json or text")
-        return tuple.__new__(cls, (level_cap, seed, fmt))
 
 
 def _parse_form(text: str) -> QuadForm:
@@ -50,8 +41,8 @@ def _parse_form(text: str) -> QuadForm:
     return QuadForm(a, b, c)
 
 
-def _check_level(base: int, cfg: Config, exponent: int = 1) -> int:
-    """The level base**exponent, if it lies in [1, --level-cap].
+def _check_level(base: int, cap: int, exponent: int) -> None:
+    """ValueError unless the level base**exponent lies in [1, cap].
 
     A base with |base| >= 2 at least doubles the level with each step of the
     exponent, so an exponent past the cap's bit length is refused before the
@@ -59,14 +50,13 @@ def _check_level(base: int, cfg: Config, exponent: int = 1) -> int:
     """
     if exponent < 1:
         raise ValueError("precision must be >= 1")
-    if abs(base) >= 2 and exponent > cfg.level_cap.bit_length():
-        raise ValueError(f"level {base}^{exponent} exceeds the cap {cfg.level_cap} (raise --level-cap)")
+    if abs(base) >= 2 and exponent > cap.bit_length():
+        raise ValueError(f"level {base}^{exponent} exceeds the cap {cap} (raise --level-cap)")
     n = base**exponent
     if n < 1:
         raise ValueError("level must be >= 1")
-    if n > cfg.level_cap:
-        raise ValueError(f"level {n} exceeds the cap {cfg.level_cap} (raise --level-cap)")
-    return n
+    if n > cap:
+        raise ValueError(f"level {n} exceeds the cap {cap} (raise --level-cap)")
 
 
 # The reduced-form scan behind every enumeration at a discriminant D takes
@@ -97,8 +87,8 @@ def _check_table(d: int, n: int) -> None:
                          f"so its table needs {order**2} cells, over the budget of {CELL_BUDGET}")
 
 
-def _emit(doc: dict, cfg: Config) -> None:
-    if cfg.fmt == "json":
+def _emit(doc: dict, fmt: str) -> None:
+    if fmt == "json":
         print(json.dumps(doc, sort_keys=True))
         return
     for line in _render_text(doc):
@@ -133,77 +123,75 @@ def _is_flat(val) -> bool:
     return False
 
 
-# -- direct commands ----------------------------------------------------------
+# -- plans ---------------------------------------------------------------------
 
 
-def _cmd_reduce(args, cfg: Config) -> int:
-    f = _parse_form(args.form)
-    reduced, witness = reduce_form(f)
-    _emit(
-        {
-            "input": list(f),
-            "reduced": list(reduced),
-            "witness": witness.to_json(),
-            "discriminant": f.discriminant(),
-        },
-        cfg,
-    )
-    return 0
+def _plan(args):
+    """(levels, discs, tables, run) for the command in args: every level it
+    enumerates, as (base, exponent) pairs for _check_level, every discriminant
+    it scans, for _check_disc, every (D, N) it builds a class group table at,
+    for _check_table, and the call that runs it and returns (document, exit
+    code).  Building a plan parses its forms and enumerates nothing."""
+    if args.command == "reduce":
+        f = _parse_form(args.form)
 
+        def run():
+            reduced, witness = reduce_form(f)
+            return {"input": list(f), "reduced": list(reduced), "witness": witness.to_json(),
+                    "discriminant": f.discriminant()}, 0
+        return [], [], [], run
+    if args.command == "equiv":
+        f, g = _parse_form(args.form1), _parse_form(args.form2)
+        kind = CongKind.UPPER_UNIPOTENT if args.gamma1 else CongKind.FULL_LEVEL
 
-def _cmd_equiv(args, cfg: Config) -> int:
-    f, g = _parse_form(args.form1), _parse_form(args.form2)
-    n = _check_level(args.level, cfg)
-    kind = CongKind.UPPER_UNIPOTENT if args.gamma1 else CongKind.FULL_LEVEL
-    w = cong_equivalent(SignedForm(f), SignedForm(g), n, kind)
-    doc = {
-        "first": list(f),
-        "second": list(g),
-        "N": n,
-        "kind": kind.value,
-        "equivalent": w is not None,
-    }
-    if w is not None:
-        doc["witness"] = w.to_json()
-    _emit(doc, cfg)
-    return 0
+        def run():
+            w = cong_equivalent(SignedForm(f), SignedForm(g), args.level, kind)
+            doc = {"first": list(f), "second": list(g), "N": args.level, "kind": kind.value,
+                   "equivalent": w is not None}
+            if w is not None:
+                doc["witness"] = w.to_json()
+            return doc, 0
+        return [(args.level, 1)], [], [], run
+    d = args.disc
+    if args.command == "classgroup":
+        n = args.level
 
+        def run():
+            doc = ClassGroupTable.build(d, n).to_json()
+            doc["order_formula"] = ray_class_count(d, n)
+            return doc, 0
+        return [(n, 1)], [d], [(d, n)], run
+    if args.command == "cm":
+        n = args.level
 
-def _cmd_classgroup(args, cfg: Config) -> int:
-    n = _check_level(args.level, cfg)
-    _check_disc(args.disc)
-    _check_table(args.disc, n)
-    table = ClassGroupTable.build(args.disc, n)
-    doc = table.to_json()
-    doc["order_formula"] = ray_class_count(args.disc, n)
-    _emit(doc, cfg)
-    return 0
+        def run():
+            classes = [point_json(f) for f in cm_class_set(d, n, args.curve).reps]
+            return {"D": d, "N": n, "curve": args.curve, "count": len(classes), "classes": classes}, 0
+        return [(n, 1)], [d], [], run
+    if args.command == "tower":
+        def run():
+            report = correspondence_report(args.prime, d, args.precision, check_lift=args.check_lift)
+            return report, 0 if report["injective"] and report["surjective"] else 1
+        return [(args.prime, args.precision)], [d], [], run
+    if args.trials < 0:  # verify
+        raise ValueError("--trials must be >= 0 (0 means the default)")
+    names = SUITES if args.suite == "all" else (args.suite,)
+    levels, discs, tables, suite_runs = zip(*(_suite(name, args) for name in names))
 
-
-def _cmd_cm(args, cfg: Config) -> int:
-    n = _check_level(args.level, cfg)
-    _check_disc(args.disc)
-    classes = [point_json(f) for f in cm_class_set(args.disc, n, args.curve).reps]
-    _emit({"D": args.disc, "N": n, "curve": args.curve, "count": len(classes), "classes": classes}, cfg)
-    return 0
-
-
-def _cmd_tower(args, cfg: Config) -> int:
-    _check_level(args.prime, cfg, args.precision)
-    _check_disc(args.disc)
-    report = correspondence_report(args.prime, args.disc, args.precision, check_lift=args.check_lift)
-    _emit(report, cfg)
-    return 0 if report["injective"] and report["surjective"] else 1
-
-
-# -- verification suites -------------------------------------------------------
+    def run():
+        rng = random.Random(args.seed)
+        results = []
+        for name, suite_run in zip(names, suite_runs):
+            checks = suite_run(rng)
+            results.append({"suite": name, "pass": all(c["pass"] for c in checks), "checks": checks})
+        passed = all(s["pass"] for s in results)
+        return {"seed": args.seed, "pass": passed, "suites": results}, 0 if passed else 1
+    return sum(levels, []), sum(discs, []), sum(tables, []), run
 
 
 def _suite(name: str, args):
-    """(levels, discs, tables, run) for one suite: every level it enumerates, as
-    (base, exponent) pairs for _check_level, every discriminant it takes from -D,
-    for _check_disc, every (D, N) it builds a class group table at from -D, for
-    _check_table, and the call that runs it on an RNG."""
+    """The plan of one verify suite, as `_plan` describes it, except that its
+    run takes the shared RNG and returns the suite's checks."""
     d = args.disc
     if name == "grouplaw":
         return ([(args.level, 1)], [d], [(d, 1), (d, args.level)],
@@ -228,29 +216,6 @@ def _suite(name: str, args):
         instances = [(3, -23, args.precision)] + ([] if args.quick else [(5, -15, 2)])
     discs = [d] if args.prime is not None else []
     return [(p, n) for p, _, n in instances], discs, [], lambda rng: suites.padicpoints(instances)
-
-
-def _cmd_verify(args, cfg: Config) -> int:
-    if args.trials < 0:
-        raise ValueError("--trials must be >= 0 (0 means the default)")
-    names = list(SUITES) if args.suite == "all" else [args.suite]
-    plans = [(name, *_suite(name, args)) for name in names]
-    for _, levels, discs, _, _ in plans:
-        for base, exponent in levels:
-            _check_level(base, cfg, exponent)
-        for disc in discs:
-            _check_disc(disc)
-    for _, _, _, tables, _ in plans:
-        for disc, level in tables:
-            _check_table(disc, level)
-    rng = random.Random(cfg.seed)
-    results = []
-    for name, _, _, _, run in plans:
-        checks = run(rng)
-        results.append({"suite": name, "pass": all(c["pass"] for c in checks), "checks": checks})
-    doc = {"seed": cfg.seed, "pass": all(s["pass"] for s in results), "suites": results}
-    _emit(doc, cfg)
-    return 0 if doc["pass"] else 1
 
 
 # -- argument plumbing ---------------------------------------------------------
@@ -324,16 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-_HANDLERS = {
-    "reduce": _cmd_reduce,
-    "equiv": _cmd_equiv,
-    "classgroup": _cmd_classgroup,
-    "cm": _cmd_cm,
-    "tower": _cmd_tower,
-    "verify": _cmd_verify,
-}
-
-
 def _check_leading_flags(parser: argparse.ArgumentParser, argv: list[str]) -> None:
     """Usage error naming the first unknown option before the subcommand.
 
@@ -357,14 +312,24 @@ def main(argv: list[str] | None = None) -> int:
     _check_leading_flags(parser, argv)
     args = parser.parse_args(argv)
     try:
-        cfg = Config(level_cap=args.level_cap, seed=args.seed, fmt=args.format)
-        return _HANDLERS[args.command](args, cfg)
+        if args.level_cap < 1:
+            raise ValueError("level cap must be >= 1")
+        levels, discs, tables, run = _plan(args)
+        for base, exponent in levels:
+            _check_level(base, args.level_cap, exponent)
+        for d in discs:
+            _check_disc(d)
+        for d, n in tables:
+            _check_table(d, n)
+        doc, code = run()
     except (ValueError, LookupError) as err:
         print(f"invalid input: {err}", file=sys.stderr)
         return 2
-    except (GroupAxiomError, RuntimeError, AssertionError) as err:
+    except (GroupAxiomError, RuntimeError) as err:
         print(f"verification failure: {err}", file=sys.stderr)
         return 1
+    _emit(doc, args.format)
+    return code
 
 
 if __name__ == "__main__":

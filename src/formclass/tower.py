@@ -92,6 +92,20 @@ class MatrixSeq(namedtuple("MatrixSeq", "prime mats")):
         return in_gamma(mats[0], p, CongKind.FULL_LEVEL) and _agree(mats[1:], mats, p)
 
 
+def _limit_sign(s: MatrixSeq, t: MatrixSeq) -> int:
+    """The sign e, +1 tried first, with term k of s = e times term k of t mod
+    p^k for every k, or 0 if neither sign fits; ValueError unless s and t
+    have one prime and one length."""
+    if s.prime != t.prime:
+        raise ValueError("sequences at different primes")
+    if len(s.mats) != len(t.mats):
+        raise ValueError("sequences of different lengths")
+    for e in (1, -1):
+        if _agree(s.mats, t.mats, s.prime, e):
+            return e
+    return 0
+
+
 def seq_conditions_hold(s: MatrixSeq, t: MatrixSeq) -> bool:
     """Termwise equality up to sign mod p^n of two sequences of one shape;
     each converges by construction.
@@ -102,11 +116,7 @@ def seq_conditions_hold(s: MatrixSeq, t: MatrixSeq) -> bool:
     terms, agreeing mod p^n, carry that sign forward; term 1 at p = 2 is taken
     mod 2, where -h = h fits either sign.
     """
-    if s.prime != t.prime:
-        raise ValueError("sequences at different primes")
-    if len(s.mats) != len(t.mats):
-        raise ValueError("sequences of different lengths")
-    return _agree(s.mats, t.mats, s.prime) or _agree(s.mats, t.mats, s.prime, -1)
+    return _limit_sign(s, t) != 0
 
 
 def limits_agree(s: MatrixSeq, t: MatrixSeq) -> bool:
@@ -116,9 +126,10 @@ def limits_agree(s: MatrixSeq, t: MatrixSeq) -> bool:
     genuinely fail — the caller gets the honest answer either way.  ValueError
     if the pair does not satisfy the hypotheses.
     """
-    if not seq_conditions_hold(s, t):
+    e = _limit_sign(s, t)
+    if not e:
         raise ValueError("sequences do not satisfy the hypotheses")
-    return _agree(s.mats, t.mats, s.prime)
+    return e > 0
 
 
 def _below(getrandbits, n: int) -> int:

@@ -1,6 +1,9 @@
 """Exit codes, JSON shapes, and determinism of the command-line front end."""
 
+import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -13,7 +16,7 @@ import pytest
 
 import formclass
 from formclass import classgroup, suites
-from formclass.cli import CELL_BUDGET, SCAN_BUDGET, Config, _check_disc, _check_table, main
+from formclass.cli import CELL_BUDGET, SCAN_BUDGET, _check_disc, _check_table, main
 from formclass.congruence import ClassIndex, CongKind, class_key
 from formclass.forms import QuadForm
 
@@ -30,11 +33,13 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        Config(fmt="yaml")
-    with pytest.raises(ValueError):
-        Config(level_cap=0)
+def test_config_validation(capsys):
+    code, out, err = run(capsys, "--level-cap", "0", "reduce", "7,11,5")
+    assert code == 2 and out == "" and err == "invalid input: level cap must be >= 1\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["--format", "yaml", "reduce", "7,11,5"])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == "" and "invalid choice" in out.err
 
 
 def test_reduce(capsys):
@@ -245,6 +250,33 @@ def test_oversized_tables_are_refused_before_any_build(capsys):
         _check_table(-23, 31)
 
 
+_OVER_CAP = "level 65 exceeds the cap 64 (raise --level-cap)"
+_OVER_SCAN = "discriminant -30000011 needs ~10000003 reduced-form scan steps, over the budget of 10000000"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("equiv 1,1,6 1,1,6 -N 65", _OVER_CAP),
+    ("classgroup -D -23 -N 65", _OVER_CAP),
+    ("cm -D -23 -N 65", _OVER_CAP),
+    ("tower -p 3 -D -23 -n 4", "level 81 exceeds the cap 64 (raise --level-cap)"),
+    ("verify grouplaw -N 65", _OVER_CAP),
+    ("classgroup -D -30000011", _OVER_SCAN),
+    ("cm -D -30000011 -N 3", _OVER_SCAN),
+    ("tower -p 3 -D -30000011 -n 1", _OVER_SCAN),
+])
+def test_each_command_is_refused_before_it_enumerates(capsys, monkeypatch, argv, message):
+    def enumerated(*args, **kwargs):
+        raise AssertionError("enumerated before the guard pass refused the input")
+
+    monkeypatch.setattr(classgroup.ClassGroupTable, "build", enumerated)
+    for module in (formclass.congruence, formclass.classgroup, formclass.cm, formclass.suites, formclass.cli):
+        for name in ("class_index", "cong_equivalent", "correspondence_report"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, enumerated)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == "" and err == f"invalid input: {message}\n"
+
+
 def test_table_check_takes_the_unit_count_in_closed_form(monkeypatch):
     # order 1,440,000 at (-23, 2000): refused without enumerating its 4,000,000 residues
     def no_enumeration(d, n):
@@ -404,10 +436,17 @@ FROZEN_STDOUT_DIGESTS = {
 }
 
 
+def _stdout_digest(argv) -> tuple[int, str]:
+    """(exit code, sha256 of stdout) of `formclass <argv>`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 @pytest.mark.parametrize("argv", sorted(FROZEN_STDOUT_DIGESTS), ids=" ".join)
-def test_stdout_digest_frozen(capsys, argv):
-    code, out, _ = run(capsys, *argv)
-    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == FROZEN_STDOUT_DIGESTS[argv]
+def test_stdout_digest_frozen(argv):
+    assert _stdout_digest(argv) == (0, FROZEN_STDOUT_DIGESTS[argv])
 
 
 def test_output_is_byte_identical_for_fixed_seed(capsys):
@@ -472,6 +511,15 @@ def test_checks_survive_optimized_mode():
         assert optimized.stdout == plain.stdout
 
 
+def test_package_has_no_assert_statements():
+    """python -O strips assert statements, so the package has none: every check
+    raises, and -O cannot change what a command does."""
+    package = Path(formclass.__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 def test_import_loads_no_dataclasses():
     """Every command pays the import first: values are namedtuples, so neither
     dataclasses nor the inspect module it pulls in is loaded."""
@@ -482,3 +530,15 @@ def test_import_loads_no_dataclasses():
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+if __name__ == "__main__":
+    # python -O tests/test_cli.py checks every frozen digest with assert
+    # statements stripped; the verdict is an exit code, not an assert
+    failed = 0
+    for argv in sorted(FROZEN_STDOUT_DIGESTS):
+        ok = _stdout_digest(argv) == (0, FROZEN_STDOUT_DIGESTS[argv])
+        failed += not ok
+        print("ok  " if ok else "FAIL", " ".join(argv))
+    if failed:
+        sys.exit(1)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from formclass import forms
 from formclass.classgroup import PMGroup, class_group_table
-from formclass.cli import Config
 from formclass.cm import cm_class_set, point_json
 from formclass.congruence import ClassIndex, CongKind, class_index
 from formclass.forms import (
@@ -130,7 +129,6 @@ CHECKED_VALUES = [
     (SignedForm(QuadForm(2, 1, 3), -1), "sign", 0),
     (OIdeal(-23, Fraction(1, 2), 2, 1), "b", 0),
     (MatrixSeq(3, (IDENTITY, translation(3), translation(3))), "prime", 4),
-    (Config(level_cap=5, seed=1, fmt="text"), "fmt", "yaml"),
 ]
 each_checked_value = pytest.mark.parametrize("v, field, bad", CHECKED_VALUES, ids=[type(v).__name__ for v, _, _ in CHECKED_VALUES])
 

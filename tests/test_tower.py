@@ -129,6 +129,15 @@ def test_odd_prime_limits_always_agree():
             assert limits_agree(s, t)
 
 
+def test_limits_agree_walks_an_odd_prime_pair_once(monkeypatch):
+    # one termwise walk, with the + sign, decides the pair
+    s, t, _ = random_compliant_pair(3, 5, random.Random(1))
+    walks = []
+    real = formclass.tower._agree
+    monkeypatch.setattr(formclass.tower, "_agree", lambda xs, ys, p, e=1: walks.append(e) or real(xs, ys, p, e))
+    assert limits_agree(s, t) and walks == [1]
+
+
 def test_even_prime_pairs_match_prediction():
     rng = random.Random(11)
     seen_false = False
