@@ -34,19 +34,9 @@ def crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; fine for the small moduli used here."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Whether n is prime, by `factorize`'s trial division; fine for the small
+    moduli used here."""
+    return n > 1 and factorize(n) == {n: 1}
 
 
 def factorize(n: int) -> dict[int, int]:

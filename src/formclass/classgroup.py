@@ -27,7 +27,7 @@ from operator import itemgetter
 
 from ._arith import crt, egcd, factorize
 from .congruence import CongKind, class_index, cong_equivalent, lift_matrix
-from .forms import QuadForm, SignedForm
+from .forms import QuadForm, SignedForm, is_member
 from .ideals import OIdeal, extend_to_order, form_to_ideal, ray_class_count, ray_class_equal
 
 
@@ -291,7 +291,7 @@ class ClassGroupTable(namedtuple("ClassGroupTable", "disc level classes cayley i
     def locate_class(self, f: QuadForm) -> int:
         """The index of f's class; ValueError unless f has this table's
         discriminant and a leading coefficient prime to its level."""
-        if f.discriminant() != self.disc or math.gcd(f.a, self.level) != 1:
+        if not is_member(f, self.disc, self.level):
             raise ValueError(f"form {tuple(f)} is not in the group at ({self.disc}, {self.level})")
         idx = class_index(self.disc, self.level, CongKind.UPPER_UNIPOTENT, signed=False)
         return idx.locate(SignedForm(f))

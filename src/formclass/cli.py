@@ -24,8 +24,8 @@ import sys
 
 from . import suites
 from .classgroup import ClassGroupTable, GroupAxiomError
-from .cm import cm_class_set, point_json
-from .congruence import CongKind, cong_equivalent
+from .cm import curve_kind, point_json
+from .congruence import CongKind, cong_equivalent, enumerate_classes
 from .forms import QuadForm, SignedForm, reduce_form
 from .ideals import ray_class_count
 from .tower import correspondence_report
@@ -75,16 +75,23 @@ def _check_disc(d: int) -> None:
 # each at order 900 (~19 us at order 48); 10**6 cells take about 23 s.
 CELL_BUDGET = 10**6
 
+# `verify grouplaw` then runs its oracles over all pairs: 0.66 s for the table
+# and 6.03 s for the rest at (-23, 13), order 216 (10.2 table passes), and
+# 0.58 s and 6.94 s at (-4, 29), order 196 (12.9 passes; Python 3.11, 2 cores).
+GROUPLAW_PASSES = 13
 
-def _check_table(d: int, n: int) -> None:
-    """ValueError unless the class group table at (d, n) fits in CELL_BUDGET cells.
+
+def _check_table(d: int, n: int, passes: int = 1) -> None:
+    """ValueError unless `passes` passes over the class group table at (d, n)
+    fit in CELL_BUDGET cells.
 
     Call it after _check_disc(d): `ray_class_count` scans the reduced forms at d.
     """
     order = ray_class_count(d, n)
-    if order**2 > CELL_BUDGET:
+    if passes * order**2 > CELL_BUDGET:
+        more = f", and {passes} passes over it need {passes * order**2} cells" if passes > 1 else ""
         raise ValueError(f"the class group at (D, N) = ({d}, {n}) has order {order}, "
-                         f"so its table needs {order**2} cells, over the budget of {CELL_BUDGET}")
+                         f"so its table needs {order**2} cells{more}, over the budget of {CELL_BUDGET}")
 
 
 def _emit(doc: dict, fmt: str) -> None:
@@ -95,25 +102,15 @@ def _emit(doc: dict, fmt: str) -> None:
         print(line)
 
 
-def _render_text(doc, prefix: str = "") -> list[str]:
+def _render_text(doc: dict | list, prefix: str = "") -> list[str]:
+    """One line per scalar, labelled `key:` in a dict and `-` in a list."""
+    items = [(f"{key}:", doc[key]) for key in sorted(doc)] if isinstance(doc, dict) else [("-", v) for v in doc]
     lines: list[str] = []
-    if isinstance(doc, dict):
-        for key in sorted(doc):
-            val = doc[key]
-            if isinstance(val, (dict, list)) and val and not _is_flat(val):
-                lines.append(f"{prefix}{key}:")
-                lines += _render_text(val, prefix + "  ")
-            else:
-                lines.append(f"{prefix}{key}: {json.dumps(val, sort_keys=True)}")
-    elif isinstance(doc, list):
-        for item in doc:
-            if isinstance(item, (dict, list)) and item and not _is_flat(item):
-                lines.append(f"{prefix}-")
-                lines += _render_text(item, prefix + "  ")
-            else:
-                lines.append(f"{prefix}- {json.dumps(item, sort_keys=True)}")
-    else:
-        lines.append(f"{prefix}{json.dumps(doc, sort_keys=True)}")
+    for label, val in items:
+        if isinstance(val, (dict, list)) and val and not _is_flat(val):
+            lines += [f"{prefix}{label}", *_render_text(val, prefix + "  ")]
+        else:
+            lines.append(f"{prefix}{label} {json.dumps(val, sort_keys=True)}")
     return lines
 
 
@@ -130,7 +127,8 @@ def _plan(args):
     """(levels, discs, tables, run) for the command in args: every level it
     enumerates, as (base, exponent) pairs for _check_level, every discriminant
     it scans, for _check_disc, every (D, N) it builds a class group table at,
-    for _check_table, and the call that runs it and returns (document, exit
+    with the number of passes over it when that is more than one, for
+    _check_table, and the call that runs it and returns (document, exit
     code).  Building a plan parses its forms and enumerates nothing."""
     if args.command == "reduce":
         f = _parse_form(args.form)
@@ -165,7 +163,7 @@ def _plan(args):
         n = args.level
 
         def run():
-            classes = [point_json(f) for f in cm_class_set(d, n, args.curve).reps]
+            classes = [point_json(f) for f in enumerate_classes(d, n, curve_kind(args.curve), signed=True)]
             return {"D": d, "N": n, "curve": args.curve, "count": len(classes), "classes": classes}, 0
         return [(n, 1)], [d], [], run
     if args.command == "tower":
@@ -194,7 +192,7 @@ def _suite(name: str, args):
     run takes the shared RNG and returns the suite's checks."""
     d = args.disc
     if name == "grouplaw":
-        return ([(args.level, 1)], [d], [(d, 1), (d, args.level)],
+        return ([(args.level, 1)], [d], [(d, 1), (d, args.level, GROUPLAW_PASSES)],
                 lambda rng: suites.grouplaw(d, args.level, rng))
     if name == "levelsquare":
         return [(args.level, 1), (args.fine, 1)], [d], [], lambda rng: suites.levelsquare(d, args.fine, args.level)
@@ -319,8 +317,8 @@ def main(argv: list[str] | None = None) -> int:
             _check_level(base, args.level_cap, exponent)
         for d in discs:
             _check_disc(d)
-        for d, n in tables:
-            _check_table(d, n)
+        for table in tables:
+            _check_table(*table)
         doc, code = run()
     except (ValueError, LookupError) as err:
         print(f"invalid input: {err}", file=sys.stderr)

@@ -5,9 +5,10 @@ congruent to the identity mod N) and the upper-unipotent family (diagonal
 congruent to 1, lower-left to 0 mod N, upper-right free).  The module decides
 membership, enumerates coset representatives by lifting SL2(Z/N), and
 enumerates equivalence classes of signed forms exhaustively.  One exact key,
-`class_key`, decides which class a form is in; `cong_equivalent` finds an
-explicit witness of an equivalence; `class_keys` reads the classes as keys
-straight off the residues of SL2(Z/N), where no representative is printed.
+`class_key` of any (triple, sign), decides which class a form is in, and so
+whether it is a member at all; `cong_equivalent` finds an explicit witness of
+an equivalence; `class_keys` reads the classes as keys straight off the
+residues of SL2(Z/N), where no representative is printed.
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ def sl2_residues(n: int) -> tuple[tuple[int, int, int, int], ...]:
     """All (p, q, r, s) over Z/n with p*s - q*r = 1 mod n."""
     if n < 1:
         raise ValueError("level must be >= 1")
-    if n == 1:
-        return ((0, 0, 0, 0),)
     out = []
     for p in range(n):
         g, u, _ = egcd(p, n)
@@ -100,7 +99,6 @@ def lift_matrix(p: int, q: int, r: int, s: int, n: int) -> UnimodMatrix:
     return lifted
 
 
-@lru_cache(maxsize=None)
 def coset_reps(n: int, kind: CongKind) -> tuple[UnimodMatrix, ...]:
     """Representatives g0 of the left cosets g0*Gamma in SL2(Z).
 
@@ -113,7 +111,7 @@ def coset_reps(n: int, kind: CongKind) -> tuple[UnimodMatrix, ...]:
     lifting, so the output is deterministic.
     """
     residues = sl2_residues(n)
-    if kind is CongKind.FULL_LEVEL or n == 1:
+    if kind is CongKind.FULL_LEVEL:
         return tuple(lift_matrix(*t, n) for t in residues)
     least: dict[tuple[int, int], tuple[int, int]] = {}
     for p, q, r, s in residues:
@@ -134,7 +132,7 @@ def cong_equivalent(f: SignedForm, g: SignedForm, n: int, kind: CongKind) -> Uni
     d = f.discriminant()
     if g.discriminant() != d:
         raise ValueError(f"discriminant mismatch: {d} vs {g.discriminant()}")
-    if not is_member(f, d, n) or not is_member(g, d, n):
+    if not is_member(f.form, d, n) or not is_member(g.form, d, n):
         raise ValueError(f"forms must have leading coefficient prime to {n}")
     if f.sign != g.sign:
         return None
@@ -175,15 +173,17 @@ def key_from_witness(triple: tuple, sign: int, w: tuple[int, int, int, int], n: 
     return (triple, sign, min((r % n, s % n) for _, _, r, s in products))
 
 
-def class_key(f: SignedForm, n: int, kind: CongKind) -> tuple:
-    """A complete invariant: equal keys exactly when the forms are equivalent.
+def class_key(f: tuple, n: int, kind: CongKind) -> tuple:
+    """A complete invariant of f = (triple, sign), a `SignedForm` or not:
+    equal keys exactly when the forms are equivalent.
 
-    Reduction supplies R and a witness w with f.transform(w) == R; the key is
-    `key_from_witness` of them.  Uncached: the forms it locates (products,
+    Reduction supplies R and a witness w that takes the triple to R; the key
+    is `key_from_witness` of them.  Uncached: the forms it locates (products,
     images) are mostly new.
     """
-    a, b, c, p, q, r, s = reduce_triple(f.form.a, f.form.b, f.form.c)
-    return key_from_witness((a, b, c), f.sign, (p, q, r, s), n, kind)
+    triple, sign = f
+    a, b, c, p, q, r, s = reduce_triple(*triple)
+    return key_from_witness((a, b, c), sign, (p, q, r, s), n, kind)
 
 
 @lru_cache(maxsize=None)
@@ -200,10 +200,11 @@ def _keyed_classes(d: int, n: int, kind: CongKind) -> tuple[tuple[tuple, QuadFor
     stay integer triples; only the kept ones become validated `QuadForm`s.
     """
     require_discriminant(d)
+    reps = coset_reps(n, kind)
     least: dict[tuple, tuple[int, int, int]] = {}
     for base in reduced_forms(d):
         triple = tuple(base)
-        for g0 in coset_reps(n, kind):
+        for g0 in reps:
             p, q, r, s = g0
             cand = _moved(*triple, p, q, r, s)
             if math.gcd(cand[0], n) != 1:
@@ -256,12 +257,11 @@ class ClassIndex(namedtuple("ClassIndex", "disc level kind signed reps by_key"))
     __slots__ = ()
 
     def locate(self, f: SignedForm) -> int:
-        """Index of the class of f among reps; LookupError if f is not a member."""
-        if not is_member(f, self.disc, self.level):
-            raise LookupError(f"{f.to_json()} is not in the discriminant-{self.disc} level-{self.level} family")
+        """Index of the class of f among reps; LookupError if f is not a
+        member, which the key decides: D and gcd(a, N) are class invariants."""
         i = self.by_key.get(class_key(f, self.level, self.kind))
         if i is None:
-            raise LookupError(f"no enumerated class matches {f.to_json()}")
+            raise LookupError(f"{f.to_json()} is in no enumerated discriminant-{self.disc} level-{self.level} class")
         return i
 
 

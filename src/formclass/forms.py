@@ -17,7 +17,8 @@ Gauss loop, carries a form and its witness as seven integers and checks the
 witness exactly once.  `reduce_form` wraps it in values and caches it for two
 callers: `tower.correspondence_report`, which reduces each base point once for
 its lift check, and the `reduce` command.  `class_key` and `sl2_equivalent`
-call `reduce_triple` uncached, as their forms are mostly new.
+call `reduce_triple` uncached, as their forms are mostly new.  `is_member`
+is on forms, as the sign never decides it.
 """
 
 from __future__ import annotations
@@ -129,13 +130,13 @@ class SignedForm(namedtuple("SignedForm", "form sign")):
         return [self.form.a, self.form.b, self.form.c, self.sign]
 
 
-def is_member(f: SignedForm, d: int, n: int) -> bool:
+def is_member(f: QuadForm, d: int, n: int) -> bool:
     """Whether f belongs to the discriminant-d family with leading coefficient prime to n.
 
-    The carrier is primitive positive definite by construction, so the checks
-    are the discriminant and gcd(a, n) = 1; the sign is irrelevant.
+    f is primitive positive definite by construction, so the checks are the
+    discriminant and gcd(a, n) = 1.
     """
-    return f.discriminant() == d and math.gcd(f.form.a, n) == 1
+    return f.discriminant() == d and math.gcd(f.a, n) == 1
 
 
 def _mul(x: tuple[int, int, int, int], y: tuple[int, int, int, int]) -> tuple[int, int, int, int]:

@@ -24,7 +24,6 @@ from ._arith import egcd, factorize, kronecker
 from .forms import QuadForm, _checked_make, reduce_triple, reduced_forms, require_discriminant
 
 
-@lru_cache(maxsize=None)
 def fundamental_part(d: int) -> tuple[int, int]:
     """Split d into (fundamental discriminant, conductor): d = conductor^2 * d0.
 
@@ -186,11 +185,9 @@ def unit_group(d: int) -> tuple[tuple[int, int], ...]:
     return tuple(units)
 
 
-@lru_cache(maxsize=None)
 def unit_image_size(d: int, n: int) -> int:
     """Size of the image of the unit group in (O/nO)*."""
-    reduced = {(x % n, y % n) for x, y in unit_group(d)}
-    return len(reduced)
+    return len({(x % n, y % n) for x, y in unit_group(d)})
 
 
 # -- principality and ray classes -------------------------------------------

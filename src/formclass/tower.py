@@ -6,8 +6,9 @@ kernel and point classes at higher level, checked exhaustively.  Points are
 signed forms (see `cm`); a kernel class is its residue tuple (a, b, c, d)
 mod p^n, and it acts on points through an integral lift
 (`congruence.lift_matrix`) taken at its own level.  In the pair loop a point
-moves as its form's integer triple by the lift's entries; objects are built
-only for the located check, once per base point.  The group law on
+moves as its form's integer triple by the lift's entries, keyed with the
+point's sign by `class_key`; objects are built only for the located check,
+once per base point.  The group law on
 lim CM(D, Y1(N)^±) is checked on whole tables, level by level, by
 `suites.levelmaps`, which projects the signed tables through
 `classgroup.class_surjection`.
@@ -32,7 +33,6 @@ from .forms import (
     _moved,
     _mul,
     reduce_form,
-    reduce_triple,
     require_discriminant,
 )
 
@@ -233,10 +233,9 @@ def act_padic(triple: tuple[int, int, int], lift: _Entries, p: int) -> tuple[int
     The class of the result at level p**n does not depend on which lift of the
     class mod p**n is passed (`_check_lift` tests that).
     """
-    x, y, z, u = lift
-    if (x - 1) % p or y % p or z % p or (u - 1) % p:
+    if not in_gamma(lift, p, CongKind.FULL_LEVEL):
         raise ValueError("matrix is not trivial mod p")
-    return _moved(*triple, x, y, z, u)
+    return _moved(*triple, *lift)
 
 
 def _check_lift(
@@ -290,7 +289,7 @@ def correspondence_report(p: int, d: int, n: int, check_lift: bool = False) -> d
 
     The pairs run on integers: a base point moves as its form's triple by the
     entries of each class's lift (`act_padic`), and the image's key is
-    `key_from_witness` of its `reduce_triple`, whose witness is checked there.
+    `class_key` of that triple with the point's sign.
     No per-pair object is validated, and none needs to be: det-1 lifts keep
     the discriminant, primitivity and definiteness, and a stray key would
     break the equality with the codomain.
@@ -318,8 +317,7 @@ def correspondence_report(p: int, d: int, n: int, check_lift: bool = False) -> d
         if check_lift:
             reduced, to_reduced = reduce_form(r.form)
         for gi, (g, lift) in enumerate(zip(kernel, lifts)):
-            a, b, c, *w = reduce_triple(*act_padic(triple, lift, p))
-            key = key_from_witness((a, b, c), sign, w, level, CongKind.FULL_LEVEL)
+            key = class_key((act_padic(triple, lift, p), sign), level, CongKind.FULL_LEVEL)
             if check_lift:
                 _check_lift(r, reduced, to_reduced, g, level, key)
             seen = first.setdefault(key, (ri, gi))

@@ -16,7 +16,7 @@ import pytest
 
 import formclass
 from formclass import classgroup, suites
-from formclass.cli import CELL_BUDGET, SCAN_BUDGET, _check_disc, _check_table, main
+from formclass.cli import CELL_BUDGET, GROUPLAW_PASSES, SCAN_BUDGET, _check_disc, _check_table, main
 from formclass.congruence import ClassIndex, CongKind, class_key
 from formclass.forms import QuadForm
 
@@ -248,6 +248,39 @@ def test_oversized_tables_are_refused_before_any_build(capsys):
     over = f"order 1350, so its table needs 1822500 cells, over the budget of {CELL_BUDGET}"
     with pytest.raises(ValueError, match=over):
         _check_table(-23, 31)
+
+
+def test_grouplaw_is_priced_at_its_table_passes(capsys, monkeypatch):
+    # order 900 at (-23, 25) and order 576 at (-4, 65) fit the table budget,
+    # but not grouplaw's oracle passes over the table
+    def built(*args):
+        raise AssertionError("a table was built before the guard pass refused the input")
+
+    monkeypatch.setattr(classgroup.ClassGroupTable, "build", built)
+    for d, n, order, cap in ((-23, 25, 900, "64"), (-4, 65, 576, "100")):
+        _check_table(d, n)  # one pass fits
+        argv = ["--level-cap", cap, "verify", "grouplaw", "-D", str(d), "-N", str(n)]
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        cells = GROUPLAW_PASSES * order**2
+        assert code == 2 and out == "", argv
+        assert f"order {order}" in err and f"{GROUPLAW_PASSES} passes over it need {cells} cells" in err, argv
+    # order 216 at (-23, 13) still passes the guard and reaches the suite
+    monkeypatch.setattr(suites, "grouplaw", lambda d, n, rng: [suites.check("reached", True, D=d, N=n)])
+    doc = run_json(capsys, "verify", "grouplaw", "-D", "-23", "-N", "13")
+    assert doc["suites"][0]["checks"] == [{"name": "reached", "pass": True, "D": -23, "N": 13}]
+
+
+def test_cm_command_builds_no_class_index(monkeypatch):
+    # the command prints the classes; a lookup index over them is never read
+    def indexed(*args, **kwargs):
+        raise AssertionError("class_index was called")
+
+    for module in (formclass.congruence, formclass.cm):
+        monkeypatch.setattr(module, "class_index", indexed)
+    argv = ("cm", "-D", "-23", "-N", "5", "--curve", "y")
+    assert _stdout_digest(argv) == (0, FROZEN_STDOUT_DIGESTS[argv])
 
 
 _OVER_CAP = "level 65 exceeds the cap 64 (raise --level-cap)"

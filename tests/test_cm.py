@@ -23,7 +23,7 @@ def test_curve_kind_names():
 def test_point_invariants():
     p = point(2, 1, 3)
     assert p.discriminant() == -23
-    assert is_member(p, -23, 3) and not is_member(p, -23, 2)
+    assert is_member(p.form, -23, 3) and not is_member(p.form, -23, 2)
     assert point_json(p)["tau"]["half_plane"] == "upper"
     q = conjugate_point(p)
     assert point_json(q)["tau"]["half_plane"] == "lower"

@@ -26,6 +26,7 @@ from formclass.forms import (
     SignedForm,
     UnimodMatrix,
     automorphs,
+    is_member,
     reduce_form,
     reduced_forms,
 )
@@ -183,6 +184,29 @@ def test_class_index_rejects_foreign_forms():
     idx = class_index(-23, 3, FULL)
     with pytest.raises(LookupError):
         idx.locate(SignedForm(QuadForm(3, 1, 2)))  # leading coeff not prime to 3
+
+
+@pytest.mark.parametrize("d", [-3, -4, -15, -20, -23])
+def test_locate_decides_membership_by_the_key_alone(d):
+    """Every reduced form of d and of -31, moved by every coset rep, with
+    either sign: an index refuses it exactly when it is no member (of the
+    family, or of the sign +1 in an unsigned index), and otherwise names a
+    rep that an explicit witness joins it to."""
+    for n in range(1, 7):
+        for kind in (FULL, UPPER):
+            indexes = [class_index(d, n, kind, signed) for signed in (False, True)]
+            for base in reduced_forms(d) + reduced_forms(-31):
+                for g0 in coset_reps(n, kind):
+                    for sign in (1, -1):
+                        f = SignedForm(base.transform(g0), sign)
+                        for idx in indexes:
+                            member = is_member(f.form, d, n) and (idx.signed or sign == 1)
+                            if not member:
+                                with pytest.raises(LookupError):
+                                    idx.locate(f)
+                                continue
+                            rep = idx.reps[idx.locate(f)]
+                            assert cong_equivalent(f, rep, n, kind) is not None, (d, n, kind, f, rep)
 
 
 def test_pairwise_distinct_classes():
