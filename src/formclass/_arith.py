@@ -18,21 +18,6 @@ def egcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_u, old_v
 
 
-def crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    """Solve x = r1 (mod m1), x = r2 (mod m2).
-
-    Returns (x, lcm(m1, m2)) with 0 <= x < lcm.  Raises ValueError if the
-    congruences are incompatible.
-    """
-    g, u, _ = egcd(m1, m2)
-    if (r2 - r1) % g != 0:
-        raise ValueError(f"incompatible congruences mod {m1}, {m2}")
-    lcm = m1 // g * m2
-    # r1 + m1 * t = r2 (mod m2)  =>  t = u * (r2 - r1) / g  (mod m2 / g)
-    t = (u * ((r2 - r1) // g)) % (m2 // g)
-    return (r1 + m1 * t) % lcm, lcm
-
-
 def is_prime(n: int) -> bool:
     """Whether n is prime, by `factorize`'s trial division; fine for the small
     moduli used here."""

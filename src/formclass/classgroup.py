@@ -10,10 +10,11 @@ Level projections are index maps, `class_surjection`.
 Composition keeps the stricter level-N equivalence throughout: the second
 factor is moved inside its own class (by a matrix that is unipotent upper
 triangular mod N) until its leading coefficient is coprime to the first
-factor's, after which the two forms share a middle coefficient by CRT and
-multiply like the ideals they correspond to.  An ideal is a rational m times
-the ideal of a form; `class_of_ideal` moves that form by the diamond operator
-<m> = diag(1/m, m) mod N, locates it and confirms once by `ray_class_equal`.
+factor's, after which the two forms share a middle coefficient, Dirichlet's
+closed form, and multiply like the ideals they correspond to.  An ideal is a
+rational m times the ideal of a form; `class_of_ideal` moves that form by the
+diamond operator <m> = diag(1/m, m) mod N, locates it and confirms once by
+`ray_class_equal`.
 The inverse is the conjugate class moved by <a>, NOT the conjugate once N > 1.
 """
 
@@ -25,7 +26,7 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import itemgetter
 
-from ._arith import crt, egcd, factorize
+from ._arith import egcd, factorize
 from .congruence import CongKind, class_index, cong_equivalent, lift_matrix
 from .forms import QuadForm, SignedForm, is_member
 from .ideals import OIdeal, extend_to_order, form_to_ideal, ray_class_count, ray_class_equal
@@ -71,26 +72,29 @@ def _coprime_shell(n: int, shell: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(out)
 
 
-def compose(f: QuadForm, g: QuadForm, n: int, rng: random.Random | None = None) -> QuadForm:
+def compose(f: tuple, g: tuple, n: int, rng: random.Random | None = None) -> QuadForm:
     """A representative of the product of the level-n classes of f and g, via a
     concordant pair of representatives.
 
-    ValueError unless f and g share a discriminant and both leading
-    coefficients are prime to n >= 1.  Moves g by gamma = [[p, -v], [r, u]]
-    (unipotent upper triangular mod n, built from any coprime column p = 1,
-    r = 0 mod n with gcd(a_f, Q_g(p, r)) = 1), then glues the middle
-    coefficients by CRT.  The candidate columns and their Bezout coefficients
-    are computed once per level and shell, and the product is worked out on
-    the integer coefficients; CompositionBoundError if no column within
-    _SHELLS shells qualifies.  The result class does not depend on the chosen
-    column; passing rng picks among the first few admissible columns at
-    random, which is how the independence is tested.
+    f and g are (a, b, c) triples, `QuadForm`s or not; ValueError unless they
+    share a discriminant D and both leading coefficients are prime to n >= 1.
+    Moves g by gamma = [[p, -v], [r, u]] (unipotent upper triangular mod n,
+    built from any coprime column p = 1, r = 0 mod n with gcd(a_f, Q_g(p, r))
+    = 1) to (a2, b2, c2).  The middle coefficient is Dirichlet's closed form
+    (Cox, Primes of the form x^2 + ny^2, Lemma 3.2), B = b_f + 2a_f * (((b2 -
+    b_f)/2) * a_f^-1 mod a2) in (-m, m] with m = a_f*a2, and the exact check
+    B^2 = D (mod 4m) confirms that (m, B, (B^2 - D)/4m) is an integral form of
+    discriminant D (RuntimeError otherwise).  The columns and their Bezout
+    coefficients are computed once per level and shell; CompositionBoundError
+    if no column within _SHELLS shells qualifies.  The result class does not
+    depend on the chosen column; passing rng picks among the first few
+    admissible columns at random, which is how the independence is tested.
     """
-    d = f.discriminant()
-    if g.discriminant() != d:
-        raise ValueError(f"discriminant mismatch: {d} vs {g.discriminant()}")
-    ax, bx, _ = f
+    ax, bx, cx = f
     ay, by, cy = g
+    d = bx * bx - 4 * ax * cx
+    if by * by - 4 * ay * cy != d:
+        raise ValueError(f"discriminant mismatch: {d} vs {by * by - 4 * ay * cy}")
     if n < 1 or math.gcd(ax, n) != 1 or math.gcd(ay, n) != 1:
         raise ValueError(f"leading coefficients {ax} and {ay} must be prime to the level {n}")
     wanted = 1 if rng is None else 4
@@ -112,12 +116,12 @@ def compose(f: QuadForm, g: QuadForm, n: int, rng: random.Random | None = None) 
     # g moved by gamma = [[p, -v], [r, u]]: leading and middle coefficients
     a2 = (ay * p + by * r) * p + cy * r * r
     b2 = -2 * ay * p * v + by * (p * u - v * r) + 2 * cy * r * u
-    big_b, modulus = crt(bx, 2 * ax, b2, 2 * a2)
     m = ax * a2
-    if modulus != 2 * m:
-        raise RuntimeError(f"CRT modulus {modulus} is not 2*{m}: the moved pair is not concordant")
+    big_b = (bx + 2 * ax * ((b2 - bx) // 2 * pow(ax, -1, a2) % a2)) % (2 * m)
     if big_b > m:
         big_b -= 2 * m
+    if (big_b * big_b - d) % (4 * m):
+        raise RuntimeError(f"B = {big_b} has B^2 != {d} mod {4 * m}: the moved pair is not concordant")
     return QuadForm(m, big_b, (big_b * big_b - d) // (4 * m))
 
 
@@ -237,8 +241,9 @@ def _check_group_table(cayley: tuple[tuple[int, ...], ...], identity: int) -> No
                 raise GroupAxiomError(f"associativity fails at ({i}, {g}, {k})")
 
 
-class ClassGroupTable(namedtuple("ClassGroupTable", "disc level classes cayley identity_index")):
-    """Dense multiplication table over the enumerated classes at (disc, level)."""
+class ClassGroupTable(namedtuple("ClassGroupTable", "disc level classes cayley identity_index index")):
+    """Dense multiplication table over the enumerated classes at (disc, level);
+    `index` is their unsigned upper-unipotent `ClassIndex`."""
 
     __slots__ = ()
 
@@ -254,13 +259,9 @@ class ClassGroupTable(namedtuple("ClassGroupTable", "disc level classes cayley i
         expected = ray_class_count(d, n)
         if size != expected:
             raise GroupAxiomError(f"enumerated {size} classes at ({d}, {n}); order formula says {expected}")
-        rows = []
-        for x in classes:
-            row = [idx.locate(SignedForm(compose(x, y, n))) for y in classes]
-            rows.append(tuple(row))
-        cayley = tuple(rows)
-        identity = idx.locate(SignedForm(QuadForm.principal(d)))
-        table = ClassGroupTable(d, n, classes, cayley, identity)
+        cayley = tuple(tuple([idx.locate((compose(x, y, n), 1)) for y in classes]) for x in classes)
+        identity = idx.locate((QuadForm.principal(d), 1))
+        table = ClassGroupTable(d, n, classes, cayley, identity, idx)
         table._validate()
         return table
 
@@ -293,8 +294,7 @@ class ClassGroupTable(namedtuple("ClassGroupTable", "disc level classes cayley i
         discriminant and a leading coefficient prime to its level."""
         if not is_member(f, self.disc, self.level):
             raise ValueError(f"form {tuple(f)} is not in the group at ({self.disc}, {self.level})")
-        idx = class_index(self.disc, self.level, CongKind.UPPER_UNIPOTENT, signed=False)
-        return idx.locate(SignedForm(f))
+        return self.index.locate((f, 1))
 
     def invariant_factors(self) -> tuple[int, ...]:
         return _abelian_invariants(self.order, self.identity_index, self.power)

@@ -71,13 +71,14 @@ def _check_disc(d: int) -> None:
         raise ValueError(f"discriminant {d} needs ~{steps} reduced-form scan steps, over the budget of {SCAN_BUDGET}")
 
 
-# A Cayley table of order h takes h**2 `compose` and `locate` cells at ~23 us
-# each at order 900 (~19 us at order 48); 10**6 cells take about 23 s.
+# A Cayley table of order h takes h**2 `compose` and `locate` cells at ~19 us
+# each at order 900 (~8 us at order 48); 10**6 cells take about 19 s.
 CELL_BUDGET = 10**6
 
-# `verify grouplaw` then runs its oracles over all pairs: 0.66 s for the table
-# and 6.03 s for the rest at (-23, 13), order 216 (10.2 table passes), and
-# 0.58 s and 6.94 s at (-4, 29), order 196 (12.9 passes; Python 3.11, 2 cores).
+# `verify grouplaw` then runs its oracles over all pairs: 0.64 s for the table
+# and 5.81 s for the rest at (-23, 13), order 216 (9.1 table passes), and
+# 0.57 s and 5.36 s at (-4, 29), order 196 (9.5 passes; Python 3.11, 2 cores;
+# other runs gave 8.7 to 11.2 passes).
 GROUPLAW_PASSES = 13
 
 

@@ -256,12 +256,14 @@ class ClassIndex(namedtuple("ClassIndex", "disc level kind signed reps by_key"))
 
     __slots__ = ()
 
-    def locate(self, f: SignedForm) -> int:
-        """Index of the class of f among reps; LookupError if f is not a
-        member, which the key decides: D and gcd(a, N) are class invariants."""
+    def locate(self, f: tuple) -> int:
+        """Index of the class of f = (triple, sign), a `SignedForm` or not;
+        LookupError if f is not a member, which the key decides: D and
+        gcd(a, N) are class invariants."""
         i = self.by_key.get(class_key(f, self.level, self.kind))
         if i is None:
-            raise LookupError(f"{f.to_json()} is in no enumerated discriminant-{self.disc} level-{self.level} class")
+            triple, sign = f
+            raise LookupError(f"{[*triple, sign]} is in no enumerated discriminant-{self.disc} level-{self.level} class")
         return i
 
 

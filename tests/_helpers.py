@@ -5,9 +5,10 @@ ring operations, principal ideals, ideal bases, associated forms, conjugates, no
 and the unit ideal, a brute-force ray-class oracle, matrix inverses, and the
 reference versions of reduction, plain equivalence, unipotent coset
 representatives, class keys, the HNF, principality, ray-equality and
-composition kernels, the ideal-to-class scan, the fundamental-part scan, the
-closed-form prime-power kernel, the per-term sign check of two matrix
-sequences and the object-based tower correspondence report."""
+composition kernels (with the generic CRT), the ideal-to-class scan, the
+fundamental-part scan, the closed-form prime-power kernel, the per-term sign
+check of two matrix sequences and the object-based tower correspondence
+report."""
 
 import math
 import random
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from formclass import tower
-from formclass._arith import crt, egcd, is_prime
+from formclass._arith import egcd, is_prime
 from formclass.classgroup import CompositionBoundError
 from formclass.congruence import CongKind, class_index, class_key, class_keys, in_gamma, lift_matrix, sl2_residues
 from formclass.forms import (
@@ -412,6 +413,22 @@ def column_shells_reference(n: int, bound: int):
             for kr in range(-shell, shell + 1):
                 if max(abs(kp), abs(kr)) == shell:
                     yield 1 + kp * n, kr * n
+
+
+def crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
+    """Solve x = r1 (mod m1), x = r2 (mod m2): the generic CRT that
+    `classgroup.compose` used before its closed form.
+
+    Returns (x, lcm(m1, m2)) with 0 <= x < lcm.  Raises ValueError if the
+    congruences are incompatible.
+    """
+    g, u, _ = egcd(m1, m2)
+    if (r2 - r1) % g != 0:
+        raise ValueError(f"incompatible congruences mod {m1}, {m2}")
+    lcm = m1 // g * m2
+    # r1 + m1 * t = r2 (mod m2)  =>  t = u * (r2 - r1) / g  (mod m2 / g)
+    t = (u * ((r2 - r1) // g)) % (m2 // g)
+    return (r1 + m1 * t) % lcm, lcm
 
 
 def compose_reference(x: QuadForm, y: QuadForm, n: int, bound: int = 10, rng=None) -> QuadForm:

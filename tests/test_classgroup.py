@@ -34,6 +34,7 @@ from formclass.classgroup import (
     inverse_class,
     same_class,
 )
+from formclass.cli import main
 from formclass.congruence import ClassIndex, CongKind, class_index, lift_matrix
 from formclass.forms import QuadForm, SignedForm, UnimodMatrix, reduce_form, reduced_forms
 from formclass.ideals import OIdeal, extend_to_order, form_to_ideal, ray_class_equal
@@ -129,12 +130,27 @@ def test_compose_kernel_matches_reference_triples(d):
         rng = random.Random(1000 * n - d)
         members = _random_members(d, n, rng, 24)
         for x, y in zip(members[::2], members[1::2]):
-            assert compose(x, y, n) == compose_reference(x, y, n), (d, n, x, y)
+            expected = compose_reference(x, y, n)
+            assert compose(x, y, n) == expected == compose(tuple(x), tuple(y), n), (d, n, x, y)
             seed = rng.randrange(2**32)
             ours, theirs = random.Random(seed), random.Random(seed)
             z, w = compose(x, y, n, rng=ours), compose_reference(x, y, n, rng=theirs)
             assert z == w, (d, n, x, y, seed)
             assert ours.getstate() == theirs.getstate()
+
+
+def test_wrong_bezout_coefficients_fail_the_middle_coefficient_check(monkeypatch, capsys):
+    # (u + 1, v) moves g by a matrix of determinant 1 + p, not 1, so the
+    # closed-form B misses B^2 = D (mod 4m) on some cells
+    shells = _coprime_shell
+    monkeypatch.setattr("formclass.classgroup._coprime_shell",
+                        lambda n, shell: tuple((p, r, u + 1, v) for p, r, u, v in shells(n, shell)))
+    message = "B = 45 has B^2 != -23 mod 368: the moved pair is not concordant"
+    with pytest.raises(RuntimeError) as err:
+        compose(QuadForm(4, 5, 3), QuadForm(8, 13, 6), 3)
+    assert str(err.value) == message
+    assert main(["classgroup", "-D", "-23", "-N", "3"]) == 1
+    assert capsys.readouterr().err == f"verification failure: {message}\n"
 
 
 def test_coprime_shells_match_the_candidate_columns():
@@ -362,6 +378,18 @@ def test_class_group_table_caches_one_entry_per_level():
     assert class_group_table(-23, 2) is not first
     info = class_group_table.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+
+
+def test_grouplaw_fetches_the_class_index_once_per_table(capsys):
+    # locate_class reads the table's own index: the lookups grow with the
+    # order (one per inverse_class), not with the 2 * 24**2 located products
+    before = class_index.cache_info()
+    assert main(["verify", "grouplaw", "-D", "-31", "-N", "5", "--seed", "3"]) == 0
+    after = class_index.cache_info()
+    capsys.readouterr()
+    lookups = after.hits + after.misses - before.hits - before.misses
+    order = class_group_table(-31, 5).order
+    assert order == 24 and lookups <= order + 2
 
 
 def test_locating_products_does_not_grow_the_reduction_cache():

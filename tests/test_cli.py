@@ -442,7 +442,10 @@ def test_unknown_suite_is_a_usage_error(capsys):
 # -D -51 and tower entries, which locate every product and image, before
 # class_key moved from the cached reduce_form to the integer kernel; the equiv
 # --gamma1 and cm -D -4 entries, which reach the automorph times witness
-# products and the four-automorph key, before every 2x2 product became `_mul`
+# products and the four-automorph key, before every 2x2 product became `_mul`;
+# the classgroup -D -3 and -D -4 entries, whose Cayley cells reach the six and
+# four automorphs (and, at -4, shell 2 of the column search), before compose
+# replaced the generic CRT by the closed form
 FROZEN_STDOUT_DIGESTS = {
     ("verify", "all", "--quick", "--seed", "3"): "6f069daf30dea64d82b8a0a4f7f7d48d492fad8514d9e55ebd44d923b393c196",
     ("--format", "text", "classgroup", "-D", "-23", "-N", "3"):
@@ -466,6 +469,8 @@ FROZEN_STDOUT_DIGESTS = {
     ("equiv", "1,-1,6", "1,1,6", "-N", "3", "--gamma1"):
         "397749d77735b414eee8464fa399671c0892af6698b8595ee340be5f652c8d91",
     ("cm", "-D", "-4", "-N", "6", "--curve", "y"): "73832753bd3be2f64d78d6a699578a0fe1b31f6b2148cfe393ce22e5a5bd33f8",
+    ("classgroup", "-D", "-3", "-N", "13"): "49125adbcac4f12c8c80a329bf34772d8e60e02c9a39868863d337bb25a0b276",
+    ("classgroup", "-D", "-4", "-N", "9"): "bce09ffb8b1671ca4cd7a236393e76a01d1176af420fd3e43fef30acbd849502",
 }
 
 

@@ -184,6 +184,9 @@ def test_class_index_rejects_foreign_forms():
     idx = class_index(-23, 3, FULL)
     with pytest.raises(LookupError):
         idx.locate(SignedForm(QuadForm(3, 1, 2)))  # leading coeff not prime to 3
+    with pytest.raises(LookupError) as err:
+        idx.locate(((3, 1, 2), -1))  # a bare (triple, sign) is named as [a, b, c, s]
+    assert str(err.value) == "[3, 1, 2, -1] is in no enumerated discriminant--23 level-3 class"
 
 
 @pytest.mark.parametrize("d", [-3, -4, -15, -20, -23])
