@@ -84,11 +84,12 @@ def compose(f: tuple, g: tuple, n: int, rng: random.Random | None = None) -> Qua
     (Cox, Primes of the form x^2 + ny^2, Lemma 3.2), B = b_f + 2a_f * (((b2 -
     b_f)/2) * a_f^-1 mod a2) in (-m, m] with m = a_f*a2, and the exact check
     B^2 = D (mod 4m) confirms that (m, B, (B^2 - D)/4m) is an integral form of
-    discriminant D (RuntimeError otherwise).  The columns and their Bezout
-    coefficients are computed once per level and shell; CompositionBoundError
-    if no column within _SHELLS shells qualifies.  The result class does not
-    depend on the chosen column; passing rng picks among the first few
-    admissible columns at random, which is how the independence is tested.
+    discriminant D, and p*u + v*r = 1 that gamma is in SL2(Z) (RuntimeError
+    otherwise).  The columns and their Bezout coefficients are computed once
+    per level and shell; CompositionBoundError if no column within _SHELLS
+    shells qualifies.  The result class does not depend on the chosen column;
+    passing rng picks among the first few admissible columns at random, which
+    is how the independence is tested.
     """
     ax, bx, cx = f
     ay, by, cy = g
@@ -122,6 +123,9 @@ def compose(f: tuple, g: tuple, n: int, rng: random.Random | None = None) -> Qua
         big_b -= 2 * m
     if (big_b * big_b - d) % (4 * m):
         raise RuntimeError(f"B = {big_b} has B^2 != {d} mod {4 * m}: the moved pair is not concordant")
+    # B^2 = D (mod 4m) sees only (m, B), so a gamma outside SL2(Z) can pass it
+    if p * u + v * r != 1:
+        raise RuntimeError(f"gamma = [[{p}, {-v}], [{r}, {u}]] has determinant {p * u + v * r}, not 1")
     return QuadForm(m, big_b, (big_b * big_b - d) // (4 * m))
 
 

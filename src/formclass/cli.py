@@ -75,11 +75,12 @@ def _check_disc(d: int) -> None:
 # each at order 900 (~8 us at order 48); 10**6 cells take about 19 s.
 CELL_BUDGET = 10**6
 
-# `verify grouplaw` then runs its oracles over all pairs: 0.64 s for the table
-# and 5.81 s for the rest at (-23, 13), order 216 (9.1 table passes), and
-# 0.57 s and 5.36 s at (-4, 29), order 196 (9.5 passes; Python 3.11, 2 cores;
-# other runs gave 8.7 to 11.2 passes).
-GROUPLAW_PASSES = 13
+# `verify grouplaw` then runs its matrix oracle over all pairs, composes every
+# cell again with a random column and every conjugate cell: 0.45 s for the
+# table (best of 3) and 1.94 s for the rest at (-23, 13), order 216 (4.3 table
+# passes), and 0.45 s and 2.26 s at (-4, 29), order 196 (5.0 passes; Python
+# 3.11, 2 cores; ten runs gave 4.1 to 6.4 passes).
+GROUPLAW_PASSES = 7
 
 
 def _check_table(d: int, n: int, passes: int = 1) -> None:

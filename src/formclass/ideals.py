@@ -6,17 +6,24 @@ fractional ideals are stored as a positive rational scale times an integral
 pair basis (Z*a + Z*(-b + sqrt(D))/2).  A product or an extension to a larger
 order is read off integer generator rows written from the basis entries
 (w^2 = D*w - (D^2 - D)/4), and their two-column Hermite normal form comes from
-one Bezout pass over the rows.  Ray-class equality runs on the same ints: two
-ideals are identified when their quotient, written as rows and put in Hermite
-form, reduces to the principal form (`principal_generator`) with a generator
-congruent to 1 modulo N up to units.  No `OIdeal`, form, matrix or `Fraction`
-is built on that path.
+one Bezout pass over the rows.  Ray classes run on the same ints: the
+quotient of two ideals, written as rows and put in Hermite form, is principal
+when it reduces to the principal form (`principal_generator`), and its
+generator mod N is their ray residue (`ray_residue`).  Two ideals are
+identified when that residue is 1 up to units (`ray_class_equal`); no
+`OIdeal`, form, matrix or `Fraction` is built on that path.  Following the
+exact sequence 1 -> (O/NO)*/units -> Cl_N -> Cl(O) -> 1 (Cohen, Advanced
+Topics in Computational Number Theory, ch. 3), `ray_keys` names the ray class
+of each ideal of a list by its level-1 class and the unit coset of its residue
+against a fixed ideal of that class, and multiplies keys through h^2 products
+of those fixed ideals.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 
@@ -219,15 +226,30 @@ def principal_generator(d: int, a: int, b: int) -> tuple[int, int] | None:
     return x, y
 
 
-def ray_class_equal(u: OIdeal, v: OIdeal, n: int) -> bool:
-    """Whether u and v agree in the ray class group for the modulus n.
+def residue_mul(x: tuple[int, int], y: tuple[int, int], d: int, n: int) -> tuple[int, int]:
+    """The product of the residues x and y of O/nO, pairs (x0, x1) = x0 + x1*w,
+    reduced mod n; w^2 = d*w - nrm."""
+    x0, x1 = x
+    y0, y1 = y
+    return (x0 * y0 - x1 * y1 * _nrm(d)) % n, (x0 * y1 + x1 * y0 + x1 * y1 * d) % n
+
+
+def residue_name(x: tuple[int, int], d: int, n: int) -> tuple[int, int]:
+    """The name of x's coset in (O/nO)* modulo the image of the units: the
+    least of its unit multiples."""
+    return min(residue_mul(e, x, d, n) for e in unit_group(d))
+
+
+def ray_residue(u: OIdeal, v: OIdeal, n: int) -> tuple[int, int] | None:
+    """The generator of u * v^-1 reduced mod n, or None if that quotient is not
+    principal.
 
     Both must be prime to n.  The quotient u * v^-1 is u * conj(v) scaled by
-    1 / (v.scale * v.a); its rows go through `_ideal_basis` to h * (a, b).  It
-    is principal with generator mu = scale * (x + y*w) iff the classes can
-    agree at all; writing scale = num / den (den prime to n), the classes
-    agree exactly when some unit times (x + y*w) * num * den^-1 is congruent
-    to 1 mod n.  For n = 1 this reduces to plain principality.
+    1 / (v.scale * v.a); its rows go through `_ideal_basis` to h * (a, b).  If
+    it is principal, its generator is mu = scale * (x + y*w) with (x, y) from
+    `principal_generator`; writing scale = num / den (den prime to n), the
+    residue is (x + y*w) * num * den^-1 mod n.  It is defined up to the image
+    of the units, so `residue_name` names it.
     """
     if u.disc != v.disc:
         raise ValueError("ideals of different orders")
@@ -237,17 +259,68 @@ def ray_class_equal(u: OIdeal, v: OIdeal, n: int) -> bool:
     a, b, h = _ideal_basis(_product_rows(d, u.a, u.b, v.a, -v.b), d)
     found = principal_generator(d, a, b)
     if found is None:
-        return False
-    if n == 1:
-        return True
+        return None
     us, vs = u.scale, v.scale
     k = us.numerator * vs.denominator * h * pow(us.denominator * vs.numerator * v.a, -1, n)
-    bx, by = found[0] * k % n, found[1] * k % n
-    nrm = _nrm(d)
-    return any(
-        (ux * bx - uy * by * nrm) % n == 1 and (ux * by + uy * bx + uy * by * d) % n == 0
-        for ux, uy in unit_group(d)
-    )
+    return found[0] * k % n, found[1] * k % n
+
+
+def ray_class_equal(u: OIdeal, v: OIdeal, n: int) -> bool:
+    """Whether u and v agree in the ray class group for the modulus n: u * v^-1
+    is principal (`ray_residue`) and some unit times its residue is 1 mod n.
+    For n = 1 this is plain principality."""
+    found = ray_residue(u, v, n)
+    d = u.disc
+    return found is not None and any(residue_mul(e, found, d, n) == (1 % n, 0) for e in unit_group(d))
+
+
+def _level_one_class(u: OIdeal) -> tuple[int, int, int]:
+    """The reduced triple of u's form: u's class in Cl(O)."""
+    return reduce_triple(u.a, u.b, (u.b * u.b - u.disc) // (4 * u.a))[:3]
+
+
+def ray_keys(us: list[OIdeal], n: int) -> tuple[list[tuple | None], Callable[[tuple, tuple], tuple | None]]:
+    """Ray-class keys of the ideals us (nonempty, of one order, all prime to
+    n) and the law that multiplies them, read off the exact sequence
+    1 -> (O/nO)*/units -> Cl_n -> Cl(O) -> 1.
+
+    Write c(u) for u's level-1 class and R_c for the first of us in class c.
+    key(u) = (c(u), the name of mu_u = ray_residue(u, R_c(u), n)), so two keys
+    are equal exactly when `ray_class_equal` holds.  For each pair of level-1
+    classes c, c' of us, the product R_c * R_c' (h^2 ideal products) lies in a
+    class c'' with residue nu = ray_residue(R_c * R_c', R_c'', n); then
+    key(u) * key(v) = (c'', name(mu_u * mu_v * nu)), which is key(w) exactly
+    when w is ray-equal to u * v.  The name of a coset multiplies like any of
+    its residues, so the law runs on keys.
+
+    Returns (keys, times): keys[i] is the key of us[i], or None if its
+    quotient by R_c has no generator; times(k, l) is the key of the product,
+    or None if a factor is None, c'' has no ideal in us or nu is None.
+    """
+    d = us[0].disc
+    first: dict[tuple[int, int, int], OIdeal] = {}
+    classes = [_level_one_class(u) for u in us]
+    for c, u in zip(classes, us):
+        first.setdefault(c, u)
+    keys = []
+    for c, u in zip(classes, us):
+        mu = ray_residue(u, first[c], n)
+        keys.append(None if mu is None else (c, residue_name(mu, d, n)))
+    law = {}
+    for c, rc in first.items():
+        for c2, rc2 in first.items():
+            prod = rc * rc2
+            c3 = _level_one_class(prod)
+            nu = ray_residue(prod, first[c3], n) if c3 in first else None
+            law[c, c2] = None if nu is None else (c3, nu)
+
+    def times(k, l):
+        entry = None if k is None or l is None else law[k[0], l[0]]
+        if entry is None:
+            return None
+        return entry[0], residue_name(residue_mul(residue_mul(k[1], l[1], d, n), entry[1], d, n), d, n)
+
+    return keys, times
 
 
 def ray_class_count(d: int, n: int) -> int:

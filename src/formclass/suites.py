@@ -23,7 +23,7 @@ from .classgroup import (
 )
 from .congruence import CongKind, class_index
 from .forms import IDENTITY, QuadForm, reduced_forms
-from .ideals import form_to_ideal, ray_class_count, ray_class_equal, residue_units, unit_count
+from .ideals import form_to_ideal, ray_class_count, ray_keys, residue_units, unit_count
 from .tower import MatrixSeq, correspondence_report, limits_agree, random_compliant_pair, seq_conditions_hold
 
 # (source discriminant, target discriminant, level) for `orderchange`
@@ -36,9 +36,19 @@ def check(name: str, ok: bool, **detail) -> dict:
 
 def grouplaw(d: int, n: int, rng: random.Random) -> list[dict]:
     """Order against the reduced-form count and the formula, the enumerated
-    residue units against their closed form, both equality oracles on all
-    pairs, every Cayley cell against the module product, inverses, and the ±
-    extension at (d, n)."""
+    residue units against their closed form, inverses, and the ± extension at
+    (d, n); the class ideals against the Cayley table through their ray-class
+    keys (`ray_keys`).
+
+    `dual-oracle-pairs` asks the matrix route (`same_class`) on all n^2 pairs
+    and the ideal route once: the n keys, a complete invariant, are defined
+    and distinct.  `compose-matches-ideal-product` composes every cell with a
+    random admissible column and locates it, and compares the key law on the
+    factors' keys with the key of the table's product, so a cell costs no
+    ideal product and no ray-class test.  A quotient with no generator where
+    one must exist leaves a key undefined, which fails both checks; nothing
+    raises.
+    """
     checks = []
 
     baseline = class_group_table(d, 1)
@@ -56,22 +66,20 @@ def grouplaw(d: int, n: int, rng: random.Random) -> list[dict]:
     checks.append(check("residue-units-enumerated", units_order == closed_form,
                         units=units_order, closed_form=closed_form))
 
-    ideals = [form_to_ideal(x) for x in table.classes]
-    ok_dual = True
+    keys, times = ray_keys([form_to_ideal(x) for x in table.classes], n)
+    ok_dual = None not in keys and len(set(keys)) == table.order
     for i, x in enumerate(table.classes):
         for j, y in enumerate(table.classes):
-            matrix_route = same_class(x, y, n)
-            ideal_route = ray_class_equal(ideals[i], ideals[j], n)
-            if matrix_route != (i == j) or ideal_route != (i == j):
+            if same_class(x, y, n) != (i == j):
                 ok_dual = False
     checks.append(check("dual-oracle-pairs", ok_dual, pairs=table.order**2))
 
-    ok_cells = True
+    ok_cells = None not in keys
     for i, x in enumerate(table.classes):
         for j, y in enumerate(table.classes):
             z = compose(x, y, n, rng=rng)
-            prod = ideals[i] * ideals[j]
-            if not ray_class_equal(form_to_ideal(z), prod, n) or table.locate_class(z) != table.mul(i, j):
+            k = table.mul(i, j)
+            if table.locate_class(z) != k or times(keys[i], keys[j]) != keys[k]:
                 ok_cells = False
     checks.append(check("compose-matches-ideal-product", ok_cells, cells=table.order**2))
 

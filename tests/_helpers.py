@@ -5,10 +5,10 @@ ring operations, principal ideals, ideal bases, associated forms, conjugates, no
 and the unit ideal, a brute-force ray-class oracle, matrix inverses, and the
 reference versions of reduction, plain equivalence, unipotent coset
 representatives, class keys, the HNF, principality, ray-equality and
-composition kernels (with the generic CRT), the ideal-to-class scan, the
-fundamental-part scan, the closed-form prime-power kernel, the per-term sign
-check of two matrix sequences and the object-based tower correspondence
-report."""
+composition kernels (with the generic CRT), grouplaw's pairwise ideal passes,
+the ideal-to-class scan, the fundamental-part scan, the closed-form
+prime-power kernel, the per-term sign check of two matrix sequences and the
+object-based tower correspondence report."""
 
 import math
 import random
@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from formclass import tower
 from formclass._arith import egcd, is_prime
-from formclass.classgroup import CompositionBoundError
+from formclass.classgroup import CompositionBoundError, compose, same_class
 from formclass.congruence import CongKind, class_index, class_key, class_keys, in_gamma, lift_matrix, sl2_residues
 from formclass.forms import (
     QuadForm,
@@ -29,6 +29,7 @@ from formclass.forms import (
     sl2_equivalent,
 )
 from formclass.ideals import OIdeal, form_to_ideal, ray_class_equal, unit_group
+from formclass.suites import check
 from formclass.tower import MatrixSeq
 
 SWAP = UnimodMatrix(0, -1, 1, 0)
@@ -465,6 +466,31 @@ def compose_reference(x: QuadForm, y: QuadForm, n: int, bound: int = 10, rng=Non
     if big_b > m:
         big_b -= 2 * m
     return QuadForm(m, big_b, (big_b * big_b - d) // (4 * m))
+
+
+def grouplaw_ideal_passes_reference(table, n: int, rng) -> list[dict]:
+    """`suites.grouplaw`'s `dual-oracle-pairs` and `compose-matches-ideal-product`
+    checks as they were, pairwise on ideals: `ray_class_equal` on all n^2 pairs
+    of class ideals beside `same_class`, and per Cayley cell the ideal of the
+    un-reduced composed z against the product of the factors' ideals.  Draws
+    from rng exactly as the suite does."""
+    ideals = [form_to_ideal(x) for x in table.classes]
+    ok_dual = True
+    for i, x in enumerate(table.classes):
+        for j, y in enumerate(table.classes):
+            matrix_route = same_class(x, y, n)
+            ideal_route = ray_class_equal(ideals[i], ideals[j], n)
+            if matrix_route != (i == j) or ideal_route != (i == j):
+                ok_dual = False
+    ok_cells = True
+    for i, x in enumerate(table.classes):
+        for j, y in enumerate(table.classes):
+            z = compose(x, y, n, rng=rng)
+            prod = ideals[i] * ideals[j]
+            if not ray_class_equal(form_to_ideal(z), prod, n) or table.locate_class(z) != table.mul(i, j):
+                ok_cells = False
+    return [check("dual-oracle-pairs", ok_dual, pairs=table.order**2),
+            check("compose-matches-ideal-product", ok_cells, cells=table.order**2)]
 
 
 def class_of_ideal_scan_reference(u: OIdeal, d: int, n: int) -> QuadForm:

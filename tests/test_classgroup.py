@@ -15,8 +15,10 @@ from pathlib import Path
 import pytest
 
 import formclass
+import _helpers
+from formclass import suites
 from _helpers import associated_form, class_of_ideal_scan_reference, column_shells_reference, compose_reference
-from _helpers import ElemO, principal_ideal, unit_ideal
+from _helpers import ElemO, grouplaw_ideal_passes_reference, principal_ideal, unit_ideal
 from formclass._arith import egcd
 from formclass.classgroup import (
     ClassGroupTable,
@@ -141,7 +143,9 @@ def test_compose_kernel_matches_reference_triples(d):
 
 def test_wrong_bezout_coefficients_fail_the_middle_coefficient_check(monkeypatch, capsys):
     # (u + 1, v) moves g by a matrix of determinant 1 + p, not 1, so the
-    # closed-form B misses B^2 = D (mod 4m) on some cells
+    # closed-form B misses B^2 = D (mod 4m) on some cells, and the
+    # determinant check takes the other 22 of the 36 cells at (-23, 3)
+    classes = class_group_table(-23, 3).classes
     shells = _coprime_shell
     monkeypatch.setattr("formclass.classgroup._coprime_shell",
                         lambda n, shell: tuple((p, r, u + 1, v) for p, r, u, v in shells(n, shell)))
@@ -149,8 +153,14 @@ def test_wrong_bezout_coefficients_fail_the_middle_coefficient_check(monkeypatch
     with pytest.raises(RuntimeError) as err:
         compose(QuadForm(4, 5, 3), QuadForm(8, 13, 6), 3)
     assert str(err.value) == message
+    caught = []
+    for x, y in itertools.product(classes, repeat=2):
+        with pytest.raises(RuntimeError) as err:
+            compose(x, y, 3)
+        caught.append(str(err.value).split()[0])
+    assert (caught.count("B"), caught.count("gamma")) == (14, 22)
     assert main(["classgroup", "-D", "-23", "-N", "3"]) == 1
-    assert capsys.readouterr().err == f"verification failure: {message}\n"
+    assert capsys.readouterr().err == "verification failure: gamma = [[-2, 1], [-3, 2]] has determinant -1, not 1\n"
 
 
 def test_coprime_shells_match_the_candidate_columns():
@@ -390,6 +400,47 @@ def test_grouplaw_fetches_the_class_index_once_per_table(capsys):
     lookups = after.hits + after.misses - before.hits - before.misses
     order = class_group_table(-31, 5).order
     assert order == 24 and lookups <= order + 2
+
+
+# -3 and -4 have six and four units, -84 has h = 4, -100 is not fundamental
+GROUPLAW_GRID = [(d, n) for d in (-3, -4, -84, -100) for n in (1, 2, 3, 5)] + [(-3, 13), (-4, 13)]
+IDEAL_CHECKS = ("dual-oracle-pairs", "compose-matches-ideal-product")
+
+
+def test_grouplaw_ideal_checks_match_the_pairwise_reference():
+    for d, n in GROUPLAW_GRID:
+        rng, ref_rng = random.Random(5), random.Random(5)
+        got = [c for c in suites.grouplaw(d, n, rng) if c["name"] in IDEAL_CHECKS]
+        assert got == grouplaw_ideal_passes_reference(class_group_table(d, n), n, ref_rng), (d, n)
+        assert rng.random() == ref_rng.random(), (d, n)
+
+
+def _trivial_quotients(monkeypatch, table):
+    """Every principal quotient gets the residue 1: ideals of one level-1 class merge."""
+    real = formclass.ideals.ray_residue
+    monkeypatch.setattr(formclass.ideals, "ray_residue",
+                        lambda u, v, n: None if real(u, v, n) is None else (1 % n, 0))
+    return {"dual-oracle-pairs": False}
+
+
+def _swapped_class_ideals(monkeypatch, table):
+    """The identity class and the next one trade ideals: a bijection on the
+    classes that moves the identity, so no homomorphism."""
+    e = table.identity_index
+    x, y = table.classes[e], table.classes[(e + 1) % table.order]
+    swap = {x: y, y: x}
+    for module in (suites, _helpers):
+        monkeypatch.setattr(module, "form_to_ideal", lambda f: form_to_ideal(swap.get(f, f)))
+    return {"dual-oracle-pairs": True, "compose-matches-ideal-product": False}
+
+
+@pytest.mark.parametrize("mutate", [_trivial_quotients, _swapped_class_ideals], ids=["trivial", "swapped"])
+def test_grouplaw_ideal_mutations_fail_both_routes(monkeypatch, mutate):
+    table = class_group_table(-23, 3)
+    want = mutate(monkeypatch, table)
+    got = {c["name"]: c["pass"] for c in suites.grouplaw(-23, 3, random.Random(0))}
+    ref = {c["name"]: c["pass"] for c in grouplaw_ideal_passes_reference(table, 3, random.Random(0))}
+    assert {name: got[name] for name in want} == want == {name: ref[name] for name in want}
 
 
 def test_locating_products_does_not_grow_the_reduction_cache():

@@ -352,7 +352,8 @@ def _off_by_one_report(real):
 # suite, the name in formclass.suites to corrupt, its replacement given the
 # original, the suite's arguments, and a small `verify` command line for it
 MUTATIONS = [
-    ("grouplaw", "ray_class_equal", lambda real: lambda u, v, n: True,
+    # every class ideal read as the first one: each quotient is trivial, so the keys collide
+    ("grouplaw", "ray_keys", lambda real: lambda us, n: real(us[:1] * len(us), n),
      (-23, 2, random.Random(0)), ["-N", "2"]),
     ("levelsquare", "class_surjection", lambda real: lambda *a: tuple(reversed(real(*a))),
      (-23, 3, 1), ["-M", "3", "-N", "1"]),
@@ -445,7 +446,9 @@ def test_unknown_suite_is_a_usage_error(capsys):
 # products and the four-automorph key, before every 2x2 product became `_mul`;
 # the classgroup -D -3 and -D -4 entries, whose Cayley cells reach the six and
 # four automorphs (and, at -4, shell 2 of the column search), before compose
-# replaced the generic CRT by the closed form
+# replaced the generic CRT by the closed form; the grouplaw -D -4 and -D -84
+# entries (four units; h = 4, so 16 level-1 law entries) before grouplaw's
+# ideal side moved from pairwise ray-class tests to ray-class keys
 FROZEN_STDOUT_DIGESTS = {
     ("verify", "all", "--quick", "--seed", "3"): "6f069daf30dea64d82b8a0a4f7f7d48d492fad8514d9e55ebd44d923b393c196",
     ("--format", "text", "classgroup", "-D", "-23", "-N", "3"):
@@ -471,6 +474,10 @@ FROZEN_STDOUT_DIGESTS = {
     ("cm", "-D", "-4", "-N", "6", "--curve", "y"): "73832753bd3be2f64d78d6a699578a0fe1b31f6b2148cfe393ce22e5a5bd33f8",
     ("classgroup", "-D", "-3", "-N", "13"): "49125adbcac4f12c8c80a329bf34772d8e60e02c9a39868863d337bb25a0b276",
     ("classgroup", "-D", "-4", "-N", "9"): "bce09ffb8b1671ca4cd7a236393e76a01d1176af420fd3e43fef30acbd849502",
+    ("verify", "grouplaw", "-D", "-4", "-N", "13", "--seed", "2"):
+        "d18cd6928087eae67ac5a80fa28e34569d9f88626b2d19603c44373b5b6afb7b",
+    ("verify", "grouplaw", "-D", "-84", "-N", "5", "--seed", "2"):
+        "3de7553f386dbdc4363c383b64ce1323348e6cec4ad6e4ccbeea310aa7dd6bf0",
 }
 
 

@@ -34,6 +34,9 @@ from formclass.ideals import (
     principal_generator,
     ray_class_count,
     ray_class_equal,
+    ray_keys,
+    residue_mul,
+    residue_name,
     residue_units,
     unit_group,
     unit_image_size,
@@ -308,6 +311,41 @@ def test_ray_class_equal_matches_the_object_reference_on_seeded_pairs():
                     assert any((p.x, p.y) == got for e in units for p in (elem_mul(ElemO(*e, d), lam),)), (got, lam)
                     assert principal_ideal(ElemO(*got, d), w.scale) == w
     assert principal > 1000, principal
+
+
+@pytest.mark.parametrize("d", (-3, -4, -23, -52))
+def test_residue_product_and_name(d):
+    units = unit_group(d)
+    for n in (1, 2, 5, 6):
+        residues = [(x, y) for x in range(n) for y in range(n)]
+        for x in residues:
+            name = residue_name(x, d, n)
+            multiples = {residue_mul(e, x, d, n) for e in units}
+            assert name == min(multiples) and {residue_name(m, d, n) for m in multiples} == {name}
+            for y in residues[::3]:
+                prod = elem_mul(ElemO(*x, d), ElemO(*y, d))
+                assert residue_mul(x, y, d, n) == (prod.x % n, prod.y % n)
+
+
+def test_ray_keys_decide_ray_class_equal_and_multiply():
+    """Keys are equal exactly when `ray_class_equal` holds, and the key law
+    gives the key of w exactly when w is ray-equal to the product."""
+    rng = random.Random(28)
+    hits = 0
+    for d in RAY_DISCS:
+        for n in range(1, 8):
+            pool = [u for u in _ray_pool(d, n, rng) if u.prime_to(n)]
+            keys, times = ray_keys(pool, n)
+            assert None not in keys
+            for _ in range(30):
+                i, j, k = (rng.randrange(len(pool)) for _ in range(3))
+                assert (keys[i] == keys[j]) == ray_class_equal(pool[i], pool[j], n), (pool[i], pool[j], n)
+                prod = times(keys[i], keys[j])
+                same = [m for m in range(len(pool)) if keys[m] == prod]
+                hits += len(same)
+                for m in [k] + same[:2]:
+                    assert (keys[m] == prod) == ray_class_equal(pool[i] * pool[j], pool[m], n), (i, j, m, n)
+    assert hits > 1000, hits
 
 
 def test_ray_class_equal_builds_no_objects(monkeypatch):
