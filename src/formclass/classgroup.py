@@ -56,20 +56,19 @@ _SHELLS = 10
 
 
 @lru_cache(maxsize=None)
-def _coprime_shell(n: int, shell: int) -> tuple[tuple[int, int, int, int], ...]:
+def _coprime_columns(n: int, shells: int) -> tuple[tuple[int, int, int, int], ...]:
     """(p, r, u, v) with u*p + v*r = 1 for each coprime candidate column (p, r) =
-    (1 + kp*n, kr*n) with max(|kp|, |kr|) = shell, in (kp, kr) order.  Cached,
-    so each shell's columns and their Bezout coefficients are found once per
-    level; shells are reached one at a time, as the search needs them."""
-    out = []
-    for kp in range(-shell, shell + 1):
-        for kr in range(-shell, shell + 1):
-            if max(abs(kp), abs(kr)) == shell:
-                p, r = 1 + kp * n, kr * n
-                g, u, v = egcd(p, r)
-                if g == 1:
-                    out.append((p, r, u, v))
-    return tuple(out)
+    (1 + kp*n, kr*n) with max(|kp|, |kr|) <= shells, shell by shell from the
+    nearest and in (kp, kr) order within a shell.  Cached, so the columns and
+    their Bezout coefficients are found once per level."""
+    rings = [[] for _ in range(shells + 1)]
+    for kp in range(-shells, shells + 1):
+        for kr in range(-shells, shells + 1):
+            p, r = 1 + kp * n, kr * n
+            g, u, v = egcd(p, r)
+            if g == 1:
+                rings[max(abs(kp), abs(kr))].append((p, r, u, v))
+    return tuple(col for ring in rings for col in ring)
 
 
 def compose(f: tuple, g: tuple, n: int, rng: random.Random | None = None) -> QuadForm:
@@ -86,8 +85,8 @@ def compose(f: tuple, g: tuple, n: int, rng: random.Random | None = None) -> Qua
     B^2 = D (mod 4m) confirms that (m, B, (B^2 - D)/4m) is an integral form of
     discriminant D, and p*u + v*r = 1 that gamma is in SL2(Z) (RuntimeError
     otherwise).  The columns and their Bezout coefficients are computed once
-    per level and shell; CompositionBoundError if no column within _SHELLS
-    shells qualifies.  The result class does not depend on the chosen column;
+    per level; CompositionBoundError if no column within _SHELLS shells
+    qualifies.  The result class does not depend on the chosen column;
     passing rng picks among the first few admissible columns at random, which
     is how the independence is tested.
     """
@@ -100,15 +99,12 @@ def compose(f: tuple, g: tuple, n: int, rng: random.Random | None = None) -> Qua
         raise ValueError(f"leading coefficients {ax} and {ay} must be prime to the level {n}")
     wanted = 1 if rng is None else 4
     hits = []
-    for shell in range(_SHELLS + 1):
-        for col in _coprime_shell(n, shell):
-            p, r = col[0], col[1]
-            if math.gcd(ax, (ay * p + by * r) * p + cy * r * r) == 1:
-                hits.append(col)
-                if len(hits) == wanted:
-                    break
-        if len(hits) == wanted:
-            break
+    for col in _coprime_columns(n, _SHELLS):
+        p, r = col[0], col[1]
+        if math.gcd(ax, (ay * p + by * r) * p + cy * r * r) == 1:
+            hits.append(col)
+            if len(hits) == wanted:
+                break
     if not hits:
         raise CompositionBoundError(
             f"no concordant column for {tuple(f)} * {tuple(g)} at level {n} within bound {_SHELLS}"
@@ -141,7 +137,7 @@ def class_of_ideal(u: OIdeal, d: int, n: int) -> QuadForm:
         raise ValueError(f"ideals must be prime to {n}")
     m = u.scale.numerator * u.a * pow(u.scale.denominator, -1, n) % n
     moved = QuadForm(u.a, u.b, (u.b * u.b - d) // (4 * u.a)).transform(lift_matrix(pow(m, -1, n), 0, 0, m, n))
-    idx = class_index(d, n, CongKind.UPPER_UNIPOTENT, signed=False)
+    idx = class_index(d, n, CongKind.UPPER_UNIPOTENT)
     rep = idx.reps[idx.locate(SignedForm(moved))].form
     if not ray_class_equal(u, form_to_ideal(rep), n):
         raise LookupError(f"ideal {u.to_json()} is not in the class of {tuple(rep)} at disc {d}, level {n}")
@@ -257,7 +253,7 @@ class ClassGroupTable(namedtuple("ClassGroupTable", "disc level classes cayley i
 
     @staticmethod
     def build(d: int, n: int) -> "ClassGroupTable":
-        idx = class_index(d, n, CongKind.UPPER_UNIPOTENT, signed=False)
+        idx = class_index(d, n, CongKind.UPPER_UNIPOTENT)
         classes = tuple(rep.form for rep in idx.reps)
         size = len(classes)
         expected = ray_class_count(d, n)
@@ -323,14 +319,7 @@ def class_group_table(d: int, n: int) -> ClassGroupTable:
 # -- transition maps ---------------------------------------------------------
 
 
-def class_surjection(
-    d: int,
-    m: int,
-    n: int,
-    src_kind: CongKind,
-    dst_kind: CongKind,
-    signed: bool = False,
-) -> tuple[int, ...]:
+def class_surjection(d: int, m: int, n: int, src_kind: CongKind, dst_kind: CongKind) -> tuple[int, ...]:
     """Index map of the class surjection (src_kind, m) -> (dst_kind, n).
 
     Defined when n | m and the source subgroup sits inside the target one,
@@ -342,8 +331,8 @@ def class_surjection(
         raise ValueError(f"target level {n} must divide source level {m}")
     if not (src_kind == CongKind.FULL_LEVEL or dst_kind == CongKind.UPPER_UNIPOTENT):
         raise ValueError(f"no containment from {src_kind.value} at {m} into {dst_kind.value} at {n}")
-    src = class_index(d, m, src_kind, signed)
-    dst = class_index(d, n, dst_kind, signed)
+    src = class_index(d, m, src_kind)
+    dst = class_index(d, n, dst_kind)
     out = tuple(dst.locate(rep) for rep in src.reps)
     missing = sorted(set(range(len(dst.reps))) - set(out))
     if missing:

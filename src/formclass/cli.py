@@ -24,8 +24,8 @@ import sys
 
 from . import suites
 from .classgroup import ClassGroupTable, GroupAxiomError
-from .cm import curve_kind, point_json
-from .congruence import CongKind, cong_equivalent, enumerate_classes
+from .cm import cm_class_set, point_json
+from .congruence import CongKind, cong_equivalent
 from .forms import QuadForm, SignedForm, reduce_form
 from .ideals import ray_class_count
 from .tower import correspondence_report
@@ -165,7 +165,7 @@ def _plan(args):
         n = args.level
 
         def run():
-            classes = [point_json(f) for f in enumerate_classes(d, n, curve_kind(args.curve), signed=True)]
+            classes = [point_json(f) for f in cm_class_set(d, n, args.curve)]
             return {"D": d, "N": n, "curve": args.curve, "count": len(classes), "classes": classes}, 0
         return [(n, 1)], [d], [], run
     if args.command == "tower":

@@ -2,16 +2,18 @@
 
 A point is the signed form whose root it is — never a floating complex
 number, and no second object: `point_json` writes its value from the
-coefficients.  So the classes of points on the level-N curve are the signed
-form classes of `congruence.class_index`, located by the same exact key, and
-two points coincide exactly when `cong_equivalent` finds a witness.  The sign
-selects the half-plane: + is the root (-b + sqrt(D))/(2a) in the upper
-half-plane, - its complex conjugate below the real axis.
+coefficients.  The sign selects the half-plane: + is the root
+(-b + sqrt(D))/(2a) in the upper half-plane, - its complex conjugate below
+the real axis.  The group action never moves it, so the classes of points on
+the level-N curve are the unsigned form classes of `congruence`, each taken
+with both signs (`cm_class_set`); `class_key` of a point, which carries the
+sign, names its class, and two points coincide exactly when `cong_equivalent`
+finds a witness.
 """
 
 from __future__ import annotations
 
-from .congruence import ClassIndex, CongKind, class_index, cong_equivalent
+from .congruence import CongKind, cong_equivalent, unsigned_class_reps
 from .forms import SignedForm
 
 CURVES = ("y1", "y")
@@ -45,7 +47,9 @@ def equivalent_points(f: SignedForm, g: SignedForm, n: int, curve: str) -> bool:
     return cong_equivalent(f, g, n, curve_kind(curve)) is not None
 
 
-def cm_class_set(d: int, n: int, curve: str) -> ClassIndex:
-    """Every class of discriminant-d points on the signed level-n curve, one
-    signed form per class, with exact lookup (`ClassIndex.locate`)."""
-    return class_index(d, n, curve_kind(curve), signed=True)
+def cm_class_set(d: int, n: int, curve: str) -> tuple[SignedForm, ...]:
+    """One point per class of discriminant-d points on the signed level-n
+    curve: the unsigned representatives with the sign +1, then the same
+    representatives with the sign -1."""
+    reps = unsigned_class_reps(d, n, curve_kind(curve))
+    return tuple(SignedForm(q, sign) for sign in (1, -1) for q in reps)

@@ -4,11 +4,14 @@ Two families are supported: the principal subgroup of level N (matrices
 congruent to the identity mod N) and the upper-unipotent family (diagonal
 congruent to 1, lower-left to 0 mod N, upper-right free).  The module decides
 membership, enumerates coset representatives by lifting SL2(Z/N), and
-enumerates equivalence classes of signed forms exhaustively.  One exact key,
-`class_key` of any (triple, sign), decides which class a form is in, and so
-whether it is a member at all; `cong_equivalent` finds an explicit witness of
-an equivalence; `class_keys` reads the classes as keys straight off the
-residues of SL2(Z/N), where no representative is printed.
+enumerates the classes of forms exhaustively.  The group never moves the sign
+of a signed form, so a signed class is an unsigned class with a sign: every
+enumeration and index here is of the sign +1, and `cm.cm_class_set` puts both
+signs on them.  One exact key, `class_key` of any (triple, sign), decides
+which class a form is in, sign included, and so whether it is a member at
+all; `cong_equivalent` finds an explicit witness of an equivalence;
+`class_keys` reads the classes as keys straight off the residues of SL2(Z/N),
+where no representative is printed.
 """
 
 from __future__ import annotations
@@ -237,20 +240,13 @@ def unsigned_class_reps(d: int, n: int, kind: CongKind) -> tuple[QuadForm, ...]:
     return tuple(rep for _, rep in _keyed_classes(d, n, kind))
 
 
-def enumerate_classes(d: int, n: int, kind: CongKind, signed: bool = False) -> tuple[SignedForm, ...]:
-    """One representative per class of forms (signed forms if requested).
-
-    The group action preserves the sign, so the signed classes are the
-    unsigned ones with each sign; positives are listed first.
-    """
-    unsigned = unsigned_class_reps(d, n, kind)
-    reps = [SignedForm(q) for q in unsigned]
-    if signed:
-        reps += [SignedForm(q, -1) for q in unsigned]
-    return tuple(reps)
+def enumerate_classes(d: int, n: int, kind: CongKind) -> tuple[SignedForm, ...]:
+    """One representative per class, with the sign +1, in the order of
+    `unsigned_class_reps`."""
+    return tuple(SignedForm(q) for q in unsigned_class_reps(d, n, kind))
 
 
-class ClassIndex(namedtuple("ClassIndex", "disc level kind signed reps by_key")):
+class ClassIndex(namedtuple("ClassIndex", "disc level kind reps by_key")):
     """A frozen class list with exact membership lookup: `by_key` maps each
     class key to the index of its representative in `reps`."""
 
@@ -258,8 +254,9 @@ class ClassIndex(namedtuple("ClassIndex", "disc level kind signed reps by_key"))
 
     def locate(self, f: tuple) -> int:
         """Index of the class of f = (triple, sign), a `SignedForm` or not;
-        LookupError if f is not a member, which the key decides: D and
-        gcd(a, N) are class invariants."""
+        LookupError if f is not a member, which the key decides: D, gcd(a, N)
+        and the sign are class invariants, and every class here has the sign
+        +1."""
         i = self.by_key.get(class_key(f, self.level, self.kind))
         if i is None:
             triple, sign = f
@@ -268,11 +265,9 @@ class ClassIndex(namedtuple("ClassIndex", "disc level kind signed reps by_key"))
 
 
 @lru_cache(maxsize=None)
-def class_index(d: int, n: int, kind: CongKind, signed: bool = False) -> ClassIndex:
+def class_index(d: int, n: int, kind: CongKind) -> ClassIndex:
     """The classes of `enumerate_classes`, indexed by the keys they were
-    enumerated under; the sign -1 reuses the name of the sign +1."""
-    reps = enumerate_classes(d, n, kind, signed)
+    enumerated under."""
+    reps = enumerate_classes(d, n, kind)
     keys = [key for key, _ in _keyed_classes(d, n, kind)]
-    if signed:
-        keys += [(triple, -1, name) for triple, _, name in keys]
-    return ClassIndex(d, n, kind, signed, reps, {key: i for i, key in enumerate(keys)})
+    return ClassIndex(d, n, kind, reps, {key: i for i, key in enumerate(keys)})

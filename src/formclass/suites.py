@@ -148,9 +148,9 @@ def levelmaps(d: int, chains) -> list[dict]:
     surjective homomorphism with even fibers.
 
     The signed group at level k is `PMGroup.build` of the class group table at
-    (d, k).  The projection is the signed `class_surjection` of the unipotent
-    kind from m to n: it keeps the sign and locates each level-m
-    representative among the level-n classes.  A minus factor
+    (d, k).  The projection keeps the sign, so it is the unipotent
+    `class_surjection` from m to n on the plus coset, followed by the same map
+    shifted by the level-n order on the minus coset.  A minus factor
     conjugates its right factor, so this covers conjugation as well as the
     product; it holds exactly when the levelwise product of two compatible
     sequences in the inverse limit is again compatible.
@@ -164,10 +164,11 @@ def levelmaps(d: int, chains) -> list[dict]:
         gm, gn = groups[m], groups[n]
         fiber = gm.order // gn.order
         try:
-            signed = class_surjection(d, m, n, CongKind.UPPER_UNIPOTENT, CongKind.UPPER_UNIPOTENT, signed=True)
+            plus = class_surjection(d, m, n, CongKind.UPPER_UNIPOTENT, CongKind.UPPER_UNIPOTENT)
         except GroupAxiomError as err:
             checks.append(check(f"chain-{m}-to-{n}", False, surjective=False, fiber_size=fiber, missed=str(err)))
             continue
+        signed = plus + tuple(k + gn.base.order for k in plus)
         hom, onto = _hom_onto(gm.cayley, gn.cayley, signed)
         fibers_even = all(signed.count(k) == fiber for k in range(gn.order))
         checks.append(check(f"chain-{m}-to-{n}", hom and onto and fibers_even,

@@ -10,8 +10,8 @@ moves as its form's integer triple by the lift's entries, keyed with the
 point's sign by `class_key`; objects are built only for the located check,
 once per base point.  The group law on
 lim CM(D, Y1(N)^±) is checked on whole tables, level by level, by
-`suites.levelmaps`, which projects the signed tables through
-`classgroup.class_surjection`.
+`suites.levelmaps`, which projects the signed tables by
+`classgroup.class_surjection` and its shift onto the minus coset.
 
 Everything runs on exact integers; "precision n" always means working modulo
 p^n with determinant exactly 1 on integral lifts.
@@ -220,7 +220,7 @@ def base_point_set(p: int, d: int) -> tuple[SignedForm, ...]:
     require_discriminant(d)
     if d in (-3, -4):
         raise ValueError(f"discriminant {d} has extra units; the correspondence needs D < -4")
-    return cm_class_set(d, p, "y").reps
+    return cm_class_set(d, p, "y")
 
 
 def act_padic(triple: tuple[int, int, int], lift: _Entries, p: int) -> tuple[int, int, int]:

@@ -6,9 +6,10 @@ and the unit ideal, a brute-force ray-class oracle, matrix inverses, and the
 reference versions of reduction, plain equivalence, unipotent coset
 representatives, class keys, the HNF, principality, ray-equality and
 composition kernels (with the generic CRT), grouplaw's pairwise ideal passes,
-the ideal-to-class scan, the fundamental-part scan, the closed-form
-prime-power kernel, the per-term sign check of two matrix sequences and the
-object-based tower correspondence report."""
+the signed class index and signed level map, the ideal-to-class scan, the
+fundamental-part scan, the closed-form prime-power kernel, the per-term sign
+check of two matrix sequences and the object-based tower correspondence
+report."""
 
 import math
 import random
@@ -18,7 +19,8 @@ from fractions import Fraction
 from formclass import tower
 from formclass._arith import egcd, is_prime
 from formclass.classgroup import CompositionBoundError, compose, same_class
-from formclass.congruence import CongKind, class_index, class_key, class_keys, in_gamma, lift_matrix, sl2_residues
+from formclass.congruence import ClassIndex, CongKind, class_index, class_key, class_keys, in_gamma, lift_matrix
+from formclass.congruence import sl2_residues
 from formclass.forms import (
     QuadForm,
     SignedForm,
@@ -493,10 +495,30 @@ def grouplaw_ideal_passes_reference(table, n: int, rng) -> list[dict]:
             check("compose-matches-ideal-product", ok_cells, cells=table.order**2)]
 
 
+def signed_class_index_reference(d: int, n: int, kind: CongKind) -> ClassIndex:
+    """The signed index `congruence.class_index` built before the sign became a
+    label: the unsigned classes with the sign +1, then the same with the sign
+    -1, whose keys reuse the names of the sign +1."""
+    idx = class_index(d, n, kind)
+    keys = list(idx.by_key)  # in index order
+    keys += [(triple, -1, name) for triple, _, name in keys]
+    reps = idx.reps + tuple(SignedForm(rep.form, -1) for rep in idx.reps)
+    return ClassIndex(d, n, kind, reps, {key: i for i, key in enumerate(keys)})
+
+
+def signed_surjection_reference(d: int, m: int, n: int, src_kind: CongKind, dst_kind: CongKind) -> tuple[int, ...]:
+    """`classgroup.class_surjection` on the signed indexes, as `suites.levelmaps`
+    read it before: each signed level-m representative located among the
+    signed level-n classes."""
+    src = signed_class_index_reference(d, m, src_kind)
+    dst = signed_class_index_reference(d, n, dst_kind)
+    return tuple(dst.locate(rep) for rep in src.reps)
+
+
 def class_of_ideal_scan_reference(u: OIdeal, d: int, n: int) -> QuadForm:
     """`classgroup.class_of_ideal` as it was: the first enumerated class whose
     ideal is ray-equal to u, found by trying every class in turn."""
-    for rep in class_index(d, n, CongKind.UPPER_UNIPOTENT, signed=False).reps:
+    for rep in class_index(d, n, CongKind.UPPER_UNIPOTENT).reps:
         if ray_class_equal(u, form_to_ideal(rep.form), n):
             return rep.form
     raise LookupError(f"no class at disc {d}, level {n} matches ideal {u.to_json()}")

@@ -17,10 +17,7 @@ import time
 
 from formclass import suites
 from formclass.cm import cm_class_set, curve_kind, point_json
-from formclass.congruence import CongKind, class_index, cong_equivalent, enumerate_classes
-
-UPPER = CongKind.UPPER_UNIPOTENT
-FULL = CongKind.FULL_LEVEL
+from formclass.congruence import class_index, class_key, cong_equivalent
 
 # the shared instance list for criteria 2 and 6
 INSTANCES = ((-23, 2), (-23, 3), (-23, 4), (-15, 2), (-20, 3), (-24, 5))
@@ -129,8 +126,8 @@ def test_04_level_scaling():
     cases = [(-23, 3), (-23, 4), (-23, 5), (-15, 4)]  # levels sharing a factor with D skipped
     for d, n in cases:
         assert math.gcd(d, n) == 1
-        full = enumerate_classes(d, n, FULL, signed=True)
-        upper = enumerate_classes(d, n, UPPER, signed=True)
+        full = cm_class_set(d, n, "y")
+        upper = cm_class_set(d, n, "y1")
         assert len(full) == n * len(upper)
     _stamp(4, "level-scaling", t0, 60.0)
 
@@ -159,18 +156,22 @@ def test_06_point_class_bijection():
     for d, n in INSTANCES:
         for curve in ("y1", "y"):
             kind = curve_kind(curve)
-            idx = class_index(d, n, kind, signed=True)
+            idx = class_index(d, n, kind)
             points = cm_class_set(d, n, curve)
-            assert len(points.reps) == len(idx.reps)
-            # a point is its signed form: the upper half-plane holds exactly
-            # the sign +1 half of the classes
-            upper = [point_json(f)["tau"]["half_plane"] == "upper" for f in points.reps]
-            assert upper == [f.sign == 1 for f in idx.reps] and sum(upper) * 2 == len(upper)
+            assert len(points) == 2 * len(idx.reps)
+            # a point is its signed form, and its key names its class: the
+            # points are the unsigned classes with each sign, plus first, and
+            # the upper half-plane holds exactly the sign +1 half
+            keys = [class_key(f, n, kind) for f in points]
+            assert keys == [(triple, sign, name) for sign in (1, -1) for triple, _, name in idx.by_key]
+            upper = [point_json(f)["tau"]["half_plane"] == "upper" for f in points]
+            assert upper == [key[1] == 1 for key in keys] and sum(upper) * 2 == len(upper)
             # well-defined on classes: a transported representative lands with
-            # its own class' point
-            f = idx.reps[0]
-            w = cong_equivalent(f, f, n, kind)
-            assert points.locate(f.transform(w)) == points.locate(f)
+            # its own class' point, in either half-plane
+            for i in (0, len(idx.reps)):
+                f = points[i]
+                w = cong_equivalent(f, f, n, kind)
+                assert class_key(f.transform(w), n, kind) == keys[i]
     _stamp(6, "point-class-bijection", t0, 30.0)
 
 

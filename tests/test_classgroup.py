@@ -18,7 +18,7 @@ import formclass
 import _helpers
 from formclass import suites
 from _helpers import associated_form, class_of_ideal_scan_reference, column_shells_reference, compose_reference
-from _helpers import ElemO, grouplaw_ideal_passes_reference, principal_ideal, unit_ideal
+from _helpers import ElemO, grouplaw_ideal_passes_reference, principal_ideal, signed_surjection_reference, unit_ideal
 from formclass._arith import egcd
 from formclass.classgroup import (
     ClassGroupTable,
@@ -27,7 +27,7 @@ from formclass.classgroup import (
     PMGroup,
     _SHELLS,
     _check_group_table,
-    _coprime_shell,
+    _coprime_columns,
     class_group_table,
     class_of_ideal,
     class_surjection,
@@ -146,9 +146,9 @@ def test_wrong_bezout_coefficients_fail_the_middle_coefficient_check(monkeypatch
     # closed-form B misses B^2 = D (mod 4m) on some cells, and the
     # determinant check takes the other 22 of the 36 cells at (-23, 3)
     classes = class_group_table(-23, 3).classes
-    shells = _coprime_shell
-    monkeypatch.setattr("formclass.classgroup._coprime_shell",
-                        lambda n, shell: tuple((p, r, u + 1, v) for p, r, u, v in shells(n, shell)))
+    columns = _coprime_columns
+    monkeypatch.setattr("formclass.classgroup._coprime_columns",
+                        lambda n, shells: tuple((p, r, u + 1, v) for p, r, u, v in columns(n, shells)))
     message = "B = 45 has B^2 != -23 mod 368: the moved pair is not concordant"
     with pytest.raises(RuntimeError) as err:
         compose(QuadForm(4, 5, 3), QuadForm(8, 13, 6), 3)
@@ -166,7 +166,7 @@ def test_wrong_bezout_coefficients_fail_the_middle_coefficient_check(monkeypatch
 def test_coprime_shells_match_the_candidate_columns():
     for n in range(1, 13):
         for bound in range(4):
-            cached = [col for shell in range(bound + 1) for col in _coprime_shell(n, shell)]
+            cached = list(_coprime_columns(n, bound))
             expected = [(p, r, *egcd(p, r)[1:]) for p, r in column_shells_reference(n, bound) if egcd(p, r)[0] == 1]
             assert cached == expected, (n, bound)
             assert all(u * p + v * r == 1 for p, r, u, v in cached)
@@ -189,12 +189,11 @@ def _hit_shells(ax, y, n, wanted):
     """The shell of each of the first `wanted` concordant columns for a_x * y."""
     ay, by, cy = y
     shells = []
-    for shell in range(_SHELLS + 1):
-        for p, r, _, _ in _coprime_shell(n, shell):
-            if math.gcd(ax, (ay * p + by * r) * p + cy * r * r) == 1:
-                shells.append(shell)
-                if len(shells) == wanted:
-                    return shells
+    for p, r, _, _ in _coprime_columns(n, _SHELLS):
+        if math.gcd(ax, (ay * p + by * r) * p + cy * r * r) == 1:
+            shells.append(max(abs(p - 1), abs(r)) // n)
+            if len(shells) == wanted:
+                return shells
     return shells
 
 
@@ -506,13 +505,21 @@ def test_class_surjection_reports_missed_classes(monkeypatch):
 
 
 @pytest.mark.parametrize("d", [-23, -15, -20])
-def test_signed_surjection_is_the_unsigned_map_then_its_shift(d):
-    # the sign is kept: the minus coset maps like the plus one, shifted by the target order
+def test_signed_surjection_is_the_unsigned_map_then_its_shift(d, monkeypatch):
+    # the sign is kept: the minus coset maps like the plus one, shifted by the
+    # target order; levelmaps' map is the signed-index route it replaced
     upper = CongKind.UPPER_UNIPOTENT
-    for m, n in ((3, 1), (4, 2), (9, 3), (6, 3), (6, 2)):
+    chains = ((3, 1), (4, 2), (9, 3), (6, 3), (6, 2))
+    maps = []
+    real = suites._hom_onto
+    monkeypatch.setattr(suites, "_hom_onto", lambda src, dst, img: maps.append(img) or real(src, dst, img))
+    suites.levelmaps(d, chains)
+    assert len(maps) == len(chains)
+    for (m, n), signed in zip(chains, maps):
         proj = class_surjection(d, m, n, upper, upper)
         shift = len(class_index(d, n, upper).reps)
-        assert class_surjection(d, m, n, upper, upper, signed=True) == proj + tuple(k + shift for k in proj), (d, m, n)
+        assert signed == proj + tuple(k + shift for k in proj), (d, m, n)
+        assert signed == signed_surjection_reference(d, m, n, upper, upper), (d, m, n)
 
 
 # -- the signed extension ---------------------------------------------------------

@@ -4,8 +4,10 @@ import pytest
 
 from _helpers import QuadIrrational, cm_from_value, point, root
 from formclass.cm import cm_class_set, curve_kind, equivalent_points, point_json
-from formclass.congruence import CongKind, class_index, lift_matrix
+from formclass.congruence import CongKind, class_index, class_key, lift_matrix
 from formclass.forms import QuadForm, SignedForm, UnimodMatrix, is_member
+
+UPPER = CongKind.UPPER_UNIPOTENT
 
 
 def conjugate_point(p: SignedForm) -> SignedForm:
@@ -65,32 +67,43 @@ def test_point_json_shape():
     ],
 )
 def test_class_set_counts(d, n, curve, count):
-    assert len(cm_class_set(d, n, curve).reps) == count
+    assert len(cm_class_set(d, n, curve)) == count
 
 
-def test_class_set_counts_match_signed_class_index():
-    # the point classes are the signed form classes, not a second list
-    for d, n in ((-23, 2), (-23, 3), (-20, 3), (-24, 5)):
-        for curve in ("y1", "y"):
-            assert cm_class_set(d, n, curve) is class_index(d, n, curve_kind(curve), signed=True)
+def test_class_set_keys_are_the_unsigned_keys_with_each_sign():
+    # the point classes are the unsigned form classes taken with each sign,
+    # plus first: pairwise distinct keys, in index order, and nothing else;
+    # -3, -4 and -23 have six, four and two automorphs
+    for d in (-3, -4, -23):
+        for n in (1, 2, 3, 4, 5):
+            for curve in ("y1", "y"):
+                kind = curve_kind(curve)
+                keys = [class_key(f, n, kind) for f in cm_class_set(d, n, curve)]
+                assert len(set(keys)) == len(keys), (d, n, curve)
+                unsigned = list(class_index(d, n, kind).by_key)  # in index order
+                assert keys == [(triple, sign, name) for sign in (1, -1) for triple, _, name in unsigned], (d, n, curve)
 
 
 def test_locate_is_inverse_of_enumeration():
-    cs = cm_class_set(-23, 3, "y1")
-    for i, p in enumerate(cs.reps):
-        assert cs.locate(p) == i
+    points = cm_class_set(-23, 3, "y1")
+    keys = [class_key(p, 3, UPPER) for p in points]
+    assert len(set(keys)) == len(points)
+    # the unsigned index locates the plus half, in the same order
+    idx = class_index(-23, 3, UPPER)
+    assert [idx.locate(p) for p in points[:len(idx.reps)]] == list(range(len(idx.reps)))
     # a transported point lands in the same class
     mover = UnimodMatrix(1, 1, 0, 1)
-    for i, p in enumerate(cs.reps):
-        assert cs.locate(p.transform(mover)) == i
+    for p, key in zip(points, keys):
+        assert class_key(p.transform(mover), 3, UPPER) == key
 
 
 def test_locate_rejects_foreign_points():
-    cs = cm_class_set(-23, 3, "y1")
-    with pytest.raises(LookupError):
-        cs.locate(point(1, 0, 1))  # disc -4
-    with pytest.raises(LookupError):
-        cs.locate(point(3, 1, 2))  # not primitive mod 3
+    keys = {class_key(p, 3, UPPER) for p in cm_class_set(-23, 3, "y1")}
+    idx = class_index(-23, 3, UPPER)
+    for foreign in (point(1, 0, 1), point(3, 1, 2), point(3, 1, 2, -1)):  # disc -4; not primitive mod 3
+        assert class_key(foreign, 3, UPPER) not in keys, foreign
+        with pytest.raises(LookupError):
+            idx.locate(foreign)
 
 
 def test_equivalence_respects_curve_kind():
@@ -112,6 +125,6 @@ def test_conjugation_transports_classes():
     # conjugate points of equivalent points are equivalent
     cs = cm_class_set(-23, 3, "y1")
     g = lift_matrix(1, 0, 3, 1, 3)
-    for p in cs.reps:
+    for p in cs:
         moved = p.transform(g)
         assert equivalent_points(conjugate_point(p), conjugate_point(moved), 3, "y1")

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from formclass._arith import egcd
+from formclass.cm import cm_class_set
 from formclass.congruence import (
     CongKind,
     _keyed_classes,
@@ -37,6 +38,7 @@ from _helpers import (
     key_from_witness_reference,
     reduce_form_reference,
     seeded_forms,
+    signed_class_index_reference,
     translation,
     upper_unipotent_coset_reps_reference,
 )
@@ -147,7 +149,7 @@ def test_signs_never_mix():
 def test_enumerate_classes_level_one_matches_reduced_forms():
     classes = enumerate_classes(-23, 1, FULL)
     assert len(classes) == 3
-    signed = enumerate_classes(-23, 1, FULL, signed=True)
+    signed = cm_class_set(-23, 1, "y")
     assert len(signed) == 6
     assert sum(1 for s in signed if s.sign == 1) == 3
 
@@ -162,15 +164,15 @@ def test_unsigned_class_counts(d, n, expect_upper):
 
 @pytest.mark.parametrize("d,n", [(-23, 3), (-23, 4), (-15, 4)])
 def test_full_level_is_n_times_unipotent(d, n):
-    full = enumerate_classes(d, n, FULL, signed=True)
-    upper = enumerate_classes(d, n, UPPER, signed=True)
+    full = cm_class_set(d, n, "y")
+    upper = cm_class_set(d, n, "y1")
     assert len(full) == n * len(upper)
 
 
 def test_class_index_locates_its_own_reps():
-    idx = class_index(-23, 3, UPPER, signed=True)
-    for i, rep in enumerate(idx.reps):
-        assert idx.locate(rep) == i
+    for idx in (class_index(-23, 3, UPPER), signed_class_index_reference(-23, 3, UPPER)):
+        for i, rep in enumerate(idx.reps):
+            assert idx.locate(rep) == i
 
 
 def test_class_index_locates_transformed_reps():
@@ -192,18 +194,19 @@ def test_class_index_rejects_foreign_forms():
 @pytest.mark.parametrize("d", [-3, -4, -15, -20, -23])
 def test_locate_decides_membership_by_the_key_alone(d):
     """Every reduced form of d and of -31, moved by every coset rep, with
-    either sign: an index refuses it exactly when it is no member (of the
-    family, or of the sign +1 in an unsigned index), and otherwise names a
-    rep that an explicit witness joins it to."""
+    either sign: the unsigned index and the signed reference index refuse it
+    exactly when it is no member (of the family, or of the sign +1 in the
+    unsigned index), and otherwise name a rep that an explicit witness joins
+    it to."""
     for n in range(1, 7):
         for kind in (FULL, UPPER):
-            indexes = [class_index(d, n, kind, signed) for signed in (False, True)]
+            indexes = [(False, class_index(d, n, kind)), (True, signed_class_index_reference(d, n, kind))]
             for base in reduced_forms(d) + reduced_forms(-31):
                 for g0 in coset_reps(n, kind):
                     for sign in (1, -1):
                         f = SignedForm(base.transform(g0), sign)
-                        for idx in indexes:
-                            member = is_member(f.form, d, n) and (idx.signed or sign == 1)
+                        for signed, idx in indexes:
+                            member = is_member(f.form, d, n) and (signed or sign == 1)
                             if not member:
                                 with pytest.raises(LookupError):
                                     idx.locate(f)
@@ -213,9 +216,9 @@ def test_locate_decides_membership_by_the_key_alone(d):
 
 
 def test_pairwise_distinct_classes():
-    idx = class_index(-23, 4, UPPER, signed=True)
-    for i, f in enumerate(idx.reps):
-        for j, g in enumerate(idx.reps):
+    points = cm_class_set(-23, 4, "y1")
+    for i, f in enumerate(points):
+        for j, g in enumerate(points):
             assert (cong_equivalent(f, g, 4, UPPER) is not None) == (i == j)
 
 
@@ -362,8 +365,14 @@ def test_enumeration_keeps_least_triple_per_class(d, n, kind):
 
 @pytest.mark.parametrize("d,n,kind", [(-3, 6, FULL), (-4, 4, UPPER), (-15, 4, FULL), (-23, 6, UPPER)])
 def test_signed_class_index_maps_both_signs(d, n, kind):
-    idx = class_index(d, n, kind, signed=True)
-    half = len(idx.reps) // 2
-    for i, rep in enumerate(idx.reps):
-        assert idx.locate(rep) == i
-        assert idx.locate(SignedForm(rep.form, -rep.sign)) == (i + half) % len(idx.reps)
+    # a point's key carries its sign: flipping it moves the class by half the
+    # point list, as in the signed reference index
+    points = cm_class_set(d, n, {FULL: "y", UPPER: "y1"}[kind])
+    keys = [class_key(f, n, kind) for f in points]
+    reference = signed_class_index_reference(d, n, kind)
+    assert reference.reps == points
+    half = len(points) // 2
+    for i, f in enumerate(points):
+        flipped = SignedForm(f.form, -f.sign)
+        assert class_key(flipped, n, kind) == keys[(i + half) % len(points)]
+        assert reference.locate(f) == i and reference.locate(flipped) == (i + half) % len(points)

@@ -383,7 +383,7 @@ def test_root_is_actual_zero():
     for d in (-3, -4, -23, -56):
         for n in range(1, 7):
             for curve in ("y1", "y"):
-                for f in cm_class_set(d, n, curve).reps:
+                for f in cm_class_set(d, n, curve):
                     tau = point_json(f)["tau"]
                     num, den, disc = tau["num"], tau["den"], tau["disc"]
                     rad = {"upper": 1, "lower": -1}[tau["half_plane"]]
