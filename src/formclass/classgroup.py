@@ -2,10 +2,11 @@
 its signed (plus/minus) extension, and the transition maps between levels,
 kinds, and orders.
 
-A class is named by one representative `QuadForm`; the level is an argument
-(`compose(f, g, n)`, `same_class(f, g, n)`, `inverse_class(f, n)`) or comes
-from the `ClassGroupTable`, whose `locate_class` gives a form's index.
-Level projections are index maps, `class_surjection`.
+A class is of forms, named by one representative `QuadForm`; the level is
+an argument (`compose(f, g, n)`, `same_class(f, g, n)`, `inverse_class(f, n)`)
+or comes from the `ClassGroupTable`, whose `locate_class` gives a form's
+index.  Level projections are index maps, `class_surjection`; the signed
+extension is the minus coset's indices, shifted by the order.
 
 Composition keeps the stricter level-N equivalence throughout: the second
 factor is moved inside its own class (by a matrix that is unipotent upper
@@ -28,7 +29,7 @@ from operator import itemgetter
 
 from ._arith import egcd, factorize
 from .congruence import CongKind, class_index, cong_equivalent, lift_matrix
-from .forms import QuadForm, SignedForm, is_member
+from .forms import QuadForm, is_member
 from .ideals import OIdeal, extend_to_order, form_to_ideal, ray_class_count, ray_class_equal
 
 
@@ -41,7 +42,7 @@ class GroupAxiomError(RuntimeError):
 
 
 def same_class(f: QuadForm, g: QuadForm, n: int) -> bool:
-    return cong_equivalent(SignedForm(f), SignedForm(g), n, CongKind.UPPER_UNIPOTENT) is not None
+    return cong_equivalent(f, g, n, CongKind.UPPER_UNIPOTENT) is not None
 
 
 # Shells 0.._SHELLS of candidate columns bound the concordance search.  A
@@ -138,7 +139,7 @@ def class_of_ideal(u: OIdeal, d: int, n: int) -> QuadForm:
     m = u.scale.numerator * u.a * pow(u.scale.denominator, -1, n) % n
     moved = QuadForm(u.a, u.b, (u.b * u.b - d) // (4 * u.a)).transform(lift_matrix(pow(m, -1, n), 0, 0, m, n))
     idx = class_index(d, n, CongKind.UPPER_UNIPOTENT)
-    rep = idx.reps[idx.locate(SignedForm(moved))].form
+    rep = idx.reps[idx.locate(moved)]
     if not ray_class_equal(u, form_to_ideal(rep), n):
         raise LookupError(f"ideal {u.to_json()} is not in the class of {tuple(rep)} at disc {d}, level {n}")
     return rep
@@ -254,13 +255,13 @@ class ClassGroupTable(namedtuple("ClassGroupTable", "disc level classes cayley i
     @staticmethod
     def build(d: int, n: int) -> "ClassGroupTable":
         idx = class_index(d, n, CongKind.UPPER_UNIPOTENT)
-        classes = tuple(rep.form for rep in idx.reps)
+        classes = idx.reps
         size = len(classes)
         expected = ray_class_count(d, n)
         if size != expected:
             raise GroupAxiomError(f"enumerated {size} classes at ({d}, {n}); order formula says {expected}")
-        cayley = tuple(tuple([idx.locate((compose(x, y, n), 1)) for y in classes]) for x in classes)
-        identity = idx.locate((QuadForm.principal(d), 1))
+        cayley = tuple(tuple([idx.locate(compose(x, y, n)) for y in classes]) for x in classes)
+        identity = idx.locate(QuadForm.principal(d))
         table = ClassGroupTable(d, n, classes, cayley, identity, idx)
         table._validate()
         return table
@@ -294,7 +295,7 @@ class ClassGroupTable(namedtuple("ClassGroupTable", "disc level classes cayley i
         discriminant and a leading coefficient prime to its level."""
         if not is_member(f, self.disc, self.level):
             raise ValueError(f"form {tuple(f)} is not in the group at ({self.disc}, {self.level})")
-        return self.index.locate((f, 1))
+        return self.index.locate(f)
 
     def invariant_factors(self) -> tuple[int, ...]:
         return _abelian_invariants(self.order, self.identity_index, self.power)

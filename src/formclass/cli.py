@@ -26,7 +26,7 @@ from . import suites
 from .classgroup import ClassGroupTable, GroupAxiomError
 from .cm import cm_class_set, point_json
 from .congruence import CongKind, cong_equivalent
-from .forms import QuadForm, SignedForm, reduce_form
+from .forms import QuadForm, reduce_form
 from .ideals import ray_class_count
 from .tower import correspondence_report
 
@@ -131,7 +131,8 @@ def _plan(args):
     it scans, for _check_disc, every (D, N) it builds a class group table at,
     with the number of passes over it when that is more than one, for
     _check_table, and the call that runs it and returns (document, exit
-    code).  Building a plan parses its forms and enumerates nothing."""
+    code).  Building a plan parses its forms, refuses a negative --trials and a
+    levelsquare -N not dividing -M, and enumerates nothing."""
     if args.command == "reduce":
         f = _parse_form(args.form)
 
@@ -145,7 +146,7 @@ def _plan(args):
         kind = CongKind.UPPER_UNIPOTENT if args.gamma1 else CongKind.FULL_LEVEL
 
         def run():
-            w = cong_equivalent(SignedForm(f), SignedForm(g), args.level, kind)
+            w = cong_equivalent(f, g, args.level, kind)
             doc = {"first": list(f), "second": list(g), "N": args.level, "kind": kind.value,
                    "equivalent": w is not None}
             if w is not None:
@@ -197,6 +198,8 @@ def _suite(name: str, args):
         return ([(args.level, 1)], [d], [(d, 1), (d, args.level, GROUPLAW_PASSES)],
                 lambda rng: suites.grouplaw(d, args.level, rng))
     if name == "levelsquare":
+        if min(args.level, args.fine) >= 1 and args.fine % args.level:  # levels below 1 fail _check_level
+            raise ValueError(f"target level {args.level} must divide source level {args.fine}")
         return [(args.level, 1), (args.fine, 1)], [d], [], lambda rng: suites.levelsquare(d, args.fine, args.level)
     if name == "levelmaps":
         chains = [(3, 1)] if args.quick else [(2, 1), (3, 1), (4, 2), (9, 3)]

@@ -5,10 +5,10 @@ number, and no second object: `point_json` writes its value from the
 coefficients.  The sign selects the half-plane: + is the root
 (-b + sqrt(D))/(2a) in the upper half-plane, - its complex conjugate below
 the real axis.  The group action never moves it, so the classes of points on
-the level-N curve are the unsigned form classes of `congruence`, each taken
-with both signs (`cm_class_set`); `class_key` of a point, which carries the
-sign, names its class, and two points coincide exactly when `cong_equivalent`
-finds a witness.
+the level-N curve are the form classes of `congruence`, each taken with both
+signs (`cm_class_set`).  `equivalent_points` is the one place that compares
+signs: two points coincide when their signs agree and `cong_equivalent`
+finds a witness between their forms.
 """
 
 from __future__ import annotations
@@ -41,15 +41,16 @@ def point_json(f: SignedForm) -> dict:
 
 
 def equivalent_points(f: SignedForm, g: SignedForm, n: int, curve: str) -> bool:
-    """Whether the points of two signed forms coincide on the level-n curve ("y1" or "y")."""
-    if f.discriminant() != g.discriminant():
+    """Whether the points of two signed forms coincide on the level-n curve
+    ("y1" or "y"); different discriminants or signs skip the witness search."""
+    if f.discriminant() != g.discriminant() or f.sign != g.sign:
         return False
-    return cong_equivalent(f, g, n, curve_kind(curve)) is not None
+    return cong_equivalent(f.form, g.form, n, curve_kind(curve)) is not None
 
 
 def cm_class_set(d: int, n: int, curve: str) -> tuple[SignedForm, ...]:
     """One point per class of discriminant-d points on the signed level-n
-    curve: the unsigned representatives with the sign +1, then the same
-    representatives with the sign -1."""
+    curve: the class representatives of `congruence` with the sign +1, then
+    the same representatives with the sign -1."""
     reps = unsigned_class_reps(d, n, curve_kind(curve))
     return tuple(SignedForm(q, sign) for sign in (1, -1) for q in reps)

@@ -4,12 +4,11 @@ Two families are supported: the principal subgroup of level N (matrices
 congruent to the identity mod N) and the upper-unipotent family (diagonal
 congruent to 1, lower-left to 0 mod N, upper-right free).  The module decides
 membership, enumerates coset representatives by lifting SL2(Z/N), and
-enumerates the classes of forms exhaustively.  The group never moves the sign
-of a signed form, so a signed class is an unsigned class with a sign: every
-enumeration and index here is of the sign +1, and `cm.cm_class_set` puts both
-signs on them.  One exact key, `class_key` of any (triple, sign), decides
-which class a form is in, sign included, and so whether it is a member at
-all; `cong_equivalent` finds an explicit witness of an equivalence;
+enumerates the classes of forms exhaustively.  Classes here are of forms:
+the group never moves the sign of a point, so no sign enters this module, and
+`cm` and `tower` carry it next to the classes.  One exact key, `class_key` of
+any triple, decides which class a form is in, and so whether it is a member
+at all; `cong_equivalent` finds an explicit witness of an equivalence;
 `class_keys` reads the classes as keys straight off the residues of SL2(Z/N),
 where no representative is printed.
 """
@@ -25,7 +24,6 @@ from ._arith import egcd
 from .forms import (
     IDENTITY,
     QuadForm,
-    SignedForm,
     UnimodMatrix,
     _moved,
     _mul,
@@ -125,7 +123,7 @@ def coset_reps(n: int, kind: CongKind) -> tuple[UnimodMatrix, ...]:
     return tuple(lift_matrix(*t, n) for t in chosen)
 
 
-def cong_equivalent(f: SignedForm, g: SignedForm, n: int, kind: CongKind) -> UnimodMatrix | None:
+def cong_equivalent(f: QuadForm, g: QuadForm, n: int, kind: CongKind) -> UnimodMatrix | None:
     """A witness w in the subgroup with f.transform(w) == g, or None.
 
     The full SL2(Z) witness set is automorphs * w0 for any single witness w0,
@@ -135,64 +133,61 @@ def cong_equivalent(f: SignedForm, g: SignedForm, n: int, kind: CongKind) -> Uni
     d = f.discriminant()
     if g.discriminant() != d:
         raise ValueError(f"discriminant mismatch: {d} vs {g.discriminant()}")
-    if not is_member(f.form, d, n) or not is_member(g.form, d, n):
+    if not is_member(f, d, n) or not is_member(g, d, n):
         raise ValueError(f"forms must have leading coefficient prime to {n}")
-    if f.sign != g.sign:
-        return None
-    w0 = sl2_equivalent(f.form, g.form)
+    w0 = sl2_equivalent(f, g)
     if w0 is None:
         return None
-    for alpha in automorphs(f.form):
+    for alpha in automorphs(f):
         w = alpha * w0
         if in_gamma(w, n, kind):
             if f.transform(w) != g:
-                raise RuntimeError(f"witness {tuple(w)} does not take {f.to_json()} to {g.to_json()}")
+                raise RuntimeError(f"witness {tuple(w)} does not take {tuple(f)} to {tuple(g)}")
             return w
     return None
 
 
-def key_from_witness(triple: tuple, sign: int, w: tuple[int, int, int, int], n: int, kind: CongKind) -> tuple:
-    """The class key of any signed form that the matrix w = (p, q, r, s) takes
-    to the reduced form R with this triple.
+def key_from_witness(triple: tuple, w: tuple[int, int, int, int], n: int, kind: CongKind) -> tuple:
+    """The class key of any form that the matrix w = (p, q, r, s) takes to the
+    reduced form R with this triple.
 
     The matrices taking that form to R are w*Aut(R), so its class is the double
     coset Gamma*w*Aut(R).  Each right coset Gamma*m is named by m mod n
     (principal subgroup, which is normal) or by the bottom row of m mod n
-    (upper-unipotent family); the key takes the least such name over Aut(R),
-    next to R and the sign.  Only w mod n matters, so w may be any integer
-    matrix congruent to a witness.  When Aut(R) = {I, -I}, as for every form
-    of D < -4, the least name is that of w or -w, taken with no products;
-    otherwise each name is read off a product w*alpha (`_mul`).
+    (upper-unipotent family); the key is R with the least such name over
+    Aut(R).  Only w mod n matters, so w may be any integer matrix congruent to
+    a witness.  When Aut(R) = {I, -I}, as for every form of D < -4, the least
+    name is that of w or -w, taken with no products; otherwise each name is
+    read off a product w*alpha (`_mul`).
     """
     auts = automorphs(triple)
     if len(auts) == 2:  # Aut(R) = {I, -I}: the name of w or of -w
         p, q, r, s = w
         if kind is CongKind.FULL_LEVEL:
-            return (triple, sign, min((p % n, q % n, r % n, s % n), (-p % n, -q % n, -r % n, -s % n)))
-        return (triple, sign, min((r % n, s % n), (-r % n, -s % n)))
+            return (triple, min((p % n, q % n, r % n, s % n), (-p % n, -q % n, -r % n, -s % n)))
+        return (triple, min((r % n, s % n), (-r % n, -s % n)))
     products = [_mul(w, alpha) for alpha in auts]
     if kind is CongKind.FULL_LEVEL:
-        return (triple, sign, min((p % n, q % n, r % n, s % n) for p, q, r, s in products))
-    return (triple, sign, min((r % n, s % n) for _, _, r, s in products))
+        return (triple, min((p % n, q % n, r % n, s % n) for p, q, r, s in products))
+    return (triple, min((r % n, s % n) for _, _, r, s in products))
 
 
 def class_key(f: tuple, n: int, kind: CongKind) -> tuple:
-    """A complete invariant of f = (triple, sign), a `SignedForm` or not:
-    equal keys exactly when the forms are equivalent.
+    """A complete invariant of the form with the triple f, a `QuadForm` or
+    not: equal keys exactly when the forms are equivalent.
 
     Reduction supplies R and a witness w that takes the triple to R; the key
-    is `key_from_witness` of them.  Uncached: the forms it locates (products,
-    images) are mostly new.
+    is `key_from_witness` of them, (R, name).  Uncached: the forms it locates
+    (products, images) are mostly new.
     """
-    triple, sign = f
-    a, b, c, p, q, r, s = reduce_triple(*triple)
-    return key_from_witness((a, b, c), sign, (p, q, r, s), n, kind)
+    a, b, c, p, q, r, s = reduce_triple(*f)
+    return key_from_witness((a, b, c), (p, q, r, s), n, kind)
 
 
 @lru_cache(maxsize=None)
-def _keyed_classes(d: int, n: int, kind: CongKind) -> tuple[tuple[tuple, QuadForm], ...]:
-    """(key of the sign +1, representative) for every unsigned class, in
-    triple order of the representatives.
+def enumerate_classes(d: int, n: int, kind: CongKind) -> tuple[tuple[tuple, QuadForm], ...]:
+    """(key, representative) for every class, in triple order of the
+    representatives.
 
     Candidates are the reduced forms pushed through all coset representatives;
     every class is hit because a witness factors as (coset rep) * (subgroup
@@ -212,7 +207,7 @@ def _keyed_classes(d: int, n: int, kind: CongKind) -> tuple[tuple[tuple, QuadFor
             cand = _moved(*triple, p, q, r, s)
             if math.gcd(cand[0], n) != 1:
                 continue
-            key = key_from_witness(triple, 1, (s, -q, -r, p), n, kind)
+            key = key_from_witness(triple, (s, -q, -r, p), n, kind)
             kept = least.get(key)
             if kept is None or cand < kept:
                 least[key] = cand
@@ -220,14 +215,14 @@ def _keyed_classes(d: int, n: int, kind: CongKind) -> tuple[tuple[tuple, QuadFor
 
 
 def class_keys(d: int, n: int, kind: CongKind) -> frozenset:
-    """The key set of `_keyed_classes`, with no lift, moved form or `QuadForm`:
+    """The key set of `enumerate_classes`, with no lift, moved form or `QuadForm`:
     a candidate R.transform(g0), g0 = (p, q, r, s) mod n, has the leading
     coefficient R(p, r) and goes back to R under g0^-1 = (s, -q, -r, p).  For
     the upper-unipotent family, residues with one first column share a key."""
     require_discriminant(d)
     residues = sl2_residues(n)
     return frozenset(
-        key_from_witness((a, b, c), 1, (s, -q, -r, p), n, kind)
+        key_from_witness((a, b, c), (s, -q, -r, p), n, kind)
         for a, b, c in reduced_forms(d)
         for p, q, r, s in residues
         if math.gcd((a * p + b * r) * p + c * r * r, n) == 1
@@ -235,15 +230,9 @@ def class_keys(d: int, n: int, kind: CongKind) -> frozenset:
 
 
 def unsigned_class_reps(d: int, n: int, kind: CongKind) -> tuple[QuadForm, ...]:
-    """One representative per unsigned class, deterministically ordered: the
-    least candidate triple of each class, in triple order (see `_keyed_classes`)."""
-    return tuple(rep for _, rep in _keyed_classes(d, n, kind))
-
-
-def enumerate_classes(d: int, n: int, kind: CongKind) -> tuple[SignedForm, ...]:
-    """One representative per class, with the sign +1, in the order of
-    `unsigned_class_reps`."""
-    return tuple(SignedForm(q) for q in unsigned_class_reps(d, n, kind))
+    """One representative per class, deterministically ordered: the least
+    candidate triple of each class, in triple order (see `enumerate_classes`)."""
+    return tuple(rep for _, rep in enumerate_classes(d, n, kind))
 
 
 class ClassIndex(namedtuple("ClassIndex", "disc level kind reps by_key")):
@@ -253,14 +242,12 @@ class ClassIndex(namedtuple("ClassIndex", "disc level kind reps by_key")):
     __slots__ = ()
 
     def locate(self, f: tuple) -> int:
-        """Index of the class of f = (triple, sign), a `SignedForm` or not;
-        LookupError if f is not a member, which the key decides: D, gcd(a, N)
-        and the sign are class invariants, and every class here has the sign
-        +1."""
+        """Index of the class of the form with the triple f, a `QuadForm` or
+        not; LookupError if f is not a member, which the key decides: D and
+        gcd(a, N) are class invariants."""
         i = self.by_key.get(class_key(f, self.level, self.kind))
         if i is None:
-            triple, sign = f
-            raise LookupError(f"{[*triple, sign]} is in no enumerated discriminant-{self.disc} level-{self.level} class")
+            raise LookupError(f"{list(f)} is in no enumerated discriminant-{self.disc} level-{self.level} class")
         return i
 
 
@@ -268,6 +255,5 @@ class ClassIndex(namedtuple("ClassIndex", "disc level kind reps by_key")):
 def class_index(d: int, n: int, kind: CongKind) -> ClassIndex:
     """The classes of `enumerate_classes`, indexed by the keys they were
     enumerated under."""
-    reps = enumerate_classes(d, n, kind)
-    keys = [key for key, _ in _keyed_classes(d, n, kind)]
-    return ClassIndex(d, n, kind, reps, {key: i for i, key in enumerate(keys)})
+    pairs = enumerate_classes(d, n, kind)
+    return ClassIndex(d, n, kind, tuple(rep for _, rep in pairs), {key: i for i, (key, _) in enumerate(pairs)})

@@ -6,11 +6,11 @@ kernel and point classes at higher level, checked exhaustively.  Points are
 signed forms (see `cm`); a kernel class is its residue tuple (a, b, c, d)
 mod p^n, and it acts on points through an integral lift
 (`congruence.lift_matrix`) taken at its own level.  In the pair loop a point
-moves as its form's integer triple by the lift's entries, keyed with the
-point's sign by `class_key`; objects are built only for the located check,
-once per base point.  The group law on
-lim CM(D, Y1(N)^±) is checked on whole tables, level by level, by
-`suites.levelmaps`, which projects the signed tables by
+moves as its form's integer triple by the lift's entries and keeps its sign,
+so an image is keyed by `class_key` of its triple among the images of its
+sign; objects are built only for the located check, once per base point.
+The group law on lim CM(D, Y1(N)^±) is checked on whole tables, level by
+level, by `suites.levelmaps`, which projects the signed tables by
 `classgroup.class_surjection` and its shift onto the minus coset.
 
 Everything runs on exact integers; "precision n" always means working modulo
@@ -241,8 +241,8 @@ def act_padic(triple: tuple[int, int, int], lift: _Entries, p: int) -> tuple[int
 def _check_lift(
     point: SignedForm, reduced: QuadForm, to_reduced: UnimodMatrix, g: _Entries, m: int, key: tuple
 ) -> None:
-    """RuntimeError unless `key` is the level-m class key of point.g, for the
-    residue tuple g mod m.
+    """RuntimeError unless `key` is the level-m class key of the form of
+    point.g, for the residue tuple g mod m.
 
     (reduced, to_reduced) is `reduce_form` of the point's form, taken once per
     base point by the caller.  Any gamma = g mod m takes the image back to R =
@@ -251,7 +251,7 @@ def _check_lift(
     adj(g) * to_reduced: no lift, transform or reduction of the image.
     """
     a, b, c, d = g
-    want = key_from_witness(tuple(reduced), point.sign, _mul((d, -b, -c, a), to_reduced), m, CongKind.FULL_LEVEL)
+    want = key_from_witness(tuple(reduced), _mul((d, -b, -c, a), to_reduced), m, CongKind.FULL_LEVEL)
     if key != want:
         raise RuntimeError(
             f"{point_json(point)} moved by {list(g)} mod {m} lands in class {key}, "
@@ -263,18 +263,18 @@ def _check_located(img: SignedForm, key: tuple, codomain: frozenset, level: int)
     """RuntimeError unless img's key is in the codomain and its class holds img.
 
     The image is keyed through reduction, the codomain through the residues of
-    SL2(Z/level) (`class_keys`).  The class (R, sign, name) is rebuilt as R
-    moved by a lift of the name's adjugate; `equivalent_points` joins img to it
-    by a witness in the subgroup, using neither key, and the rebuilt form must
-    reduce to the same key, so this ties both key routes to the class itself.
+    SL2(Z/level) (`class_keys`).  The class (R, name) is rebuilt as R moved by
+    a lift of the name's adjugate, with img's sign; `equivalent_points` joins
+    img to it by a witness in the subgroup, using neither key, and the rebuilt
+    form must reduce to the same key, so this ties both key routes to the class.
     """
     if key not in codomain:
         raise RuntimeError(f"{point_json(img)} has the key {key}, which is no enumerated level-{level} class")
-    triple, sign, (x, y, z, u) = key
-    rep = SignedForm(QuadForm(*triple).transform(lift_matrix(u, -y, -z, x, level)), sign)
+    triple, (x, y, z, u) = key
+    rep = SignedForm(QuadForm(*triple).transform(lift_matrix(u, -y, -z, x, level)), img.sign)
     if not equivalent_points(img, rep, level, "y"):
         raise RuntimeError(f"{point_json(img)} is located at {point_json(rep)}, but no level-{level} witness joins them")
-    rebuilt = class_key(rep, level, CongKind.FULL_LEVEL)
+    rebuilt = class_key(rep.form, level, CongKind.FULL_LEVEL)
     if rebuilt != key:
         raise RuntimeError(f"{point_json(rep)} was rebuilt from the key {key}, but its own key is {rebuilt}")
 
@@ -283,13 +283,14 @@ def correspondence_report(p: int, d: int, n: int, check_lift: bool = False) -> d
     """Exhaustive check that (base point, kernel class) pairs hit pairwise
     distinct classes at level p^n, with the codomain enumerated independently.
 
-    The codomain is the signed keys read off the residues of SL2(Z/p^n)
-    (`class_keys`), never built as representatives; the images are surjective
-    when their key set equals the codomain.
+    The codomain is the level-p^n classes with each sign, keyed off the
+    residues of SL2(Z/p^n) (`class_keys`), never built as representatives; an
+    image keeps its point's sign, so the images are surjective when the key
+    set of each sign's images equals the codomain's.
 
     The pairs run on integers: a base point moves as its form's triple by the
     entries of each class's lift (`act_padic`), and the image's key is
-    `class_key` of that triple with the point's sign.
+    `class_key` of that triple.
     No per-pair object is validated, and none needs to be: det-1 lifts keep
     the discriminant, primitivity and definiteness, and a stray key would
     break the equality with the codomain.
@@ -305,22 +306,21 @@ def correspondence_report(p: int, d: int, n: int, check_lift: bool = False) -> d
     base = base_point_set(p, d)
     kernel = kernel_reps(p, n)
     level = p**n
-    unsigned = class_keys(d, level, CongKind.FULL_LEVEL)
-    codomain = unsigned | {(triple, -1, name) for triple, _, name in unsigned}
+    codomain = class_keys(d, level, CongKind.FULL_LEVEL)
 
-    # images are distinct classes exactly when their class keys are distinct
-    first: dict[tuple, tuple[int, int]] = {}
+    # images of one sign are distinct classes exactly when their keys are distinct
+    first: dict[int, dict[tuple, tuple[int, int]]] = {1: {}, -1: {}}
     witnesses = []
     lifts = [lift_matrix(*g, level) for g in kernel]
     for ri, r in enumerate(base):
-        triple, sign = tuple(r.form), r.sign
+        triple, first_of_sign = tuple(r.form), first[r.sign]
         if check_lift:
             reduced, to_reduced = reduce_form(r.form)
         for gi, (g, lift) in enumerate(zip(kernel, lifts)):
-            key = class_key((act_padic(triple, lift, p), sign), level, CongKind.FULL_LEVEL)
+            key = class_key(act_padic(triple, lift, p), level, CongKind.FULL_LEVEL)
             if check_lift:
                 _check_lift(r, reduced, to_reduced, g, level, key)
-            seen = first.setdefault(key, (ri, gi))
+            seen = first_of_sign.setdefault(key, (ri, gi))
             if seen != (ri, gi):
                 witnesses.append({"first": list(seen), "second": [ri, gi]})
         if check_lift:
@@ -333,9 +333,9 @@ def correspondence_report(p: int, d: int, n: int, check_lift: bool = False) -> d
         "n": n,
         "base_size": len(base),
         "kernel_size": len(kernel),
-        "codomain_size": len(codomain),
+        "codomain_size": 2 * len(codomain),
         "pairs": pairs,
         "injective": injective,
-        "surjective": first.keys() == codomain,
+        "surjective": all(seen.keys() == codomain for seen in first.values()),
         "witnesses_of_failure": witnesses,
     }

@@ -1,6 +1,7 @@
 """What only tests use: word matrices, form values, reducedness, exact
 quadratic irrationals with the Moebius action on them, the root of a signed
-form, points by coefficients or by value, order elements `ElemO` and their
+form, points by coefficients or by value, the class key of a point (its
+form's key with its sign), order elements `ElemO` and their
 ring operations, principal ideals, ideal bases, associated forms, conjugates, norms
 and the unit ideal, a brute-force ray-class oracle, matrix inverses, and the
 reference versions of reduction, plain equivalence, unipotent coset
@@ -13,13 +14,14 @@ report."""
 
 import math
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
 from formclass import tower
 from formclass._arith import egcd, is_prime
 from formclass.classgroup import CompositionBoundError, compose, same_class
-from formclass.congruence import ClassIndex, CongKind, class_index, class_key, class_keys, in_gamma, lift_matrix
+from formclass.congruence import CongKind, class_index, class_key, class_keys, in_gamma, lift_matrix
 from formclass.congruence import sl2_residues
 from formclass.forms import (
     QuadForm,
@@ -203,7 +205,7 @@ def upper_unipotent_coset_reps_reference(n: int) -> tuple[UnimodMatrix, ...]:
     return tuple(lift_matrix(*t, n) for t in sorted(chosen))
 
 
-def key_from_witness_reference(triple: tuple, sign: int, w: tuple, n: int, kind: CongKind) -> tuple:
+def key_from_witness_reference(triple: tuple, w: tuple, n: int, kind: CongKind) -> tuple:
     """`congruence.key_from_witness` as it was before its Aut(R) = {I, -I}
     fast path: the least name of w*alpha over every automorph alpha of R."""
     p, q, r, s = w
@@ -213,7 +215,7 @@ def key_from_witness_reference(triple: tuple, sign: int, w: tuple, n: int, kind:
                  for x, y, z, u in auts]
     else:
         names = [((r * x + s * z) % n, (r * y + s * u) % n) for x, y, z, u in auts]
-    return (triple, sign, min(names))
+    return (triple, min(names))
 
 
 @dataclass(frozen=True)
@@ -495,15 +497,30 @@ def grouplaw_ideal_passes_reference(table, n: int, rng) -> list[dict]:
             check("compose-matches-ideal-product", ok_cells, cells=table.order**2)]
 
 
-def signed_class_index_reference(d: int, n: int, kind: CongKind) -> ClassIndex:
-    """The signed index `congruence.class_index` built before the sign became a
-    label: the unsigned classes with the sign +1, then the same with the sign
-    -1, whose keys reuse the names of the sign +1."""
+def point_key(f: SignedForm, n: int, kind: CongKind) -> tuple:
+    """The class of a point: the class key of its form with its sign."""
+    return class_key(f.form, n, kind), f.sign
+
+
+class SignedClassIndexReference(namedtuple("SignedClassIndexReference", "level kind reps by_key")):
+    """A class index of points, as `congruence.class_index` was before the
+    sign left it: `by_key` maps each `point_key` to the index of its point in
+    `reps`."""
+
+    def locate(self, f: SignedForm) -> int:
+        i = self.by_key.get(point_key(f, self.level, self.kind))
+        if i is None:
+            raise LookupError(f"{f.to_json()} is in no enumerated level-{self.level} point class")
+        return i
+
+
+def signed_class_index_reference(d: int, n: int, kind: CongKind) -> SignedClassIndexReference:
+    """The signed index built before the sign became a label: the classes of
+    `class_index` with the sign +1, then the same with the sign -1."""
     idx = class_index(d, n, kind)
-    keys = list(idx.by_key)  # in index order
-    keys += [(triple, -1, name) for triple, _, name in keys]
-    reps = idx.reps + tuple(SignedForm(rep.form, -1) for rep in idx.reps)
-    return ClassIndex(d, n, kind, reps, {key: i for i, key in enumerate(keys)})
+    keys = [(key, sign) for sign in (1, -1) for key in idx.by_key]  # in index order
+    reps = tuple(SignedForm(rep, sign) for sign in (1, -1) for rep in idx.reps)
+    return SignedClassIndexReference(n, kind, reps, {key: i for i, key in enumerate(keys)})
 
 
 def signed_surjection_reference(d: int, m: int, n: int, src_kind: CongKind, dst_kind: CongKind) -> tuple[int, ...]:
@@ -519,8 +536,8 @@ def class_of_ideal_scan_reference(u: OIdeal, d: int, n: int) -> QuadForm:
     """`classgroup.class_of_ideal` as it was: the first enumerated class whose
     ideal is ray-equal to u, found by trying every class in turn."""
     for rep in class_index(d, n, CongKind.UPPER_UNIPOTENT).reps:
-        if ray_class_equal(u, form_to_ideal(rep.form), n):
-            return rep.form
+        if ray_class_equal(u, form_to_ideal(rep), n):
+            return rep
     raise LookupError(f"no class at disc {d}, level {n} matches ideal {u.to_json()}")
 
 
@@ -586,13 +603,14 @@ def seq_conditions_hold_reference(s: MatrixSeq, t: MatrixSeq) -> bool:
 def correspondence_report_objects_reference(p: int, d: int, n: int, check_lift: bool = False) -> dict:
     """`tower.correspondence_report` as it ran on validated objects: each pair
     moves the base point's `SignedForm` by the kernel class's `UnimodMatrix`
-    lift and keys the image by `class_key`.  The lifts, base points, kernel
-    and checks are the module's own, looked up at call time."""
+    lift and keys the image by its `point_key` in one dict, over a codomain of
+    signed keys.  The lifts, base points, kernel and checks are the module's
+    own, looked up at call time."""
     base = tower.base_point_set(p, d)
     kernel = tower.kernel_reps(p, n)
     level = p**n
     unsigned = class_keys(d, level, CongKind.FULL_LEVEL)
-    codomain = unsigned | {(triple, -1, name) for triple, _, name in unsigned}
+    codomain = {(key, sign) for key in unsigned for sign in (1, -1)}
     first: dict[tuple, tuple[int, int]] = {}
     witnesses = []
     lifts = [tower.lift_matrix(*g, level) for g in kernel]
@@ -601,14 +619,14 @@ def correspondence_report_objects_reference(p: int, d: int, n: int, check_lift: 
             if not in_gamma(lifts[gi], p, CongKind.FULL_LEVEL):
                 raise ValueError("matrix is not trivial mod p")
             img = r.transform(lifts[gi])
-            key = class_key(img, level, CongKind.FULL_LEVEL)
+            key = point_key(img, level, CongKind.FULL_LEVEL)
             if check_lift:
-                tower._check_lift(r, *tower.reduce_form(r.form), g, level, key)
+                tower._check_lift(r, *tower.reduce_form(r.form), g, level, key[0])
             seen = first.setdefault(key, (ri, gi))
             if seen != (ri, gi):
                 witnesses.append({"first": list(seen), "second": [ri, gi]})
         if check_lift:
-            tower._check_located(img, key, codomain, level)
+            tower._check_located(img, key[0], unsigned, level)
     return {
         "p": p,
         "D": d,

@@ -159,19 +159,21 @@ def test_06_point_class_bijection():
             idx = class_index(d, n, kind)
             points = cm_class_set(d, n, curve)
             assert len(points) == 2 * len(idx.reps)
-            # a point is its signed form, and its key names its class: the
-            # points are the unsigned classes with each sign, plus first, and
-            # the upper half-plane holds exactly the sign +1 half
-            keys = [class_key(f, n, kind) for f in points]
-            assert keys == [(triple, sign, name) for sign in (1, -1) for triple, _, name in idx.by_key]
+            # a point is its signed form, and its form's key with its sign
+            # names its class: the points are the classes with each sign,
+            # plus first, and the upper half-plane holds exactly the sign +1
+            # half
+            keys = [(class_key(f.form, n, kind), f.sign) for f in points]
+            assert keys == [(key, sign) for sign in (1, -1) for key in idx.by_key]
             upper = [point_json(f)["tau"]["half_plane"] == "upper" for f in points]
             assert upper == [key[1] == 1 for key in keys] and sum(upper) * 2 == len(upper)
             # well-defined on classes: a transported representative lands with
             # its own class' point, in either half-plane
             for i in (0, len(idx.reps)):
                 f = points[i]
-                w = cong_equivalent(f, f, n, kind)
-                assert class_key(f.transform(w), n, kind) == keys[i]
+                w = cong_equivalent(f.form, f.form, n, kind)
+                moved = f.transform(w)
+                assert (class_key(moved.form, n, kind), moved.sign) == keys[i]
     _stamp(6, "point-class-bijection", t0, 30.0)
 
 

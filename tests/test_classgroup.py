@@ -38,7 +38,7 @@ from formclass.classgroup import (
 )
 from formclass.cli import main
 from formclass.congruence import ClassIndex, CongKind, class_index, lift_matrix
-from formclass.forms import QuadForm, SignedForm, UnimodMatrix, reduce_form, reduced_forms
+from formclass.forms import QuadForm, UnimodMatrix, reduce_form, reduced_forms
 from formclass.ideals import OIdeal, extend_to_order, form_to_ideal, ray_class_equal
 from formclass.suites import ORDERCHANGE_INSTANCES
 
@@ -114,7 +114,7 @@ def test_compose_well_defined_under_random_concordance_choice():
 def _random_members(d, n, rng, count):
     """count class representatives at (d, n), each moved by a random element
     [[1, k], [0, 1]] or [[1, 0], [n*j, 1]] of the unipotent subgroup."""
-    reps = [rep.form for rep in class_index(d, n, CongKind.UPPER_UNIPOTENT).reps]
+    reps = list(class_index(d, n, CongKind.UPPER_UNIPOTENT).reps)
     out = []
     for _ in range(count):
         f = rng.choice(reps)
@@ -202,7 +202,7 @@ def test_shell_limit_has_its_measured_margin():
     # draw collects within shell 6, far inside _SHELLS
     assert _SHELLS >= 6
     for d, n in ((-31, 5), (-59, 5), (-20, 9), (-51, 7)):
-        reps = [tuple(rep.form) for rep in class_index(d, n, CongKind.UPPER_UNIPOTENT).reps]
+        reps = [tuple(rep) for rep in class_index(d, n, CongKind.UPPER_UNIPOTENT).reps]
         ys = reps + [(a, -b, c) for a, b, c in reps]
         for (ax, _, _), y in itertools.product(reps, ys):
             shells = _hit_shells(ax, y, n, 4)
@@ -339,7 +339,7 @@ def test_class_of_ideal_confirms_by_the_ideal_route(monkeypatch):
 def _seeded_ideals(d: int, n: int, rng: random.Random) -> list[OIdeal]:
     """Every class ideal at (d, n), their inverses, 8 products of two class
     ideals and 8 class ideals scaled by an integer prime to n."""
-    base = [form_to_ideal(rep.form) for rep in class_index(d, n, CongKind.UPPER_UNIPOTENT).reps]
+    base = [form_to_ideal(rep) for rep in class_index(d, n, CongKind.UPPER_UNIPOTENT).reps]
     scales = [k for k in range(2, 40) if math.gcd(k, n) == 1]
     return (base + [u.inverse() for u in base]
             + [rng.choice(base) * rng.choice(base) for _ in range(8)]
@@ -350,7 +350,7 @@ def test_class_of_ideal_matches_the_scan():
     rng = random.Random(19)
     cases = [(u, d, n) for d in (-3, -4, -15, -23, -31, -56, -84) for n in range(1, 9)
              for u in _seeded_ideals(d, n, rng)]
-    cases += [(extend_to_order(form_to_ideal(rep.form), dst), dst, n) for src, dst, n in ORDERCHANGE_INSTANCES
+    cases += [(extend_to_order(form_to_ideal(rep), dst), dst, n) for src, dst, n in ORDERCHANGE_INSTANCES
               for rep in class_index(src, n, CongKind.UPPER_UNIPOTENT).reps]
     conventions_differ = 0
     for u, d, n in cases:
@@ -360,7 +360,7 @@ def test_class_of_ideal_matches_the_scan():
         idx = class_index(d, n, CongKind.UPPER_UNIPOTENT)
         m = u.scale.numerator * pow(u.scale.denominator, -1, n) % n
         by_scale = associated_form(u).transform(lift_matrix(pow(m, -1, n), 0, 0, m, n))
-        conventions_differ += idx.locate(SignedForm(by_scale)) != idx.locate(SignedForm(rep))
+        conventions_differ += idx.locate(by_scale) != idx.locate(rep)
     assert len(cases) > 2500 and conventions_differ > 0
 
 
@@ -375,7 +375,7 @@ def test_inverse_class_confirms_once(monkeypatch):
     for d, n in ((-23, 5), (-56, 7)):
         reps = class_index(d, n, CongKind.UPPER_UNIPOTENT).reps
         for rep in reps:
-            inverse_class(rep.form, n)
+            inverse_class(rep, n)
         assert calls == [n] * len(reps)
         calls.clear()
 

@@ -152,6 +152,16 @@ def test_negative_trials_rejected_before_any_suite(capsys):
     assert doc["suites"][0]["checks"][0]["trials"] == 200
 
 
+def test_levelsquare_divisibility_is_refused_before_any_suite(capsys, monkeypatch):
+    # levelsquare runs second, but its -N 13 that does not divide -M 27 exits
+    # 2 before grouplaw, the first suite, is called
+    calls = []
+    monkeypatch.setattr(suites, "grouplaw", lambda *args: calls.append(args) or [])
+    code, out, err = run(capsys, "verify", "all", "-D", "-23", "-N", "13", "-M", "27")
+    assert code == 2 and out == "" and "target level 13 must divide source level 27" in err
+    assert calls == []
+
+
 def test_verify_applies_the_level_cap_before_any_suite(capsys):
     for argv in (
         ["verify", "grouplaw", "-N", "500"],
@@ -388,9 +398,9 @@ def test_padicpoints_decides_surjectivity_by_key_sets(capsys, monkeypatch, swap)
     key keeps its size: the swap leaves every count right, so only the
     key-set equality can fail."""
     real = formclass.tower.class_keys
-    first = class_key(formclass.tower.base_point_set(3, -23)[0], 9, CongKind.FULL_LEVEL)
-    triple, sign, name = first
-    foreign = (triple, sign, tuple(-x % 9 for x in name))  # the name of -w, not the least one
+    first = class_key(formclass.tower.base_point_set(3, -23)[0].form, 9, CongKind.FULL_LEVEL)
+    triple, name = first
+    foreign = (triple, tuple(-x % 9 for x in name))  # the name of -w, not the least one
 
     def corrupt(d, n, kind):
         keys = real(d, n, kind)
@@ -568,6 +578,22 @@ def test_package_has_no_assert_statements():
     found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_only_the_point_modules_name_signed_form():
+    """Classes are of forms and only points carry a sign, so `SignedForm` is
+    named in `forms`, which defines it, `cm` and `tower`, which hold points,
+    and `__init__`, which exports it, and in no other module."""
+    package = Path(formclass.__file__).resolve().parent
+
+    def names(node):
+        return ((isinstance(node, ast.Name) and node.id == "SignedForm")
+                or (isinstance(node, ast.Attribute) and node.attr == "SignedForm")
+                or (isinstance(node, ast.alias) and node.name == "SignedForm")
+                or (isinstance(node, ast.ClassDef) and node.name == "SignedForm"))
+
+    naming = {path.stem for path in package.glob("*.py") if any(map(names, ast.walk(ast.parse(path.read_text()))))}
+    assert naming == {"forms", "cm", "tower", "__init__"}
 
 
 def test_import_loads_no_dataclasses():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from _helpers import QuadIrrational, cm_from_value, point, root
+from _helpers import QuadIrrational, cm_from_value, point, point_key, root
 from formclass.cm import cm_class_set, curve_kind, equivalent_points, point_json
 from formclass.congruence import CongKind, class_index, class_key, lift_matrix
 from formclass.forms import QuadForm, SignedForm, UnimodMatrix, is_member
@@ -78,32 +78,34 @@ def test_class_set_keys_are_the_unsigned_keys_with_each_sign():
         for n in (1, 2, 3, 4, 5):
             for curve in ("y1", "y"):
                 kind = curve_kind(curve)
-                keys = [class_key(f, n, kind) for f in cm_class_set(d, n, curve)]
+                keys = [point_key(f, n, kind) for f in cm_class_set(d, n, curve)]
                 assert len(set(keys)) == len(keys), (d, n, curve)
                 unsigned = list(class_index(d, n, kind).by_key)  # in index order
-                assert keys == [(triple, sign, name) for sign in (1, -1) for triple, _, name in unsigned], (d, n, curve)
+                assert keys == [(key, sign) for sign in (1, -1) for key in unsigned], (d, n, curve)
 
 
 def test_locate_is_inverse_of_enumeration():
     points = cm_class_set(-23, 3, "y1")
-    keys = [class_key(p, 3, UPPER) for p in points]
+    keys = [point_key(p, 3, UPPER) for p in points]
     assert len(set(keys)) == len(points)
-    # the unsigned index locates the plus half, in the same order
+    # the index locates the forms of each half, in the same order
     idx = class_index(-23, 3, UPPER)
-    assert [idx.locate(p) for p in points[:len(idx.reps)]] == list(range(len(idx.reps)))
+    h = len(idx.reps)
+    assert [idx.locate(p.form) for p in points] == list(range(h)) * 2
     # a transported point lands in the same class
     mover = UnimodMatrix(1, 1, 0, 1)
     for p, key in zip(points, keys):
-        assert class_key(p.transform(mover), 3, UPPER) == key
+        assert point_key(p.transform(mover), 3, UPPER) == key
 
 
 def test_locate_rejects_foreign_points():
-    keys = {class_key(p, 3, UPPER) for p in cm_class_set(-23, 3, "y1")}
+    keys = {point_key(p, 3, UPPER) for p in cm_class_set(-23, 3, "y1")}
     idx = class_index(-23, 3, UPPER)
     for foreign in (point(1, 0, 1), point(3, 1, 2), point(3, 1, 2, -1)):  # disc -4; not primitive mod 3
-        assert class_key(foreign, 3, UPPER) not in keys, foreign
+        assert point_key(foreign, 3, UPPER) not in keys, foreign
+        assert class_key(foreign.form, 3, UPPER) not in idx.by_key, foreign
         with pytest.raises(LookupError):
-            idx.locate(foreign)
+            idx.locate(foreign.form)
 
 
 def test_equivalence_respects_curve_kind():

@@ -6,10 +6,10 @@ import random
 import pytest
 
 from formclass._arith import egcd
-from formclass.cm import cm_class_set
+import formclass.cm
+from formclass.cm import cm_class_set, equivalent_points
 from formclass.congruence import (
     CongKind,
-    _keyed_classes,
     class_index,
     class_key,
     class_keys,
@@ -36,6 +36,7 @@ from _helpers import (
     SWAP,
     inverse,
     key_from_witness_reference,
+    point_key,
     reduce_form_reference,
     seeded_forms,
     signed_class_index_reference,
@@ -45,6 +46,7 @@ from _helpers import (
 
 FULL = CongKind.FULL_LEVEL
 UPPER = CongKind.UPPER_UNIPOTENT
+CURVE = {FULL: "y", UPPER: "y1"}
 
 def sl2_order_mod(n: int) -> int:
     """|SL2(Z/n)| = n^3 * prod over p|n of (1 - 1/p^2)."""
@@ -113,7 +115,7 @@ def test_lift_matrix_rejects_nonunimodular_residue():
 
 
 def test_equivalence_witness_lands_in_subgroup():
-    f = SignedForm(QuadForm(1, 1, 6))
+    f = QuadForm(1, 1, 6)
     for kind in (FULL, UPPER):
         g = f.transform(translation(3) if kind is FULL else translation(1))
         w = cong_equivalent(f, g, 3, kind)
@@ -123,8 +125,8 @@ def test_equivalence_witness_lands_in_subgroup():
 
 
 def test_equivalence_spec_pair_at_level_three():
-    f = SignedForm(QuadForm(1, -1, 6))
-    g = SignedForm(QuadForm(1, 1, 6))
+    f = QuadForm(1, -1, 6)
+    g = QuadForm(1, 1, 6)
     w = cong_equivalent(f, g, 3, UPPER)
     assert w == UnimodMatrix(1, 1, 0, 1)
     assert cong_equivalent(f, g, 3, FULL) is None
@@ -132,23 +134,44 @@ def test_equivalence_spec_pair_at_level_three():
 
 def test_equivalence_rejects_mixed_discriminants():
     with pytest.raises(ValueError):
-        cong_equivalent(SignedForm(QuadForm(1, 0, 1)), SignedForm(QuadForm(1, 1, 6)), 2, FULL)
+        cong_equivalent(QuadForm(1, 0, 1), QuadForm(1, 1, 6), 2, FULL)
 
 
 def test_equivalence_requires_leading_coeff_prime_to_level():
-    f = SignedForm(QuadForm(3, 1, 2))  # disc -23, a = 3
+    f = QuadForm(3, 1, 2)  # disc -23, a = 3
     with pytest.raises(ValueError):
         cong_equivalent(f, f, 3, UPPER)
 
 
-def test_signs_never_mix():
+def test_signs_never_mix(monkeypatch):
+    # the signs are compared before any witness search: opposite signs never
+    # reach cong_equivalent, equal signs reach it once, on the bare forms
+    calls = []
+
+    def counted(f, g, n, kind):
+        calls.append((f, g))
+        return cong_equivalent(f, g, n, kind)
+
+    monkeypatch.setattr(formclass.cm, "cong_equivalent", counted)
     f = SignedForm(QuadForm(1, 1, 6), 1)
-    assert cong_equivalent(f, SignedForm(f.form, -1), 3, UPPER) is None
+    for curve in ("y1", "y"):
+        assert not equivalent_points(f, SignedForm(f.form, -1), 3, curve)
+        assert not equivalent_points(SignedForm(f.form, -1), f, 3, curve)
+    assert calls == []
+    points = cm_class_set(-23, 3, "y1")
+    for p in points:
+        for q in points:
+            if p.sign != q.sign:
+                assert not equivalent_points(p, q, 3, "y1")
+    assert calls == []
+    assert equivalent_points(SignedForm(f.form, -1), SignedForm(f.form, -1), 3, "y1")
+    assert calls == [(f.form, f.form)]
 
 
 def test_enumerate_classes_level_one_matches_reduced_forms():
     classes = enumerate_classes(-23, 1, FULL)
     assert len(classes) == 3
+    assert tuple(rep for _, rep in classes) == reduced_forms(-23)
     signed = cm_class_set(-23, 1, "y")
     assert len(signed) == 6
     assert sum(1 for s in signed if s.sign == 1) == 3
@@ -173,6 +196,9 @@ def test_class_index_locates_its_own_reps():
     for idx in (class_index(-23, 3, UPPER), signed_class_index_reference(-23, 3, UPPER)):
         for i, rep in enumerate(idx.reps):
             assert idx.locate(rep) == i
+    idx = class_index(-23, 3, UPPER)
+    assert all(type(rep) is QuadForm for rep in idx.reps)
+    assert idx.reps == unsigned_class_reps(-23, 3, UPPER)
 
 
 def test_class_index_locates_transformed_reps():
@@ -185,41 +211,50 @@ def test_class_index_locates_transformed_reps():
 def test_class_index_rejects_foreign_forms():
     idx = class_index(-23, 3, FULL)
     with pytest.raises(LookupError):
-        idx.locate(SignedForm(QuadForm(3, 1, 2)))  # leading coeff not prime to 3
+        idx.locate(QuadForm(3, 1, 2))  # leading coeff not prime to 3
     with pytest.raises(LookupError) as err:
-        idx.locate(((3, 1, 2), -1))  # a bare (triple, sign) is named as [a, b, c, s]
-    assert str(err.value) == "[3, 1, 2, -1] is in no enumerated discriminant--23 level-3 class"
+        idx.locate((3, 1, 2))  # a bare triple is named as [a, b, c]
+    assert str(err.value) == "[3, 1, 2] is in no enumerated discriminant--23 level-3 class"
 
 
 @pytest.mark.parametrize("d", [-3, -4, -15, -20, -23])
 def test_locate_decides_membership_by_the_key_alone(d):
-    """Every reduced form of d and of -31, moved by every coset rep, with
-    either sign: the unsigned index and the signed reference index refuse it
-    exactly when it is no member (of the family, or of the sign +1 in the
-    unsigned index), and otherwise name a rep that an explicit witness joins
-    it to."""
+    """Every reduced form of d and of -31, moved by every coset rep: the index
+    refuses it exactly when it is no member of the family, and otherwise
+    names a rep that an explicit witness joins it to, the same for the form
+    and its plain triple.  Taken as a point of either sign, the signed
+    reference index refuses it alike, and otherwise names the point of its
+    sign in that class."""
     for n in range(1, 7):
         for kind in (FULL, UPPER):
-            indexes = [(False, class_index(d, n, kind)), (True, signed_class_index_reference(d, n, kind))]
+            idx, signed = class_index(d, n, kind), signed_class_index_reference(d, n, kind)
             for base in reduced_forms(d) + reduced_forms(-31):
                 for g0 in coset_reps(n, kind):
-                    for sign in (1, -1):
-                        f = SignedForm(base.transform(g0), sign)
-                        for signed, idx in indexes:
-                            member = is_member(f.form, d, n) and (signed or sign == 1)
-                            if not member:
-                                with pytest.raises(LookupError):
-                                    idx.locate(f)
-                                continue
-                            rep = idx.reps[idx.locate(f)]
-                            assert cong_equivalent(f, rep, n, kind) is not None, (d, n, kind, f, rep)
+                    f = base.transform(g0)
+                    points = [SignedForm(f, sign) for sign in (1, -1)]
+                    if not is_member(f, d, n):
+                        for x in (f, tuple(f)):
+                            with pytest.raises(LookupError):
+                                idx.locate(x)
+                        for x in points:
+                            with pytest.raises(LookupError):
+                                signed.locate(x)
+                        continue
+                    i = idx.locate(f)
+                    assert idx.locate(tuple(f)) == i
+                    assert cong_equivalent(f, idx.reps[i], n, kind) is not None, (d, n, kind, f, idx.reps[i])
+                    for x in points:
+                        rep = signed.reps[signed.locate(x)]
+                        assert rep == SignedForm(idx.reps[i], x.sign), (d, n, kind, x, rep)
+                        assert equivalent_points(x, rep, n, CURVE[kind]), (d, n, kind, x, rep)
 
 
 def test_pairwise_distinct_classes():
     points = cm_class_set(-23, 4, "y1")
     for i, f in enumerate(points):
         for j, g in enumerate(points):
-            assert (cong_equivalent(f, g, 4, UPPER) is not None) == (i == j)
+            assert equivalent_points(f, g, 4, "y1") == (i == j)
+            assert (cong_equivalent(f.form, g.form, 4, UPPER) is not None) == (f.form == g.form)
 
 
 def _random_word(rng: random.Random) -> UnimodMatrix:
@@ -257,8 +292,11 @@ def test_class_key_agrees_with_witness_search():
                         g = _random_member(rng, SignedForm(rng.choice(bases), rng.choice((1, -1))), n)
                     else:
                         g = _random_member(rng, f, n, in_subgroup=trial % 4 == 0)
-                    same = cong_equivalent(f, g, n, kind) is not None
-                    assert (class_key(f, n, kind) == class_key(g, n, kind)) == same, (d, n, kind, f, g)
+                    same = equivalent_points(f, g, n, CURVE[kind])
+                    assert (point_key(f, n, kind) == point_key(g, n, kind)) == same, (d, n, kind, f, g)
+                    same_form = cong_equivalent(f.form, g.form, n, kind) is not None
+                    assert (class_key(f.form, n, kind) == class_key(g.form, n, kind)) == same_form, (d, n, kind, f, g)
+                    assert same == (same_form and f.sign == g.sign)
                     outcomes[same] += 1
     assert outcomes[True] > 500 and outcomes[False] > 500, outcomes
 
@@ -277,18 +315,20 @@ def test_class_key_names_are_residues_of_matrix_products():
                         names = [(m.p % n, m.q % n, m.r % n, m.s % n) for m in moved]
                     else:
                         names = [(m.r % n, m.s % n) for m in moved]
-                    assert class_key(f, n, kind) == (tuple(reduced), f.sign, min(names)), (d, n, kind, f)
+                    assert class_key(f.form, n, kind) == (tuple(reduced), min(names)), (d, n, kind, f)
 
 
 def test_class_key_matches_reduction_then_key_from_witness():
     """The uncached kernel behind class_key names every seeded form as the
-    object-level reduction followed by key_from_witness does."""
+    object-level reduction followed by key_from_witness does, and a form and
+    its plain triple alike."""
     rng = random.Random(5)
     for f in seeded_forms():
-        n, kind, sign = rng.choice((1, 2, 5, 6, 9, 12)), rng.choice((FULL, UPPER)), rng.choice((1, -1))
+        n, kind = rng.choice((1, 2, 5, 6, 9, 12)), rng.choice((FULL, UPPER))
         reduced, w = reduce_form_reference(f)
-        want = key_from_witness(tuple(reduced), sign, tuple(w), n, kind)
-        assert class_key(SignedForm(f, sign), n, kind) == want, (f, n, kind)
+        want = key_from_witness(tuple(reduced), tuple(w), n, kind)
+        assert class_key(f, n, kind) == want, (f, n, kind)
+        assert class_key(tuple(f), n, kind) == want, (f, n, kind)
 
 
 def test_residue_keys_match_reduced_keys():
@@ -305,8 +345,8 @@ def test_residue_keys_match_reduced_keys():
                         cand = base.transform(g0)
                         if math.gcd(cand.a, n) != 1:
                             continue
-                        got = key_from_witness(tuple(base), 1, tuple(inverse(g0)), n, kind)
-                        assert got == class_key(SignedForm(cand), n, kind), (d, n, kind, cand, g0)
+                        got = key_from_witness(tuple(base), tuple(inverse(g0)), n, kind)
+                        assert got == class_key(cand, n, kind), (d, n, kind, cand, g0)
                         checked += 1
     assert checked > 5000, checked
 
@@ -333,10 +373,10 @@ def test_key_from_witness_matches_reference():
             for n in range(1, 31):
                 for kind in (FULL, UPPER):
                     for _ in range(3):
-                        w, sign = _random_witness(rng), rng.choice((1, -1))
+                        w = _random_witness(rng)
                         assert w[0] * w[3] - w[1] * w[2] == 1
-                        want = key_from_witness_reference(triple, sign, w, n, kind)
-                        assert key_from_witness(triple, sign, w, n, kind) == want, (triple, w, n, kind)
+                        want = key_from_witness_reference(triple, w, n, kind)
+                        assert key_from_witness(triple, w, n, kind) == want, (triple, w, n, kind)
 
 
 @pytest.mark.parametrize("d", [-3, -4, -15, -20, -23, -31, -56, -95])
@@ -344,7 +384,7 @@ def test_class_keys_match_keyed_classes(d):
     """The keys read off residues alone are the keys of the enumerated classes."""
     for n in (1, 2, 3, 4, 5, 6, 8, 9):
         for kind in (FULL, UPPER):
-            assert class_keys(d, n, kind) == {key for key, _ in _keyed_classes(d, n, kind)}, (d, n, kind)
+            assert class_keys(d, n, kind) == {key for key, _ in enumerate_classes(d, n, kind)}, (d, n, kind)
 
 
 @pytest.mark.parametrize("d,n,kind", [(-3, 4, FULL), (-4, 6, UPPER), (-23, 6, FULL), (-56, 9, UPPER)])
@@ -358,21 +398,21 @@ def test_enumeration_keeps_least_triple_per_class(d, n, kind):
         for g0 in coset_reps(n, kind):
             cand = base.transform(g0)
             if math.gcd(cand.a, n) == 1:
-                key = class_key(SignedForm(cand), n, kind)
+                key = class_key(cand, n, kind)
                 least[key] = min(least.get(key, tuple(cand)), tuple(cand))
     assert [tuple(f) for f in reps] == sorted(least.values())
 
 
 @pytest.mark.parametrize("d,n,kind", [(-3, 6, FULL), (-4, 4, UPPER), (-15, 4, FULL), (-23, 6, UPPER)])
 def test_signed_class_index_maps_both_signs(d, n, kind):
-    # a point's key carries its sign: flipping it moves the class by half the
-    # point list, as in the signed reference index
-    points = cm_class_set(d, n, {FULL: "y", UPPER: "y1"}[kind])
-    keys = [class_key(f, n, kind) for f in points]
+    # a point's class carries its sign: flipping it moves the class by half
+    # the point list, as in the signed reference index
+    points = cm_class_set(d, n, CURVE[kind])
+    keys = [point_key(f, n, kind) for f in points]
     reference = signed_class_index_reference(d, n, kind)
     assert reference.reps == points
     half = len(points) // 2
     for i, f in enumerate(points):
         flipped = SignedForm(f.form, -f.sign)
-        assert class_key(flipped, n, kind) == keys[(i + half) % len(points)]
+        assert point_key(flipped, n, kind) == keys[(i + half) % len(points)]
         assert reference.locate(f) == i and reference.locate(flipped) == (i + half) % len(points)

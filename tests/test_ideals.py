@@ -267,7 +267,7 @@ def test_ray_class_equal_matches_the_unit_loop(d):
     # -3 and -4 are the only orders with units besides +-1
     for n in range(2, 13):
         reps = class_index(d, n, CongKind.UPPER_UNIPOTENT).reps
-        forms = [form_to_ideal(rep.form) for rep in reps]
+        forms = [form_to_ideal(rep) for rep in reps]
         ideals = forms + [conjugate_ideal(u) for u in forms]
         for u in ideals:
             for v in ideals:
@@ -281,7 +281,7 @@ def _ray_pool(d, n, rng):
     """Class ideals at level n, some of their products and inverses, and
     principal ideals scaled by 2/3, alone and times a class ideal."""
     reps = class_index(d, n, CongKind.UPPER_UNIPOTENT).reps
-    classes = [form_to_ideal(rep.form) for rep in reps]
+    classes = [form_to_ideal(rep) for rep in reps]
     pool = classes + [rng.choice(classes) * rng.choice(classes) for _ in range(6)]
     pool += [u.inverse() for u in pool[:6]]
     for _ in range(4):

@@ -336,7 +336,7 @@ def test_act_padic_identity_and_compatibility():
 def lift_check(x, g):
     """The report's lift check for one pair at level 9, the kernel class g
     lifted as the report lifts it: RuntimeError on a mismatch."""
-    key = class_key(moved(x, formclass.tower.lift_matrix(*g, 9), 3), 9, CongKind.FULL_LEVEL)
+    key = class_key(moved(x, formclass.tower.lift_matrix(*g, 9), 3).form, 9, CongKind.FULL_LEVEL)
     formclass.tower._check_lift(x, *reduce_form(x.form), g, 9, key)
 
 
@@ -392,17 +392,19 @@ def test_located_check_raises(monkeypatch):
 def test_located_check_rebuilds_the_key():
     """A key outside the codomain is refused, and so is a key whose name is
     not the least over Aut(R): its representative is in the right class, so a
-    witness joins it to the image, but it reduces to the canonical key."""
-    img = point(1, 1, 6)
-    key = class_key(img, 9, CongKind.FULL_LEVEL)
-    triple, sign, name = key
-    negated = (triple, sign, tuple(-x % 9 for x in name))
+    witness joins it to the image, but it reduces to the canonical key.  The
+    class is rebuilt with the image's sign, so either sign passes."""
+    key = class_key((1, 1, 6), 9, CongKind.FULL_LEVEL)
+    triple, name = key
+    negated = (triple, tuple(-x % 9 for x in name))
     assert negated != key
-    formclass.tower._check_located(img, key, frozenset({key}), 9)
-    with pytest.raises(RuntimeError, match="which is no enumerated level-9 class"):
-        formclass.tower._check_located(img, key, frozenset({negated}), 9)
-    with pytest.raises(RuntimeError, match="but its own key is"):
-        formclass.tower._check_located(img, negated, frozenset({negated}), 9)
+    for sign in (1, -1):
+        img = point(1, 1, 6, sign)
+        formclass.tower._check_located(img, key, frozenset({key}), 9)
+        with pytest.raises(RuntimeError, match="which is no enumerated level-9 class"):
+            formclass.tower._check_located(img, key, frozenset({negated}), 9)
+        with pytest.raises(RuntimeError, match="but its own key is"):
+            formclass.tower._check_located(img, negated, frozenset({negated}), 9)
 
 
 def test_lift_check_searches_one_witness_per_base_point(monkeypatch):
@@ -469,6 +471,24 @@ def test_report_witnesses_match_the_object_reference(monkeypatch):
     report = correspondence_report(3, -23, 2)
     assert not report["injective"] and len(report["witnesses_of_failure"]) == 36 * 26
     assert report == correspondence_report_objects_reference(3, -23, 2)
+
+
+def test_report_keeps_the_signs_apart(monkeypatch):
+    """With the minus half of the base points relabelled +1, each of them
+    repeats its plus twin: its image under every kernel class collides with
+    the twin's, and no image reaches the classes of the sign -1, although the
+    pairs still number as many as the codomain."""
+    real = formclass.tower.cm_class_set
+    monkeypatch.setattr(formclass.tower, "cm_class_set",
+                        lambda d, n, curve: tuple(SignedForm(f.form, 1) for f in real(d, n, curve)))
+    for check_lift in (False, True):
+        report = correspondence_report(3, -23, 2, check_lift)
+        h, k = report["base_size"] // 2, report["kernel_size"]
+        assert not report["injective"] and not report["surjective"]
+        assert report["witnesses_of_failure"] == [
+            {"first": [ri, gi], "second": [ri + h, gi]} for ri in range(h) for gi in range(k)]
+        assert report["codomain_size"] == report["pairs"]
+        assert report == correspondence_report_objects_reference(3, -23, 2, check_lift)
 
 
 def test_report_builds_no_objects_per_pair(monkeypatch):
