@@ -23,6 +23,7 @@ import random
 import sys
 
 from . import suites
+from ._arith import is_prime
 from .classgroup import ClassGroupTable, GroupAxiomError
 from .cm import cm_class_set, point_json
 from .congruence import CongKind, cong_equivalent
@@ -131,8 +132,9 @@ def _plan(args):
     it scans, for _check_disc, every (D, N) it builds a class group table at,
     with the number of passes over it when that is more than one, for
     _check_table, and the call that runs it and returns (document, exit
-    code).  Building a plan parses its forms, refuses a negative --trials and a
-    levelsquare -N not dividing -M, and enumerates nothing."""
+    code).  Building a plan parses its forms, refuses a negative --trials, a
+    levelsquare -N not dividing -M, a non-prime padiclimits -p within the cap
+    and -p 2 for the tower correspondence, and enumerates nothing."""
     if args.command == "reduce":
         f = _parse_form(args.form)
 
@@ -169,6 +171,8 @@ def _plan(args):
             classes = [point_json(f) for f in cm_class_set(d, n, args.curve)]
             return {"D": d, "N": n, "curve": args.curve, "count": len(classes), "classes": classes}, 0
         return [(n, 1)], [d], [], run
+    if args.prime == 2 and (args.command == "tower" or args.suite in ("padicpoints", "all")):  # tower or verify
+        raise ValueError("-p 2 is refused: -I lies in Gamma(2), so the correspondence is 2-to-1 above level 2")
     if args.command == "tower":
         def run():
             report = correspondence_report(args.prime, d, args.precision, check_lift=args.check_lift)
@@ -211,7 +215,9 @@ def _suite(name: str, args):
     if name == "padiclimits":
         trials = args.trials or (200 if args.quick else 1000)
         primes = [args.prime] if args.prime is not None else [3, 5, 2]
-        levels = [(args.prime, 1)] if args.prime is not None else []  # caps -p before is_prime's trial division
+        levels = [(args.prime, 1)] if args.prime is not None else []
+        if levels and 1 <= args.prime <= args.level_cap and not is_prime(args.prime):  # _check_level refuses the rest
+            raise ValueError(f"{args.prime} is not prime")
         return levels, [], [], lambda rng: suites.padiclimits(primes, trials, rng)
     if args.prime is not None:  # padicpoints
         instances = [(args.prime, args.disc, args.precision)]

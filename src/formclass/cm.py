@@ -14,7 +14,7 @@ finds a witness between their forms.
 from __future__ import annotations
 
 from .congruence import CongKind, cong_equivalent, unsigned_class_reps
-from .forms import SignedForm
+from .forms import SignedForm, is_member
 
 CURVES = ("y1", "y")
 
@@ -42,10 +42,13 @@ def point_json(f: SignedForm) -> dict:
 
 def equivalent_points(f: SignedForm, g: SignedForm, n: int, curve: str) -> bool:
     """Whether the points of two signed forms coincide on the level-n curve
-    ("y1" or "y"); different discriminants or signs skip the witness search."""
-    if f.discriminant() != g.discriminant() or f.sign != g.sign:
+    ("y1" or "y"); different discriminants or signs skip the witness search,
+    and a form that is no member at n is refused whatever the signs."""
+    if f.discriminant() != g.discriminant():
         return False
-    return cong_equivalent(f.form, g.form, n, curve_kind(curve)) is not None
+    if not all(is_member(x.form, x.discriminant(), n) for x in (f, g)):
+        raise ValueError(f"forms must have leading coefficient prime to {n}")
+    return f.sign == g.sign and cong_equivalent(f.form, g.form, n, curve_kind(curve)) is not None
 
 
 def cm_class_set(d: int, n: int, curve: str) -> tuple[SignedForm, ...]:

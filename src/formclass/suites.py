@@ -221,7 +221,7 @@ def padiclimits(primes, trials: int, rng: random.Random) -> list[dict]:
 
 def padicpoints(instances) -> list[dict]:
     """Base points x reduction kernel hit every level-p^n class exactly once, for
-    each (p, d, n)."""
+    each (p, d, n) with p != 2 (at p = 2 and n >= 2, -I in Gamma(2) hits each twice)."""
     checks = []
     for p, d, n in instances:
         report = correspondence_report(p, d, n, check_lift=True)

@@ -1,8 +1,8 @@
-"""Finite truncations of the projective limits: the reduction kernel mod
-prime powers, read off the residues of SL2(Z/p^n) as those in Gamma(p), the
-uniqueness property of truncated matrix limits (sharp at the odd/even prime
-boundary), and the correspondence between base points times a congruence
-kernel and point classes at higher level, checked exhaustively.  Points are
+"""Finite truncations of the projective limits: the reduction kernel mod p^n
+read off SL2(Z/p^n) as its residues in Gamma(p), the uniqueness property of
+truncated matrix limits (sharp at the odd/even prime boundary), and the
+correspondence of base points times that kernel with the level-p^n classes at
+any D, exhaustively: 1-to-1 for p != 2, 2-to-1 at 2^n, n >= 2.  Points are
 signed forms (see `cm`); a kernel class is its residue tuple (a, b, c, d)
 mod p^n, and it acts on points through an integral lift
 (`congruence.lift_matrix`) taken at its own level.  In the pair loop a point
@@ -33,7 +33,6 @@ from .forms import (
     _moved,
     _mul,
     reduce_form,
-    require_discriminant,
 )
 
 _Entries = tuple[int, int, int, int]
@@ -41,13 +40,11 @@ _Entries = tuple[int, int, int, int]
 
 def kernel_reps(p: int, n: int) -> tuple[_Entries, ...]:
     """Residues (a, b, c, d) in [0, p^n) of all classes mod p^n that reduce to
-    the identity mod p: count p^(3(n-1)).
+    the identity mod p: count p^(3(n-1)) at any p >= 1, prime or not.
 
     They are read off the residues of SL2(Z/p^n) (`sl2_residues`) as the ones
     in Gamma(p), in the order those are enumerated.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if n < 1:
         raise ValueError("precision must be >= 1")
     return tuple(g for g in sl2_residues(p**n) if in_gamma(g, p, CongKind.FULL_LEVEL))
@@ -210,16 +207,11 @@ def random_compliant_pair(p: int, length: int, rng: random.Random) -> tuple[Matr
     return s, t, expected
 
 
-# -- base points at an odd prime and the classes above them -------------------
+# -- base points at level p and the classes above them -------------------------
 
 
 def base_point_set(p: int, d: int) -> tuple[SignedForm, ...]:
-    """One point per class of the full-congruence signed curve at an odd prime level p."""
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"need an odd prime level, got {p}")
-    require_discriminant(d)
-    if d in (-3, -4):
-        raise ValueError(f"discriminant {d} has extra units; the correspondence needs D < -4")
+    """One point per class of the full-congruence signed curve at level p (`cm_class_set`)."""
     return cm_class_set(d, p, "y")
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from formclass import tower
-from formclass._arith import egcd, is_prime
+from formclass._arith import egcd
 from formclass.classgroup import CompositionBoundError, compose, same_class
 from formclass.congruence import CongKind, class_index, class_key, class_keys, in_gamma, lift_matrix
 from formclass.congruence import sl2_residues
@@ -570,9 +570,8 @@ def fundamental_part_reference(d: int) -> tuple[int, int]:
 def kernel_reps_reference(p: int, n: int) -> tuple[tuple[int, int, int, int], ...]:
     """`tower.kernel_reps` in closed form, as it was before it filtered the
     residues of SL2(Z/p^n): a = 1 + p*al, b = p*be, c = p*ga range freely mod
-    p^(n-1) and d = (1 + p^2*be*ga) * a^-1 mod p^n solves the determinant."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    p^(n-1) and d = (1 + p^2*be*ga) * a^-1 mod p^n solves the determinant,
+    a being prime to p at a prime p or not."""
     if n < 1:
         raise ValueError("precision must be >= 1")
     m, span = p**n, p ** (n - 1)

@@ -89,6 +89,9 @@ def test_compose_and_locate_refuse_forms_outside_the_group():
         for f in (shares, other):
             with pytest.raises(ValueError):
                 route(f)
+    with pytest.raises(ValueError) as err:
+        compose(e, other, 3)
+    assert str(err.value) == "discriminant mismatch: -23 vs -15"
 
 
 def test_compose_neutral_and_commutative():
@@ -620,24 +623,38 @@ def _associative(t, rows=None):
     )
 
 
+def _failing_triple(err) -> tuple[int, int, int]:
+    """The (i, g, k) named by an "associativity fails at (i, g, k)" message."""
+    return tuple(map(int, re.fullmatch(r"associativity fails at \((\d+), (\d+), (\d+)\)", str(err)).groups()))
+
+
 def _passes(t, e):
+    """Whether the validator accepts t; a rejection must name a triple that
+    really fails associativity in t."""
     try:
         _check_group_table(t, e)
-    except GroupAxiomError:
+    except GroupAxiomError as err:
+        i, g, k = _failing_triple(err)
+        assert t[t[i][g]][k] != t[i][t[g][k]], (str(err), t)
         return False
     return True
 
 
 def test_validator_rejects_non_associative_loop():
+    # the triple the message names really fails associativity in the table
     table = class_group_table(-23, 1)
     loop = _relabel(LOOP5, _swap_to(5, table.identity_index))
     fake = table._replace(classes=table.classes + table.classes[:2], cayley=loop)
-    with pytest.raises(GroupAxiomError, match="associativity fails"):
+    with pytest.raises(GroupAxiomError, match="associativity fails") as err:
         fake._validate()
+    i, g, k = _failing_triple(err.value)
+    assert loop[loop[i][g]][k] != loop[i][loop[g][k]]
     pm = PMGroup.build(table)
     loop = _relabel(LOOP5, _swap_to(5, pm.identity_index))
-    with pytest.raises(GroupAxiomError, match="associativity fails"):
+    with pytest.raises(GroupAxiomError, match="associativity fails") as err:
         pm._replace(cayley=loop)._validate()
+    i, g, k = _failing_triple(err.value)
+    assert loop[loop[i][g]][k] != loop[i][loop[g][k]]
 
 
 def test_validator_rejects_non_commutative_group():
@@ -646,8 +663,11 @@ def test_validator_rejects_non_commutative_group():
     table = class_group_table(-23, 1)
     fake = table._replace(classes=table.classes * 2, cayley=s3, identity_index=0)
     _check_group_table(s3, 0)
-    with pytest.raises(GroupAxiomError, match="differ"):
+    with pytest.raises(GroupAxiomError, match="differ") as err:
         fake._validate()
+    # the pair the message names really fails to commute
+    i, j = map(int, re.fullmatch(r"products (\d+)\*(\d+) and \2\*\1 differ", str(err.value)).groups())
+    assert s3[i][j] != s3[j][i]
 
 
 def test_validator_agrees_with_brute_force_associativity():

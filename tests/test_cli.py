@@ -16,7 +16,7 @@ import pytest
 
 import formclass
 from formclass import classgroup, suites
-from formclass.cli import CELL_BUDGET, GROUPLAW_PASSES, SCAN_BUDGET, _check_disc, _check_table, main
+from formclass.cli import CELL_BUDGET, GROUPLAW_PASSES, SCAN_BUDGET, SUITES, _check_disc, _check_table, main
 from formclass.congruence import ClassIndex, CongKind, class_key
 from formclass.forms import QuadForm
 
@@ -216,6 +216,50 @@ def test_padiclimits_refuses_a_prime_below_two(capsys, prime, message):
 def test_padiclimits_without_a_prime_runs_three_five_and_two(capsys):
     doc = run_json(capsys, "verify", "padiclimits", "--trials", "2")
     assert [c["p"] for c in doc["suites"][0]["checks"]] == [3, 5, 2]
+
+
+def _record_suites(monkeypatch) -> list[str]:
+    """Replace every suite by one that records its name and returns no checks."""
+    calls = []
+    for name in SUITES:
+        monkeypatch.setattr(suites, name, lambda *args, name=name: calls.append(name) or [])
+    return calls
+
+
+@pytest.mark.parametrize("argv", ["verify all -p 2", "verify padicpoints -p 2 -D -23"])
+def test_level_two_is_refused_before_any_suite(capsys, monkeypatch, argv):
+    # -I lies in Gamma(2), so the correspondence at p = 2 is 2-to-1; padicpoints
+    # runs last, but -p 2 exits 2 before grouplaw, the first suite, is called
+    calls = _record_suites(monkeypatch)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == "" and "-I lies in Gamma(2)" in err
+    assert calls == []
+
+
+def test_tower_refuses_level_two_before_the_report(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(formclass.cli, "correspondence_report", lambda *args, **kwargs: calls.append(args))
+    code, out, err = run(capsys, "tower", "-p", "2", "-D", "-23", "-n", "2")
+    assert code == 2 and out == "" and "-I lies in Gamma(2)" in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("prime", ["1", "4", "9"])
+def test_verify_all_refuses_a_non_prime_limit_before_any_suite(capsys, monkeypatch, prime):
+    # padiclimits runs fifth; its non-prime -p within the cap exits 2 before
+    # grouplaw, the first suite, is called
+    calls = _record_suites(monkeypatch)
+    code, out, err = run(capsys, "verify", "all", "-p", prime)
+    assert code == 2 and out == "" and err == f"invalid input: {prime} is not prime\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", ["tower -p 3 -D -4 -n 2 --check-lift", "tower -p 4 -D -23 -n 2"])
+def test_tower_runs_at_extra_units_and_composite_levels(capsys, argv):
+    doc = run_json(capsys, *argv.split())
+    p, n = doc["p"], doc["n"]
+    assert doc["injective"] and doc["surjective"] and doc["witnesses_of_failure"] == []
+    assert doc["codomain_size"] == doc["pairs"] == doc["base_size"] * p ** (3 * (n - 1))
 
 
 def test_huge_discriminants_are_refused_before_any_enumeration(capsys):

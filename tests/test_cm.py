@@ -123,6 +123,18 @@ def test_half_planes_never_mix():
     assert equivalent_points(p, p, 1, "y")
 
 
+def test_non_members_are_refused_whatever_the_signs():
+    # (3, 1, 2) has a leading coefficient that shares the level 3: refused as
+    # cong_equivalent refuses it, also against a member of the opposite sign
+    for curve in ("y1", "y"):
+        for s in (1, -1):
+            for t in (1, -1):
+                for f, g in ((point(3, 1, 2, s), point(1, 1, 6, t)), (point(1, 1, 6, s), point(3, 1, 2, t)),
+                             (point(3, 1, 2, s), point(3, 1, 2, t))):
+                    with pytest.raises(ValueError, match="leading coefficient prime to 3"):
+                        equivalent_points(f, g, 3, curve)
+
+
 def test_conjugation_transports_classes():
     # conjugate points of equivalent points are equivalent
     cs = cm_class_set(-23, 3, "y1")

@@ -146,6 +146,14 @@ def test_ideal_validation():
         OIdeal(-23, Fraction(-1), 2, 1)
     with pytest.raises(ValueError):
         OIdeal(-23, Fraction(1), 2, 5)  # b out of [0, 2a)
+    # the boundaries at (D, a, b) = (-20, 5, 0), where b = 10 = 2a would pass
+    # every other check: 10^2 + 20 = 0 mod 20 and gcd(5, 10, 6) = 1
+    assert OIdeal(-20, Fraction(1), 5, 0).a == 5
+    with pytest.raises(ValueError, match="scale must be positive"):
+        OIdeal(-20, Fraction(0), 5, 0)
+    for a, b in ((0, 0), (5, 10)):
+        with pytest.raises(ValueError, match="need a > 0 and 0 <= b < 2a"):
+            OIdeal(-20, Fraction(1), a, b)
 
 
 def test_multiplication_commutes_and_associates():

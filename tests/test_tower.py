@@ -5,7 +5,7 @@ import random
 import pytest
 
 import formclass.tower
-from formclass.cm import equivalent_points
+from formclass.cm import cm_class_set, equivalent_points
 from formclass.congruence import CongKind, class_key, lift_matrix
 from formclass.forms import IDENTITY, QuadForm, SignedForm, UnimodMatrix, reduce_form
 from formclass.tower import (
@@ -34,14 +34,13 @@ def residues(g: UnimodMatrix, m: int) -> tuple[int, int, int, int]:
 
 def test_padic_matrix_reduces_and_checks_det():
     """A residue matrix mod p^n is lifted with determinant 1 and reduces back;
-    a determinant other than 1 mod p^n, a non-prime p or a precision below 1
-    is refused."""
+    a determinant other than 1 mod p^n or a precision below 1 is refused, and
+    a non-prime p gets its closed-form kernel."""
     g = lift_matrix(2, 1, 1, 1, 9)
     assert residues(g, 9) == (2, 1, 1, 1) and g.p * g.s - g.q * g.r == 1
     with pytest.raises(ValueError, match="not unimodular mod 9"):
         lift_matrix(1, 0, 0, 2, 9)  # det = 2, not 1 mod 9
-    with pytest.raises(ValueError, match="4 is not prime"):
-        kernel_reps(4, 2)
+    assert kernel_reps(4, 2) == kernel_reps_reference(4, 2)
     with pytest.raises(ValueError, match="precision must be >= 1"):
         kernel_reps(3, 0)
 
@@ -75,9 +74,10 @@ def test_kernel_sizes(p, n, count):
         assert (a * d - b * c) % m == 1 % m
 
 
-@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 2)])
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2), (5, 1), (5, 2), (6, 2), (7, 2)])
 def test_kernel_matches_closed_form(p, n):
-    """The residues of SL2(Z/p^n) in Gamma(p) are the closed-form kernel, in the same order."""
+    """The residues of SL2(Z/p^n) in Gamma(p) are the closed-form kernel, in the
+    same order, at a prime p or not."""
     assert kernel_reps(p, n) == kernel_reps_reference(p, n)
 
 
@@ -302,14 +302,13 @@ def test_running_moduli_sit_on_each_boundary(p):
 
 
 def test_base_point_set_sizes_and_gates():
+    """The base points are the level-p classes of the signed curve at every
+    level and discriminant: the even level 2, the prime power 9 and the extra
+    units of -4 included."""
     assert len(base_point_set(3, -23)) == 36
     assert len(base_point_set(5, -15)) == 200
-    with pytest.raises(ValueError):
-        base_point_set(2, -23)
-    with pytest.raises(ValueError):
-        base_point_set(9, -23)
-    with pytest.raises(ValueError):
-        base_point_set(3, -4)
+    for p, d in ((2, -23), (9, -23), (3, -4)):
+        assert base_point_set(p, d) == cm_class_set(d, p, "y"), (p, d)
 
 
 def moved(x, lift, p):
@@ -453,14 +452,30 @@ def test_correspondence_report_at_precision_one():
     assert report["witnesses_of_failure"] == []
 
 
-@pytest.mark.parametrize("p,d,n", [(3, -23, 1), (3, -23, 2), (3, -31, 2), (3, -95, 2), (5, -15, 2), (7, -23, 1)])
+@pytest.mark.parametrize("p,d,n", [(3, -23, 1), (3, -23, 2), (3, -31, 2), (3, -95, 2), (5, -15, 2), (7, -23, 1),
+                                   (3, -4, 2), (3, -3, 2), (4, -23, 2)])
 def test_report_matches_the_object_reference(p, d, n):
     """The pair loop on integer triples gives the report of the loop that
     moved and keyed one validated signed form per pair, with and without the
-    lift and located checks."""
+    lift and located checks; at D = -3 and -4 the lift check reads a reduced
+    form with more automorphs than +-I."""
     for check_lift in (False, True):
         assert correspondence_report(p, d, n, check_lift) == correspondence_report_objects_reference(
             p, d, n, check_lift), check_lift
+
+
+@pytest.mark.parametrize("d,n", [(-23, 2), (-4, 2), (-15, 3)])
+def test_level_two_is_exactly_two_to_one(d, n):
+    """-I lies in Gamma(2), so the kernel classes g and -g move every point
+    alike: the pairs cover each level-2^n class exactly twice, and each
+    witness pairs a base point's image under g with its image under -g."""
+    report = correspondence_report(2, d, n, check_lift=True)
+    kernel, m = kernel_reps(2, n), 2**n
+    assert report["surjective"] and report["pairs"] == 2 * report["codomain_size"]
+    assert len(report["witnesses_of_failure"]) == report["codomain_size"]
+    for w in report["witnesses_of_failure"]:
+        (ri, gi), (rj, gj) = w["first"], w["second"]
+        assert ri == rj and all((x + y) % m == 0 for x, y in zip(kernel[gi], kernel[gj])), w
 
 
 def test_report_witnesses_match_the_object_reference(monkeypatch):
