@@ -1,12 +1,12 @@
 """Command-line front end: the six subcommands.
 
-Each command is a plan (levels, discs, tables, run) read off its arguments:
-every level it enumerates, every discriminant it scans, every class group
-table it builds, and the call that runs it.  `main` checks that --level-cap
-is >= 1, then the levels against the cap, the discriminants against
-SCAN_BUDGET and the tables against CELL_BUDGET, so an oversized input exits 2
-before any plan runs.  `verify` joins the plans of its suites, which run the
-suites of `formclass.suites` on one seeded RNG.
+Each command is a plan (sites, run).  A site (D, (base, exponent), passes)
+is one place the command enumerates at: the discriminant it scans there, or
+None, the level, and its passes over the class group table there, or 0.
+`main` checks that --level-cap is >= 1, then every site's level against the
+cap, its D against SCAN_BUDGET and its passes against CELL_BUDGET, so an
+oversized input exits 2 before the plan runs.  `verify` joins the sites of
+its suites, which run the suites of `formclass.suites` on one seeded RNG.
 
 Every command prints one JSON document (or a plain-text rendering with
 --format text) built only from exact integers, so identical invocations with
@@ -127,12 +127,10 @@ def _is_flat(val) -> bool:
 
 
 def _plan(args):
-    """(levels, discs, tables, run) for the command in args: every level it
-    enumerates, as (base, exponent) pairs for _check_level, every discriminant
-    it scans, for _check_disc, every (D, N) it builds a class group table at,
-    with the number of passes over it when that is more than one, for
-    _check_table, and the call that runs it and returns (document, exit
-    code).  Building a plan parses its forms, refuses a negative --trials, a
+    """(sites, run) for the command in args: every site it enumerates at, a
+    tower's level p^n before its base level p, so that the cap and -n are
+    named first, and the call that runs it and returns (document, exit code).
+    Building a plan parses its forms, refuses a negative --trials, a
     levelsquare -N not dividing -M, a non-prime padiclimits -p within the cap
     and -p 2 for the tower correspondence, and enumerates nothing."""
     if args.command == "reduce":
@@ -142,7 +140,7 @@ def _plan(args):
             reduced, witness = reduce_form(f)
             return {"input": list(f), "reduced": list(reduced), "witness": witness.to_json(),
                     "discriminant": f.discriminant()}, 0
-        return [], [], [], run
+        return [], run
     if args.command == "equiv":
         f, g = _parse_form(args.form1), _parse_form(args.form2)
         kind = CongKind.UPPER_UNIPOTENT if args.gamma1 else CongKind.FULL_LEVEL
@@ -154,7 +152,7 @@ def _plan(args):
             if w is not None:
                 doc["witness"] = w.to_json()
             return doc, 0
-        return [(args.level, 1)], [], [], run
+        return [(None, (args.level, 1), 0)], run
     d = args.disc
     if args.command == "classgroup":
         n = args.level
@@ -163,25 +161,25 @@ def _plan(args):
             doc = ClassGroupTable.build(d, n).to_json()
             doc["order_formula"] = ray_class_count(d, n)
             return doc, 0
-        return [(n, 1)], [d], [(d, n)], run
+        return [(d, (n, 1), 1)], run
     if args.command == "cm":
         n = args.level
 
         def run():
             classes = [point_json(f) for f in cm_class_set(d, n, args.curve)]
             return {"D": d, "N": n, "curve": args.curve, "count": len(classes), "classes": classes}, 0
-        return [(n, 1)], [d], [], run
+        return [(d, (n, 1), 0)], run
     if args.prime == 2 and (args.command == "tower" or args.suite in ("padicpoints", "all")):  # tower or verify
         raise ValueError("-p 2 is refused: -I lies in Gamma(2), so the correspondence is 2-to-1 above level 2")
     if args.command == "tower":
         def run():
             report = correspondence_report(args.prime, d, args.precision, check_lift=args.check_lift)
             return report, 0 if report["injective"] and report["surjective"] else 1
-        return [(args.prime, args.precision)], [d], [], run
+        return [(d, (args.prime, args.precision), 0), (d, (args.prime, 1), 0)], run
     if args.trials < 0:  # verify
         raise ValueError("--trials must be >= 0 (0 means the default)")
     names = SUITES if args.suite == "all" else (args.suite,)
-    levels, discs, tables, suite_runs = zip(*(_suite(name, args) for name in names))
+    sites, suite_runs = zip(*(_suite(name, args) for name in names))
 
     def run():
         rng = random.Random(args.seed)
@@ -191,7 +189,7 @@ def _plan(args):
             results.append({"suite": name, "pass": all(c["pass"] for c in checks), "checks": checks})
         passed = all(s["pass"] for s in results)
         return {"seed": args.seed, "pass": passed, "suites": results}, 0 if passed else 1
-    return sum(levels, []), sum(discs, []), sum(tables, []), run
+    return sum(sites, []), run
 
 
 def _suite(name: str, args):
@@ -199,32 +197,32 @@ def _suite(name: str, args):
     run takes the shared RNG and returns the suite's checks."""
     d = args.disc
     if name == "grouplaw":
-        return ([(args.level, 1)], [d], [(d, 1), (d, args.level, GROUPLAW_PASSES)],
+        return ([(d, (1, 1), 1), (d, (args.level, 1), GROUPLAW_PASSES)],
                 lambda rng: suites.grouplaw(d, args.level, rng))
     if name == "levelsquare":
         if min(args.level, args.fine) >= 1 and args.fine % args.level:  # levels below 1 fail _check_level
             raise ValueError(f"target level {args.level} must divide source level {args.fine}")
-        return [(args.level, 1), (args.fine, 1)], [d], [], lambda rng: suites.levelsquare(d, args.fine, args.level)
+        return ([(d, (args.level, 1), 0), (d, (args.fine, 1), 0)],
+                lambda rng: suites.levelsquare(d, args.fine, args.level))
     if name == "levelmaps":
         chains = [(3, 1)] if args.quick else [(2, 1), (3, 1), (4, 2), (9, 3)]
-        return ([(m, 1) for m, _ in chains], [d], [(d, k) for chain in chains for k in chain],
-                lambda rng: suites.levelmaps(d, chains))
+        return [(d, (k, 1), 1) for chain in chains for k in chain], lambda rng: suites.levelmaps(d, chains)
     if name == "orderchange":
         instances = suites.ORDERCHANGE_INSTANCES
-        return [(n, 1) for _, _, n in instances], [], [], lambda rng: suites.orderchange(instances)
+        return [(disc, (n, 1), 1) for *pair, n in instances for disc in pair], lambda rng: suites.orderchange(instances)
     if name == "padiclimits":
         trials = args.trials or (200 if args.quick else 1000)
         primes = [args.prime] if args.prime is not None else [3, 5, 2]
-        levels = [(args.prime, 1)] if args.prime is not None else []
-        if levels and 1 <= args.prime <= args.level_cap and not is_prime(args.prime):  # _check_level refuses the rest
+        sites = [(None, (args.prime, 1), 0)] if args.prime is not None else []
+        if sites and 1 <= args.prime <= args.level_cap and not is_prime(args.prime):  # _check_level refuses the rest
             raise ValueError(f"{args.prime} is not prime")
-        return levels, [], [], lambda rng: suites.padiclimits(primes, trials, rng)
+        return sites, lambda rng: suites.padiclimits(primes, trials, rng)
     if args.prime is not None:  # padicpoints
         instances = [(args.prime, args.disc, args.precision)]
     else:
         instances = [(3, -23, args.precision)] + ([] if args.quick else [(5, -15, 2)])
-    discs = [d] if args.prime is not None else []
-    return [(p, n) for p, _, n in instances], discs, [], lambda rng: suites.padicpoints(instances)
+    sites = [site for p, disc, n in instances for site in ((disc, (p, n), 0), (disc, (p, 1), 0))]
+    return sites, lambda rng: suites.padicpoints(instances)
 
 
 # -- argument plumbing ---------------------------------------------------------
@@ -323,13 +321,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.level_cap < 1:
             raise ValueError("level cap must be >= 1")
-        levels, discs, tables, run = _plan(args)
-        for base, exponent in levels:
+        sites, run = _plan(args)
+        for _, (base, exponent), _ in sites:
             _check_level(base, args.level_cap, exponent)
-        for d in discs:
-            _check_disc(d)
-        for table in tables:
-            _check_table(*table)
+        for d, _, _ in sites:
+            if d is not None:
+                _check_disc(d)
+        for d, (base, exponent), passes in sites:
+            if passes:
+                _check_table(d, base**exponent, passes)
         doc, code = run()
     except (ValueError, LookupError) as err:
         print(f"invalid input: {err}", file=sys.stderr)

@@ -234,10 +234,10 @@ def residue_mul(x: tuple[int, int], y: tuple[int, int], d: int, n: int) -> tuple
     return (x0 * y0 - x1 * y1 * _nrm(d)) % n, (x0 * y1 + x1 * y0 + x1 * y1 * d) % n
 
 
-def residue_name(x: tuple[int, int], d: int, n: int) -> tuple[int, int]:
-    """The name of x's coset in (O/nO)* modulo the image of the units: the
-    least of its unit multiples."""
-    return min(residue_mul(e, x, d, n) for e in unit_group(d))
+def residue_name(x: tuple[int, int], units: tuple[tuple[int, int], ...], d: int, n: int) -> tuple[int, int]:
+    """The name of x's coset in (O/nO)* modulo the image of the units
+    (`unit_group(d)`, read once by the caller): the least of its unit multiples."""
+    return min(residue_mul(e, x, d, n) for e in units)
 
 
 def ray_residue(u: OIdeal, v: OIdeal, n: int) -> tuple[int, int] | None:
@@ -297,7 +297,7 @@ def ray_keys(us: list[OIdeal], n: int) -> tuple[list[tuple | None], Callable[[tu
     quotient by R_c has no generator; times(k, l) is the key of the product,
     or None if a factor is None, c'' has no ideal in us or nu is None.
     """
-    d = us[0].disc
+    d, units = us[0].disc, unit_group(us[0].disc)
     first: dict[tuple[int, int, int], OIdeal] = {}
     classes = [_level_one_class(u) for u in us]
     for c, u in zip(classes, us):
@@ -305,7 +305,7 @@ def ray_keys(us: list[OIdeal], n: int) -> tuple[list[tuple | None], Callable[[tu
     keys = []
     for c, u in zip(classes, us):
         mu = ray_residue(u, first[c], n)
-        keys.append(None if mu is None else (c, residue_name(mu, d, n)))
+        keys.append(None if mu is None else (c, residue_name(mu, units, d, n)))
     law = {}
     for c, rc in first.items():
         for c2, rc2 in first.items():
@@ -318,7 +318,7 @@ def ray_keys(us: list[OIdeal], n: int) -> tuple[list[tuple | None], Callable[[tu
         entry = None if k is None or l is None else law[k[0], l[0]]
         if entry is None:
             return None
-        return entry[0], residue_name(residue_mul(residue_mul(k[1], l[1], d, n), entry[1], d, n), d, n)
+        return entry[0], residue_name(residue_mul(residue_mul(k[1], l[1], d, n), entry[1], d, n), units, d, n)
 
     return keys, times
 

@@ -10,10 +10,11 @@ composition kernels (with the generic CRT), grouplaw's pairwise ideal passes,
 the signed class index and signed level map, the ideal-to-class scan, the
 fundamental-part scan, the closed-form prime-power kernel, the per-term sign
 check of two matrix sequences and the object-based tower correspondence
-report."""
+report; and a reset of the package's caches."""
 
 import math
 import random
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,6 +38,14 @@ from formclass.suites import check
 from formclass.tower import MatrixSeq
 
 SWAP = UnimodMatrix(0, -1, 1, 0)
+
+
+def clear_package_caches() -> None:
+    """Empty every cache of the package, so that earlier calls cannot hide one."""
+    for name, module in list(sys.modules.items()):
+        for obj in vars(module).values() if name.startswith("formclass.") else ():
+            if hasattr(obj, "cache_clear") and getattr(obj, "__module__", "").startswith("formclass"):
+                obj.cache_clear()
 
 
 def translation(m: int) -> UnimodMatrix:

@@ -34,12 +34,13 @@ from formclass.classgroup import (
     compose,
     conj_class,
     inverse_class,
+    order_change_map,
     same_class,
 )
 from formclass.cli import main
 from formclass.congruence import ClassIndex, CongKind, class_index, lift_matrix
 from formclass.forms import QuadForm, UnimodMatrix, reduce_form, reduced_forms
-from formclass.ideals import OIdeal, extend_to_order, form_to_ideal, ray_class_equal
+from formclass.ideals import OIdeal, extend_to_order, form_to_ideal, ray_class_equal, unit_group
 from formclass.suites import ORDERCHANGE_INSTANCES
 
 FROZEN_TABLES = {
@@ -367,6 +368,16 @@ def test_class_of_ideal_matches_the_scan():
     assert len(cases) > 2500 and conventions_differ > 0
 
 
+def test_order_change_composes_through_an_intermediate_order():
+    # the route through -27 extends ideals with m = 2 and then m = 3, the
+    # direct one with m = 6, so a wrong m in extend_to_order splits them
+    for n in range(1, 6):
+        src, dst = class_group_table(-108, n), class_group_table(-3, n)
+        for x in src.classes:
+            via = order_change_map(order_change_map(x, -27, n), -3, n)
+            assert dst.locate_class(via) == dst.locate_class(order_change_map(x, -3, n)), (n, x)
+
+
 def test_inverse_class_confirms_once(monkeypatch):
     calls = []
 
@@ -402,6 +413,19 @@ def test_grouplaw_fetches_the_class_index_once_per_table(capsys):
     lookups = after.hits + after.misses - before.hits - before.misses
     order = class_group_table(-31, 5).order
     assert order == 24 and lookups <= order + 2
+
+
+def test_grouplaw_reads_the_unit_group_once_for_its_keys(capsys):
+    # ray_keys holds the units once: the lookups grow with the order (one per
+    # inverse_class confirm), plus one per `ray_class_count`, not with the
+    # 24**2 products of the key law
+    before = unit_group.cache_info()
+    assert main(["verify", "grouplaw", "-D", "-31", "-N", "5", "--seed", "3"]) == 0
+    after = unit_group.cache_info()
+    capsys.readouterr()
+    lookups = after.hits + after.misses - before.hits - before.misses
+    order = class_group_table(-31, 5).order
+    assert order == 24 and lookups <= order + 6
 
 
 # -3 and -4 have six and four units, -84 has h = 4, -100 is not fundamental

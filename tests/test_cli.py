@@ -15,10 +15,13 @@ from pathlib import Path
 import pytest
 
 import formclass
-from formclass import classgroup, suites
-from formclass.cli import CELL_BUDGET, GROUPLAW_PASSES, SCAN_BUDGET, SUITES, _check_disc, _check_table, main
+from _helpers import clear_package_caches
+from formclass import classgroup, congruence, suites
+from formclass.cli import CELL_BUDGET, GROUPLAW_PASSES, SCAN_BUDGET, SUITES, _build_parser, _check_disc, _check_table
+from formclass.cli import _plan, main
 from formclass.congruence import ClassIndex, CongKind, class_key
 from formclass.forms import QuadForm
+from test_reachability import COMMANDS
 
 
 def run(capsys, *argv):
@@ -206,6 +209,21 @@ def test_precision_below_one_is_refused_before_any_enumeration(capsys, monkeypat
     assert code == 2 and out == "" and err == "invalid input: precision must be >= 1\n"
 
 
+@pytest.mark.parametrize("command", ["tower", "verify padicpoints"])
+@pytest.mark.parametrize("prime, precision, message", [
+    ("-3", "2", "level must be >= 1"),  # (-3)^2 = 9 fits the cap; the base level -3 does not
+    ("100", "2", "level 10000 exceeds the cap 64 (raise --level-cap)"),
+])
+def test_tower_levels_are_checked_before_any_enumeration(capsys, monkeypatch, command, prime, precision, message):
+    # the level p^n is checked first, then the base level p
+    def no_enumeration(*args):
+        raise AssertionError("base_point_set was called")
+
+    monkeypatch.setattr(formclass.tower, "base_point_set", no_enumeration)
+    code, out, err = run(capsys, *command.split(), "-p", prime, "-D", "-23", "-n", precision)
+    assert code == 2 and out == "" and err == f"invalid input: {message}\n"
+
+
 @pytest.mark.parametrize("prime, message", [("0", "level must be >= 1"), ("1", "1 is not prime")])
 def test_padiclimits_refuses_a_prime_below_two(capsys, prime, message):
     # a -p that is given is checked even when it is falsy, as padicpoints does
@@ -364,6 +382,44 @@ def test_each_command_is_refused_before_it_enumerates(capsys, monkeypatch, argv,
                 monkeypatch.setattr(module, name, enumerated)
     code, out, err = run(capsys, *argv.split())
     assert code == 2 and out == "" and err == f"invalid input: {message}\n"
+
+
+# every function of src/ is reached by COMMANDS; these add the default sizes
+# of verify all and the tower at n = 2, whose codomain and base levels differ
+AUDITED = COMMANDS + ("verify all --seed 7", "tower -p 3 -D -23 -n 2 --check-lift",
+                      "verify padicpoints -p 5 -D -15 -n 2")
+
+
+def test_every_enumeration_is_at_a_site_of_its_plan(capsys, monkeypatch):
+    """Each (D, N) that a command enumerates classes, class keys or a class
+    group table at is a site of its plan, and each table is at a site with
+    passes, so the guard pass checks what the command really does."""
+    seen = []
+
+    def recorder(what, real):
+        def recorded(d, n, *args):
+            seen.append((what, d, n))
+            return real(d, n, *args)
+        return recorded
+
+    monkeypatch.setattr(congruence, "enumerate_classes", recorder("classes", congruence.enumerate_classes))
+    keys = recorder("keys", congruence.class_keys)
+    monkeypatch.setattr(congruence, "class_keys", keys)
+    monkeypatch.setattr(formclass.tower, "class_keys", keys)
+    build = recorder("table", classgroup.ClassGroupTable.build)
+    monkeypatch.setattr(classgroup.ClassGroupTable, "build", staticmethod(build))
+    parser, missing, kinds = _build_parser(), [], set()
+    for argv in AUDITED:
+        clear_package_caches()  # a cached enumeration would not be recorded
+        seen.clear()
+        assert main(argv.split()) == 0, argv
+        sites, _ = _plan(parser.parse_args(argv.split()))
+        listed = {(d, base**exponent) for d, (base, exponent), _ in sites}
+        priced = {(d, base**exponent) for d, (base, exponent), passes in sites if passes >= 1}
+        missing += [(argv, *call) for call in seen if call[1:] not in (priced if call[0] == "table" else listed)]
+        kinds.update(what for what, _, _ in seen)
+    capsys.readouterr()
+    assert missing == [] and kinds == {"classes", "keys", "table"}
 
 
 def test_table_check_takes_the_unit_count_in_closed_form(monkeypatch):

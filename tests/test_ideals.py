@@ -234,7 +234,8 @@ def test_hnf_pair_matches_reference_on_seeded_rows():
         assert _outcome(_hnf_pair, rows) == _outcome(hnf_pair_reference, rows), rows
 
 
-PRODUCT_DISCS = (-3, -4, -15, -23, -56, -92)
+# the order of -108 = 6^2 * (-3) lies in those of -27, -12 and -3, one per divisor of 6
+PRODUCT_DISCS = (-3, -4, -15, -23, -56, -92, -108)
 
 
 def _elemo_rows(gens1, gens2):
@@ -254,7 +255,8 @@ def test_products_equal_elemo_products(monkeypatch):
         for u in ideals:
             for v in ideals:
                 cases.append((u * v, _elemo_rows(_basis(u), _basis(v)), u.scale * v.scale, d))
-            for target in {d, fundamental_part(d)[0]}:
+            d0, conductor = fundamental_part(d)
+            for target in (k * k * d0 for k in range(1, conductor + 1) if conductor % k == 0):
                 m = math.isqrt(d // target)
                 beta = ElemO((-u.b - m * target) // 2, m, target)
                 rows = [(u.a, 0), (0, u.a)] + _elemo_rows([beta], [ElemO.one(target), omega(target)])
@@ -327,9 +329,9 @@ def test_residue_product_and_name(d):
     for n in (1, 2, 5, 6):
         residues = [(x, y) for x in range(n) for y in range(n)]
         for x in residues:
-            name = residue_name(x, d, n)
+            name = residue_name(x, units, d, n)
             multiples = {residue_mul(e, x, d, n) for e in units}
-            assert name == min(multiples) and {residue_name(m, d, n) for m in multiples} == {name}
+            assert name == min(multiples) and {residue_name(m, units, d, n) for m in multiples} == {name}
             for y in residues[::3]:
                 prod = elem_mul(ElemO(*x, d), ElemO(*y, d))
                 assert residue_mul(x, y, d, n) == (prod.x % n, prod.y % n)

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import formclass
+from _helpers import clear_package_caches
 from formclass.cli import main
 
 COMMANDS = (
@@ -45,11 +46,7 @@ def _definitions() -> dict[tuple[str, int], str]:
 
 
 def test_every_function_is_reached_or_allowed(capsys):
-    # empty every cache of the package, so that earlier tests cannot hide a call
-    for name, module in list(sys.modules.items()):
-        for obj in vars(module).values() if name.startswith("formclass.") else ():
-            if hasattr(obj, "cache_clear") and getattr(obj, "__module__", "").startswith("formclass"):
-                obj.cache_clear()
+    clear_package_caches()
     entered = set()
 
     def record(frame, event, arg):
