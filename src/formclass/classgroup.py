@@ -27,7 +27,7 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import itemgetter
 
-from ._arith import egcd, factorize
+from ._arith import egcd
 from .congruence import CongKind, class_index, cong_equivalent, lift_matrix
 from .forms import QuadForm, is_member
 from .ideals import OIdeal, extend_to_order, form_to_ideal, ray_class_count, ray_class_equal
@@ -154,48 +154,47 @@ def inverse_class(f: QuadForm, n: int) -> QuadForm:
 # -- the full group ----------------------------------------------------------
 
 
-def _abelian_invariants(order: int, identity: int, power) -> tuple[int, ...]:
-    """Invariant factors d_1 | d_2 | ... of a finite abelian group.
+def _abelian_invariants(cayley: tuple[tuple[int, ...], ...], identity: int) -> tuple[int, ...]:
+    """Invariant factors d_1 | d_2 | ... of the abelian group with Cayley rows
+    `cayley` and identity index `identity`.
 
-    Uses only the black-box power map: for each prime p the sizes of the
-    p^k-torsion subgroups determine the partition of exponents, and aligning
-    the partitions across primes (largest with largest) gives the factors.
+    Reads nothing but the rows.  The powers x, x^2, .., x^o = 1 of each
+    element of unknown order are walked down column x; x^j then has order
+    o / gcd(j, o).  In Z/d_1 + .. + Z/d_k of order n the torsion counts
+    t(m) = #{x : ord(x) | m} are prod_i gcd(m, d_i) for each m | n, so the
+    least m with t(m) = t(n) is the largest factor e left, and dividing each
+    t(m) by gcd(m, e) peels it off.  GroupAxiomError if a walk takes n steps
+    without reaching the identity, or if the factors do not multiply to n
+    and give back every t(m); so the factors returned are those of the one
+    abelian group with the table's torsion counts.  Every loop is bounded by
+    n or by the number of divisors of n.
     """
-    if order == 1:
-        return ()
-    partitions: dict[int, list[int]] = {}
-    for p in factorize(order):
-        sizes = [1]
-        while True:
-            k = len(sizes)
-            size = sum(1 for i in range(order) if power(i, p**k) == identity)
-            if size == sizes[-1]:
+    n = len(cayley)
+    orders = [0] * n
+    for x in range(n):
+        if orders[x]:
+            continue
+        walk = [x]
+        for _ in range(n):
+            if walk[-1] == identity:
                 break
-            sizes.append(size)
-        torsion_logs = []
-        for size in sizes:
-            s, v = size, 0
-            while s % p == 0:
-                s //= p
-                v += 1
-            if s != 1:
-                raise GroupAxiomError(f"a {p}-power torsion subgroup has {size} elements, not a power of {p}")
-            torsion_logs.append(v)
-        # mu_k = #{j : lambda_j >= k}; conjugating recovers the exponents
-        mu = [torsion_logs[k] - torsion_logs[k - 1] for k in range(1, len(torsion_logs))]
-        lam = [sum(1 for m in mu if m >= j + 1) for j in range(max(mu))]
-        partitions[p] = lam
-    width = max(len(lam) for lam in partitions.values())
-    factors = []
-    for j in range(width):
-        f = 1
-        for p, lam in partitions.items():
-            if j < len(lam):
-                f *= p ** lam[j]
-        factors.append(f)
-    factors.reverse()
-    if math.prod(factors) != order:
-        raise GroupAxiomError(f"invariant factors {factors} do not multiply to the order {order}")
+            walk.append(cayley[walk[-1]][x])
+        else:
+            raise GroupAxiomError(f"the powers of {x} do not reach the identity {identity} in {n} steps")
+        o = len(walk)
+        for j, y in enumerate(walk, 1):
+            orders[y] = o // math.gcd(j, o)
+    divisors = [m for m in range(1, n + 1) if n % m == 0]
+    counts = [sum(1 for o in orders if m % o == 0) for m in divisors]
+    left, factors = counts, []
+    for _ in divisors:
+        if left[-1] == 1:
+            break
+        e = next(m for m, t in zip(divisors, left) if t == left[-1])
+        factors.insert(0, e)
+        left = [t // math.gcd(m, e) for m, t in zip(divisors, left)]
+    if math.prod(factors) != n or counts != [math.prod(math.gcd(m, d) for d in factors) for m in divisors]:
+        raise GroupAxiomError(f"invariant factors {factors} do not give the order {n} and the torsion counts {counts}")
     return tuple(factors)
 
 
@@ -278,18 +277,6 @@ class ClassGroupTable(namedtuple("ClassGroupTable", "disc level classes cayley i
     def mul(self, i: int, j: int) -> int:
         return self.cayley[i][j]
 
-    def power(self, i: int, k: int) -> int:
-        """i**k for k >= 0, by repeated squaring; ValueError for k < 0."""
-        if k < 0:
-            raise ValueError(f"exponent {k} is negative")
-        acc, base = self.identity_index, i
-        while k:
-            if k & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return acc
-
     def locate_class(self, f: QuadForm) -> int:
         """The index of f's class; ValueError unless f has this table's
         discriminant and a leading coefficient prime to its level."""
@@ -298,7 +285,10 @@ class ClassGroupTable(namedtuple("ClassGroupTable", "disc level classes cayley i
         return self.index.locate(f)
 
     def invariant_factors(self) -> tuple[int, ...]:
-        return _abelian_invariants(self.order, self.identity_index, self.power)
+        """The invariant factors d_1 | d_2 | ... of the group, read off the
+        Cayley rows by `_abelian_invariants` (GroupAxiomError if their torsion
+        counts are not those of an abelian group of this order)."""
+        return _abelian_invariants(self.cayley, self.identity_index)
 
     def to_json(self) -> dict:
         return {

@@ -64,6 +64,10 @@ def _check_level(base: int, cap: int, exponent: int) -> None:
 # about |D|/3 steps (a up to sqrt(|D|/3), b in [-a, a]); 10**7 steps take ~2 s.
 SCAN_BUDGET = 10**7
 
+# A padiclimits trial takes ~39 us (20,000 each at p = 3, 5, 2 in 2.3 s; Python
+# 3.11, 2 cores): 5 * 10**5 trials take ~19 s, and CELL_BUDGET's cells ~15 s.
+TRIAL_BUDGET = 5 * 10**5
+
 
 def _check_disc(d: int) -> None:
     """ValueError unless the reduced-form scan at d fits in SCAN_BUDGET steps."""
@@ -130,9 +134,10 @@ def _plan(args):
     """(sites, run) for the command in args: every site it enumerates at, a
     tower's level p^n before its base level p, so that the cap and -n are
     named first, and the call that runs it and returns (document, exit code).
-    Building a plan parses its forms, refuses a negative --trials, a
-    levelsquare -N not dividing -M, a non-prime padiclimits -p within the cap
-    and -p 2 for the tower correspondence, and enumerates nothing."""
+    Building a plan parses its forms, refuses a negative --trials, padiclimits
+    trials over all primes past TRIAL_BUDGET, a levelsquare -N not dividing
+    -M, a non-prime padiclimits -p within the cap and -p 2 for the tower
+    correspondence, and enumerates nothing."""
     if args.command == "reduce":
         f = _parse_form(args.form)
 
@@ -216,6 +221,9 @@ def _suite(name: str, args):
         sites = [(None, (args.prime, 1), 0)] if args.prime is not None else []
         if sites and 1 <= args.prime <= args.level_cap and not is_prime(args.prime):  # _check_level refuses the rest
             raise ValueError(f"{args.prime} is not prime")
+        total = trials * len(primes)
+        if total > TRIAL_BUDGET:
+            raise ValueError(f"{trials} trials at each of {primes} make {total}, over the budget of {TRIAL_BUDGET}")
         return sites, lambda rng: suites.padiclimits(primes, trials, rng)
     if args.prime is not None:  # padicpoints
         instances = [(args.prime, args.disc, args.precision)]

@@ -26,6 +26,7 @@ from formclass.classgroup import (
     GroupAxiomError,
     PMGroup,
     _SHELLS,
+    _abelian_invariants,
     _check_group_table,
     _coprime_columns,
     class_group_table,
@@ -253,8 +254,7 @@ def test_inverse_frozen_representative():
     inv = inverse_class(x, 3)
     assert same_class(inv, QuadForm(26, 17, 3), 3)
     table = class_group_table(-23, 3)
-    i = table.locate_class(x)
-    assert [k for k in range(1, 7) if table.power(i, k) == table.identity_index] == [6]
+    assert _element_order(table, table.locate_class(x)) == 6
 
 
 def test_conjugation_is_not_the_inverse_at_higher_level():
@@ -485,25 +485,24 @@ def test_class_of_ideal_inverts_form_to_ideal():
         assert same_class(class_of_ideal(form_to_ideal(x), -24, 5), x, 5)
 
 
+def _element_order(table, i):
+    """The order of i, by repeated `table.mul`; it is at most the group order."""
+    acc = i
+    for k in range(1, table.order + 1):
+        if acc == table.identity_index:
+            return k
+        acc = table.mul(acc, i)
+    raise AssertionError(f"{i} has no order up to {table.order}")
+
+
 def test_table_powers_and_element_orders():
-    table = class_group_table(-23, 3)
-    e = table.identity_index
-    for i in range(table.order):
-        k, acc = 1, i
-        while acc != e:
-            acc, k = table.mul(acc, i), k + 1
-        assert table.power(i, k) == e
-        assert table.order % k == 0
-        assert table.mul(i, table.power(i, k - 1)) == e
-        assert table.power(i, 0) == e and table.power(i, k + 1) == i
-
-
-def test_table_power_refuses_negative_exponents():
-    # the table keeps no inverse map, and halving -1 would never reach 0
-    table = class_group_table(-23, 3)
-    for k in (-1, -6):
-        with pytest.raises(ValueError, match=f"exponent {k} is negative"):
-            table.power(1, k)
+    # in Z/d_1 + ... + Z/d_k the torsion counts #{x : ord(x) | m} are
+    # prod_i gcd(m, d_i), read here against the frozen factors, not the code's
+    for (d, n), factors in FROZEN_TABLES.items():
+        table = class_group_table(d, n)
+        orders = [_element_order(table, i) for i in range(table.order)]
+        for m in (m for m in range(1, table.order + 1) if table.order % m == 0):
+            assert sum(1 for k in orders if m % k == 0) == math.prod(math.gcd(m, f) for f in factors), (d, n, m)
 
 
 def test_table_json_shape():
@@ -591,6 +590,10 @@ def test_pm_involution_realizes_conjugation():
 # a non-associative loop of the smallest possible order: a Latin square with identity 0
 LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
 
+# the smallest non-abelian group, its permutations composed p after q
+_PERMS = list(itertools.permutations(range(3)))
+S3 = tuple(tuple(_PERMS.index(tuple(p[q[i]] for i in range(3))) for q in _PERMS) for p in _PERMS)
+
 
 def _relabel(t, perm):
     """The table of the same operation with element i renamed perm[i]."""
@@ -608,10 +611,15 @@ def _swap_to(n, e):
     return perm
 
 
-def _cyclic_product(m1, m2):
-    elems = list(itertools.product(range(m1), range(m2)))
-    index = {x: i for i, x in enumerate(elems)}
-    return tuple(tuple(index[(a + c) % m1, (b + d) % m2] for c, d in elems) for a, b in elems)
+def _cyclic_product(*ms):
+    """The table of Z/m_1 + ... + Z/m_k, with identity 0; in Z/m + G the pair
+    (a, g) has index a*|G| + g."""
+    t = ((0,),)
+    for m in reversed(ms):
+        s = len(t)
+        t = tuple(tuple((a + b) % m * s + t[g][h] for b in range(m) for h in range(s))
+                  for a in range(m) for g in range(s))
+    return t
 
 
 def _swap_intercalate(t, e, rng, tries=50):
@@ -682,16 +690,14 @@ def test_validator_rejects_non_associative_loop():
 
 
 def test_validator_rejects_non_commutative_group():
-    perms = list(itertools.permutations(range(3)))
-    s3 = tuple(tuple(perms.index(tuple(p[q[i]] for i in range(3))) for q in perms) for p in perms)
     table = class_group_table(-23, 1)
-    fake = table._replace(classes=table.classes * 2, cayley=s3, identity_index=0)
-    _check_group_table(s3, 0)
+    fake = table._replace(classes=table.classes * 2, cayley=S3, identity_index=0)
+    _check_group_table(S3, 0)
     with pytest.raises(GroupAxiomError, match="differ") as err:
         fake._validate()
     # the pair the message names really fails to commute
     i, j = map(int, re.fullmatch(r"products (\d+)\*(\d+) and \2\*\1 differ", str(err.value)).groups())
-    assert s3[i][j] != s3[j][i]
+    assert S3[i][j] != S3[j][i]
 
 
 def test_validator_agrees_with_brute_force_associativity():
@@ -722,3 +728,54 @@ def test_validator_is_exact_above_the_old_sampling_size():
     assert not _associative(bad, rows)
     with pytest.raises(GroupAxiomError, match="associativity fails"):
         _check_group_table(bad, e)
+
+
+# -- invariant factors off the torsion counts ------------------------------------
+
+
+def _cyclic_product_factors(ms):
+    """The invariant factors of Z/m_1 + ... + Z/m_k: the j-th largest factor is
+    the product over the primes p of the j-th largest p-power part of the m_i."""
+    parts = {}
+    for m in ms:
+        for p in range(2, m + 1):
+            q = 1
+            while m % p == 0:
+                m, q = m // p, q * p
+            if q > 1:
+                parts.setdefault(p, []).append(q)
+    width = max(map(len, parts.values()), default=0)
+    ranked = [sorted(qs, reverse=True) for qs in parts.values()]
+    return tuple(reversed([math.prod(qs[j] for qs in ranked if j < len(qs)) for j in range(width)]))
+
+
+def test_invariant_factors_are_exact_on_relabelled_cyclic_products():
+    rng = random.Random(20261021)
+    cases = [(2, 2, 2), (4, 6, 10), (12, 18), (2, 4, 8), (3, 5, 7), (1, 1), (9, 27), (6, 10, 15)]
+    while len(cases) < 60:
+        ms = tuple(rng.randint(1, 16) for _ in range(rng.choice((2, 3))))
+        if math.prod(ms) <= 240:
+            cases.append(ms)
+    for ms in cases:
+        n = math.prod(ms)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        t = _relabel(_cyclic_product(*ms), perm)
+        assert _abelian_invariants(t, perm[0]) == _cyclic_product_factors(ms), ms
+    assert _cyclic_product_factors((4, 6, 10)) == (2, 2, 60)
+
+
+# not a Latin square: the powers of 1 cycle through 1, 2 and never reach 0
+STUCK3 = ((0, 1, 2), (1, 2, 1), (2, 1, 2))
+
+
+@pytest.mark.parametrize("cayley,message", [
+    (LOOP5, r"invariant factors \[\] do not give the order 5"),
+    (S3, r"invariant factors \[6\] do not give the order 6 and the torsion counts \[1, 4, 3, 6\]"),
+    (STUCK3, r"the powers of 1 do not reach the identity 0 in 3 steps"),
+])
+def test_invariant_factors_refuse_tables_that_are_not_abelian_groups(cayley, message):
+    # S3 is a group, so only its torsion counts tell it from Z/6
+    fake = class_group_table(-23, 1)._replace(cayley=cayley, identity_index=0)
+    with pytest.raises(GroupAxiomError, match=message):
+        fake.invariant_factors()

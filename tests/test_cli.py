@@ -18,7 +18,7 @@ import formclass
 from _helpers import clear_package_caches
 from formclass import classgroup, congruence, suites
 from formclass.cli import CELL_BUDGET, GROUPLAW_PASSES, SCAN_BUDGET, SUITES, _build_parser, _check_disc, _check_table
-from formclass.cli import _plan, main
+from formclass.cli import TRIAL_BUDGET, _plan, main
 from formclass.congruence import ClassIndex, CongKind, class_key
 from formclass.forms import QuadForm
 from test_reachability import COMMANDS
@@ -153,6 +153,28 @@ def test_negative_trials_rejected_before_any_suite(capsys):
     # 0 still means the default count
     doc = run_json(capsys, "verify", "padiclimits", "-p", "3", "--trials", "0", "--quick")
     assert doc["suites"][0]["checks"][0]["trials"] == 200
+
+
+@pytest.mark.parametrize("argv,total", [("verify padiclimits --trials 1000000000", 3 * 10**9),
+                                        ("verify all --trials 1000000", 3 * 10**6)])
+def test_oversized_trials_are_refused_before_any_suite(capsys, monkeypatch, argv, total):
+    # at ~39 us a trial, 10^9 trials at each of three primes would run for over a day
+    calls = _record_suites(monkeypatch)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == "" and calls == []
+    budget = f"over the budget of {TRIAL_BUDGET}"
+    assert err == f"invalid input: {total // 3} trials at each of [3, 5, 2] make {total}, {budget}\n"
+
+
+def test_trial_budget_is_counted_over_all_primes(capsys, monkeypatch):
+    calls = _record_suites(monkeypatch)
+    for argv in (["-p", "3", "--trials", str(TRIAL_BUDGET)], ["--trials", str(TRIAL_BUDGET // 3)]):
+        assert run(capsys, "verify", "padiclimits", *argv)[0] == 0
+    assert calls == ["padiclimits", "padiclimits"]
+    for argv in (["-p", "3", "--trials", str(TRIAL_BUDGET + 1)], ["--trials", str(TRIAL_BUDGET // 3 + 1)]):
+        code, out, err = run(capsys, "verify", "padiclimits", *argv)
+        assert code == 2 and out == "" and f"over the budget of {TRIAL_BUDGET}" in err
+    assert len(calls) == 2
 
 
 def test_levelsquare_divisibility_is_refused_before_any_suite(capsys, monkeypatch):
