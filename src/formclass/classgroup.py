@@ -5,8 +5,11 @@ kinds, and orders.
 A class is of forms, named by one representative `QuadForm`; the level is
 an argument (`compose(f, g, n)`, `same_class(f, g, n)`, `inverse_class(f, n)`)
 or comes from the `ClassGroupTable`, whose `locate_class` gives a form's
-index.  Level projections are index maps, `class_surjection`; the signed
-extension is the minus coset's indices, shifted by the order.
+index.  The table's n^2 cells are filled by unordered pairs, `paired_grid`:
+both orders are composed, and y*x is located only when its triple differs
+from x*y's, which by the CRT it does not when a_x and a_y are coprime.  Level
+projections are index maps, `class_surjection`; the signed extension is the
+minus coset's indices, shifted by the order.
 
 Composition keeps the stricter level-N equivalence throughout: the second
 factor is moved inside its own class (by a matrix that is unipotent upper
@@ -241,6 +244,28 @@ def _check_group_table(cayley: tuple[tuple[int, ...], ...], identity: int) -> No
                 raise GroupAxiomError(f"associativity fails at ({i}, {g}, {k})")
 
 
+def paired_grid(elems, product, locate) -> tuple[tuple[int, ...], ...]:
+    """Rows of locate(product(x, y)) over x, y in elems, filled by unordered
+    pairs: product runs once on the diagonal and on both orders of every
+    other pair, so n^2 times, and the (j, i) cell takes the (i, j) index when
+    the two products are one triple, which a second deterministic `locate`
+    would return again.  Where they differ both are located, so a validator
+    that compares (i, j) with (j, i) still tests every such pair.  Row i is
+    complete after step i, and is a tuple from then on."""
+    n = len(elems)
+    rows = [[None] * n for _ in range(n)]
+    for i, x in enumerate(elems):
+        row = rows[i]
+        row[i] = locate(product(x, x))
+        for j in range(i + 1, n):
+            y = elems[j]
+            xy, yx = product(x, y), product(y, x)
+            row[j] = k = locate(xy)
+            rows[j][i] = k if xy == yx else locate(yx)
+        rows[i] = tuple(row)
+    return tuple(rows)
+
+
 class ClassGroupTable(namedtuple("ClassGroupTable", "disc level classes cayley identity_index index")):
     """Dense multiplication table over the enumerated classes at (disc, level);
     `index` is their unsigned upper-unipotent `ClassIndex`."""
@@ -253,13 +278,16 @@ class ClassGroupTable(namedtuple("ClassGroupTable", "disc level classes cayley i
 
     @staticmethod
     def build(d: int, n: int) -> "ClassGroupTable":
+        """The validated table at (d, n), its cells filled from `compose` by
+        `paired_grid`.  GroupAxiomError if the classes disagree with
+        `ray_class_count` or the table is no abelian group."""
         idx = class_index(d, n, CongKind.UPPER_UNIPOTENT)
         classes = idx.reps
         size = len(classes)
         expected = ray_class_count(d, n)
         if size != expected:
             raise GroupAxiomError(f"enumerated {size} classes at ({d}, {n}); order formula says {expected}")
-        cayley = tuple(tuple([idx.locate(compose(x, y, n)) for y in classes]) for x in classes)
+        cayley = paired_grid(classes, lambda x, y: compose(x, y, n), idx.locate)
         identity = idx.locate(QuadForm.principal(d))
         table = ClassGroupTable(d, n, classes, cayley, identity, idx)
         table._validate()

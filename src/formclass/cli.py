@@ -64,8 +64,8 @@ def _check_level(base: int, cap: int, exponent: int) -> None:
 # about |D|/3 steps (a up to sqrt(|D|/3), b in [-a, a]); 10**7 steps take ~2 s.
 SCAN_BUDGET = 10**7
 
-# A padiclimits trial takes ~39 us (20,000 each at p = 3, 5, 2 in 2.3 s; Python
-# 3.11, 2 cores): 5 * 10**5 trials take ~19 s, and CELL_BUDGET's cells ~15 s.
+# A padiclimits trial takes ~27 us (20,000 each at p = 3, 5, 2 in 1.6 s; Python
+# 3.11, 2 cores): 5 * 10**5 trials take ~14 s, and CELL_BUDGET's cells ~8 s.
 TRIAL_BUDGET = 5 * 10**5
 
 
@@ -76,15 +76,17 @@ def _check_disc(d: int) -> None:
         raise ValueError(f"discriminant {d} needs ~{steps} reduced-form scan steps, over the budget of {SCAN_BUDGET}")
 
 
-# A Cayley table of order h takes h**2 `compose` and `locate` cells at ~19 us
-# each at order 900 (~8 us at order 48); 10**6 cells take about 19 s.
+# A Cayley table of order h takes h**2 cells: a `compose` each, and a `locate`
+# for all but the pairs whose two products are one triple (`paired_grid`).
+# A cell takes ~8 us at order 900 and ~4.4 us at order 48 (best of 30 builds
+# at (-51, 7)), so 10**6 cells take about 8 s.
 CELL_BUDGET = 10**6
 
 # `verify grouplaw` then runs its matrix oracle over all pairs, composes every
-# cell again with a random column and every conjugate cell: 0.45 s for the
-# table (best of 3) and 1.94 s for the rest at (-23, 13), order 216 (4.3 table
-# passes), and 0.45 s and 2.26 s at (-4, 29), order 196 (5.0 passes; Python
-# 3.11, 2 cores; ten runs gave 4.1 to 6.4 passes).
+# cell again with a random column and every conjugate cell: 0.30 s for the
+# table (best of 3) and 1.52 s for the rest (median of 3) at (-23, 13), order
+# 216 (5.0 table passes), and 0.28 s and 1.44 s at (-4, 29), order 196 (5.1
+# passes; Python 3.11, 2 cores; the six runs gave 3.4 to 5.0 passes).
 GROUPLAW_PASSES = 7
 
 

@@ -19,6 +19,7 @@ from .classgroup import (
     compose,
     inverse_class,
     order_change_map,
+    paired_grid,
     same_class,
 )
 from .congruence import CongKind, class_index
@@ -47,7 +48,8 @@ def grouplaw(d: int, n: int, rng: random.Random) -> list[dict]:
     factors' keys with the key of the table's product, so a cell costs no
     ideal product and no ray-class test.  A quotient with no generator where
     one must exist leaves a key undefined, which fails both checks; nothing
-    raises.
+    raises.  `conjugation-is-automorphism` locates the conjugated products
+    by `paired_grid`, as the table's own are.
     """
     checks = []
 
@@ -92,11 +94,8 @@ def grouplaw(d: int, n: int, rng: random.Random) -> list[dict]:
     try:
         pm = PMGroup.build(table)
         conj = pm.conj_perm
-        conj_auto = all(
-            table.locate_class(compose(x, y, n).conjugate()) == table.mul(conj[i], conj[j])
-            for i, x in enumerate(table.classes)
-            for j, y in enumerate(table.classes)
-        )
+        conj_cells = paired_grid(table.classes, lambda x, y: compose(x, y, n).conjugate(), table.locate_class)
+        conj_auto = all(k == table.mul(conj[i], conj[j]) for i, row in enumerate(conj_cells) for j, k in enumerate(row))
         checks.append(check("signed-extension-closes", pm.order == 2 * table.order, order=pm.order))
         checks.append(check("conjugation-is-automorphism", conj_auto))
     except GroupAxiomError as err:

@@ -481,6 +481,13 @@ def compose_reference(x: QuadForm, y: QuadForm, n: int, bound: int = 10, rng=Non
     return QuadForm(m, big_b, (big_b * big_b - d) // (4 * m))
 
 
+def cayley_reference(d: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """`ClassGroupTable.build`'s Cayley rows as they were, before the paired
+    fill: every cell composed and located on its own."""
+    idx = class_index(d, n, CongKind.UPPER_UNIPOTENT)
+    return tuple(tuple([idx.locate(compose(x, y, n)) for y in idx.reps]) for x in idx.reps)
+
+
 def grouplaw_ideal_passes_reference(table, n: int, rng) -> list[dict]:
     """`suites.grouplaw`'s `dual-oracle-pairs` and `compose-matches-ideal-product`
     checks as they were, pairwise on ideals: `ray_class_equal` on all n^2 pairs

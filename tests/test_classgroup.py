@@ -231,6 +231,76 @@ def test_table_json_digest_frozen(key):
     assert digest == FROZEN_TABLE_DIGESTS[key]
 
 
+# the paired fill against the cell-by-cell one: the frozen tables, the six-
+# and four-unit discriminants at small levels, and order 216 at (-23, 13)
+PAIRED_FILL_CASES = sorted(FROZEN_TABLES) + [(d, n) for d in (-3, -4) for n in range(1, 8)] + [(-23, 13)]
+
+
+@pytest.mark.parametrize("d,n", PAIRED_FILL_CASES)
+def test_paired_fill_equals_the_cell_by_cell_table(d, n):
+    assert ClassGroupTable.build(d, n).cayley == _helpers.cayley_reference(d, n)
+
+
+@pytest.mark.parametrize("d,n", [(-23, 5), (-3, 7), (-4, 7), (-84, 5)])
+def test_paired_fill_composes_every_cell_and_locates_each_triple_once(monkeypatch, d, n):
+    reps = class_group_table(d, n).classes
+    order = len(reps)
+    pairs = list(itertools.combinations(reps, 2))
+    one_triple = {(x, y) for x, y in pairs if compose(x, y, n) == compose(y, x, n)}
+    # coprime leading coefficients give both orders column (1, 0) and, by
+    # the CRT, one B
+    coprime = {(x, y) for x, y in pairs if math.gcd(x.a, y.a) == 1}
+    assert coprime and coprime <= one_triple and len(one_triple) < len(pairs)
+    calls = {"compose": 0, "locate": 0}
+    real_compose, real_locate = formclass.classgroup.compose, ClassIndex.locate
+
+    def counted_compose(f, g, n, rng=None):
+        calls["compose"] += 1
+        return real_compose(f, g, n, rng)
+
+    def counted_locate(self, f):
+        calls["locate"] += 1
+        return real_locate(self, f)
+
+    monkeypatch.setattr(formclass.classgroup, "compose", counted_compose)
+    monkeypatch.setattr(ClassIndex, "locate", counted_locate)
+    ClassGroupTable.build(d, n)
+    # the one locate beyond the cells finds the identity
+    assert calls == {"compose": order**2, "locate": order**2 - len(one_triple) + 1}
+
+
+def _corrupt_a_later_product(monkeypatch, module, d, n):
+    """(i, j), i < j, for classes x = reps[i] and y = reps[j] with gcd(a_x,
+    a_y) > 1, two distinct product triples and x*y not the identity; patches
+    module.compose so that y*x, without an rng, lands in another class."""
+    table = class_group_table(d, n)
+    reps = table.classes
+    i, j = next((i, j) for i, j in itertools.combinations(range(table.order), 2)
+                if math.gcd(reps[i].a, reps[j].a) > 1 and table.mul(i, j) != table.identity_index
+                and compose(reps[i], reps[j], n) != compose(reps[j], reps[i], n))
+    x, y, wrong = reps[i], reps[j], reps[(table.mul(j, i) + 1) % table.order]
+    real = module.compose
+    monkeypatch.setattr(module, "compose",
+                        lambda f, g, n, rng=None: wrong if (rng, f, g) == (None, y, x) else real(f, g, n, rng))
+    return i, j
+
+
+def test_build_still_compares_both_orders_where_the_triples_differ(monkeypatch):
+    i, j = _corrupt_a_later_product(monkeypatch, formclass.classgroup, -23, 5)
+    with pytest.raises(GroupAxiomError):
+        ClassGroupTable.build(-23, 5)
+    # without the group checks, the commutativity test names the pair
+    monkeypatch.setattr(formclass.classgroup, "_check_group_table", lambda cayley, identity: None)
+    with pytest.raises(GroupAxiomError, match=rf"products {i}\*{j} and {j}\*{i} differ"):
+        ClassGroupTable.build(-23, 5)
+
+
+def test_conjugation_pass_still_composes_both_orders_where_the_triples_differ(monkeypatch):
+    _corrupt_a_later_product(monkeypatch, suites, -23, 5)
+    got = {c["name"]: c["pass"] for c in suites.grouplaw(-23, 5, random.Random(0))}
+    assert [name for name, ok in got.items() if not ok] == ["conjugation-is-automorphism"]
+
+
 def test_compose_matches_ideal_multiplication():
     # the independent route: multiply modules, compare by the ray predicate
     for d, n in ((-23, 3), (-15, 2), (-20, 3)):
